@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import ReportedMismatch, SeedNotConverging, SnapAmbiguous
+from .errors import InvalidParameter, ReportedMismatch, SeedNotConverging, SnapAmbiguous
 from .fields import finite_field
 from .rings import LubinTateSeries, RingElem, RingSpec, make_ring, nondegenerate_trace
 from .series import (
@@ -196,6 +196,8 @@ class CharParams:
         degree=None,
         target_prec=None,
     ):
+        if u_index is not None and not 0 <= u_index < p**s:
+            raise InvalidParameter(f"t residue index {u_index} outside 0..{p**s - 1}")
         self.p = p
         self.s = s
         self.ell = ell

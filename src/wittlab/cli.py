@@ -144,6 +144,10 @@ def cmd_gauss(args):
             for m, b in combos
         ]
         if jobs > 1:
+            # forked workers inherit the series cache instead of each
+            # building theta from cold
+            system.theta_series(0)
+            system.theta_series(1)
             try:
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
                     reports = list(pool.map(_gauss_one, argtuples))

@@ -9,6 +9,10 @@ class WittlabError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidParameter(WittlabError, ValueError):
+    """An input parameter is malformed or outside the range supported."""
+
+
 class IntegralityFailure(WittlabError):
     """A coefficient that must be an integer is not (construction bug)."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 
 from .characters import CharParams, CharacterSystem
-from .errors import NoConventionMatches, TailNotCertified, TruncationTooSmall
+from .errors import InvalidParameter, NoConventionMatches, TailNotCertified, TruncationTooSmall
 from .rings import RingElem
 from .series import Series1, TruncSeries2, certify_tail
 from .wittvec import WittVec
@@ -27,7 +27,13 @@ class GaussConfig:
     """Character data, kernel truncation and target precision for one run."""
 
     def __init__(self, params, chi_m=0, chi_b_index=0, degree=None, target_prec=None):
-        assert params.ell == 2
+        q = params.p**params.s
+        if params.ell != 2:
+            raise InvalidParameter(f"the trace formula is over W_2, not W_{params.ell}")
+        if not 0 <= chi_m < q - 1:
+            raise InvalidParameter(f"chi_m = {chi_m} outside 0..{q - 2}")
+        if not 0 <= chi_b_index < q:
+            raise InvalidParameter(f"chi_b index {chi_b_index} outside 0..{q - 1}")
         self.params = params
         self.chi_m = chi_m
         self.chi_b_index = chi_b_index

@@ -9,6 +9,8 @@ division is certified exact (IntegralityFailure otherwise).
 
 Polynomials are stored sparsely: a term is a packed integer key (16 bits
 per indeterminate, X-block then Y-block) mapping to an integer coefficient.
+The ghost map over a coefficient ring and its one inversion, shared by the
+Witt arithmetic and the series code, live here too.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     CongruenceFailure,
     FamilyTooLarge,
     IntegralityFailure,
+    InvalidParameter,
     MissingAssignment,
     NotDivisible,
     PrecisionExhausted,
@@ -269,14 +272,6 @@ class UniversalPoly:
             key += e << (_SHIFT * self._slot(v))
         return self.terms.get(key, 0)
 
-    def total_degree(self):
-        return max((sum(self._decode(k)) for k in self.terms), default=0)
-
-    def reduce_mod(self, modulus):
-        return self._same_shape(
-            {k: v % modulus for k, v in self.terms.items() if v % modulus}
-        )
-
     def to_text(self):
         names = self.var_names()
         lines = []
@@ -345,9 +340,10 @@ def eval_poly(poly, assignment):
 def eval_plan_at(poly, values):
     """Evaluate with values listed in variable order (X-block then Y-block).
 
-    Elements must support +, -, *, ``scale_int`` and ``from_int_like``.
+    Elements must support +, *, ``scale_int`` and ``from_int_like``.  The
+    result's precision is the least over the variables the polynomial uses.
     """
-    zero = values[0] - values[0]
+    zero = values[0].from_int_like(0)
     acc = zero
     powcache = [dict() for _ in values]
 
@@ -429,13 +425,17 @@ def family_size_bound(kind, p, n):
 def _refusal(kind, p, length):
     """The error structural_polys(kind, p, length) must raise, or None."""
     if kind not in _STRUCTURAL_KINDS:
-        return ValueError(f"unknown kind {kind!r}, expected one of {_STRUCTURAL_KINDS}")
+        return InvalidParameter(
+            f"unknown kind {kind!r}, expected one of {_STRUCTURAL_KINDS}"
+        )
     if length < 1:
-        return ValueError("length must be >= 1")
+        return InvalidParameter("length must be >= 1")
     if length > MAX_LENGTH or p > MAX_PRIME:
-        return ValueError(
+        return InvalidParameter(
             f"universal polynomial generation capped at length {MAX_LENGTH}, p <= {MAX_PRIME}"
         )
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        return InvalidParameter(f"p = {p} is not prime")
     bound = family_size_bound(kind, p, length - 1)
     if bound > MAX_FAMILY_MONOMIALS:
         return FamilyTooLarge(
@@ -460,6 +460,32 @@ def check_family(kind, p, length):
 _structural_cache = {}
 
 
+def _ghost_target(kind, p, n, nx, ny, deadline=_NO_DEADLINE):
+    """The n-th ghost coordinate the family must reproduce (S: X + Y, P:
+    X * Y, I: -X, F: the shift fant_(n+1)(X))."""
+    if kind == "sum":
+        return _ghost_in(p, n, nx, ny, 0) + _ghost_in(p, n, nx, ny, 1)
+    if kind == "prod":
+        a = _ghost_in(p, n, nx, ny, 0)
+        b = _ghost_in(p, n, nx, ny, 1)
+        return a._same_shape(_mul_terms(a.terms, b.terms, deadline))
+    if kind == "neg":
+        return -_ghost_in(p, n, nx, ny, 0)
+    return _ghost_in(p, n + 1, nx, ny, 0)
+
+
+def _ladder_power(state, p, i, e, deadline):
+    """Terms of phi_i ** e for a cached family, memoized along the p-power
+    ladder e = p, p^2, ..."""
+    if e == 1:
+        return state["polys"][i].terms
+    got = state["powers"].get((i, e))
+    if got is None:
+        got = _pow_terms(_ladder_power(state, p, i, e // p, deadline), p, deadline)
+        state["powers"][(i, e)] = got
+    return got
+
+
 def structural_polys(kind, p, length, deadline_seconds=None):
     """S_0..S_{l-1} (resp. P, I, F) solving the defining ghost identities.
 
@@ -471,50 +497,75 @@ def structural_polys(kind, p, length, deadline_seconds=None):
     """
     check_family(kind, p, length)
     deadline = _Deadline(deadline_seconds)
-    cache_key = (kind, p)
-    state = _structural_cache.get(cache_key)
-    if state is None:
-        state = {"polys": [], "powers": {}}
-        _structural_cache[cache_key] = state
+    state = _structural_cache.setdefault((kind, p), {"polys": [], "powers": {}})
     polys = state["polys"]
-    powers = state["powers"]
-
     nx = length + 1 if kind == "frob" else length
     ny = length if kind in ("sum", "prod") else 0
-
-    def reshape(poly):
-        return UniversalPoly(p, nx, ny, poly.terms)
-
-    def target(n):
-        if kind == "sum":
-            return _ghost_in(p, n, nx, ny, 0) + _ghost_in(p, n, nx, ny, 1)
-        if kind == "prod":
-            a = _ghost_in(p, n, nx, ny, 0)
-            b = _ghost_in(p, n, nx, ny, 1)
-            return a._same_shape(_mul_terms(a.terms, b.terms, deadline))
-        if kind == "neg":
-            return -_ghost_in(p, n, nx, ny, 0)
-        return _ghost_in(p, n + 1, nx, ny, 0)  # frob
-
-    def phi_power(i, e):
-        """phi_i ** e with memoization along the p-power ladder."""
-        if e == 1:
-            return reshape(polys[i])
-        got = powers.get((i, e))
-        if got is None:
-            base = phi_power(i, e // p)
-            got = base._same_shape(_pow_terms(base.terms, p, deadline))
-            powers[(i, e)] = got
-        return reshape(got)
-
     while len(polys) < length:
         n = len(polys)
-        acc = target(n)
+        acc = _ghost_target(kind, p, n, nx, ny, deadline)
         for i in range(n):
-            acc = acc - p**i * phi_power(i, p ** (n - i))
+            terms = _ladder_power(state, p, i, p ** (n - i), deadline)
+            acc = acc - p**i * UniversalPoly(p, nx, ny, terms)
         polys.append(acc.divide_exact(p**n))
+    return [UniversalPoly(p, nx, ny, q.terms) for q in polys[:length]]
 
-    return [reshape(q) for q in polys[:length]]
+
+def ghost_identity_residual(kind, p, length, deadline_seconds=None):
+    """fant_n(phi_0..phi_n) minus its defining target, for n = length-1.
+
+    Zero iff the ghost identity holds exactly; exposed so the identity can
+    be re-checked after construction.  Powers memoized by the construction
+    are reused, so the recheck mostly re-spends the final summation.
+    """
+    polys = structural_polys(kind, p, length, deadline_seconds)
+    deadline = _Deadline(deadline_seconds)
+    state = _structural_cache[(kind, p)]
+    n = length - 1
+    nx, ny = polys[0].nx, polys[0].ny
+    lhs = UniversalPoly(p, nx, ny, {})
+    for i in range(n + 1):
+        terms = _ladder_power(state, p, i, p ** (n - i), deadline)
+        lhs = lhs + p**i * UniversalPoly(p, nx, ny, terms)
+    return lhs - _ghost_target(kind, p, n, nx, ny, deadline)
+
+
+# -- ghost coordinates over coefficient rings ----------------------------------------
+
+
+def ghost_values(p, comps):
+    """The ghost coordinates fant_n(a_0..a_n), n < len(comps), of a vector."""
+    out = []
+    pows = []  # pows[i] = a_i^(p^(n-i)) at step n
+    for n, a_n in enumerate(comps):
+        for i in range(n):
+            pows[i] = pows[i] ** p
+        pows.append(a_n)
+        acc = pows[0]
+        for i in range(1, n + 1):
+            acc = acc + pows[i].scale_int(p**i)
+        out.append(acc)
+    return out
+
+
+def ghost_peel(p, entries):
+    """The vector (a_n) with ghost coordinates ``entries``, peeled one
+    component at a time: a_n = (u_n - sum_{i<n} p^i a_i^(p^(n-i))) / p^n.
+
+    Raises NotDivisible where a division is not exact at working precision;
+    component a_n comes back with its precision reduced by the division.
+    """
+    comps = []
+    pows = []  # pows[i] = a_i^(p^(n-1-i)) entering step n
+    for n, u in enumerate(entries):
+        acc = u
+        for i in range(n):
+            pows[i] = pows[i] ** p
+            acc = acc - pows[i].scale_int(p**i)
+        a_n = acc if n == 0 else acc.exact_div_p(n)
+        comps.append(a_n)
+        pows.append(a_n)
+    return comps
 
 
 class GhostSolveInput:
@@ -544,11 +595,11 @@ def _divisible_by_p(x, k):
 
 
 def ghost_invert(inp):
-    """The unique (a_n) with fant_n(a_0..a_n) = u_n, by exact division.
+    """The unique (a_n) with fant_n(a_0..a_n) = u_n, by ghost_peel.
 
-    a_n = (u_n - sum_{i<n} p^i a_i^(p^(n-i))) / p^n.  The congruence
-    sigma(u_{n-1}) = u_n mod p^n is checked first for each n; component a_n
-    comes back with its precision reduced by the division.
+    The congruences sigma(u_{n-1}) = u_n mod p^n, which make every division
+    exact, are checked first; component a_n comes back with its precision
+    reduced by the division.
     """
     ring, seq, sigma = inp.ring, inp.seq, inp.sigma
     length = len(seq)
@@ -560,61 +611,12 @@ def ghost_invert(inp):
     for g in ring.generators():
         if not _divisible_by_p(sigma(g) - g**p, 1):
             raise CongruenceFailure("sigma(a) = a^p mod p fails on a ring generator")
-    comps = []
-    powers = []  # powers[i] = a_i^(p^(n-1-i)) entering step n
-    for n, u in enumerate(seq):
-        if n:
-            diff = sigma(seq[n - 1]) - u
-            if not _divisible_by_p(diff, n):
-                raise CongruenceFailure(
-                    f"sigma(u_{n-1}) != u_{n} mod p^{n} at working precision"
-                )
-        acc = u
-        for i in range(n):
-            powers[i] = powers[i] ** p
-            acc = acc - powers[i].scale_int(p**i)
-        try:
-            a_n = acc if n == 0 else acc.exact_div_p(n)
-        except NotDivisible as exc:  # pragma: no cover - guarded by congruences
-            raise CongruenceFailure(str(exc)) from exc
-        comps.append(a_n)
-        powers.append(a_n)
-    return comps
-
-
-def ghost_identity_residual(kind, p, length, deadline_seconds=None):
-    """fant_n(phi_0..phi_n) minus its defining target, for n = length-1.
-
-    Zero iff the ghost identity holds exactly; exposed so the identity can
-    be re-checked after construction.  Powers memoized by the construction
-    are reused, so the recheck mostly re-spends the final summation.
-    """
-    polys = structural_polys(kind, p, length, deadline_seconds)
-    deadline = _Deadline(deadline_seconds)
-    powers = _structural_cache[(kind, p)]["powers"]
-    n = length - 1
-    nx, ny = polys[0].nx, polys[0].ny
-
-    def power(i, e):
-        if e == 1:
-            return polys[i]
-        got = powers.get((i, e))
-        if got is None:
-            base = power(i, e // p)
-            got = base._same_shape(_pow_terms(base.terms, p, deadline))
-            powers[(i, e)] = got
-        return UniversalPoly(p, nx, ny, got.terms)
-
-    lhs = UniversalPoly(p, nx, ny, {})
-    for i in range(n + 1):
-        lhs = lhs + p**i * power(i, p ** (n - i))
-    if kind == "sum":
-        rhs = _ghost_in(p, n, nx, ny, 0) + _ghost_in(p, n, nx, ny, 1)
-    elif kind == "prod":
-        a = _ghost_in(p, n, nx, ny, 0)
-        rhs = a * _ghost_in(p, n, nx, ny, 1)
-    elif kind == "neg":
-        rhs = -_ghost_in(p, n, nx, ny, 0)
-    else:
-        rhs = _ghost_in(p, n + 1, nx, ny, 0)
-    return lhs - rhs
+    for n in range(1, length):
+        if not _divisible_by_p(sigma(seq[n - 1]) - seq[n], n):
+            raise CongruenceFailure(
+                f"sigma(u_{n-1}) != u_{n} mod p^{n} at working precision"
+            )
+    try:
+        return ghost_peel(p, seq)
+    except NotDivisible as exc:  # pragma: no cover - guarded by congruences
+        raise CongruenceFailure(str(exc)) from exc

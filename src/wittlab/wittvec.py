@@ -1,21 +1,33 @@
 """Witt vectors of finite length over any coefficient ring.
 
-Arithmetic uses the universal polynomials (any ring, including those of
-characteristic p) whenever upoly agrees to build the family.  Otherwise,
-as for the long vectors of the series code, operations are transported
-through the ghost map: components are lifted to a copy of the ring with
-guard digits, combined pointwise on ghost coordinates, and recovered by
-exact division.  That shortcut is only available on rings where p is not a
-zero divisor at working precision (TowerRing instances); over other rings
-an operation whose family is refused raises that refusal.
+The engine follows from the ring.  Over a TowerRing, where p is not a zero
+divisor at working precision, sum, product, negation and Frobenius are
+transported through the ghost map at every length: components are lifted
+to a copy of the ring with guard digits, combined pointwise on ghost
+coordinates, and recovered by exact division.  Component n of the result is
+stamped with the least precision among the input components it depends on,
+0..n (0..n+1 for Frobenius; a_n alone for negation at odd p, I_n = -X_n).
+Over any other ring (F_q) the universal polynomials of upoly are evaluated,
+or upoly's refusal is raised.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .errors import NotDivisible, NotGaloisStable, RingMismatch, TooShort
 from .fields import Fq
 from .rings import RingElem, TowerRing
-from .upoly import MAX_LENGTH, check_family, eval_plan_at, family_fits, structural_polys
+from .upoly import (
+    MAX_LENGTH,
+    GhostSolveInput,
+    check_family,
+    eval_plan_at,
+    ghost_invert,
+    ghost_peel,
+    ghost_values,
+    structural_polys,
+)
 
 
 class WittVec:
@@ -157,22 +169,7 @@ def witt_map(fn, a, target_ring=None):
 
 def ghost_map(a):
     """Ghost coordinates fant_n(a_0..a_n) for n < len(a)."""
-    return GhostSeq(a.ring, _ghost_entries(a.ring, a.comps, len(a)))
-
-
-def _ghost_entries(ring, comps, length):
-    p = ring.p
-    out = []
-    pows = []  # pows[i] = a_i^(p^(n-i)) entering step n
-    for n in range(length):
-        for i in range(n):
-            pows[i] = pows[i] ** p
-        pows.append(comps[n])
-        acc = ring.zero()
-        for i in range(n + 1):
-            acc = acc + pows[i].scale_int(p**i)
-        out.append(acc)
-    return out
+    return GhostSeq(a.ring, ghost_values(a.ring.p, a.comps))
 
 
 def ghost_shift(u):
@@ -191,23 +188,6 @@ def ghost_vshift(u):
 
 def _is_p_regular(ring):
     return isinstance(ring, TowerRing)
-
-
-def _universal_path(kind, ring, length):
-    """True to evaluate the universal polynomials of ``kind`` up to
-    ``length``, False to transport through ghost coordinates; raises when
-    the ring admits neither."""
-    if family_fits(kind, ring.p, length):
-        return True
-    if _is_p_regular(ring):
-        return False
-    if length > MAX_LENGTH:
-        raise RingMismatch(
-            f"Witt {kind} at length {length} > {MAX_LENGTH} needs a p-regular "
-            "coefficient ring"
-        )
-    check_family(kind, ring.p, length)  # raises the refusal
-    return True
 
 
 _family_cache = {}
@@ -229,58 +209,56 @@ def _family(kind, p, n):
     return got
 
 
-def _universal_binary(kind, a, b, length):
+def _universal(kind, vecs, length):
+    """Components 0..length-1 of the Witt op ``kind`` on ``vecs`` by its
+    universal polynomials: component n reads components 0..n of every input
+    (0..n+1 for frob)."""
+    ring = vecs[0].ring
+    if length > MAX_LENGTH:
+        raise RingMismatch(
+            f"Witt {kind} at length {length} > {MAX_LENGTH} needs a p-regular "
+            "coefficient ring"
+        )
+    check_family(kind, ring.p, length)
+    reach = 2 if kind == "frob" else 1
     out = []
     for n in range(length):
-        values = list(a.comps[: n + 1]) + list(b.comps[: n + 1])
-        out.append(eval_plan_at(_family(kind, a.ring.p, n), values))
-    return WittVec(a.ring, out)
+        values = [c for v in vecs for c in v.comps[: n + reach]]
+        out.append(eval_plan_at(_family(kind, ring.p, n), values))
+    return WittVec(ring, out)
 
 
-def _transport_ghosts(ring, vec_comps_list, length):
-    """Lift to a guarded copy of the ring and return (big_ring, ghost lists)."""
+def _lifted_ghosts(ring, vecs, length):
+    """Ghost coordinates 0..length-1 of each vector, over a copy of the ring
+    with ``length`` guard digits, so the recovering divisions stay exact."""
     big = ring.with_precision(ring.nprec + length)
-    lifted = [
-        [RingElem(big, c.co) for c in comps] for comps in vec_comps_list
+    return [
+        ghost_values(ring.p, [RingElem(big, c.co) for c in v.comps[:length]]) for v in vecs
     ]
-    ghosts = [_ghost_entries(big, comps, min(length, len(comps))) for comps in lifted]
-    return big, ghosts
 
 
-def _invert_ghosts(big, entries):
-    """Exact ghost inversion; divisibility is guaranteed by construction."""
-    p = big.p
-    comps = []
-    pows = []
-    for n, u in enumerate(entries):
-        acc = u
-        for i in range(n):
-            pows[i] = pows[i] ** p
-            acc = acc - pows[i].scale_int(p**i)
-        a_n = acc if n == 0 else acc.exact_div_p(n)
-        comps.append(a_n)
-        pows.append(a_n)
-    return comps
-
-
-def _transport_binary(op, a, b, length):
-    ring = a.ring
-    big, (ga, gb) = _transport_ghosts(ring, [a.comps[:length], b.comps[:length]], length)
-    combined = [op(x, y) for x, y in zip(ga, gb)]
-    comps = _invert_ghosts(big, combined)
-    prec = min(
-        [c.prec for c in a.comps[:length]] + [c.prec for c in b.comps[:length]]
+def _recover(ring, entries, precs):
+    """The vector with ghost coordinates ``entries``, reduced to ``ring``;
+    component n declared at precision precs[n]."""
+    comps = ghost_peel(ring.p, entries)
+    return WittVec(
+        ring, [RingElem(ring, ring.reduce_from(c).co, prec) for c, prec in zip(comps, precs)]
     )
-    return WittVec(ring, [RingElem(ring, ring.reduce_from(c).co, prec) for c in comps])
+
+
+def _prefix_min(vecs, length):
+    """Entry n: the least precision among components 0..n of the inputs."""
+    return list(accumulate((min(v.comps[i].prec for v in vecs) for i in range(length)), min))
 
 
 def _binary(kind, op, a, b):
     length = _check_pair(a, b)
     if length == 0:
         return WittVec(a.ring, [])
-    if _universal_path(kind, a.ring, length):
-        return _universal_binary(kind, a.truncate(length), b.truncate(length), length)
-    return _transport_binary(op, a, b, length)
+    if not _is_p_regular(a.ring):
+        return _universal(kind, [a, b], length)
+    ga, gb = _lifted_ghosts(a.ring, [a, b], length)
+    return _recover(a.ring, [op(x, y) for x, y in zip(ga, gb)], _prefix_min([a, b], length))
 
 
 def witt_add(a, b):
@@ -292,32 +270,23 @@ def witt_mul(a, b):
 
 
 def witt_neg(a):
-    length = len(a)
-    if _universal_path("neg", a.ring, length):
-        out = []
-        for n in range(length):
-            out.append(eval_plan_at(_family("neg", a.ring.p, n), list(a.comps[: n + 1])))
-        return WittVec(a.ring, out)
-    big, (ga,) = _transport_ghosts(a.ring, [a.comps], length)
-    comps = _invert_ghosts(big, [-x for x in ga])
-    prec = min(c.prec for c in a.comps)
-    return WittVec(a.ring, [RingElem(a.ring, a.ring.reduce_from(c).co, prec) for c in comps])
+    ring, length = a.ring, len(a)
+    if not _is_p_regular(ring):
+        return _universal("neg", [a], length)
+    (ga,) = _lifted_ghosts(ring, [a], length)
+    precs = [c.prec for c in a.comps] if ring.p % 2 else _prefix_min([a], length)
+    return _recover(ring, [-x for x in ga], precs)
 
 
 def frob(a):
     """Witt Frobenius; shortens the vector by one component."""
-    length = len(a)
+    ring, length = a.ring, len(a)
     if length < 2:
         raise TooShort("frob needs length >= 2")
-    if _universal_path("frob", a.ring, length - 1):
-        out = []
-        for n in range(length - 1):
-            out.append(eval_plan_at(_family("frob", a.ring.p, n), list(a.comps[: n + 2])))
-        return WittVec(a.ring, out)
-    big, (ga,) = _transport_ghosts(a.ring, [a.comps], length)
-    comps = _invert_ghosts(big, ga[1:])
-    prec = min(c.prec for c in a.comps)
-    return WittVec(a.ring, [RingElem(a.ring, a.ring.reduce_from(c).co, prec) for c in comps])
+    if not _is_p_regular(ring):
+        return _universal("frob", [a], length - 1)
+    (ga,) = _lifted_ghosts(ring, [a], length)
+    return _recover(ring, ga[1:], _prefix_min([a], length)[1:])
 
 
 def scalar_nat(a, n):
@@ -343,14 +312,12 @@ def witt_div_p(a):
     if not _is_p_regular(ring):
         raise RingMismatch("witt_div_p needs a p-regular coefficient ring")
     length = len(a)
-    big, (ga,) = _transport_ghosts(ring, [a.comps], length)
+    (ga,) = _lifted_ghosts(ring, [a], length)
+    prec = min(c.prec for c in a.comps) - ring.e
     try:
-        halved = [x.exact_div_p(1) for x in ga]
-        comps = _invert_ghosts(big, halved)
+        return _recover(ring, [x.exact_div_p(1) for x in ga], [prec] * length)
     except NotDivisible:
         raise NotDivisible("vector is not in p*W(A) at working precision") from None
-    prec = min(c.prec for c in a.comps) - ring.e
-    return WittVec(ring, [RingElem(ring, ring.reduce_from(c).co, prec) for c in comps])
 
 
 def delta(x, length):
@@ -358,8 +325,6 @@ def delta(x, length):
 
     Component n loses n guard digits to the exact divisions.
     """
-    from .upoly import GhostSolveInput, ghost_invert
-
     ring = x.ring
     assert isinstance(ring, TowerRing) and ring.m == -1 and ring.s == 1
     comps = ghost_invert(

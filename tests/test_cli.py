@@ -56,6 +56,42 @@ def test_gen_polys_refuses_oversized_family(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["gen-polys", "--p", "2", "--len", "9", "--kind", "sum"], "capped at length 5"),
+        (["gen-polys", "--p", "4", "--len", "2", "--kind", "sum"], "p = 4 is not prime"),
+        (["gauss", "--p", "2", "--chi-b", "5"], "chi_b index 5"),
+        (["gauss", "--p", "2", "--chi-m", "1"], "chi_m = 1"),
+        (["gauss", "--p", "2", "--ell", "3"], "W_3"),
+        (["gauss", "--p", "3", "--t-residue", "3"], "t residue index 3"),
+        (["char-table", "--p", "2", "--t-residue", "-1"], "t residue index -1"),
+    ],
+)
+def test_invalid_input_exits_2(capsys, argv, needle):
+    # refused before any computation: exit 2, the error named, no traceback
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "InvalidParameter: " in captured.err and needle in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_gauss_sweep_jobs_2_matches_jobs_1(capsys):
+    args = [
+        "gauss", "--p", "2", "--prec", "16", "--deg", "48", "--target-prec", "4", "--sweep",
+    ]
+    reports = []
+    for jobs in ("1", "2"):
+        code, out = run_cli(capsys, *args, "--jobs", jobs)
+        assert code == 0
+        sweep = json.loads(out)["sweep"]
+        reports.append([{k: v for k, v in r.items() if k != "timing_ms"} for r in sweep])
+    assert reports[0] == reports[1]
+    assert len(reports[0]) == 2
+
+
 def test_char_table_json_and_determinism(capsys):
     args = [
         "char-table", "--p", "2", "--s", "1", "--ell", "2",

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from wittlab.characters import CharParams, CharacterSystem
-from wittlab.errors import TailNotCertified, TruncationTooSmall
+from wittlab.errors import InvalidParameter, TailNotCertified, TruncationTooSmall
 from wittlab.gausstrace import (
     GaussConfig,
     alpha_apply_monomial,
@@ -203,6 +203,20 @@ def test_gauss_brute_structural_values_p2():
     assert chi11 == -sys.ring.one()
     g_units_b1 = gauss_brute(sys, 0, f.one(), "units")
     assert g_units_b1 == -(psi11 * chi11)
+
+
+def test_config_rejects_out_of_range_indices():
+    # an index outside its range used to wrap silently (b = 5 computed b = 1)
+    params = CharParams(2, 2, 2, nprec=14, degree=48)  # q = 4
+    for chi_m, b_index in ((3, 0), (-1, 0), (0, 4), (0, -1)):
+        with pytest.raises(InvalidParameter):
+            GaussConfig(params, chi_m, b_index)
+    assert GaussConfig(params, 2, 3).describe()["chi"] == {"m": 2, "b": 3}
+    with pytest.raises(InvalidParameter):
+        GaussConfig(CharParams(2, 1, 3), 0, 0)
+    for u_index in (-1, 4):
+        with pytest.raises(InvalidParameter):
+            CharParams(2, 2, 2, u_index=u_index)
 
 
 def test_trace_formula_p2_full_sweep():

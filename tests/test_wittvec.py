@@ -265,7 +265,7 @@ def test_long_vectors_via_ghost_transport():
     assert witt_add(a, b) == witt_add(b, a)
     assert witt_mul(witt_mul(a, b), c) == witt_mul(a, witt_mul(b, c))
     assert witt_mul(a, witt_add(b, c)) == witt_add(witt_mul(a, b), witt_mul(a, c))
-    # consistency with the universal path on truncations
+    # truncation commutes with the product
     assert witt_mul(a, b).truncate(4) == witt_mul(a.truncate(4), b.truncate(4))
     f4 = finite_field(2, 2)
     long_fq = rand_fq_vec(f4, rng, 7)
@@ -356,11 +356,18 @@ def test_witt_trace_wrong_field_raises():
         witt_trace(y, 1, 3)  # s*r = 3 but the field has degree 2
 
 
+def rand_mixed_prec_vec(ring, rng, length):
+    """A random vector whose components carry random precisions up to the cap."""
+    return WittVec(
+        ring, [ring.random(rng, prec=rng.randrange(1, ring.cap + 1)) for _ in range(length)]
+    )
+
+
 def test_transport_agrees_with_universal_polynomials():
-    # the ghost-transport shortcut and the universal-polynomial evaluation
-    # are independent code paths; they must agree wherever both apply
-    from wittlab.rings import LubinTateSeries, RingSpec, make_ring
-    from wittlab.wittvec import _transport_binary, _universal_binary, witt_div_p
+    # over a TowerRing the Witt ops take ghost transport, and the universal
+    # polynomials are an independent code path: values and the precision of
+    # every component must agree wherever both apply
+    from wittlab.wittvec import _universal
 
     rings = [
         (ring_of(2, nprec=14), (3, 4, 5)),
@@ -371,10 +378,38 @@ def test_transport_agrees_with_universal_polynomials():
     for ring, lengths in rings:
         for length in lengths:
             for _ in range(4):
-                a, b = rand_vec(ring, rng, length), rand_vec(ring, rng, length)
-                fast_add = _transport_binary(lambda x, y: x + y, a, b, length)
-                slow_add = _universal_binary("sum", a, b, length)
-                assert fast_add == slow_add, (ring, length, "add")
-                fast_mul = _transport_binary(lambda x, y: x * y, a, b, length)
-                slow_mul = _universal_binary("prod", a, b, length)
-                assert fast_mul == slow_mul, (ring, length, "mul")
+                a = rand_mixed_prec_vec(ring, rng, length)
+                b = rand_mixed_prec_vec(ring, rng, length)
+                pairs = [
+                    ("add", witt_add(a, b), _universal("sum", [a, b], length)),
+                    ("mul", witt_mul(a, b), _universal("prod", [a, b], length)),
+                    ("neg", witt_neg(a), _universal("neg", [a], length)),
+                    ("frob", frob(a), _universal("frob", [a], length - 1)),
+                ]
+                for op, fast, slow in pairs:
+                    assert fast == slow, (ring, length, op)
+                    precs = [c.prec for c in fast.comps]
+                    assert precs == [c.prec for c in slow.comps], (ring, length, op)
+
+
+def test_tower_ops_build_no_universal_family(monkeypatch):
+    # over a TowerRing every length takes ghost transport; a dispatch that
+    # fell back to the universal polynomials would build S_4 and P_4 here
+    # (and hang on S_4 at p = 5), and now raises at once instead
+    from wittlab import upoly, wittvec
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"universal family built: {args}")
+
+    # wittvec binds structural_polys by name, and caches what it evaluates
+    monkeypatch.setattr(upoly, "structural_polys", refuse)
+    monkeypatch.setattr(wittvec, "structural_polys", refuse)
+    monkeypatch.setattr(wittvec, "_family_cache", {})
+    rng = random.Random(5151)
+    for ring in (ring_of(3, nprec=10), ring_of(5, nprec=8)):
+        a, b = rand_vec(ring, rng, 5), rand_vec(ring, rng, 5)
+        ga, gb = ghost_map(a), ghost_map(b)
+        assert ghost_map(witt_add(a, b)) == ga + gb
+        assert ghost_map(witt_mul(a, b)) == ga * gb
+        assert witt_add(a, witt_neg(a)).is_zero()
+        assert ghost_map(frob(a)) == ghost_shift(ga)
