@@ -17,8 +17,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import InvalidParameter, ReportedMismatch, SeedNotConverging, SnapAmbiguous
-from .fields import finite_field
+from .errors import InvalidParameter, NotUnit, ReportedMismatch, SeedNotConverging, SnapAmbiguous
+from .fields import finite_field, is_prime
 from .rings import LubinTateSeries, RingElem, RingSpec, make_ring, nondegenerate_trace
 from .series import (
     TruncSeries2,
@@ -80,8 +80,9 @@ class RootOfUnityTable:
         """Exponent k with table[index] = g^k for the fixed generator g."""
         return self.dlog[index]
 
-    def snap(self, value):
-        """(index, distance valuation) of the unique nearest root."""
+    def snap(self, value, indices=None):
+        """(index, distance valuation) of the unique nearest root, among
+        ``indices`` (default: the whole table)."""
         if value.prec <= self.max_pairwise_val:
             raise SnapAmbiguous(
                 f"value precision {value.prec} does not resolve roots "
@@ -89,7 +90,8 @@ class RootOfUnityTable:
             )
         best = None
         best_v = -1
-        for k, z in enumerate(self.elements):
+        for k in range(self.order) if indices is None else indices:
+            z = self.elements[k]
             v = (value - z).valuation()
             if v is None:
                 v = min(value.prec, z.prec)
@@ -196,6 +198,10 @@ class CharParams:
         degree=None,
         target_prec=None,
     ):
+        if not is_prime(p):
+            raise InvalidParameter(f"p = {p} is not prime")
+        if s < 1 or ell < 1:
+            raise InvalidParameter(f"need s >= 1 and ell >= 1, have s = {s}, ell = {ell}")
         if u_index is not None and not 0 <= u_index < p**s:
             raise InvalidParameter(f"t residue index {u_index} outside 0..{p**s - 1}")
         self.p = p
@@ -206,6 +212,11 @@ class CharParams:
         self.degree = degree if degree is not None else (128 if p == 2 else 96)
         self.u_index = u_index
         self.target_prec = target_prec
+
+    def key(self):
+        """Every field a CharacterSystem depends on, in constructor order."""
+        return (self.p, self.s, self.ell, self.u_index, self.lt, self.nprec, self.degree,
+                self.target_prec)
 
     def describe(self):
         return {
@@ -243,6 +254,7 @@ class CharacterSystem:
         self._theta = {}
         self._theta_cert = {}
         self._mu = None
+        self._psi1 = {}
         self._table = None
 
     # -- building blocks ---------------------------------------------------------
@@ -328,20 +340,28 @@ class CharacterSystem:
             return TruncSeries2.outer(factors[0], factors[1], degree)
         raise NotImplementedError("omega is realized for l <= 2")
 
-    def mu_p_subtable(self):
-        """The order-p subgroup of the root table (for chi values)."""
-        table = self.mu_table
-        payload = [
-            z for z in table.elements if (z ** self.params.p - self.ring.one()).is_zero()
+    def mu_p_indices(self):
+        """Table indices of the order-p subgroup (the values of psi_1)."""
+        one = self.ring.one()
+        indices = [
+            k
+            for k, z in enumerate(self.mu_table.elements)
+            if (z ** self.params.p - one).is_zero()
         ]
-        assert len(payload) == self.params.p
-        return payload
+        if len(indices) != self.params.p:
+            raise SeedNotConverging(
+                f"{len(indices)} roots of order p in the table, expected p"
+            )
+        return indices
 
     def chi_value(self, m, b, z):
-        """chi_{m,b}(z) for z a unit of W_2(F_q): Teich part times psi_1 part."""
-        from .errors import NotUnit
+        """chi_{m,b}(z) for z a unit of W_2(F_q): Teich part times psi_1 part.
 
-        assert self.params.ell == 2
+        The psi_1 part depends on z only through b z_1 z_0^(p(q-2)), so its
+        snapped value is kept per argument: at most q - 1 evaluations.
+        """
+        if self.params.ell != 2:
+            raise InvalidParameter(f"chi is defined on W_2, not W_{self.params.ell}")
         z0, z1 = z[0], z[1]
         if not z0:
             raise NotUnit("chi is defined on units: z_0 != 0")
@@ -350,10 +370,14 @@ class CharacterSystem:
         if not b or not z1:
             return teich_part
         arg = b * z1 * z0 ** (self.params.p * (q - 2))
-        point = self.t * self.ring.teichmuller(arg)
-        raw = self.theta_series(1).eval_full(point)
-        raw = RingElem(self.ring, raw.co, self.target_prec)
-        snapped = _snap_to(self.mu_p_subtable(), raw, self.mu_table.max_pairwise_val)
+        key = arg.index()
+        snapped = self._psi1.get(key)
+        if snapped is None:
+            point = self.t * self.ring.teichmuller(arg)
+            raw = self.theta_series(1).eval_full(point)
+            raw = RingElem(self.ring, raw.co, self.target_prec)
+            index, _ = self.mu_table.snap(raw, self.mu_p_indices())
+            snapped = self._psi1[key] = self.mu_table.root(index)
         return teich_part * snapped
 
     def count_E_t_ell(self, t_scalar=None):
@@ -369,17 +393,19 @@ class CharacterSystem:
         return count
 
 
-def _snap_to(elements, value, max_pairwise):
-    best, best_v = None, -1
-    for z in elements:
-        v = (value - z).valuation()
-        if v is None:
-            v = min(value.prec, z.prec)
-        if v > best_v:
-            best, best_v = z, v
-    if best_v <= max_pairwise:
-        raise SnapAmbiguous("cannot certify the nearest root")
-    return best
+def shared_system(params):
+    """The one CharacterSystem of ``params``' configuration.
+
+    Keyed by ``CharParams.key``, so the theta series, the mu_{p^l} table,
+    the psi table and the psi_1 values are built once per configuration
+    rather than once per caller.
+    """
+    return _system_for_key(params.key())
+
+
+@functools.lru_cache(maxsize=None)
+def _system_for_key(key):
+    return CharacterSystem(CharParams(*key))
 
 
 class CharacterTable:

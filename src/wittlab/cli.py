@@ -13,7 +13,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .characters import CharParams, CharacterSystem, check_splitting
+from .characters import CharParams, CharacterSystem, check_splitting, shared_system
 from .errors import WittlabError
 from .gausstrace import GaussConfig, bench_report, trace_formula_check
 from .rings import LubinTateSeries
@@ -106,9 +106,9 @@ def cmd_char_table(args):
     return 0
 
 
-def _gauss_one(argtuple):
-    (p, s, ell, u_index, lt_tag, nprec, degree, target, m, b) = argtuple
-    params = CharParams(
+def _sweep_params(argtuple):
+    (p, s, ell, u_index, lt_tag, nprec, degree, _target, _m, _b) = argtuple
+    return CharParams(
         p,
         s,
         ell,
@@ -118,14 +118,18 @@ def _gauss_one(argtuple):
         degree=degree,
         target_prec=None,
     )
+
+
+def _gauss_one(argtuple):
+    target, m, b = argtuple[-3:]
+    params = _sweep_params(argtuple)
     return trace_formula_check(GaussConfig(params, m, b, target_prec=target))
 
 
 def cmd_gauss(args):
     params = _params(args)
     if args.sweep:
-        system = CharacterSystem(params)
-        q = system.field.q
+        q = params.p**params.s
         combos = [(m, b) for m in range(q - 1) for b in range(q)]
         jobs = max(args.jobs, 1)
         argtuples = [
@@ -144,10 +148,13 @@ def cmd_gauss(args):
             for m, b in combos
         ]
         if jobs > 1:
-            # forked workers inherit the series cache instead of each
-            # building theta from cold
+            # forked workers inherit the shared system the checks use, with
+            # its theta series, mu and psi tables, instead of each building
+            # them from cold
+            system = shared_system(_sweep_params(argtuples[0]))
             system.theta_series(0)
             system.theta_series(1)
+            system.character_table()
             try:
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
                     reports = list(pool.map(_gauss_one, argtuples))
@@ -390,7 +397,6 @@ def main(argv=None):
     b.add_argument("--chi-m", type=int, default=0)
     b.add_argument("--chi-b", type=int, default=0)
     b.add_argument("--D", dest="bench_degrees", default="32,64", help="degree list")
-    b.add_argument("--jobs", type=int, default=1)
     b.set_defaults(func=cmd_bench)
 
     st = sub.add_parser("selftest", help="run pinned desk-scale property checks")

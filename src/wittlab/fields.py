@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .errors import NotUnit
 
@@ -57,6 +58,11 @@ def _poly_divides(d, f, p):
             for j in range(dd + 1):
                 f[i - dd + j] = (f[i - dd + j] - c * d[j]) % p
     return not any(f[:dd])
+
+
+def is_prime(n):
+    """Trial division up to the square root."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 @functools.lru_cache(maxsize=None)

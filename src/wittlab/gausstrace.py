@@ -4,7 +4,9 @@ The kernel H(x0, x1) = -Omega_2(x0, x1) x0^m Omega_1(Teich(b) x1 x0^(p(q-2)))
 packs the additive and multiplicative characters into one bivariate series;
 alpha = Dw_q o mult_H acts on truncations, its trace is the certified
 partial sum of the (q-1)-strided diagonal, and the trace formula predicts
-g = (q-1)^2 Tr(alpha) for one of the two summation conventions.
+g = (q-1)^2 Tr(alpha) for one of the two summation conventions.  The check
+computes only that diagonal (``kernel_lattice``); the full kernel
+(``kernel_H``) serves the alpha matrix and the tests.
 
 The definition sums z_1 over all of F_q; the diagonal-selection identity
 behind the trace formula sums both variables over mu_{q-1}.  Both
@@ -16,10 +18,10 @@ from __future__ import annotations
 
 import time
 
-from .characters import CharParams, CharacterSystem
-from .errors import InvalidParameter, NoConventionMatches, TailNotCertified, TruncationTooSmall
+from .characters import shared_system
+from .errors import InvalidParameter, NoConventionMatches, PrecisionNotReached, TruncationTooSmall
 from .rings import RingElem
-from .series import Series1, TruncSeries2, certify_tail
+from .series import TruncSeries2, certify_tail
 from .wittvec import WittVec
 
 
@@ -86,8 +88,8 @@ def omega1_substituted(system, chi_b, degree):
     return terms
 
 
-def kernel_H(system, chi_m, chi_b, degree):
-    """The bivariate kernel, truncated at total degree ``degree``."""
+def _kernel_factors(system, chi_m, chi_b, degree):
+    """The univariate factors of H: A(x0), B(x1) and Omega_1's terms."""
     q = system.field.q
     stride = system.params.p * (q - 2)
     if chi_m + (stride + 1 if chi_b else 0) > degree:
@@ -100,11 +102,65 @@ def kernel_H(system, chi_m, chi_b, degree):
         .truncate(degree)
         .compose_scale(system.t ** system.params.p)
     )
+    return a, b, omega1_substituted(system, chi_b, degree)
+
+
+def kernel_H(system, chi_m, chi_b, degree):
+    """The bivariate kernel, truncated at total degree ``degree``.
+
+    Every coefficient, built through ``TruncSeries2``; the trace formula
+    reads only the lattice of ``kernel_lattice``, which is computed from
+    the same factors.
+    """
+    a, b, sub = _kernel_factors(system, chi_m, chi_b, degree)
     omega2 = TruncSeries2.outer(a, b, degree)
     shifted = omega2.shift_x0(chi_m) if chi_m else omega2
-    sub = omega1_substituted(system, chi_b, degree)
     out = shifted.mul_sparse(sub)
     return out.scale(-system.ring.one())
+
+
+def kernel_lattice(system, chi_m, chi_b, degree):
+    """The coefficients b_{(q-1) n0, (q-1) n1} of H, straight from its factors.
+
+    H = -x0^m A(x0) G(x0, x1) with G = B(x1) C(x0^stride x1), stride =
+    p(q-2) and C the terms of ``omega1_substituted``.  G is kept sparse and
+    only at the lattice columns j; terms of C B landing on the same (u, j)
+    are summed, so at q = 2 (stride 0) G is the one univariate product B C.
+    Then H_{i,j} = -sum_u a_{i-m-u} G_{u,j} at the lattice points alone.
+
+    Returns the shells: entry [k][n0] is b_{(q-1) n0, (q-1)(k - n0)}, at the
+    least precision over A, B and C (the floor ``mul_sparse`` clamps to).
+    """
+    a, b, sub = _kernel_factors(system, chi_m, chi_b, degree)
+    ring = system.ring
+    step = system.field.q - 1
+    floor = min(c.prec for c in a.coeffs + b.coeffs + [c for _, _, c in sub])
+    columns = {}
+    for j in range(0, degree + 1, step):
+        col = {}
+        for u, k, c in sub:
+            if k > j or u + j + chi_m > degree:
+                continue
+            bc = b.coeffs[j - k]
+            if any(bc.co) and any(c.co):
+                term = bc * c
+                col[u] = col[u] + term if u in col else term
+        columns[j] = sorted(col.items())
+    shells = []
+    for k in range(degree // step + 1):
+        shell = []
+        for n0 in range(k + 1):
+            i, j = step * n0, step * (k - n0)
+            acc = ring.zero()
+            for u, g in columns[j]:
+                if u > i - chi_m:
+                    break
+                ai = a.coeffs[i - chi_m - u]
+                if any(ai.co):
+                    acc = acc + ai * g
+            shell.append(RingElem(ring, (-acc).co, floor))
+        shells.append(shell)
+    return shells
 
 
 def dwork_op(series2, q):
@@ -117,40 +173,51 @@ def dwork_op(series2, q):
     return out
 
 
-def diagonal_shells(series2, q):
-    """Minimal valuation of {b_{(q-1)n0,(q-1)n1} : n0+n1 = k} per shell k."""
-    ring = series2.ring
+def diagonal_lattice(series2, q):
+    """The (q-1)-strided diagonal of a series, shell by shell:
+    entry [k][n0] is b_{(q-1) n0, (q-1)(k - n0)}."""
     step = q - 1
-    kmax = series2.degree // step
-    shells = []
-    for k in range(kmax + 1):
+    return [
+        [series2.coefficient(step * n0, step * (k - n0)) for n0 in range(k + 1)]
+        for k in range(series2.degree // step + 1)
+    ]
+
+
+def certified_diagonal_sum(ring, shells, target_prec):
+    """Certified sum of strided coefficients given shell by shell.
+
+    Returns (value, report).  PrecisionNotReached if a coefficient is known
+    to less than the target; TailNotCertified if the shell valuations do not
+    certify the target by the window-and-slope rule.
+    """
+    floor = min(c.prec for shell in shells for c in shell)
+    if floor < target_prec:
+        raise PrecisionNotReached(
+            f"coefficients known to {floor} pi-digits, target {target_prec}"
+        )
+    valuations = []
+    for shell in shells:
         best = ring.cap
-        for n0 in range(k + 1):
-            c = series2.coefficient(step * n0, step * (k - n0))
+        for c in shell:
             v = c.valuation()
             best = min(best, ring.cap if v is None else v)
-        shells.append(best)
-    return shells
+        valuations.append(best)
+    report = certify_tail(valuations, target_prec, ring.cap)
+    acc = ring.zero()
+    for shell in shells:
+        for c in shell:
+            acc = acc + c
+    return RingElem(ring, acc.co, target_prec), {
+        "shells": valuations,
+        "certificate": report,
+    }
 
 
 def alpha_trace(series2, q, target_prec):
-    """Certified partial sum of the (q-1)-strided diagonal.
-
-    Returns (value, report).  TailNotCertified if the shell valuations do
-    not certify the target by the window-and-slope rule.
-    """
-    ring = series2.ring
-    shells = diagonal_shells(series2, q)
-    report = certify_tail(shells, target_prec, ring.cap)
-    step = q - 1
-    acc = ring.zero()
-    for k in range(len(shells)):
-        for n0 in range(k + 1):
-            acc = acc + series2.coefficient(step * n0, step * (k - n0))
-    return RingElem(ring, acc.co, target_prec), {
-        "shells": shells,
-        "certificate": report,
-    }
+    """Certified partial sum of the (q-1)-strided diagonal of ``series2``."""
+    return certified_diagonal_sum(
+        series2.ring, diagonal_lattice(series2, q), target_prec
+    )
 
 
 def graded_monomials(cutoff):
@@ -197,7 +264,7 @@ def trace_formula_check(config):
     Returns a report dict; NoConventionMatches if neither convention agrees
     at the target precision.
     """
-    system = CharacterSystem(config.params)
+    system = shared_system(config.params)
     ring = system.ring
     q = system.field.q
     target = (
@@ -207,11 +274,11 @@ def trace_formula_check(config):
     timings = {}
 
     t0 = time.monotonic()
-    kernel = kernel_H(system, config.chi_m, chi_b, config.degree)
+    lattice = kernel_lattice(system, config.chi_m, chi_b, config.degree)
     timings["kernel_ms"] = round(1000 * (time.monotonic() - t0), 1)
 
     t0 = time.monotonic()
-    trace_val, trace_report = alpha_trace(kernel, q, target)
+    trace_val, trace_report = certified_diagonal_sum(ring, lattice, target)
     scaled = trace_val.scale_int((q - 1) ** 2)
     timings["trace_ms"] = round(1000 * (time.monotonic() - t0), 1)
 

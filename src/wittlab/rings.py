@@ -17,8 +17,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import NonEisenstein, NotDivisible, RingMismatch
-from .fields import finite_field, min_poly_coeffs
+from .errors import InvalidParameter, NonEisenstein, NotDivisible, RingMismatch
+from .fields import finite_field, is_prime, min_poly_coeffs
 
 
 def _vp(n, p):
@@ -44,14 +44,16 @@ class LubinTateSeries:
     @classmethod
     def cyclotomic(cls, p):
         """F(T) = (1+T)^p - 1; G determined by expanding the binomial."""
+        if not is_prime(p):
+            raise InvalidParameter(f"p = {p} is not prime")
         binom = [1]
         for _ in range(p):
             binom = [a + b for a, b in zip(binom + [0], [0] + binom)]
-        # F coefficients: binom[k] for k = 1..p (constant term cancels)
+        # F coefficients: binom[k] for k = 1..p (constant term cancels);
+        # p divides binom[k] for 0 < k < p
         g = []
         for k in range(2, p):
             c = binom[k]
-            assert c % p == 0
             g.append(c // p)
         return cls(p, tuple(g))
 
@@ -149,9 +151,15 @@ class RingSpec:
     nprec: int = 16
 
     def __post_init__(self):
-        assert self.s >= 1 and self.m >= -1 and self.nprec >= 1
-        if self.m >= 0:
-            assert self.lt is not None and self.lt.p == self.p
+        if self.s < 1 or self.m < -1 or self.nprec < 1:
+            raise InvalidParameter(
+                f"need s >= 1, m >= -1 and N >= 1, have s = {self.s}, "
+                f"m = {self.m}, N = {self.nprec}"
+            )
+        if self.m >= 0 and (self.lt is None or self.lt.p != self.p):
+            raise InvalidParameter(
+                f"level m = {self.m} needs a Lubin-Tate series for p = {self.p}"
+            )
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,12 +7,13 @@ components F^n(T)) lives over Z/p^(N+h)[[T]] truncated at a chosen degree,
 and specializes at pi_m to the Witt vector varpi_m.
 
 Series evaluation inside the closed unit disk is certified from observed
-coefficient valuations: the last third of the computed window must already
-sit above the target precision, and the fitted valuation slope must put
-degree 2D above twice the target.  That is an empirical certificate (the
-radius-of-convergence statement it stands in for is not re-proved here);
-character values downstream are additionally cross-checked by exhaustive
-homomorphism tests.
+coefficient valuations (``certify_tail``): their suffix-minimum envelope
+over the last sixth of the computed window must already reach the target
+precision, and a least-squares fit of that envelope over the last half,
+evaluated at degree 2D, must clear the target plus one.  That is an
+empirical certificate (the radius-of-convergence statement it stands in
+for is not re-proved here); character values downstream are additionally
+cross-checked by exhaustive homomorphism tests.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from .errors import (
     PrecisionExhausted,
     TimeBudgetExceeded,
 )
+from .fields import is_prime
 
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
@@ -434,7 +435,7 @@ def _refusal(kind, p, length):
         return InvalidParameter(
             f"universal polynomial generation capped at length {MAX_LENGTH}, p <= {MAX_PRIME}"
         )
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if not is_prime(p):
         return InvalidParameter(f"p = {p} is not prime")
     bound = family_size_bound(kind, p, length - 1)
     if bound > MAX_FAMILY_MONOMIALS:

@@ -133,6 +133,24 @@ def test_snap_ambiguous_on_low_precision():
     fuzz = RingElem(sys.ring, sys.ring.one().co, 1)
     with pytest.raises(SnapAmbiguous):
         sys.mu_table.snap(fuzz)
+    with pytest.raises(SnapAmbiguous):
+        sys.mu_table.snap(fuzz, sys.mu_p_indices())
+
+
+def test_snap_against_a_subset():
+    sys = system(3, 1, 2, nprec=14, degree=54)
+    table = sys.mu_table
+    subset = sys.mu_p_indices()
+    for k in range(table.order):
+        index, dist = table.snap(table.root(k))
+        assert index == k and dist > table.max_pairwise_val
+        if k in subset:
+            assert table.snap(table.root(k), subset)[0] == k
+        else:
+            # a root outside the subset is no closer to one member than the
+            # pairwise bound: refused, not rounded
+            with pytest.raises(SnapAmbiguous):
+                table.snap(table.root(k), subset)
 
 
 @pytest.mark.parametrize("p,ell,expect", [(2, 2, 2), (3, 2, 3), (2, 3, 4)])

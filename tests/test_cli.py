@@ -66,6 +66,11 @@ def test_gen_polys_refuses_oversized_family(capsys):
         (["gauss", "--p", "2", "--ell", "3"], "W_3"),
         (["gauss", "--p", "3", "--t-residue", "3"], "t residue index 3"),
         (["char-table", "--p", "2", "--t-residue", "-1"], "t residue index -1"),
+        (["gauss", "--p", "4"], "p = 4 is not prime"),
+        (["gauss", "--p", "9", "--lt", "plain"], "p = 9 is not prime"),
+        (["char-table", "--p", "2", "--s", "0"], "s = 0"),
+        (["char-table", "--p", "2", "--ell", "0"], "ell = 0"),
+        (["gauss", "--p", "2", "--prec", "0"], "N = 0"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, needle):
@@ -76,6 +81,14 @@ def test_invalid_input_exits_2(capsys, argv, needle):
     assert captured.out == ""
     assert "InvalidParameter: " in captured.err and needle in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_bench_rejects_jobs(capsys):
+    # bench runs its degrees one after another; it offers no --jobs
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--p", "2", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_gauss_sweep_jobs_2_matches_jobs_1(capsys):

@@ -4,24 +4,33 @@ import random
 
 import pytest
 
-from wittlab.characters import CharParams, CharacterSystem
-from wittlab.errors import InvalidParameter, TailNotCertified, TruncationTooSmall
+from wittlab import characters
+from wittlab.characters import CharParams, CharacterSystem, shared_system
+from wittlab.errors import (
+    InvalidParameter,
+    PrecisionNotReached,
+    TailNotCertified,
+    TruncationTooSmall,
+)
+from wittlab.fields import finite_field
 from wittlab.gausstrace import (
     GaussConfig,
     alpha_apply_monomial,
     alpha_matrix,
     alpha_trace,
     bench_report,
+    certified_diagonal_sum,
     diagonal_selection_check,
     dwork_op,
     gauss_brute,
     kernel_H,
+    kernel_lattice,
     matrix_trace,
     roots_of_unity_sum_check,
     trace_formula_check,
 )
 from wittlab.rings import RingElem
-from wittlab.series import TruncSeries2
+from wittlab.series import Series1, TruncSeries2
 from wittlab.wittvec import WittVec
 
 
@@ -332,3 +341,105 @@ def test_gauss_conjugate_valuation_symmetry():
             v = sys.ring.cap if v is None else v
             v_inv = sys.ring.cap if v_inv is None else v_inv
             assert min(v, g.prec) == min(v_inv, g_inv.prec), (m, b_index)
+
+
+def nondegenerate_systems(p, s, nprec, degree):
+    field = finite_field(p, s)
+    for u in field.elements():
+        if field.absolute_trace(u):
+            yield CharacterSystem(CharParams(p, s, 2, u_index=u.index(), nprec=nprec, degree=degree))
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2)])
+def test_kernel_lattice_matches_kernel_H(p, s):
+    # the lattice path reads the coefficients kernel_H builds, at the floor
+    # mul_sparse clamps to, and certifies the same sum
+    degree, target = 40, 4
+    for sys in nondegenerate_systems(p, s, 14, degree):
+        q = sys.field.q
+        for chi_m in range(q - 1):
+            for chi_b in sys.field.elements():
+                full = kernel_H(sys, chi_m, chi_b, degree)
+                floor = min(c.prec for _, _, c in full.terms())
+                shells = kernel_lattice(sys, chi_m, chi_b, degree)
+                assert len(shells) == degree // (q - 1) + 1
+                for k, shell in enumerate(shells):
+                    for n0, c in enumerate(shell):
+                        want = full.coefficient((q - 1) * n0, (q - 1) * (k - n0))
+                        assert c.co == want.co, (chi_m, chi_b, k, n0)
+                        assert c.prec == floor
+                value, report = certified_diagonal_sum(sys.ring, shells, target)
+                value_ref, report_ref = alpha_trace(full, q, target)
+                assert value.co == value_ref.co and value.prec == value_ref.prec
+                assert report == report_ref
+
+
+def test_certified_sum_refuses_low_precision_coefficient():
+    sys = system21()
+    ring = sys.ring
+    series = TruncSeries2.constant(ring, 10, ring.from_int(7))
+    series.rows[1][1] = RingElem(ring, ring.one().co, 3)  # read by the q = 2 trace
+    with pytest.raises(PrecisionNotReached):
+        alpha_trace(series, 2, 4)
+    value, _ = alpha_trace(series, 2, 3)
+    assert value == ring.from_int(8)
+
+
+def strip_timing(report):
+    return {k: v for k, v in report.items() if k != "timing_ms"}
+
+
+def test_checks_share_one_character_system(monkeypatch):
+    # several checks on one configuration build the mu and psi tables once,
+    # evaluate psi_1 once per distinct argument, and report what fresh
+    # systems report
+    params = CharParams(3, 1, 2, nprec=14, degree=54)
+    configs = [GaussConfig(params, m, b, target_prec=6) for m in range(2) for b in range(3)]
+    characters._system_for_key.cache_clear()
+    fresh = []
+    for cfg in configs:
+        fresh.append(strip_timing(trace_formula_check(cfg)))
+        characters._system_for_key.cache_clear()
+
+    counts = {"mu": 0, "table": 0}
+    real_mu = characters.mu_ppow_table
+
+    def counted_mu(ring, ell):
+        counts["mu"] += 1
+        return real_mu(ring, ell)
+
+    class CountedTable(characters.CharacterTable):
+        def __init__(self, system):
+            counts["table"] += 1
+            super().__init__(system)
+
+    monkeypatch.setattr(characters, "mu_ppow_table", counted_mu)
+    monkeypatch.setattr(characters, "CharacterTable", CountedTable)
+    system = shared_system(params)
+    system.character_table()  # psi_raw's own evaluations happen here
+    points = []
+    real_eval = Series1.eval_full
+
+    def recorded_eval(series, z):
+        points.append(z.co)
+        return real_eval(series, z)
+
+    monkeypatch.setattr(Series1, "eval_full", recorded_eval)
+    shared = [strip_timing(trace_formula_check(cfg)) for cfg in configs]
+    assert shared == fresh
+    assert counts == {"mu": 1, "table": 1}
+    assert len(points) == len(set(points)) <= system.field.q - 1
+    characters._system_for_key.cache_clear()
+
+
+def test_chi_value_snaps_into_order_p_roots():
+    sys = CharacterSystem(CharParams(3, 1, 2, nprec=14, degree=54))
+    f = sys.field
+    table = sys.mu_table
+    p_roots = [table.root(k) for k in sys.mu_p_indices()]
+    assert len(p_roots) == 3
+    for b in f.units():
+        for z0 in f.units():
+            for z1 in f.units():
+                value = sys.chi_value(0, b, WittVec(f, [z0, z1]))
+                assert sum(value == root for root in p_roots) == 1

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from wittlab.errors import NonEisenstein, NotDivisible, RingMismatch
-from wittlab.fields import finite_field
+from wittlab.errors import InvalidParameter, NonEisenstein, NotDivisible, RingMismatch
+from wittlab.fields import finite_field, is_prime
 from wittlab.rings import (
     LubinTateSeries,
     RingSpec,
@@ -24,6 +24,28 @@ def test_lubin_tate_coefficients():
     assert LubinTateSeries.cyclotomic(2).f_coeffs() == [0, 2, 1]
     # (1+T)^5 - 1
     assert LubinTateSeries.cyclotomic(5).f_coeffs() == [0, 5, 10, 10, 5, 1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2, 0, -1, None, 8),  # s = 0
+        (2, 1, -2, None, 8),  # m below -1
+        (2, 1, -1, None, 0),  # N = 0
+        (2, 1, 1, None, 8),  # a level without a Lubin-Tate series
+        (2, 1, 1, LubinTateSeries.cyclotomic(3), 8),  # series for another p
+    ],
+)
+def test_ring_spec_rejects_invalid_fields(args):
+    # typed errors, not asserts: they hold under python -O too
+    with pytest.raises(InvalidParameter):
+        RingSpec(*args)
+
+
+def test_cyclotomic_series_needs_a_prime():
+    for p in (0, 1, 4, 9):
+        with pytest.raises(InvalidParameter, match="not prime"):
+            LubinTateSeries.cyclotomic(p)
 
 
 def test_eisenstein_plain_level0():
@@ -216,6 +238,11 @@ def test_serialization_shape():
     obj = ring.pi().to_json_obj()
     assert obj["level"] == 1 and obj["s"] == 2 and obj["N"] == 6
     assert len(obj["coords"]) == ring.e and len(obj["coords"][0]) == ring.s
+
+
+def test_is_prime():
+    assert [n for n in range(-2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert not is_prime(7919 * 7919) and is_prime(7919)
 
 
 def test_finite_field_basics():
