@@ -184,6 +184,12 @@ def mu_ppow_table(ring, ell):
     return RootOfUnityTable(ring, ell, roots)
 
 
+def check_degree(degree):
+    """Refuse a series degree D that is not an integer >= 1."""
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+        raise InvalidParameter(f"series degree D = {degree!r} is not an integer >= 1")
+
+
 class CharParams:
     """Configuration for psi_{l,s,t}: prime, unramified degree, length, t."""
 
@@ -204,6 +210,8 @@ class CharParams:
             raise InvalidParameter(f"need s >= 1 and ell >= 1, have s = {s}, ell = {ell}")
         if u_index is not None and not 0 <= u_index < p**s:
             raise InvalidParameter(f"t residue index {u_index} outside 0..{p**s - 1}")
+        if degree is not None:
+            check_degree(degree)
         self.p = p
         self.s = s
         self.ell = ell

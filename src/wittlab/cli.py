@@ -31,7 +31,13 @@ def _char_flags(parser):
     parser.add_argument(
         "--target-prec", type=int, default=None, help="target pi-precision M"
     )
-    parser.add_argument("--lt", choices=sorted(LT_CHOICES), default="cyc")
+    parser.add_argument(
+        "--lt",
+        choices=sorted(LT_CHOICES),
+        default="cyc",
+        help="Lubin-Tate series: cyc = (1+T)^p - 1, plain = pT + T^p; at p = 2 the "
+        "two coincide and the report labels the run 'plain'",
+    )
     parser.add_argument(
         "--t-residue",
         type=int,

@@ -5,8 +5,10 @@ packs the additive and multiplicative characters into one bivariate series;
 alpha = Dw_q o mult_H acts on truncations, its trace is the certified
 partial sum of the (q-1)-strided diagonal, and the trace formula predicts
 g = (q-1)^2 Tr(alpha) for one of the two summation conventions.  The check
-computes only that diagonal (``kernel_lattice``); the full kernel
-(``kernel_H``) serves the alpha matrix and the tests.
+computes only that diagonal (``kernel_lattice``), each lattice column as one
+packed series product (``rings.SeriesPacking``).  The full kernel
+(``kernel_H``) stays schoolbook through ``TruncSeries2``: it serves the alpha
+matrix and is the independent oracle the tests compare the lattice against.
 
 The definition sums z_1 over all of F_q; the diagonal-selection identity
 behind the trace formula sums both variables over mu_{q-1}.  Both
@@ -18,9 +20,9 @@ from __future__ import annotations
 
 import time
 
-from .characters import shared_system
+from .characters import check_degree, shared_system
 from .errors import InvalidParameter, NoConventionMatches, PrecisionNotReached, TruncationTooSmall
-from .rings import RingElem
+from .rings import RingElem, SeriesPacking
 from .series import TruncSeries2, certify_tail
 from .wittvec import WittVec
 
@@ -36,6 +38,8 @@ class GaussConfig:
             raise InvalidParameter(f"chi_m = {chi_m} outside 0..{q - 2}")
         if not 0 <= chi_b_index < q:
             raise InvalidParameter(f"chi_b index {chi_b_index} outside 0..{q - 1}")
+        if degree is not None:
+            check_degree(degree)
         self.params = params
         self.chi_m = chi_m
         self.chi_b_index = chi_b_index
@@ -126,7 +130,8 @@ def kernel_lattice(system, chi_m, chi_b, degree):
     p(q-2) and C the terms of ``omega1_substituted``.  G is kept sparse and
     only at the lattice columns j; terms of C B landing on the same (u, j)
     are summed, so at q = 2 (stride 0) G is the one univariate product B C.
-    Then H_{i,j} = -sum_u a_{i-m-u} G_{u,j} at the lattice points alone.
+    Column j of H is -x0^m A(x0) G_j(x0) cut to degree D - j: one packed
+    product (``SeriesPacking``), of which only the lattice degrees are read.
 
     Returns the shells: entry [k][n0] is b_{(q-1) n0, (q-1)(k - n0)}, at the
     least precision over A, B and C (the floor ``mul_sparse`` clamps to).
@@ -135,8 +140,13 @@ def kernel_lattice(system, chi_m, chi_b, degree):
     ring = system.ring
     step = system.field.q - 1
     floor = min(c.prec for c in a.coeffs + b.coeffs + [c for _, _, c in sub])
-    columns = {}
-    for j in range(0, degree + 1, step):
+    packing = SeriesPacking(ring, degree + 1)
+    neg_a = packing.pack(
+        (chi_m + d, (-c).co) for d, c in enumerate(a.coeffs[: degree + 1 - chi_m])
+    )
+    top = step * (degree // step)
+    shells = [[None] * (k + 1) for k in range(degree // step + 1)]
+    for j in range(0, top + 1, step):
         col = {}
         for u, k, c in sub:
             if k > j or u + j + chi_m > degree:
@@ -145,21 +155,12 @@ def kernel_lattice(system, chi_m, chi_b, degree):
             if any(bc.co) and any(c.co):
                 term = bc * c
                 col[u] = col[u] + term if u in col else term
-        columns[j] = sorted(col.items())
-    shells = []
-    for k in range(degree // step + 1):
-        shell = []
-        for n0 in range(k + 1):
-            i, j = step * n0, step * (k - n0)
-            acc = ring.zero()
-            for u, g in columns[j]:
-                if u > i - chi_m:
-                    break
-                ai = a.coeffs[i - chi_m - u]
-                if any(ai.co):
-                    acc = acc + ai * g
-            shell.append(RingElem(ring, (-acc).co, floor))
-        shells.append(shell)
+        g = packing.pack((u, c.co) for u, c in col.items())
+        column = packing.unpack(
+            packing.truncate(neg_a, degree - j) * g, range(0, top - j + 1, step)
+        )
+        for n0, co in enumerate(column):
+            shells[j // step + n0][n0] = RingElem(ring, co, floor)
     return shells
 
 

@@ -17,7 +17,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import InvalidParameter, NonEisenstein, NotDivisible, RingMismatch
+from .errors import (
+    InvalidParameter,
+    NonEisenstein,
+    NotDivisible,
+    NotUnit,
+    ReportedMismatch,
+    RingMismatch,
+    SeedNotConverging,
+)
 from .fields import finite_field, is_prime, min_poly_coeffs
 
 
@@ -210,7 +218,8 @@ class RingElem:
         return RingElem(self.ring, co, min(self.prec, other.prec))
 
     def __pow__(self, n):
-        assert n >= 0
+        if n < 0:
+            raise InvalidParameter(f"exponent {n} is negative; use inverse()")
         acc = self.ring.one()
         acc = RingElem(self.ring, acc.co, self.prec)
         base = self
@@ -271,8 +280,6 @@ class RingElem:
 
     def inverse(self):
         """Inverse of a unit (valuation 0), by Hensel from the residue field."""
-        from .errors import NotUnit
-
         if self.valuation() != 0:
             raise NotUnit("element has positive valuation")
         ring = self.ring
@@ -282,7 +289,8 @@ class RingElem:
         for _ in range(ring.cap.bit_length() + 2):
             err = two - self * w
             w = w * err
-        assert (self * w - ring.one()).is_zero()
+        if not (self * w - ring.one()).is_zero():
+            raise SeedNotConverging("Hensel inverse did not converge")
         return RingElem(ring, w.co, self.prec)
 
     def to_json_obj(self):
@@ -399,7 +407,8 @@ class TowerRing:
             aw = self.ur_mul(a, w)
             corr = tuple((t - u) % pn for t, u in zip(two, aw))
             w = self.ur_mul(w, corr)
-        assert self.ur_mul(a, w) == (1,) + (0,) * (self.s - 1)
+        if self.ur_mul(a, w) != (1,) + (0,) * (self.s - 1):
+            raise SeedNotConverging("Hensel inverse of an unramified unit did not converge")
         return w
 
     def _sigma_matrix(self):
@@ -423,7 +432,8 @@ class TowerRing:
                 break
             dz = ur_eval(dh, z)
             z = tuple((a - b) % pn for a, b in zip(z, self.ur_mul(hz, self.ur_inv(dz))))
-        assert not any(ur_eval(hc, z)), "sigma(y) failed to converge"
+        if any(ur_eval(hc, z)):
+            raise SeedNotConverging("sigma(y) failed to converge")
         pows = [(1,) + (0,) * (s - 1)]
         for _ in range(s - 1):
             pows.append(self.ur_mul(pows[-1], z))
@@ -477,14 +487,16 @@ class TowerRing:
         return RingElem(self, tuple(co), prec)
 
     def y_gen(self):
-        assert self.s > 1
+        if self.s < 2:
+            raise InvalidParameter("y exists only when s > 1")
         co = [0] * self.dim
         co[1] = 1
         return RingElem(self, tuple(co))
 
     def pi(self):
         """The uniformizer pi_m of this level (requires m >= 0)."""
-        assert self.m >= 0
+        if self.m < 0:
+            raise InvalidParameter("pi exists only at a level m >= 0")
         if self.e == 1:
             return self.from_int(-self.eis_coeffs[0])
         co = [0] * self.dim
@@ -493,7 +505,8 @@ class TowerRing:
 
     def pi_level(self, m_low):
         """pi_{m_low} inside this ring: F^(m - m_low) applied to pi_m."""
-        assert 0 <= m_low <= self.m
+        if not 0 <= m_low <= self.m:
+            raise InvalidParameter(f"level {m_low} outside 0..{self.m}")
         got = self._pi_cache.get(m_low)
         if got is None:
             got = self.pi()
@@ -644,7 +657,8 @@ class TowerRing:
             if nz == z:
                 break
             z = nz
-        assert self.ur_pow(z, q) == z, "Teichmueller iteration did not stabilize"
+        if self.ur_pow(z, q) != z:
+            raise SeedNotConverging("Teichmueller iteration did not stabilize")
         return self.from_ur(z)
 
     # -- headroom / embeddings ---------------------------------------------------------
@@ -691,6 +705,82 @@ class TowerRing:
         return RingElem(self, acc.co, min(x.prec * scale, self.cap))
 
 
+class SeriesPacking:
+    """Series over a TowerRing packed into one int (Kronecker substitution).
+
+    Coordinate (pi^i, y^j) of degree d sits in slot ((d(2e-1) + i)(2s-1) + j),
+    ``width`` bytes each, so one big-int multiply forms every product of a
+    series convolution with pi-degrees up to 2e-2 and y-degrees up to 2s-2
+    apart.  A slot of the product sums at most n*e*s coordinate products,
+    each at most (p^N - 1)^2, with n the length of the shorter factor; the
+    width holds that bound, so no slot carries into the next.
+    """
+
+    __slots__ = ("ring", "width", "block")
+
+    def __init__(self, ring, n):
+        self.ring = ring
+        bound = n * ring.e * ring.s * (ring.pn - 1) ** 2
+        self.width = (bound.bit_length() + 7) // 8
+        self.block = (2 * ring.e - 1) * (2 * ring.s - 1) * self.width
+
+    def pack(self, terms):
+        """One int from (degree, coordinates) pairs; absent degrees are zero."""
+        e, s, width = self.ring.e, self.ring.s, self.width
+        row = (2 * s - 1) * width
+        terms = [(d, co) for d, co in terms if any(co)]
+        buf = bytearray(self.block * (max((d for d, _ in terms), default=-1) + 1))
+        for d, co in terms:
+            for i in range(e):
+                o = d * self.block + i * row
+                for j in range(s):
+                    c = co[i * s + j]
+                    if c:
+                        buf[o + j * width : o + (j + 1) * width] = c.to_bytes(width, "little")
+        return int.from_bytes(buf, "little")
+
+    def truncate(self, packed, degree):
+        """The packed series cut to degrees <= ``degree``."""
+        return packed & ((1 << (8 * self.block * (degree + 1))) - 1)
+
+    def unpack(self, packed, degrees):
+        """Coordinates at ``degrees`` (ascending) of a product of packed series.
+
+        Each degree is reduced as ``mul_co`` reduces: the y rows, then the
+        Eisenstein rows, then mod p^N, so results are canonical residues.
+        """
+        ring = self.ring
+        e, s, pn, width, block = ring.e, ring.s, ring.pn, self.width, self.block
+        rs = 2 * s - 1
+        from_bytes = int.from_bytes
+        buf = self.truncate(packed, degrees[-1]).to_bytes(block * (degrees[-1] + 1), "little")
+        low = [i * rs + j for i in range(e) for j in range(s)]
+        out = []
+        for d in degrees:
+            base = d * block
+            v = [from_bytes(buf[o : o + width], "little") for o in range(base, base + block, width)]
+            for u in range(s - 2, -1, -1):
+                yrow = ring.yred[u]
+                for r in range(0, len(v), rs):
+                    c = v[r + s + u]
+                    if c:
+                        for j in range(s):
+                            v[r + j] += c * yrow[j]
+            for u in range(e - 2, -1, -1):
+                prow = ring.pired[u]
+                for j in range(s):
+                    c = v[(e + u) * rs + j]
+                    if c:
+                        for i in range(e):
+                            v[i * rs + j] += c * prow[i]
+            out.append(tuple([v[k] % pn for k in low]))
+        return out
+
+    def product(self, a_terms, b_terms, degrees):
+        """Coordinates at ``degrees`` of the product of two term lists."""
+        return self.unpack(self.pack(a_terms) * self.pack(b_terms), degrees)
+
+
 def nondegenerate_trace(ring, t):
     """Tr(t) for a Teichmueller element, computed two ways; True iff unit.
 
@@ -708,6 +798,7 @@ def nondegenerate_trace(ring, t):
     for _ in range(s - 1):
         acc = acc ** ring.p
         tr_pow = tr_pow + acc
-    assert tr_phi == tr_pow, "two trace computations disagree"
+    if not tr_phi == tr_pow:
+        raise ReportedMismatch("two trace computations disagree")
     v = tr_phi.valuation()
     return (v == 0, tr_phi)

@@ -27,7 +27,7 @@ from .errors import (
     PrecisionNotReached,
     TailNotCertified,
 )
-from .rings import RingElem, ring_of
+from .rings import RingElem, SeriesPacking, ring_of
 from .upoly import GhostSolveInput, ghost_invert
 from .wittvec import WittVec, delta, versch, witt_add, witt_map, witt_mul, witt_neg, zero_vec
 
@@ -113,15 +113,12 @@ class Series1:
         floor = min(
             c.prec for c in self.coeffs[: degree + 1] + other.coeffs[: degree + 1]
         )
-        out = [ring.zero() for _ in range(degree + 1)]
-        for i, a in enumerate(self.coeffs[: degree + 1]):
-            if not any(a.co):
-                continue
-            for j in range(degree + 1 - i):
-                b = other.coeffs[j]
-                if any(b.co):
-                    out[i + j] = out[i + j] + a * b
-        return Series1(ring, [RingElem(ring, c.co, floor) for c in out])
+        cos = SeriesPacking(ring, degree + 1).product(
+            enumerate(c.co for c in self.coeffs[: degree + 1]),
+            enumerate(c.co for c in other.coeffs[: degree + 1]),
+            range(degree + 1),
+        )
+        return Series1(ring, [RingElem(ring, co, floor) for co in cos])
 
     def compose_scale(self, alpha):
         """x -> alpha x."""
@@ -384,7 +381,7 @@ def artin_hasse_E(a, degree):
     ring = a.ring
     p = ring.p
     floor = ring.cap
-    acc = [ring.one()] + [ring.zero()] * degree
+    acc = [ring.one().co] + [ring.zero().co] * degree
     for i, comp in enumerate(a.comps):
         step = p**i
         if step > degree:
@@ -393,20 +390,15 @@ def artin_hasse_E(a, degree):
         if not any(comp.co):
             continue
         ah = artin_hasse_ints(p, degree // step, ring.nprec)
-        new = [ring.zero() for _ in range(degree + 1)]
+        factor = [(0, ring.from_int(ah[0]).co)]
         apow = ring.one()
-        for k in range(degree // step + 1):
-            if k:
-                apow = apow * comp
-            c = apow.scale_int(ah[k]) if k else ring.from_int(ah[0])
-            if not any(c.co):
-                continue
-            base = k * step
-            for d in range(degree + 1 - base):
-                if any(acc[d].co):
-                    new[d + base] = new[d + base] + acc[d] * c
-        acc = new
-    return Series1(ring, [RingElem(ring, c.co, floor) for c in acc])
+        for k in range(1, degree // step + 1):
+            apow = apow * comp
+            factor.append((k * step, apow.scale_int(ah[k]).co))
+        acc = SeriesPacking(ring, len(factor)).product(
+            enumerate(acc), factor, range(degree + 1)
+        )
+    return Series1(ring, [RingElem(ring, co, floor) for co in acc])
 
 
 def pad_vector(a, length):

@@ -1,6 +1,10 @@
 """CLI surface: subcommands, determinism, error exits."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,10 @@ def test_gen_polys_refuses_oversized_family(capsys):
         (["char-table", "--p", "2", "--s", "0"], "s = 0"),
         (["char-table", "--p", "2", "--ell", "0"], "ell = 0"),
         (["gauss", "--p", "2", "--prec", "0"], "N = 0"),
+        (["gauss", "--p", "2", "--deg", "-5"], "D = -5"),
+        (["gauss", "--p", "2", "--deg", "0"], "D = 0"),
+        (["char-table", "--p", "2", "--deg", "0"], "D = 0"),
+        (["bench", "--p", "2", "--D", "32,0"], "D = 0"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, needle):
@@ -81,6 +89,31 @@ def test_invalid_input_exits_2(capsys, argv, needle):
     assert captured.out == ""
     assert "InvalidParameter: " in captured.err and needle in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["gauss", "--p", "4"], "p = 4 is not prime"),
+        (["gauss", "--p", "2", "--deg", "-5"], "D = -5"),
+        (["char-table", "--p", "2", "--deg", "0"], "D = 0"),
+        (["gauss", "--p", "2", "--chi-m", "1"], "chi_m = 1"),
+        (["char-table", "--p", "2", "--s", "0"], "s = 0"),
+    ],
+)
+def test_refusals_hold_under_python_O(argv, needle):
+    # python -O strips asserts: each refusal must be a typed check
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "wittlab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "InvalidParameter: " in proc.stderr and needle in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_bench_rejects_jobs(capsys):

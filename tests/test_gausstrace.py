@@ -350,28 +350,35 @@ def nondegenerate_systems(p, s, nprec, degree):
             yield CharacterSystem(CharParams(p, s, 2, u_index=u.index(), nprec=nprec, degree=degree))
 
 
+def assert_lattice_matches_kernel_H(sys, chi_m, chi_b, degree, target):
+    q = sys.field.q
+    full = kernel_H(sys, chi_m, chi_b, degree)
+    floor = min(c.prec for _, _, c in full.terms())
+    shells = kernel_lattice(sys, chi_m, chi_b, degree)
+    assert len(shells) == degree // (q - 1) + 1
+    for k, shell in enumerate(shells):
+        for n0, c in enumerate(shell):
+            want = full.coefficient((q - 1) * n0, (q - 1) * (k - n0))
+            assert c.co == want.co, (chi_m, chi_b, k, n0)
+            assert c.prec == floor
+    value, report = certified_diagonal_sum(sys.ring, shells, target)
+    value_ref, report_ref = alpha_trace(full, q, target)
+    assert value.co == value_ref.co and value.prec == value_ref.prec
+    assert report == report_ref
+
+
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2)])
 def test_kernel_lattice_matches_kernel_H(p, s):
     # the lattice path reads the coefficients kernel_H builds, at the floor
     # mul_sparse clamps to, and certifies the same sum
-    degree, target = 40, 4
-    for sys in nondegenerate_systems(p, s, 14, degree):
-        q = sys.field.q
-        for chi_m in range(q - 1):
+    for sys in nondegenerate_systems(p, s, 14, 40):
+        for chi_m in range(sys.field.q - 1):
             for chi_b in sys.field.elements():
-                full = kernel_H(sys, chi_m, chi_b, degree)
-                floor = min(c.prec for _, _, c in full.terms())
-                shells = kernel_lattice(sys, chi_m, chi_b, degree)
-                assert len(shells) == degree // (q - 1) + 1
-                for k, shell in enumerate(shells):
-                    for n0, c in enumerate(shell):
-                        want = full.coefficient((q - 1) * n0, (q - 1) * (k - n0))
-                        assert c.co == want.co, (chi_m, chi_b, k, n0)
-                        assert c.prec == floor
-                value, report = certified_diagonal_sum(sys.ring, shells, target)
-                value_ref, report_ref = alpha_trace(full, q, target)
-                assert value.co == value_ref.co and value.prec == value_ref.prec
-                assert report == report_ref
+                assert_lattice_matches_kernel_H(sys, chi_m, chi_b, 40, 4)
+    if p**s > 2:
+        # one b != 0 character at the benchmark's N = 16, D = 128, target 3e
+        sys = next(nondegenerate_systems(p, s, 16, 128))
+        assert_lattice_matches_kernel_H(sys, 1, sys.field.from_index(1), 128, 3 * sys.ring.e)
 
 
 def test_certified_sum_refuses_low_precision_coefficient():

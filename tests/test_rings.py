@@ -300,3 +300,21 @@ def test_embed_from_unramified_part():
     fq = finite_field(2, 2)
     u = fq.gen()
     assert high.embed_from_lower(low.teichmuller(u)) == high.teichmuller(u)
+
+
+@pytest.mark.parametrize(
+    "call,needle",
+    [
+        (lambda: ring_of(3, nprec=8).from_int(2) ** -1, "exponent -1"),
+        (lambda: ring_of(2, 1, nprec=8).y_gen(), "s > 1"),
+        (lambda: ring_of(2, 2, nprec=8).pi(), "level m >= 0"),
+        (lambda: make_ring(RingSpec(2, 1, 1, LubinTateSeries.cyclotomic(2), 8)).pi_level(2),
+         "level 2 outside 0..1"),
+        (lambda: make_ring(RingSpec(2, 1, 1, LubinTateSeries.cyclotomic(2), 8)).pi_level(-1),
+         "level -1 outside 0..1"),
+    ],
+)
+def test_ring_arguments_refused_with_typed_errors(call, needle):
+    # typed errors, not asserts: they hold under python -O too
+    with pytest.raises(InvalidParameter, match=needle):
+        call()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wittlab.errors import NonIntegralResult, PrecisionNotReached, TailNotCertified
-from wittlab.rings import LubinTateSeries, RingSpec, make_ring, ring_of
+from wittlab.rings import LubinTateSeries, RingElem, RingSpec, make_ring, ring_of
 from wittlab.series import (
     exp_ring_series,
     Series1,
@@ -461,3 +461,23 @@ def test_artin_hasse_series_reduction():
     fr = artin_hasse_fractions(2, 10)
     for c, f in zip(s.coeffs, fr):
         assert c == ring.from_int(f.numerator * pow(f.denominator, -1, 2**8))
+
+
+@pytest.mark.parametrize(
+    "p,s,m", [(2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 1, 1), (3, 2, 1), (5, 1, 1), (2, 1, 2)]
+)
+def test_packed_product_worst_case_matches_schoolbook(p, s, m):
+    # every coordinate p^N - 1: slot (64, e-1, s-1) of the product reaches
+    # the bound n e s (p^N - 1)^2 the slot width is taken from
+    ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p), 16)
+    degree = 64
+    full = (ring.pn - 1,) * ring.dim
+    a = Series1(ring, [RingElem(ring, full, ring.cap - 1 - k % 3) for k in range(degree + 1)])
+    b = Series1(ring, [RingElem(ring, full) for _ in range(degree + 1)])
+    got = a * b
+    for d in range(degree + 1):
+        want = ring.zero()
+        for i in range(d + 1):
+            want = want + a.coeffs[i] * b.coeffs[d - i]
+        assert got.coeffs[d].co == want.co, d
+        assert got.coeffs[d].prec == ring.cap - 3
