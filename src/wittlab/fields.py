@@ -11,8 +11,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
-from .errors import NotUnit
+from .errors import InvalidParameter, NotUnit
 
 
 def _polmul_mod(a, b, modulus, p):
@@ -65,6 +66,21 @@ def is_prime(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def pow_ladder(x, n, mul=operator.mul):
+    """x^n for n >= 1 by square-and-multiply from the low bit: n.bit_length() - 1
+    squarings and one multiply per further set bit, none by one."""
+    if n < 1:
+        raise InvalidParameter(f"power ladder needs an exponent >= 1, have {n}")
+    acc = None
+    while True:
+        if n & 1:
+            acc = x if acc is None else mul(acc, x)
+        n >>= 1
+        if not n:
+            return acc
+        x = mul(x, x)
+
+
 @functools.lru_cache(maxsize=None)
 def min_poly_coeffs(p, s):
     """(c_0..c_{s-1}) of the lexicographically least monic irreducible."""
@@ -112,14 +128,7 @@ class FqElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        acc = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return pow_ladder(self, n) if n else self.field.one()
 
     def __eq__(self, other):
         return isinstance(other, FqElem) and self.field is other.field and self.co == other.co

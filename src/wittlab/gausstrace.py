@@ -234,7 +234,11 @@ def alpha_matrix(series2, q, cutoff):
 
     Entry [row m][col n] = b_{q m0 - n0, q m1 - n1} (zero off-range).
     """
-    assert cutoff * q <= series2.degree
+    if cutoff * q > series2.degree:
+        raise TruncationTooSmall(
+            f"alpha at cutoff {cutoff}, q = {q} needs a kernel of degree >= {cutoff * q}, "
+            f"have {series2.degree}"
+        )
     basis = graded_monomials(cutoff)
     matrix = []
     for m0, m1 in basis:

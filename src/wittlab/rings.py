@@ -26,7 +26,7 @@ from .errors import (
     RingMismatch,
     SeedNotConverging,
 )
-from .fields import finite_field, is_prime, min_poly_coeffs
+from .fields import finite_field, is_prime, min_poly_coeffs, pow_ladder
 
 
 def _vp(n, p):
@@ -220,15 +220,9 @@ class RingElem:
     def __pow__(self, n):
         if n < 0:
             raise InvalidParameter(f"exponent {n} is negative; use inverse()")
-        acc = self.ring.one()
-        acc = RingElem(self.ring, acc.co, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        if n == 0:
+            return RingElem(self.ring, self.ring.one().co, self.prec)
+        return pow_ladder(self, n)
 
     def scale_int(self, c):
         pn = self.ring.pn
@@ -386,14 +380,7 @@ class TowerRing:
         return tuple(c % pn for c in prod[:s])
 
     def ur_pow(self, a, n):
-        acc = (1,) + (0,) * (self.s - 1)
-        base = a
-        while n:
-            if n & 1:
-                acc = self.ur_mul(acc, base)
-            base = self.ur_mul(base, base)
-            n >>= 1
-        return acc
+        return pow_ladder(a, n, self.ur_mul) if n else (1,) + (0,) * (self.s - 1)
 
     def ur_inv(self, a):
         """Inverse of an unramified unit, by Hensel lifting a field inverse."""

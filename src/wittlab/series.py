@@ -26,7 +26,9 @@ from .errors import (
     NotDivisible,
     PrecisionNotReached,
     TailNotCertified,
+    TruncationTooSmall,
 )
+from .fields import pow_ladder
 from .rings import RingElem, SeriesPacking, ring_of
 from .upoly import GhostSolveInput, ghost_invert
 from .wittvec import WittVec, delta, versch, witt_add, witt_map, witt_mul, witt_neg, zero_vec
@@ -139,7 +141,8 @@ class Series1:
         return Series1(self.ring, out)
 
     def truncate(self, degree):
-        assert degree <= self.degree
+        if degree > self.degree:
+            raise TruncationTooSmall(f"cannot truncate a degree-{self.degree} series to {degree}")
         return Series1(self.ring, self.coeffs[: degree + 1])
 
     def eval_full(self, z):
@@ -242,15 +245,7 @@ class ZpTSeries:
         return ZpTSeries(self.ring, [c % pn for c in out], min(self.prec, other.prec))
 
     def __pow__(self, k):
-        acc = self.ring.one()
-        acc = ZpTSeries(self.ring, acc.co, self.prec)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return pow_ladder(self, k) if k else ZpTSeries(self.ring, self.ring.one().co, self.prec)
 
     def scale_int(self, c):
         pn = self.ring.pn

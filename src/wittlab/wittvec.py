@@ -1,4 +1,4 @@
-"""Witt vectors of finite length over any coefficient ring.
+"""Witt vectors of finite length over a TowerRing or a finite field.
 
 The engine follows from the ring.  Over a TowerRing, where p is not a zero
 divisor at working precision, sum, product, negation and Frobenius are
@@ -7,27 +7,22 @@ to a copy of the ring with guard digits, combined pointwise on ghost
 coordinates, and recovered by exact division.  Component n of the result is
 stamped with the least precision among the input components it depends on,
 0..n (0..n+1 for Frobenius; a_n alone for negation at odd p, I_n = -X_n).
-Over any other ring (F_q) the universal polynomials of upoly are evaluated,
-or upoly's refusal is raised.
+Over a finite field F_q, which is perfect, (a_0, ..., a_{n-1}) ->
+sum p^i [a_i^(p^-i)] is a ring isomorphism W_n(F_q) = Z_q/p^n onto the
+unramified TowerRing of precision n, so sum, product and negation are one
+ring operation between two table-driven maps, at every length, and Frobenius
+is a_i -> a_i^p.  The universal polynomials of upoly serve no Witt operation.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 
-from .errors import NotDivisible, NotGaloisStable, RingMismatch, TooShort
+from .errors import InvalidParameter, NotDivisible, NotGaloisStable, RingMismatch, TooShort
 from .fields import Fq
-from .rings import RingElem, TowerRing
-from .upoly import (
-    MAX_LENGTH,
-    GhostSolveInput,
-    check_family,
-    eval_plan_at,
-    ghost_invert,
-    ghost_peel,
-    ghost_values,
-    structural_polys,
-)
+from .rings import RingElem, TowerRing, ring_of
+from .upoly import GhostSolveInput, ghost_invert, ghost_peel, ghost_values
 
 
 class WittVec:
@@ -69,7 +64,8 @@ class WittVec:
         return witt_mul(self, other)
 
     def __pow__(self, n):
-        assert n >= 1
+        if n < 1:
+            raise InvalidParameter(f"Witt power needs an exponent >= 1, have {n}")
         acc = self
         for _ in range(n - 1):
             acc = witt_mul(acc, self)
@@ -79,7 +75,8 @@ class WittVec:
         return f"W({', '.join(repr(c) for c in self.comps)})"
 
     def truncate(self, length):
-        assert length <= len(self)
+        if length > len(self):
+            raise InvalidParameter(f"cannot truncate a length-{len(self)} vector to {length}")
         return WittVec(self.ring, self.comps[:length])
 
     def is_zero(self):
@@ -186,46 +183,43 @@ def ghost_vshift(u):
 # -- arithmetic dispatch ---------------------------------------------------------
 
 
-def _is_p_regular(ring):
-    return isinstance(ring, TowerRing)
+@lru_cache(maxsize=None)
+def _zq_table(field, n):
+    """Row i < n: the images p^i [c^(p^-i)] in Z_q/p^n of the elements c of
+    F_q, keyed by c.co; p^-i acts on F_q as p^(-i mod s).  The shorter
+    tables are built first, so one operation at the longest length warms
+    every length."""
+    if n > 1:
+        _zq_table(field, n - 1)
+    p, s = field.p, field.s
+    ring = ring_of(p, s, nprec=n)
+    lifts = [
+        {c.co: ring.teichmuller(c.frobenius(-i % s)) for c in field.elements()}
+        for i in range(min(n, s))
+    ]
+    return [{k: x.scale_int(p**i) for k, x in lifts[i % s].items()} for i in range(n)]
 
 
-_family_cache = {}
+def _to_zq(a, length):
+    """The image of a's first ``length`` components in Z_q/p^length."""
+    rows = _zq_table(a.ring, length)
+    acc = rows[0][a.comps[0].co]
+    for row, c in zip(rows[1:], a.comps[1:length]):
+        acc = acc + row[c.co]
+    return acc
 
 
-def _family(kind, p, n):
-    """The n-th structural polynomial, cast to its minimal frame and cached
-    so its evaluation plan is reused across calls."""
-    got = _family_cache.get((kind, p, n))
-    if got is None:
-        poly = structural_polys(kind, p, n + 1)[n]
-        if kind in ("sum", "prod"):
-            got = poly.cast(n + 1, n + 1)
-        elif kind == "neg":
-            got = poly.cast(n + 1, 0)
-        else:
-            got = poly.cast(n + 2, 0)
-        _family_cache[(kind, p, n)] = got
-    return got
-
-
-def _universal(kind, vecs, length):
-    """Components 0..length-1 of the Witt op ``kind`` on ``vecs`` by its
-    universal polynomials: component n reads components 0..n of every input
-    (0..n+1 for frob)."""
-    ring = vecs[0].ring
-    if length > MAX_LENGTH:
-        raise RingMismatch(
-            f"Witt {kind} at length {length} > {MAX_LENGTH} needs a p-regular "
-            "coefficient ring"
-        )
-    check_family(kind, ring.p, length)
-    reach = 2 if kind == "frob" else 1
-    out = []
-    for n in range(length):
-        values = [c for v in vecs for c in v.comps[: n + reach]]
-        out.append(eval_plan_at(_family(kind, ring.p, n), values))
-    return WittVec(ring, out)
+def _from_zq(field, x, length):
+    """The Witt vector of x in Z_q/p^length: digit r = x mod p gives
+    a_i = r^(p^i), then x <- (x - [r]) / p."""
+    teich = _zq_table(field, length)[0]
+    comps = []
+    for i in range(length):
+        r = x.residue()
+        comps.append(r.frobenius(i % field.s))
+        if i + 1 < length:
+            x = (x - teich[r.co]).exact_div_p()
+    return WittVec(field, comps)
 
 
 def _lifted_ghosts(ring, vecs, length):
@@ -251,28 +245,30 @@ def _prefix_min(vecs, length):
     return list(accumulate((min(v.comps[i].prec for v in vecs) for i in range(length)), min))
 
 
-def _binary(kind, op, a, b):
+def _binary(op, a, b):
     length = _check_pair(a, b)
     if length == 0:
         return WittVec(a.ring, [])
-    if not _is_p_regular(a.ring):
-        return _universal(kind, [a, b], length)
+    if isinstance(a.ring, Fq):
+        return _from_zq(a.ring, op(_to_zq(a, length), _to_zq(b, length)), length)
     ga, gb = _lifted_ghosts(a.ring, [a, b], length)
     return _recover(a.ring, [op(x, y) for x, y in zip(ga, gb)], _prefix_min([a, b], length))
 
 
 def witt_add(a, b):
-    return _binary("sum", lambda x, y: x + y, a, b)
+    return _binary(lambda x, y: x + y, a, b)
 
 
 def witt_mul(a, b):
-    return _binary("prod", lambda x, y: x * y, a, b)
+    return _binary(lambda x, y: x * y, a, b)
 
 
 def witt_neg(a):
     ring, length = a.ring, len(a)
-    if not _is_p_regular(ring):
-        return _universal("neg", [a], length)
+    if length == 0:
+        return a
+    if isinstance(ring, Fq):
+        return _from_zq(ring, -_to_zq(a, length), length)
     (ga,) = _lifted_ghosts(ring, [a], length)
     precs = [c.prec for c in a.comps] if ring.p % 2 else _prefix_min([a], length)
     return _recover(ring, [-x for x in ga], precs)
@@ -283,15 +279,16 @@ def frob(a):
     ring, length = a.ring, len(a)
     if length < 2:
         raise TooShort("frob needs length >= 2")
-    if not _is_p_regular(ring):
-        return _universal("frob", [a], length - 1)
+    if isinstance(ring, Fq):
+        return WittVec(ring, [c.frobenius() for c in a.comps[:-1]])
     (ga,) = _lifted_ghosts(ring, [a], length)
     return _recover(ring, ga[1:], _prefix_min([a], length)[1:])
 
 
 def scalar_nat(a, n):
     """n * a in the Witt ring (n a natural number), by double-and-add."""
-    assert n >= 0
+    if n < 0:
+        raise InvalidParameter(f"scalar_nat needs a natural number, have {n}")
     acc = zero_vec(a.ring, len(a))
     base = a
     while n:
@@ -309,7 +306,7 @@ def witt_div_p(a):
     zero divisor in the coefficient ring.
     """
     ring = a.ring
-    if not _is_p_regular(ring):
+    if not isinstance(ring, TowerRing):
         raise RingMismatch("witt_div_p needs a p-regular coefficient ring")
     length = len(a)
     (ga,) = _lifted_ghosts(ring, [a], length)
@@ -326,7 +323,8 @@ def delta(x, length):
     Component n loses n guard digits to the exact divisions.
     """
     ring = x.ring
-    assert isinstance(ring, TowerRing) and ring.m == -1 and ring.s == 1
+    if not (isinstance(ring, TowerRing) and ring.m == -1 and ring.s == 1):
+        raise RingMismatch(f"delta needs x over Z/p^N, have x in {ring!r}")
     comps = ghost_invert(
         GhostSolveInput(ring, [x] * length, lambda t: t, headroom=length)
     )
@@ -335,7 +333,8 @@ def delta(x, length):
 
 def te_lift(y, target, length):
     """Componentwise Teichmueller lift, zero padded to ``length``."""
-    assert length >= len(y)
+    if length < len(y):
+        raise InvalidParameter(f"cannot lift a length-{len(y)} vector to length {length}")
     comps = [target.teichmuller(c) for c in y.comps]
     comps += [target.zero() for _ in range(length - len(y))]
     return WittVec(target, comps)

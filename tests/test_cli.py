@@ -116,6 +116,55 @@ def test_refusals_hold_under_python_O(argv, needle):
     assert "Traceback" not in proc.stderr
 
 
+_DIRECT_REFUSALS = """
+from wittlab.errors import WittlabError
+from wittlab.fields import finite_field
+from wittlab.gausstrace import alpha_matrix
+from wittlab.rings import ring_of
+from wittlab.series import Series1, TruncSeries2
+from wittlab.wittvec import delta, one_vec, scalar_nat, te_lift
+
+zp, f4 = ring_of(2, nprec=8), finite_field(2, 2)
+calls = [
+    lambda: one_vec(zp, 3) ** 0,
+    lambda: one_vec(zp, 3).truncate(4),
+    lambda: scalar_nat(one_vec(zp, 3), -1),
+    lambda: delta(ring_of(2, 2, nprec=8).one(), 3),
+    lambda: te_lift(one_vec(f4, 3), ring_of(2, 2, nprec=8), 2),
+    lambda: Series1(zp, [zp.one()] * 5).truncate(9),
+    lambda: alpha_matrix(TruncSeries2(zp, 24), 2, 20),
+]
+for call in calls:
+    try:
+        call()
+        print("returned")
+    except WittlabError as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_direct_refusals_hold_under_python_O():
+    # each of these guarded its argument with an assert, so under -O it
+    # returned a wrong value (scalar_nat looped forever); each now raises
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _DIRECT_REFUSALS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "InvalidParameter",
+        "InvalidParameter",
+        "InvalidParameter",
+        "RingMismatch",
+        "InvalidParameter",
+        "TruncationTooSmall",
+        "TruncationTooSmall",
+    ]
+
+
 def test_bench_rejects_jobs(capsys):
     # bench runs its degrees one after another; it offers no --jobs
     with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ from wittlab.errors import InvalidParameter, NonEisenstein, NotDivisible, RingMi
 from wittlab.fields import finite_field, is_prime
 from wittlab.rings import (
     LubinTateSeries,
+    RingElem,
     RingSpec,
     eisenstein_poly,
     make_ring,
@@ -318,3 +319,35 @@ def test_ring_arguments_refused_with_typed_errors(call, needle):
     # typed errors, not asserts: they hold under python -O too
     with pytest.raises(InvalidParameter, match=needle):
         call()
+
+
+def test_pow_ladder_matches_repeated_multiplication(monkeypatch):
+    # the ladder squares only up to the top bit and never multiplies by one,
+    # yet gives the same canonical residues and precision as x * x * ... * x
+    from wittlab import fields
+    from wittlab.rings import TowerRing
+    from wittlab.series import ZpTSeriesRing
+
+    ring = make_ring(RingSpec(2, 2, 1, LubinTateSeries.cyclotomic(2), 8))
+    f8 = finite_field(2, 3)
+    assert ring.e > 1 and ring.s > 1
+    rng = random.Random(61)
+    x = ring.random(rng, prec=ring.cap - 3)
+    u = f8.from_index(5)
+    acc_x, acc_u = RingElem(ring, ring.one().co, x.prec), f8.one()
+    for n in range(41):
+        got = x**n
+        assert (got.co, got.prec) == (acc_x.co, acc_x.prec), n
+        assert u**n == acc_u, n
+        acc_x, acc_u = acc_x * x, acc_u * u
+    calls = []
+    mul_co, polmul = TowerRing.mul_co, fields._polmul_mod
+    monkeypatch.setattr(TowerRing, "mul_co", lambda *a: calls.append("r") or mul_co(*a))
+    monkeypatch.setattr(fields, "_polmul_mod", lambda *a: calls.append("f") or polmul(*a))
+    for n, muls in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
+        calls.clear()
+        x**n, u**n
+        assert calls == ["r"] * muls + ["f"] * muls, n
+    # a negative exponent reaching the ladder is refused, not looped on forever
+    with pytest.raises(InvalidParameter):
+        ZpTSeriesRing(2, 8, 4).gen() ** -1

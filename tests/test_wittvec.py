@@ -1,13 +1,15 @@
 """Witt vector ring laws and the Frobenius/shift relations."""
 
+import functools
+import itertools
 import random
 
 import pytest
 
-from wittlab.errors import FamilyTooLarge, NotDivisible, RingMismatch, TooShort
+from wittlab.errors import NotDivisible, RingMismatch, TooShort
 from wittlab.fields import finite_field
 from wittlab.rings import LubinTateSeries, RingSpec, make_ring, ring_of
-from wittlab.upoly import family_fits
+from wittlab.upoly import eval_plan_at, family_fits, structural_polys
 from wittlab.wittvec import (
     WittVec,
     delta,
@@ -37,6 +39,38 @@ def rand_vec(ring, rng, length):
 
 def rand_fq_vec(field, rng, length):
     return WittVec(field, [field.from_index(rng.randrange(field.q)) for _ in range(length)])
+
+
+@functools.lru_cache(maxsize=None)
+def universal_family(kind, p, length):
+    """S/P/I/F_0..length-1, member n cast to the frame it reads: X_0..X_n
+    (X_0..X_(n+1) for frob) and, for sum and product, Y_0..Y_n; cached so
+    each keeps its evaluation plan."""
+    out = []
+    for n, poly in enumerate(structural_polys(kind, p, length)):
+        nx = n + 2 if kind == "frob" else n + 1
+        ny = n + 1 if kind in ("sum", "prod") else 0
+        out.append(poly.cast(nx, ny))
+    return out
+
+
+def universal(kind, vecs, length):
+    """Components 0..length-1 of the Witt op ``kind`` on ``vecs``, evaluated
+    from the universal polynomials independently of wittvec."""
+    ring = vecs[0].ring
+    out = []
+    for poly in universal_family(kind, ring.p, length):
+        values = [c for v in vecs for c in v.comps[: poly.nx]]
+        out.append(eval_plan_at(poly, values))
+    return WittVec(ring, out)
+
+
+def lifted(op, vecs, ring):
+    """op over F_q through W(ring) -> W(F_q): the vectors' coordinates lifted
+    to integers in ``ring``, op taken there by ghost transport, and every
+    component reduced by residue()."""
+    ups = [WittVec(ring, [ring.from_ur(c.co) for c in v.comps]) for v in vecs]
+    return witt_map(lambda c: c.residue(), op(*ups), vecs[0].ring)
 
 
 def test_f2_addition_example():
@@ -267,10 +301,14 @@ def test_long_vectors_via_ghost_transport():
     assert witt_mul(a, witt_add(b, c)) == witt_add(witt_mul(a, b), witt_mul(a, c))
     # truncation commutes with the product
     assert witt_mul(a, b).truncate(4) == witt_mul(a.truncate(4), b.truncate(4))
-    f4 = finite_field(2, 2)
-    long_fq = rand_fq_vec(f4, rng, 7)
-    with pytest.raises(RingMismatch):
-        witt_add(long_fq, long_fq)
+    # over F_4 the same length is one Z_4/2^7 operation, and agrees with the
+    # reduction of the transported op over Z_4/2^10
+    f4, z4 = finite_field(2, 2), ring_of(2, 2, nprec=10)
+    x, y = rand_fq_vec(f4, rng, 7), rand_fq_vec(f4, rng, 7)
+    assert witt_add(x, y) == lifted(witt_add, [x, y], z4)
+    assert witt_mul(x, y) == lifted(witt_mul, [x, y], z4)
+    assert witt_neg(x) == lifted(witt_neg, [x], z4)
+    assert frob(x) == lifted(frob, [x], z4)
 
 
 def test_p5_length5_ops_take_ghost_transport():
@@ -290,18 +328,18 @@ def test_p5_length5_ops_take_ghost_transport():
         assert ghost_map(frob(a)) == ghost_shift(ghost_map(a))
 
 
-def test_p5_length5_refused_over_finite_field():
+def test_p5_length5_over_finite_field_agrees_with_transport():
+    # S_4 and P_4 at p = 5 are refused by upoly; over F_5 the length-5 ops
+    # take Z_5/5^5 and must agree with the transported ops over Z/5^8 reduced
     assert not family_fits("sum", 5, 5) and not family_fits("prod", 5, 5)
-    f5 = finite_field(5, 1)
+    f5, z5 = finite_field(5, 1), ring_of(5, nprec=8)
     rng = random.Random(56)
-    a, b = rand_fq_vec(f5, rng, 5), rand_fq_vec(f5, rng, 5)
-    with pytest.raises(FamilyTooLarge):
-        witt_add(a, b)
-    with pytest.raises(FamilyTooLarge):
-        witt_mul(a, b)
-    # negation and Frobenius need only I_0..I_4 and F_0..F_3, which are built
-    assert witt_add(a.truncate(4), witt_neg(a).truncate(4)).is_zero()
-    assert frob(a) == WittVec(f5, [c**5 for c in a.comps[:4]])
+    for _ in range(4):
+        a, b = rand_fq_vec(f5, rng, 5), rand_fq_vec(f5, rng, 5)
+        assert witt_add(a, b) == lifted(witt_add, [a, b], z5)
+        assert witt_mul(a, b) == lifted(witt_mul, [a, b], z5)
+        assert witt_neg(a) == lifted(witt_neg, [a], z5)
+        assert frob(a) == lifted(frob, [a], z5)
 
 
 def test_frob_too_short():
@@ -367,8 +405,6 @@ def test_transport_agrees_with_universal_polynomials():
     # over a TowerRing the Witt ops take ghost transport, and the universal
     # polynomials are an independent code path: values and the precision of
     # every component must agree wherever both apply
-    from wittlab.wittvec import _universal
-
     rings = [
         (ring_of(2, nprec=14), (3, 4, 5)),
         (ring_of(3, nprec=10), (3, 4)),  # length 5 at p = 3 evaluates S_4: slow
@@ -381,10 +417,10 @@ def test_transport_agrees_with_universal_polynomials():
                 a = rand_mixed_prec_vec(ring, rng, length)
                 b = rand_mixed_prec_vec(ring, rng, length)
                 pairs = [
-                    ("add", witt_add(a, b), _universal("sum", [a, b], length)),
-                    ("mul", witt_mul(a, b), _universal("prod", [a, b], length)),
-                    ("neg", witt_neg(a), _universal("neg", [a], length)),
-                    ("frob", frob(a), _universal("frob", [a], length - 1)),
+                    ("add", witt_add(a, b), universal("sum", [a, b], length)),
+                    ("mul", witt_mul(a, b), universal("prod", [a, b], length)),
+                    ("neg", witt_neg(a), universal("neg", [a], length)),
+                    ("frob", frob(a), universal("frob", [a], length - 1)),
                 ]
                 for op, fast, slow in pairs:
                     assert fast == slow, (ring, length, op)
@@ -401,10 +437,8 @@ def test_tower_ops_build_no_universal_family(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError(f"universal family built: {args}")
 
-    # wittvec binds structural_polys by name, and caches what it evaluates
     monkeypatch.setattr(upoly, "structural_polys", refuse)
-    monkeypatch.setattr(wittvec, "structural_polys", refuse)
-    monkeypatch.setattr(wittvec, "_family_cache", {})
+    assert not hasattr(wittvec, "structural_polys")
     rng = random.Random(5151)
     for ring in (ring_of(3, nprec=10), ring_of(5, nprec=8)):
         a, b = rand_vec(ring, rng, 5), rand_vec(ring, rng, 5)
@@ -413,3 +447,44 @@ def test_tower_ops_build_no_universal_family(monkeypatch):
         assert ghost_map(witt_mul(a, b)) == ga * gb
         assert witt_add(a, witt_neg(a)).is_zero()
         assert ghost_map(frob(a)) == ghost_shift(ga)
+
+
+@pytest.mark.parametrize(
+    "p,s,n",
+    [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 1), (3, 1, 2), (3, 1, 3),
+     (2, 2, 1), (2, 2, 2), (2, 2, 3), (5, 1, 1), (5, 1, 2), (7, 1, 2), (2, 3, 2)],
+)
+def test_field_ops_agree_with_universal_polynomials(p, s, n):
+    # exhaustive over W_n(F_q): every pair for sum and product, every vector
+    # for negation and Frobenius, against the universal polynomials
+    field = finite_field(p, s)
+    vecs = [
+        WittVec(field, [field.from_index(i) for i in combo])
+        for combo in itertools.product(range(field.q), repeat=n)
+    ]
+    for a in vecs:
+        assert witt_neg(a) == universal("neg", [a], n), a
+        if n > 1:
+            assert frob(a) == universal("frob", [a], n - 1), a
+        for b in vecs:
+            assert witt_add(a, b) == universal("sum", [a, b], n), (a, b)
+            assert witt_mul(a, b) == universal("prod", [a, b], n), (a, b)
+
+
+def test_field_ops_build_no_universal_family(monkeypatch):
+    # over F_q every length takes Z_q/p^n; a dispatch that fell back to the
+    # universal polynomials would need S_4 and P_4 at p = 5, and raises here
+    from wittlab import upoly
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"universal polynomials used: {args}")
+
+    monkeypatch.setattr(upoly, "structural_polys", refuse)
+    monkeypatch.setattr(upoly, "eval_plan_at", refuse)
+    rng = random.Random(5252)
+    for field, length in ((finite_field(5, 1), 5), (finite_field(2, 2), 7)):
+        a, b, c = (rand_fq_vec(field, rng, length) for _ in range(3))
+        assert witt_add(a, b) == witt_add(b, a)
+        assert witt_mul(a, witt_add(b, c)) == witt_add(witt_mul(a, b), witt_mul(a, c))
+        assert witt_add(a, witt_neg(a)).is_zero()
+        assert frob(a) == WittVec(field, [x**field.p for x in a.comps[:-1]])
