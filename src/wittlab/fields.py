@@ -13,24 +13,49 @@ import itertools
 import math
 import operator
 
-from .errors import InvalidParameter, NotUnit
+from .errors import InvalidParameter, NotGaloisStable, NotUnit, RingMismatch
 
 
-def _polmul_mod(a, b, modulus, p):
-    """Product mod the monic polynomial with low coefficients ``modulus``."""
-    s = len(modulus)
-    prod = [0] * max(len(a) + len(b) - 1, s)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, s - 1, -1):
-        c = prod[i]
+def convolve(a, b):
+    """The exact product of two integer coefficient lists (index = degree).
+
+    Schoolbook (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 2);
+    zero entries of either factor are skipped.
+    """
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def reduction_rows(low, mod):
+    """Rows x^(k+u) mod (f, mod) for u < k - 1, where f = x^k + low[k-1] x^(k-1)
+    + ... + low[0] is monic of degree k = len(low): enough to fold every degree
+    of a product of two polynomials of degree < k."""
+    first = tuple(-c % mod for c in low)
+    rows = [first] if len(low) > 1 else []
+    for _ in range(len(low) - 2):
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append(tuple((x + top * f) % mod for x, f in zip((0,) + prev[:-1], first)))
+    return tuple(rows)
+
+
+def mul_mod(a, b, rows, mod):
+    """a * b mod (f, mod) for coefficient lists a, b of length k = deg f,
+    given f's ``reduction_rows``: convolve, fold the high degrees with the
+    rows, then reduce mod ``mod``."""
+    prod = convolve(a, b)
+    k = len(a)
+    for d, row in enumerate(rows, k):
+        c = prod[d]
         if c:
-            prod[i] = 0
-            for j in range(s):
-                prod[i - s + j] = (prod[i - s + j] - c * modulus[j]) % p
-    return tuple(prod[:s])
+            for j, r in enumerate(row):
+                prod[j] += c * r
+    return tuple([c % mod for c in prod[:k]])
 
 
 def _is_irreducible(coeffs, p):
@@ -92,7 +117,7 @@ def min_poly_coeffs(p, s):
             continue  # divisible by y
         if _is_irreducible(coeffs, p):
             return coeffs
-    raise AssertionError("no irreducible polynomial found")
+    raise InvalidParameter(f"no monic irreducible of degree {s} mod {p}: is p prime?")
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,10 +145,8 @@ class FqElem:
         return FqElem(self.field, tuple(-a % p for a in self.co))
 
     def __mul__(self, other):
-        return FqElem(
-            self.field,
-            _polmul_mod(self.co, other.co, self.field.modulus, self.field.p),
-        )
+        field = self.field
+        return FqElem(field, mul_mod(self.co, other.co, field.rows, field.p))
 
     def __pow__(self, n):
         if n < 0:
@@ -172,6 +195,7 @@ class Fq:
         self.s = s
         self.q = p**s
         self.modulus = min_poly_coeffs(p, s)  # (c_0..c_{s-1}), monic implied
+        self.rows = reduction_rows(self.modulus, p)
 
     def zero(self):
         return FqElem(self, (0,) * self.s)
@@ -215,7 +239,7 @@ class Fq:
                 order += 1
             if order == self.q - 1:
                 return x
-        raise AssertionError("no generator found")
+        raise InvalidParameter(f"F_{self.q} has no multiplicative generator: is p prime?")
 
     def absolute_trace(self, x):
         """Tr_{F_q/F_p}(x) as an integer in [0, p)."""
@@ -224,7 +248,8 @@ class Fq:
         for _ in range(self.s - 1):
             acc = acc.frobenius()
             tot = tot + acc
-        assert all(c == 0 for c in tot.co[1:])
+        if any(tot.co[1:]):
+            raise NotGaloisStable(f"trace of {x} is not in F_{self.p}")
         return tot.co[0]
 
     def embedding_into(self, big):
@@ -234,7 +259,8 @@ class Fq:
         in ``big``'s enumeration order.  Returns (map, inverse_map) where
         inverse_map raises KeyError off the image.
         """
-        assert big.p == self.p and big.s % self.s == 0
+        if big.p != self.p or big.s % self.s:
+            raise RingMismatch(f"F_{self.q} does not embed into F_{big.q}")
         if big is self:
             ident = {x.co: x for x in self.elements()}
             return (lambda x: x), (lambda x: ident[x.co])
@@ -249,7 +275,8 @@ class Fq:
             if not val:
                 root = cand
                 break
-        assert root is not None, "modulus has a root in any extension of degree s|rs"
+        if root is None:
+            raise RingMismatch(f"the modulus of F_{self.q} has no root in F_{big.q}")
         fwd = {}
         for x in self.elements():
             acc = big.from_int(1)

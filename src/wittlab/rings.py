@@ -7,6 +7,14 @@ j < s) with integer coordinates mod p^N, plus a declared absolute pi-adic
 precision.  The Gauss valuation min_i (i + e*v_p(c_i)) is exact on this
 basis because E_m is Eisenstein.
 
+A product is formed on the product block: (2e-1)(2s-1) integer slots,
+slot i(2s-1) + j holding pi^i y^j for i < 2e - 1 and j < 2s - 1.  An element
+sits on ``TowerRing.slots`` (i < e, j < s), so in one convolution of two
+spread elements the y-degrees of a pi-degree stay in its own 2s - 1 slots.
+``TowerRing.reduce_block`` folds a block back to the basis.  When e = 1 or
+s = 1 the block is one polynomial, and ``mul_co`` takes ``fields.mul_mod``,
+which folds with the same rows.
+
 E_m is built from the Lubin-Tate series F(T) = pT + T^p + pT^2 G(T) as
 F^(m+1)(T)/F^m(T) = p + u^(p-1) + p*u*G(u) with u = F^m(T), which is an
 exact integer polynomial identity, then reduced and certified Eisenstein.
@@ -26,7 +34,15 @@ from .errors import (
     RingMismatch,
     SeedNotConverging,
 )
-from .fields import finite_field, is_prime, min_poly_coeffs, pow_ladder
+from .fields import (
+    convolve,
+    finite_field,
+    is_prime,
+    min_poly_coeffs,
+    mul_mod,
+    pow_ladder,
+    reduction_rows,
+)
 
 
 def _vp(n, p):
@@ -88,15 +104,8 @@ def _poly_compose(f, g):
     """f(g(T)) for integer coefficient lists, exact."""
     acc = [0]
     for c in reversed(f):
-        # acc = acc*g + c
-        out = [0] * (len(acc) + len(g) - 1) if len(acc) > 1 or acc[0] else [0]
-        for i, a in enumerate(acc):
-            if a:
-                for j, b in enumerate(g):
-                    if b:
-                        out[i + j] += a * b
-        out[0] += c
-        acc = out
+        acc = convolve(acc, g)
+        acc[0] += c
     while len(acc) > 1 and acc[-1] == 0:
         acc.pop()
     return acc
@@ -115,31 +124,18 @@ def eisenstein_poly(lt, m):
     """E_m(T) = F^(m+1)/F^m = p + u^(p-1) + p u G(u), u = F^m(T), over Z."""
     p = lt.p
     u = lt_iterate_exact(lt, m)
-    upm1 = [1]
-    for _ in range(p - 1):
-        upm1 = _poly_mul_exact(upm1, u)
-    out = list(upm1)
+    out = list(pow_ladder(u, p - 1, convolve))
     out[0] += p
     if lt.g_coeffs:
         gu = [0]
         acc = [1]
         for g in lt.g_coeffs:
             gu = _poly_add_exact(gu, [g * c for c in acc])
-            acc = _poly_mul_exact(acc, u)
-        pug = _poly_mul_exact(u, gu)
+            acc = convolve(acc, u)
+        pug = convolve(u, gu)
         out = _poly_add_exact(out, [p * c for c in pug])
     while len(out) > 1 and out[-1] == 0:
         out.pop()
-    return out
-
-
-def _poly_mul_exact(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
     return out
 
 
@@ -327,6 +323,8 @@ class TowerRing:
         self.e = 1 if spec.m < 0 else spec.p**spec.m * (spec.p - 1)
         self.dim = self.e * self.s
         self.cap = self.e * spec.nprec
+        rs = 2 * spec.s - 1
+        self.slots = tuple(i * rs + j for i in range(self.e) for j in range(spec.s))
         self.residue_field = finite_field(spec.p, spec.s)
         self._build_unramified()
         self._build_eisenstein()
@@ -342,19 +340,7 @@ class TowerRing:
     def _build_unramified(self):
         p, s, pn = self.p, self.s, self.pn
         self.h_coeffs = min_poly_coeffs(p, s)  # monic lift with digits in [0, p)
-        # y^(s+u) reduction rows over Z/p^N
-        rows = []
-        if s > 1:
-            base = tuple(-c % pn for c in self.h_coeffs)
-            rows.append(base)
-            for _ in range(s - 2):
-                prev = rows[-1]
-                shifted = (0,) + prev[:-1]
-                top = prev[-1]
-                rows.append(
-                    tuple((shifted[j] + top * base[j]) % pn for j in range(s))
-                )
-        self.yred = rows
+        self.yred = reduction_rows(self.h_coeffs, pn)
         if s > 1:
             self.sigma_pows = self._sigma_matrix()
         else:
@@ -362,22 +348,9 @@ class TowerRing:
 
     def ur_mul(self, a, b):
         """Product of unramified coordinates (s-tuples) mod p^N."""
-        s, pn = self.s, self.pn
-        if s == 1:
-            return ((a[0] * b[0]) % pn,)
-        prod = [0] * (2 * s - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        for u in range(s - 2, -1, -1):
-            c = prod[s + u]
-            if c:
-                row = self.yred[u]
-                for j in range(s):
-                    prod[j] += c * row[j]
-        return tuple(c % pn for c in prod[:s])
+        if self.s == 1:
+            return ((a[0] * b[0]) % self.pn,)
+        return mul_mod(a, b, self.yred, self.pn)
 
     def ur_pow(self, a, n):
         return pow_ladder(a, n, self.ur_mul) if n else (1,) + (0,) * (self.s - 1)
@@ -447,13 +420,7 @@ class TowerRing:
         if eis[0] % p**2 == 0:
             raise NonEisenstein("constant term of E_m divisible by p^2")
         self.eis_coeffs = tuple(eis)
-        rows = [tuple(-c % pn for c in eis[:-1])]
-        for _ in range(e - 2):
-            prev = rows[-1]
-            shifted = (0,) + prev[:-1]
-            top = prev[-1]
-            rows.append(tuple((shifted[i] + top * rows[0][i]) % pn for i in range(e)))
-        self.pired = tuple(rows)
+        self.pired = reduction_rows(eis[:-1], pn)
 
     # -- element constructors ------------------------------------------------------
 
@@ -531,63 +498,40 @@ class TowerRing:
     # -- core arithmetic -------------------------------------------------------------
 
     def mul_co(self, a, b):
-        e, s, pn = self.e, self.s, self.pn
-        if e == 1:
+        if self.e == 1:
             return self.ur_mul(a, b)
-        if s == 1:
-            prod = [0] * (2 * e - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            prod[i + j] += x * y
-            for u in range(e - 2, -1, -1):
-                c = prod[e + u]
+        if self.s == 1:
+            return mul_mod(a, b, self.pired, self.pn)
+        return self.reduce_block(convolve(self._spread(a), self._spread(b)))
+
+    def _spread(self, co):
+        """Coordinates placed on their ``slots``; the gaps are zero."""
+        v = [0] * (self.slots[-1] + 1)
+        for k, c in zip(self.slots, co):
+            v[k] = c
+        return v
+
+    def reduce_block(self, v):
+        """Canonical coordinates of a product block (see the module docstring):
+        the y rows fold within each pi-degree, then the Eisenstein rows fold
+        the pi-degrees >= e, then everything is reduced mod p^N.  ``v`` is
+        overwritten."""
+        e, s, rs = self.e, self.s, 2 * self.s - 1
+        for u, yrow in enumerate(self.yred):
+            for r in range(s + u, len(v), rs):
+                c = v[r]
                 if c:
-                    row = self.pired[u]
-                    for i in range(e):
-                        prod[i] += c * row[i]
-            return tuple(c % pn for c in prod[:e])
-        rows = [[0] * (2 * s - 1) for _ in range(2 * e - 1)]
-        for i in range(e):
-            ai = a[i * s : (i + 1) * s]
-            if not any(ai):
-                continue
-            for k in range(e):
-                bk = b[k * s : (k + 1) * s]
-                if not any(bk):
-                    continue
-                row = rows[i + k]
-                for j, x in enumerate(ai):
-                    if x:
-                        for l, y in enumerate(bk):
-                            if y:
-                                row[j + l] += x * y
-        # reduce y within each pi-degree
-        reduced = []
-        for row in rows:
-            for u in range(s - 2, -1, -1):
-                c = row[s + u]
+                    for j, y in enumerate(yrow, r - s - u):
+                        v[j] += c * y
+        for u, prow in enumerate(self.pired):
+            base = (e + u) * rs
+            for j in range(s):
+                c = v[base + j]
                 if c:
-                    yrow = self.yred[u]
-                    for j in range(s):
-                        row[j] += c * yrow[j]
-            reduced.append(row[:s])
-        # reduce pi-degrees >= e (Eisenstein rows are scalars)
-        for u in range(e - 2, -1, -1):
-            src = reduced[e + u]
-            if any(src):
-                prow = self.pired[u]
-                for i in range(e):
-                    c = prow[i]
-                    if c:
-                        dst = reduced[i]
-                        for j in range(s):
-                            dst[j] += c * src[j]
-        out = []
-        for i in range(e):
-            out.extend(c % pn for c in reduced[i])
-        return tuple(out)
+                    for i, x in enumerate(prow):
+                        v[i * rs + j] += c * x
+        pn = self.pn
+        return tuple([v[k] % pn for k in self.slots])
 
     def val_co(self, co):
         p, e, s, n = self.p, self.e, self.s, self.nprec
@@ -695,12 +639,14 @@ class TowerRing:
 class SeriesPacking:
     """Series over a TowerRing packed into one int (Kronecker substitution).
 
-    Coordinate (pi^i, y^j) of degree d sits in slot ((d(2e-1) + i)(2s-1) + j),
-    ``width`` bytes each, so one big-int multiply forms every product of a
-    series convolution with pi-degrees up to 2e-2 and y-degrees up to 2s-2
-    apart.  A slot of the product sums at most n*e*s coordinate products,
-    each at most (p^N - 1)^2, with n the length of the shorter factor; the
-    width holds that bound, so no slot carries into the next.
+    Degree d occupies one product block (see the module docstring): the
+    (2e-1)(2s-1) slots from slot d(2e-1)(2s-1) on, ``width`` bytes each, a
+    factor's coordinates on ``ring.slots``.  So one big-int multiply forms
+    every product of a series convolution, and each degree read is reduced
+    by ``reduce_block``.  A slot of the product sums at most
+    n*e*s coordinate products, each at most (p^N - 1)^2, with n the length
+    of the shorter factor; the width holds that bound, so no slot carries
+    into the next.
     """
 
     __slots__ = ("ring", "width", "block")
@@ -713,17 +659,15 @@ class SeriesPacking:
 
     def pack(self, terms):
         """One int from (degree, coordinates) pairs; absent degrees are zero."""
-        e, s, width = self.ring.e, self.ring.s, self.width
-        row = (2 * s - 1) * width
+        slots, width = self.ring.slots, self.width
         terms = [(d, co) for d, co in terms if any(co)]
         buf = bytearray(self.block * (max((d for d, _ in terms), default=-1) + 1))
         for d, co in terms:
-            for i in range(e):
-                o = d * self.block + i * row
-                for j in range(s):
-                    c = co[i * s + j]
-                    if c:
-                        buf[o + j * width : o + (j + 1) * width] = c.to_bytes(width, "little")
+            base = d * self.block
+            for k, c in zip(slots, co):
+                if c:
+                    o = base + k * width
+                    buf[o : o + width] = c.to_bytes(width, "little")
         return int.from_bytes(buf, "little")
 
     def truncate(self, packed, degree):
@@ -731,36 +675,15 @@ class SeriesPacking:
         return packed & ((1 << (8 * self.block * (degree + 1))) - 1)
 
     def unpack(self, packed, degrees):
-        """Coordinates at ``degrees`` (ascending) of a product of packed series.
-
-        Each degree is reduced as ``mul_co`` reduces: the y rows, then the
-        Eisenstein rows, then mod p^N, so results are canonical residues.
-        """
-        ring = self.ring
-        e, s, pn, width, block = ring.e, ring.s, ring.pn, self.width, self.block
-        rs = 2 * s - 1
+        """Coordinates at ``degrees`` (ascending) of a product of packed series,
+        each degree's block reduced by ``reduce_block`` to canonical residues."""
+        width, block, reduce_block = self.width, self.block, self.ring.reduce_block
         from_bytes = int.from_bytes
         buf = self.truncate(packed, degrees[-1]).to_bytes(block * (degrees[-1] + 1), "little")
-        low = [i * rs + j for i in range(e) for j in range(s)]
         out = []
         for d in degrees:
-            base = d * block
-            v = [from_bytes(buf[o : o + width], "little") for o in range(base, base + block, width)]
-            for u in range(s - 2, -1, -1):
-                yrow = ring.yred[u]
-                for r in range(0, len(v), rs):
-                    c = v[r + s + u]
-                    if c:
-                        for j in range(s):
-                            v[r + j] += c * yrow[j]
-            for u in range(e - 2, -1, -1):
-                prow = ring.pired[u]
-                for j in range(s):
-                    c = v[(e + u) * rs + j]
-                    if c:
-                        for i in range(e):
-                            v[i * rs + j] += c * prow[i]
-            out.append(tuple([v[k] % pn for k in low]))
+            slots = range(d * block, (d + 1) * block, width)
+            out.append(reduce_block([from_bytes(buf[o : o + width], "little") for o in slots]))
         return out
 
     def product(self, a_terms, b_terms, degrees):

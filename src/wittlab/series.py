@@ -22,13 +22,14 @@ import functools
 from fractions import Fraction
 
 from .errors import (
+    InvalidParameter,
     NonIntegralResult,
     NotDivisible,
     PrecisionNotReached,
     TailNotCertified,
     TruncationTooSmall,
 )
-from .fields import pow_ladder
+from .fields import convolve, pow_ladder
 from .rings import RingElem, SeriesPacking, ring_of
 from .upoly import GhostSolveInput, ghost_invert
 from .wittvec import WittVec, delta, versch, witt_add, witt_map, witt_mul, witt_neg, zero_vec
@@ -234,14 +235,7 @@ class ZpTSeries:
 
     def __mul__(self, other):
         pn = self.ring.pn
-        n = len(self.co)
-        out = [0] * n
-        for i, a in enumerate(self.co):
-            if a:
-                for j in range(n - i):
-                    b = other.co[j]
-                    if b:
-                        out[i + j] += a * b
+        out = convolve(self.co, other.co)[: len(self.co)]
         return ZpTSeries(self.ring, [c % pn for c in out], min(self.prec, other.prec))
 
     def __pow__(self, k):
@@ -425,7 +419,10 @@ def pulita_theta(ring, m, a, degree):
 def pulita_theta_ms(ring, m, s, a, degree, form="single"):
     """theta_{m,s}(a): E(varpi_m a - V^s(varpi_m a^(phi^s))) or the product
     prod_{i<s} theta_m(a^(phi^i)) o x^(p^i)."""
-    assert s >= 1
+    if s < 1:
+        raise InvalidParameter(f"theta_(m,s) needs s >= 1, have {s}")
+    if form not in ("single", "product"):
+        raise InvalidParameter(f"form must be 'single' or 'product', have {form!r}")
     length = max(series_length(ring.p, degree), m + 2)
     a = pad_vector(a, length)
     if form == "product":
@@ -434,8 +431,6 @@ def pulita_theta_ms(ring, m, s, a, degree, form="single"):
             factor = pulita_theta(ring, m, phi_vector(a, i), degree)
             acc = acc * factor.compose_xpow(ring.p**i)
         return acc
-    if form != "single":
-        raise ValueError("form must be 'single' or 'product'")
     w_m = varpi(ring, m, length)
     prod = witt_mul(w_m, a)
     shifted = versch(witt_mul(w_m, phi_vector(a, s)), s)

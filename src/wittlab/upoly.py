@@ -376,7 +376,7 @@ def eval_plan_at(poly, values):
 def ghost_poly(p, n):
     """fant_n(X_0..X_n) = X_0^(p^n) + p X_1^(p^(n-1)) + ... + p^n X_n."""
     if n < 0:
-        raise ValueError("ghost polynomial index must be >= 0")
+        raise InvalidParameter(f"ghost polynomial index must be >= 0, have {n}")
     terms = {}
     for i in range(n + 1):
         key = (p ** (n - i)) << (_SHIFT * i)

@@ -120,11 +120,12 @@ _DIRECT_REFUSALS = """
 from wittlab.errors import WittlabError
 from wittlab.fields import finite_field
 from wittlab.gausstrace import alpha_matrix
-from wittlab.rings import ring_of
-from wittlab.series import Series1, TruncSeries2
+from wittlab.rings import LubinTateSeries, ring_of
+from wittlab.series import Series1, TruncSeries2, pulita_theta_ms
 from wittlab.wittvec import delta, one_vec, scalar_nat, te_lift
 
 zp, f4 = ring_of(2, nprec=8), finite_field(2, 2)
+lvl0 = ring_of(2, 1, 0, LubinTateSeries.cyclotomic(2), 8)
 calls = [
     lambda: one_vec(zp, 3) ** 0,
     lambda: one_vec(zp, 3).truncate(4),
@@ -133,6 +134,9 @@ calls = [
     lambda: te_lift(one_vec(f4, 3), ring_of(2, 2, nprec=8), 2),
     lambda: Series1(zp, [zp.one()] * 5).truncate(9),
     lambda: alpha_matrix(TruncSeries2(zp, 24), 2, 20),
+    lambda: f4.embedding_into(finite_field(3, 2)),
+    lambda: f4.embedding_into(finite_field(2, 3)),
+    lambda: pulita_theta_ms(lvl0, 0, 0, one_vec(lvl0, 2), 8),
 ]
 for call in calls:
     try:
@@ -162,6 +166,9 @@ def test_direct_refusals_hold_under_python_O():
         "InvalidParameter",
         "TruncationTooSmall",
         "TruncationTooSmall",
+        "RingMismatch",
+        "RingMismatch",
+        "InvalidParameter",
     ]
 
 

@@ -10,11 +10,17 @@ from wittlab.rings import (
     LubinTateSeries,
     RingElem,
     RingSpec,
+    SeriesPacking,
     eisenstein_poly,
     make_ring,
     nondegenerate_trace,
     ring_of,
 )
+from wittlab.series import pulita_theta_ms
+from wittlab.upoly import ghost_poly
+from wittlab.wittvec import one_vec
+
+_LEVEL0 = RingSpec(2, 1, 0, LubinTateSeries.cyclotomic(2), 8)
 
 
 def test_lubin_tate_coefficients():
@@ -313,6 +319,12 @@ def test_embed_from_unramified_part():
          "level 2 outside 0..1"),
         (lambda: make_ring(RingSpec(2, 1, 1, LubinTateSeries.cyclotomic(2), 8)).pi_level(-1),
          "level -1 outside 0..1"),
+        (lambda: pulita_theta_ms(make_ring(_LEVEL0), 0, 0, one_vec(make_ring(_LEVEL0), 2), 8),
+         "s >= 1, have 0"),
+        (lambda: pulita_theta_ms(
+            make_ring(_LEVEL0), 0, 1, one_vec(make_ring(_LEVEL0), 2), 8, form="double"),
+         "form must be 'single' or 'product', have 'double'"),
+        (lambda: ghost_poly(2, -1), "index must be >= 0, have -1"),
     ],
 )
 def test_ring_arguments_refused_with_typed_errors(call, needle):
@@ -341,9 +353,9 @@ def test_pow_ladder_matches_repeated_multiplication(monkeypatch):
         assert u**n == acc_u, n
         acc_x, acc_u = acc_x * x, acc_u * u
     calls = []
-    mul_co, polmul = TowerRing.mul_co, fields._polmul_mod
+    mul_co, fq_mul = TowerRing.mul_co, fields.FqElem.__mul__
     monkeypatch.setattr(TowerRing, "mul_co", lambda *a: calls.append("r") or mul_co(*a))
-    monkeypatch.setattr(fields, "_polmul_mod", lambda *a: calls.append("f") or polmul(*a))
+    monkeypatch.setattr(fields.FqElem, "__mul__", lambda *a: calls.append("f") or fq_mul(*a))
     for n, muls in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
         calls.clear()
         x**n, u**n
@@ -351,3 +363,57 @@ def test_pow_ladder_matches_repeated_multiplication(monkeypatch):
     # a negative exponent reaching the ladder is refused, not looped on forever
     with pytest.raises(InvalidParameter):
         ZpTSeriesRing(2, 8, 4).gen() ** -1
+
+
+def _divide(poly, var, low):
+    # remainder of a {(i, j): c} polynomial in pi^i y^j by the monic
+    # x^d + low[d-1] x^(d-1) + ... + low[0] in pi (var 0) or y (var 1)
+    d = len(low)
+    for deg in range(max(k[var] for k in poly), d - 1, -1):
+        for key in [k for k in poly if k[var] == deg]:
+            c = poly.pop(key)
+            for t, f in enumerate(low):
+                new = (deg - d + t, key[1]) if var == 0 else (key[0], deg - d + t)
+                poly[new] = poly.get(new, 0) - c * f
+    return poly
+
+
+def _oracle_product(a, b, e, s, h, eis, mod):
+    # a * b in Z[pi, y] by a dict convolution, then long division by h(y),
+    # then by the monic E(pi), then mod p^N; coordinates flat at i*s + j
+    poly = {}
+    for ka, x in enumerate(a):
+        for kb, z in enumerate(b):
+            key = (ka // s + kb // s, ka % s + kb % s)
+            poly[key] = poly.get(key, 0) + x * z
+    poly = _divide(poly, 1, h)
+    if eis:
+        poly = _divide(poly, 0, eis)
+    return tuple(poly.get((i, j), 0) % mod for i in range(e) for j in range(s))
+
+
+@pytest.mark.parametrize(
+    "p,s,m,nprec",
+    [(3, 1, 1, 16), (2, 2, 1, 16), (2, 3, 1, 16), (5, 1, 1, 8), (2, 1, 2, 16),
+     (3, 2, 1, 8), (3, 1, 0, 8), (2, 2, -1, 4), (2, 1, -1, 10)],
+)
+def test_ring_product_matches_long_division_oracle(p, s, m, nprec):
+    # mul_co and the packed series product share the block reduction; both
+    # are checked against schoolbook long division by h(y) and E_m(pi)
+    ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p) if m >= 0 else None, nprec)
+    eis = ring.eis_coeffs[:-1] if m >= 0 else ()
+    packing = SeriesPacking(ring, 2)
+    rng = random.Random(1000 * p + 100 * s + 10 * m + nprec)
+    for _ in range(200):
+        a, b = ring.random(rng), ring.random(rng)
+        want = _oracle_product(a.co, b.co, ring.e, s, ring.h_coeffs, eis, ring.pn)
+        assert (a * b).co == want, (a, b)
+        assert packing.product([(1, a.co)], [(0, b.co), (2, b.co)], [1, 3]) == [want, want]
+
+
+@pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_field_product_matches_long_division_oracle(p, s):
+    field = finite_field(p, s)
+    for x in field.elements():
+        for z in field.elements():
+            assert (x * z).co == _oracle_product(x.co, z.co, 1, s, field.modulus, (), p)
