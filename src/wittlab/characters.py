@@ -68,7 +68,8 @@ class RootOfUnityTable:
         logs = {}
         for k in range(self.order):
             matches = [i for i, z in enumerate(self.elements) if z == acc]
-            assert len(matches) == 1, "generator powers must match table uniquely"
+            if len(matches) != 1:
+                raise ReportedMismatch(f"g^{k} matches {len(matches)} table entries, not one")
             logs[matches[0]] = k
             acc = acc * g
         return logs
@@ -106,7 +107,8 @@ class RootOfUnityTable:
 
 def mu_ppow_table(ring, ell):
     """Build mu_{p^l} in a level-(l-1) ring by digit lifting plus Newton."""
-    assert ring.m == ell - 1, "table must live at level l-1"
+    if ring.m != ell - 1:
+        raise InvalidParameter(f"mu_(p^{ell}) lives at level {ell - 1}, not {ring.m}")
     p = ring.p
     order = p**ell
     f_exp = order
@@ -564,7 +566,8 @@ def _match_root_tables(small, big):
         co = [0] * (e * s_big)
         for i in range(e):
             row = z.co[i * s_small : (i + 1) * s_small]
-            assert not any(row[1:]), "mu root is not y-free"
+            if any(row[1:]):
+                raise ReportedMismatch(f"root {k} of mu_(p^l) is not y-free")
             co[i * s_big] = row[0]
         lifted = RingElem(big.ring, tuple(co), z.prec)
         out[k], _ = big.snap(lifted)
@@ -573,7 +576,8 @@ def _match_root_tables(small, big):
 
 def omega_factorization_check(params, r, degree):
     """Omega_{l,sr,t} = prod_i Omega_{l,s,t}(x^(q^i)) as a series identity."""
-    assert params.ell == 2
+    if params.ell != 2:
+        raise InvalidParameter(f"the factorization check is over W_2, not W_{params.ell}")
     base = CharacterSystem(params)
     q = base.field.q
     ring = base.ring

@@ -191,6 +191,8 @@ class Fq:
     """The field with p^s elements."""
 
     def __init__(self, p, s):
+        if not is_prime(p) or s < 1:
+            raise InvalidParameter(f"F_(p^s) needs a prime p and s >= 1, have p = {p}, s = {s}")
         self.p = p
         self.s = s
         self.q = p**s

@@ -5,8 +5,9 @@ packs the additive and multiplicative characters into one bivariate series;
 alpha = Dw_q o mult_H acts on truncations, its trace is the certified
 partial sum of the (q-1)-strided diagonal, and the trace formula predicts
 g = (q-1)^2 Tr(alpha) for one of the two summation conventions.  The check
-computes only that diagonal (``kernel_lattice``), each lattice column as one
-packed series product (``rings.SeriesPacking``).  The full kernel
+computes only that diagonal (``kernel_lattice``), one packed series product
+(``rings.SeriesPacking``) per lattice column and residue class of degrees mod
+p(q-2), and sums it by shell gcds and raw coordinates.  The full kernel
 (``kernel_H``) stays schoolbook through ``TruncSeries2``: it serves the alpha
 matrix and is the independent oracle the tests compare the lattice against.
 
@@ -18,6 +19,7 @@ matches; the z_1 = 0 column is exactly their difference.
 
 from __future__ import annotations
 
+import math
 import time
 
 from .characters import check_degree, shared_system
@@ -128,10 +130,12 @@ def kernel_lattice(system, chi_m, chi_b, degree):
 
     H = -x0^m A(x0) G(x0, x1) with G = B(x1) C(x0^stride x1), stride =
     p(q-2) and C the terms of ``omega1_substituted``.  G is kept sparse and
-    only at the lattice columns j; terms of C B landing on the same (u, j)
-    are summed, so at q = 2 (stride 0) G is the one univariate product B C.
-    Column j of H is -x0^m A(x0) G_j(x0) cut to degree D - j: one packed
-    product (``SeriesPacking``), of which only the lattice degrees are read.
+    only at the lattice columns j, where it is a polynomial g_j(x0^stride).
+    F = -x0^m A(x0) = sum_r x0^r F_r(x0^stride), and column j, F G_j cut to
+    degree D - j, is one packed product F_r g_j (``SeriesPacking``) per
+    r < stride.  stride is prime to q - 1, so lattice degree r + stride k
+    comes from one r, at k = -r/stride mod q - 1; only these degrees are
+    cut to and read.  At q = 2 (stride 0) G_j is a constant: one class.
 
     Returns the shells: entry [k][n0] is b_{(q-1) n0, (q-1)(k - n0)}, at the
     least precision over A, B and C (the floor ``mul_sparse`` clamps to).
@@ -139,11 +143,12 @@ def kernel_lattice(system, chi_m, chi_b, degree):
     a, b, sub = _kernel_factors(system, chi_m, chi_b, degree)
     ring = system.ring
     step = system.field.q - 1
+    split = system.params.p * (step - 1) or 1
     floor = min(c.prec for c in a.coeffs + b.coeffs + [c for _, _, c in sub])
-    packing = SeriesPacking(ring, degree + 1)
-    neg_a = packing.pack(
-        (chi_m + d, (-c).co) for d, c in enumerate(a.coeffs[: degree + 1 - chi_m])
-    )
+    packing = SeriesPacking(ring, degree // split + 1)
+    f = [(d // split, (-c).co) for d, c in enumerate(a.coeffs[: degree + 1 - chi_m], chi_m)]
+    parts = [packing.pack(f[(r - chi_m) % split :: split]) for r in range(split)]
+    inverse = pow(split, -1, step)
     top = step * (degree // step)
     shells = [[None] * (k + 1) for k in range(degree // step + 1)]
     for j in range(0, top + 1, step):
@@ -155,12 +160,14 @@ def kernel_lattice(system, chi_m, chi_b, degree):
             if any(bc.co) and any(c.co):
                 term = bc * c
                 col[u] = col[u] + term if u in col else term
-        g = packing.pack((u, c.co) for u, c in col.items())
-        column = packing.unpack(
-            packing.truncate(neg_a, degree - j) * g, range(0, top - j + 1, step)
-        )
-        for n0, co in enumerate(column):
-            shells[j // step + n0][n0] = RingElem(ring, co, floor)
+        g = packing.pack((u // split, c.co) for u, c in col.items())
+        for r in range(split):
+            ks = range(-r * inverse % step, (top - j - r) // split + 1, step)
+            if ks:
+                product = packing.truncate(parts[r], ks[-1]) * g
+                for k, co in zip(ks, packing.unpack(product, ks)):
+                    n0 = (r + split * k) // step
+                    shells[j // step + n0][n0] = RingElem(ring, co, floor)
     return shells
 
 
@@ -187,6 +194,8 @@ def diagonal_lattice(series2, q):
 def certified_diagonal_sum(ring, shells, target_prec):
     """Certified sum of strided coefficients given shell by shell.
 
+    A shell's valuation, the least over its coefficients, is ``val_co`` of
+    its per-coordinate gcds; the sum is over raw coordinates, reduced once.
     Returns (value, report).  PrecisionNotReached if a coefficient is known
     to less than the target; TailNotCertified if the shell valuations do not
     certify the target by the window-and-slope rule.
@@ -196,19 +205,15 @@ def certified_diagonal_sum(ring, shells, target_prec):
         raise PrecisionNotReached(
             f"coefficients known to {floor} pi-digits, target {target_prec}"
         )
-    valuations = []
+    dim = ring.dim
+    valuations, totals = [], [0] * dim
     for shell in shells:
-        best = ring.cap
-        for c in shell:
-            v = c.valuation()
-            best = min(best, ring.cap if v is None else v)
-        valuations.append(best)
+        flat = [x for c in shell for x in c.co]
+        v = ring.val_co([math.gcd(*flat[i::dim]) for i in range(dim)])
+        valuations.append(ring.cap if v is None else v)
+        totals = [t + sum(flat[i::dim]) for i, t in enumerate(totals)]
     report = certify_tail(valuations, target_prec, ring.cap)
-    acc = ring.zero()
-    for shell in shells:
-        for c in shell:
-            acc = acc + c
-    return RingElem(ring, acc.co, target_prec), {
+    return RingElem(ring, tuple(t % ring.pn for t in totals), target_prec), {
         "shells": valuations,
         "certificate": report,
     }

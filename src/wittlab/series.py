@@ -26,6 +26,7 @@ from .errors import (
     NonIntegralResult,
     NotDivisible,
     PrecisionNotReached,
+    RingMismatch,
     TailNotCertified,
     TruncationTooSmall,
 )
@@ -516,7 +517,8 @@ class TruncSeries2:
     @classmethod
     def outer(cls, a, b, degree):
         """A(x0) * B(x1) from univariate factors."""
-        assert a.ring is b.ring
+        if a.ring is not b.ring:
+            raise RingMismatch("outer product of series over different rings")
         out = cls(a.ring, degree)
         for i in range(min(a.degree, degree) + 1):
             ca = a.coeffs[i]
@@ -582,7 +584,8 @@ class TruncSeries2:
         return out
 
     def __mul__(self, other):
-        assert self.ring is other.ring
+        if self.ring is not other.ring:
+            raise RingMismatch("product of series over different rings")
         ring = self.ring
         floor = min(self.min_prec(), other.min_prec())
         out = TruncSeries2(ring, min(self.degree, other.degree))

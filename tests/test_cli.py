@@ -117,6 +117,11 @@ def test_refusals_hold_under_python_O(argv, needle):
 
 
 _DIRECT_REFUSALS = """
+from types import SimpleNamespace
+
+from wittlab.characters import (
+    CharParams, RootOfUnityTable, _match_root_tables, mu_ppow_table, omega_factorization_check,
+)
 from wittlab.errors import WittlabError
 from wittlab.fields import finite_field
 from wittlab.gausstrace import alpha_matrix
@@ -125,7 +130,11 @@ from wittlab.series import Series1, TruncSeries2, pulita_theta_ms
 from wittlab.wittvec import delta, one_vec, scalar_nat, te_lift
 
 zp, f4 = ring_of(2, nprec=8), finite_field(2, 2)
+z3, zq = ring_of(3, nprec=8), ring_of(2, 2, nprec=8)
 lvl0 = ring_of(2, 1, 0, LubinTateSeries.cyclotomic(2), 8)
+# a table whose generator powers match two entries, and one with a y-coordinate
+twins = SimpleNamespace(elements=[zp.one(), zp.one()], gen_index=0, order=2, ring=zp)
+y_root = SimpleNamespace(ring=zq, elements=[zq.y_gen()])
 calls = [
     lambda: one_vec(zp, 3) ** 0,
     lambda: one_vec(zp, 3).truncate(4),
@@ -137,6 +146,15 @@ calls = [
     lambda: f4.embedding_into(finite_field(3, 2)),
     lambda: f4.embedding_into(finite_field(2, 3)),
     lambda: pulita_theta_ms(lvl0, 0, 0, one_vec(lvl0, 2), 8),
+    lambda: finite_field(6, 2),
+    lambda: finite_field(4, 1).multiplicative_generator(),
+    lambda: finite_field(2, 0),
+    lambda: mu_ppow_table(zp, 2),
+    lambda: omega_factorization_check(CharParams(2, 1, 3), 1, 8),
+    lambda: RootOfUnityTable._discrete_logs(twins),
+    lambda: _match_root_tables(y_root, y_root),
+    lambda: TruncSeries2.outer(Series1(zp, [zp.one()]), Series1(z3, [z3.one()]), 4),
+    lambda: TruncSeries2(zp, 4) * TruncSeries2(z3, 4),
 ]
 for call in calls:
     try:
@@ -148,8 +166,9 @@ for call in calls:
 
 
 def test_direct_refusals_hold_under_python_O():
-    # each of these guarded its argument with an assert, so under -O it
-    # returned a wrong value (scalar_nat looped forever); each now raises
+    # each of these guarded its argument or an invariant with an assert, so
+    # under -O it returned a wrong value (scalar_nat looped forever), and Fq
+    # checked nothing (a non-prime p never found a generator); each now raises
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -169,6 +188,15 @@ def test_direct_refusals_hold_under_python_O():
         "RingMismatch",
         "RingMismatch",
         "InvalidParameter",
+        "InvalidParameter",
+        "InvalidParameter",
+        "InvalidParameter",
+        "InvalidParameter",
+        "InvalidParameter",
+        "ReportedMismatch",
+        "ReportedMismatch",
+        "RingMismatch",
+        "RingMismatch",
     ]
 
 

@@ -29,7 +29,7 @@ from wittlab.gausstrace import (
     roots_of_unity_sum_check,
     trace_formula_check,
 )
-from wittlab.rings import RingElem
+from wittlab.rings import LubinTateSeries, RingElem, SeriesPacking, ring_of
 from wittlab.series import Series1, TruncSeries2
 from wittlab.wittvec import WittVec
 
@@ -375,10 +375,73 @@ def test_kernel_lattice_matches_kernel_H(p, s):
         for chi_m in range(sys.field.q - 1):
             for chi_b in sys.field.elements():
                 assert_lattice_matches_kernel_H(sys, chi_m, chi_b, 40, 4)
+    # degrees neither q - 1 nor the split stride p(q-2) divides: the cut of
+    # each residue class and the last lattice degree fall off the strides
+    sys = next(nondegenerate_systems(p, s, 14, 43))
+    for degree in (41, 43):
+        for chi_m in range(sys.field.q - 1):
+            for chi_b in sys.field.elements():
+                assert_lattice_matches_kernel_H(sys, chi_m, chi_b, degree, 4)
     if p**s > 2:
         # one b != 0 character at the benchmark's N = 16, D = 128, target 3e
         sys = next(nondegenerate_systems(p, s, 16, 128))
         assert_lattice_matches_kernel_H(sys, 1, sys.field.from_index(1), 128, 3 * sys.ring.e)
+
+
+@pytest.mark.parametrize("p,s,m", [(3, 1, 1), (2, 2, 1)])
+def test_split_packing_worst_case_slots(p, s, m):
+    # kernel_lattice packs at length D // stride + 1 (stride = p(q-2)), the
+    # longest residue class of a degree-D factor; with every coordinate at
+    # p^N - 1 the middle slot of the product reaches the width's bound
+    ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p), 16)
+    n = 128 // (p * (p**s - 2)) + 1
+    packing = SeriesPacking(ring, n)
+    full = RingElem(ring, (ring.pn - 1,) * ring.dim)
+    terms = [(d, full.co) for d in range(n)]
+    got = packing.product(terms, terms, range(2 * n - 1))
+    for d, co in enumerate(got):
+        want = ring.zero()
+        for _ in range(min(d, 2 * n - 2 - d) + 1):
+            want = want + full * full
+        assert co == want.co, d
+
+
+@pytest.mark.parametrize("p,s,m", [(3, 1, 1), (2, 2, 1)])
+def test_certified_sum_shell_valuations_match_per_coefficient_minimum(p, s, m):
+    # the gcd shell valuation and the raw sum against a per-coefficient
+    # val_co minimum and a RingElem.__add__ loop, on the e = 6, s = 1 and
+    # e = 2, s = 2 rings
+    ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p), 14)
+    rng = random.Random(97 * p + s)
+
+    def coefficient(k):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return ring.zero()
+        co = [rng.randrange(ring.pn) * p ** (k // 2) % ring.pn for _ in range(ring.dim)]
+        if kind == 2:  # coordinates divisible by high powers of p
+            co = [c * p ** rng.randrange(ring.nprec) % ring.pn for c in co]
+        if kind == 3:  # some coordinates zero
+            co = [c if rng.randrange(2) else 0 for c in co]
+        return RingElem(ring, tuple(co))
+
+    for trial in range(20):
+        shells = [
+            [ring.zero()] * (k + 1) if k % 5 == 3 else [coefficient(k) for _ in range(k + 1)]
+            for k in range(16)
+        ]
+        value, report = certified_diagonal_sum(ring, shells, 2)
+        want_shells = [
+            min([ring.cap] + [v for c in shell for v in [ring.val_co(c.co)] if v is not None])
+            for shell in shells
+        ]
+        assert report["shells"] == want_shells, trial
+        assert all(report["shells"][k] == ring.cap for k in range(3, 16, 5))
+        acc = ring.zero()
+        for shell in shells:
+            for c in shell:
+                acc = acc + c
+        assert value.co == acc.co and value.prec == 2
 
 
 def test_certified_sum_refuses_low_precision_coefficient():
