@@ -5,9 +5,9 @@ packs the additive and multiplicative characters into one bivariate series;
 alpha = Dw_q o mult_H acts on truncations, its trace is the certified
 partial sum of the (q-1)-strided diagonal, and the trace formula predicts
 g = (q-1)^2 Tr(alpha) for one of the two summation conventions.  The check
-computes only that diagonal (``kernel_lattice``), one packed series product
-(``rings.SeriesPacking``) per lattice column and residue class of degrees mod
-p(q-2), and sums it by shell gcds and raw coordinates.  The full kernel
+computes only that diagonal (``kernel_lattice``) from packed series products
+(``rings.SeriesPacking``), the column terms and the lattice each read back in
+one batched fold, and sums it by shell gcds and raw coordinates.  The full kernel
 (``kernel_H``) stays schoolbook through ``TruncSeries2``: it serves the alpha
 matrix and is the independent oracle the tests compare the lattice against.
 
@@ -125,17 +125,36 @@ def kernel_H(system, chi_m, chi_b, degree):
     return out.scale(-system.ring.one())
 
 
+def lattice_columns(packing, b, sub, chi_m, degree, step, split):
+    """G_j = g_j(x0^split) packed at each lattice column j = step n: b_{j-k} c_k
+    at x0^u for each C term (u, k, c_k) with u + j + m <= D, summed at q = 2 (every
+    u = 0).  Each c_k B is one packed product; one ``unpack`` reads them all."""
+    packed_b = packing.pack(enumerate(c.co for c in b.coeffs))
+    reads = [(u, k, c, range(-k % step, degree - chi_m - u - k + 1, step)) for u, k, c in sub]
+    reads = [read for read in reads if read[3]]
+    terms = packing.unpack(
+        (packing.truncate(packed_b, ks[-1]) * packing.pack([(0, c.co)]), ks)
+        for _, _, c, ks in reads
+    )
+    cols, pn = [{} for _ in range(degree // step + 1)], packing.ring.pn
+    keys = [((i + k) // step, u // split) for u, k, _, ks in reads for i in ks]
+    for (n, x), co in zip(keys, terms):
+        old = cols[n].get(x)
+        cols[n][x] = co if old is None else tuple((y + z) % pn for y, z in zip(old, co))
+    return [packing.pack(col.items()) for col in cols]
+
+
 def kernel_lattice(system, chi_m, chi_b, degree):
     """The coefficients b_{(q-1) n0, (q-1) n1} of H, straight from its factors.
 
     H = -x0^m A(x0) G(x0, x1) with G = B(x1) C(x0^stride x1), stride =
-    p(q-2) and C the terms of ``omega1_substituted``.  G is kept sparse and
-    only at the lattice columns j, where it is a polynomial g_j(x0^stride).
+    p(q-2) and C the terms of ``omega1_substituted``.  G is formed only at
+    the lattice columns j, packed as g_j(x0^stride) (``lattice_columns``).
     F = -x0^m A(x0) = sum_r x0^r F_r(x0^stride), and column j, F G_j cut to
     degree D - j, is one packed product F_r g_j (``SeriesPacking``) per
     r < stride.  stride is prime to q - 1, so lattice degree r + stride k
-    comes from one r, at k = -r/stride mod q - 1; only these degrees are
-    cut to and read.  At q = 2 (stride 0) G_j is a constant: one class.
+    comes from one r, at k = -r/stride mod q - 1; one ``unpack`` reads only
+    these degrees.  At q = 2 (stride 0) G_j is a constant: one class.
 
     Returns the shells: entry [k][n0] is b_{(q-1) n0, (q-1)(k - n0)}, at the
     least precision over A, B and C (the floor ``mul_sparse`` clamps to).
@@ -149,25 +168,18 @@ def kernel_lattice(system, chi_m, chi_b, degree):
     f = [(d // split, (-c).co) for d, c in enumerate(a.coeffs[: degree + 1 - chi_m], chi_m)]
     parts = [packing.pack(f[(r - chi_m) % split :: split]) for r in range(split)]
     inverse = pow(split, -1, step)
-    top = step * (degree // step)
+    gs = lattice_columns(packing, b, sub, chi_m, degree, step, split)
+    reads = [
+        (n, r, ks)
+        for n in range(len(gs))
+        for r in range(split)
+        if (ks := range(-r * inverse % step, (degree - step * n - r) // split + 1, step))
+    ]
+    values = packing.unpack((packing.truncate(parts[r], ks[-1]) * gs[n], ks) for n, r, ks in reads)
     shells = [[None] * (k + 1) for k in range(degree // step + 1)]
-    for j in range(0, top + 1, step):
-        col = {}
-        for u, k, c in sub:
-            if k > j or u + j + chi_m > degree:
-                continue
-            bc = b.coeffs[j - k]
-            if any(bc.co) and any(c.co):
-                term = bc * c
-                col[u] = col[u] + term if u in col else term
-        g = packing.pack((u // split, c.co) for u, c in col.items())
-        for r in range(split):
-            ks = range(-r * inverse % step, (top - j - r) // split + 1, step)
-            if ks:
-                product = packing.truncate(parts[r], ks[-1]) * g
-                for k, co in zip(ks, packing.unpack(product, ks)):
-                    n0 = (r + split * k) // step
-                    shells[j // step + n0][n0] = RingElem(ring, co, floor)
+    cells = [(n, (r + split * k) // step) for n, r, ks in reads for k in ks]
+    for (n, n0), co in zip(cells, values):
+        shells[n + n0][n0] = RingElem(ring, co, floor)
     return shells
 
 

@@ -11,9 +11,9 @@ A product is formed on the product block: (2e-1)(2s-1) integer slots,
 slot i(2s-1) + j holding pi^i y^j for i < 2e - 1 and j < 2s - 1.  An element
 sits on ``TowerRing.slots`` (i < e, j < s), so in one convolution of two
 spread elements the y-degrees of a pi-degree stay in its own 2s - 1 slots.
-``TowerRing.reduce_block`` folds a block back to the basis.  When e = 1 or
-s = 1 the block is one polynomial, and ``mul_co`` takes ``fields.mul_mod``,
-which folds with the same rows.
+``TowerRing.fold_block`` folds blocks onto the basis (``SeriesPacking.unpack``
+folds many at once, as wide ints).  When e = 1 or s = 1 the block is one
+polynomial, and ``mul_co`` takes ``fields.mul_mod``, which folds with the same rows.
 
 E_m is built from the Lubin-Tate series F(T) = pT + T^p + pT^2 G(T) as
 F^(m+1)(T)/F^m(T) = p + u^(p-1) + p*u*G(u) with u = F^m(T), which is an
@@ -502,7 +502,8 @@ class TowerRing:
             return self.ur_mul(a, b)
         if self.s == 1:
             return mul_mod(a, b, self.pired, self.pn)
-        return self.reduce_block(convolve(self._spread(a), self._spread(b)))
+        v, pn = self.fold_block(convolve(self._spread(a), self._spread(b))), self.pn
+        return tuple([v[k] % pn for k in self.slots])
 
     def _spread(self, co):
         """Coordinates placed on their ``slots``; the gaps are zero."""
@@ -511,11 +512,9 @@ class TowerRing:
             v[k] = c
         return v
 
-    def reduce_block(self, v):
-        """Canonical coordinates of a product block (see the module docstring):
-        the y rows fold within each pi-degree, then the Eisenstein rows fold
-        the pi-degrees >= e, then everything is reduced mod p^N.  ``v`` is
-        overwritten."""
+    def fold_block(self, v):
+        """``v``, a product block, folded onto ``slots`` in place and returned:
+        the y rows within each pi-degree, then the Eisenstein rows; not mod p^N."""
         e, s, rs = self.e, self.s, 2 * self.s - 1
         for u, yrow in enumerate(self.yred):
             for r in range(s + u, len(v), rs):
@@ -530,8 +529,7 @@ class TowerRing:
                 if c:
                     for i, x in enumerate(prow):
                         v[i * rs + j] += c * x
-        pn = self.pn
-        return tuple([v[k] % pn for k in self.slots])
+        return v
 
     def val_co(self, co):
         p, e, s, n = self.p, self.e, self.s, self.nprec
@@ -642,20 +640,23 @@ class SeriesPacking:
     Degree d occupies one product block (see the module docstring): the
     (2e-1)(2s-1) slots from slot d(2e-1)(2s-1) on, ``width`` bytes each, a
     factor's coordinates on ``ring.slots``.  So one big-int multiply forms
-    every product of a series convolution, and each degree read is reduced
-    by ``reduce_block``.  A slot of the product sums at most
-    n*e*s coordinate products, each at most (p^N - 1)^2, with n the length
-    of the shorter factor; the width holds that bound, so no slot carries
-    into the next.
+    every product of a series convolution.  A product slot is at most
+    B = n*e*s*(p^N - 1)^2, n the length of the shorter factor: the width
+    holds B.  ``unpack`` turns slot k of every block it reads into one int,
+    ``spacing`` bytes an entry, and folds these.  Row entries lie in
+    [0, p^N) and a folded slot adds s - 1 y-row multiples of slots, then e - 1
+    Eisenstein-row ones, so the spacing holds B (1 + (s-1)(p^N-1)) (1 + (e-1)(p^N-1)).
     """
 
-    __slots__ = ("ring", "width", "block")
+    __slots__ = ("ring", "width", "block", "spacing")
 
     def __init__(self, ring, n):
         self.ring = ring
         bound = n * ring.e * ring.s * (ring.pn - 1) ** 2
         self.width = (bound.bit_length() + 7) // 8
         self.block = (2 * ring.e - 1) * (2 * ring.s - 1) * self.width
+        bound *= (1 + (ring.s - 1) * (ring.pn - 1)) * (1 + (ring.e - 1) * (ring.pn - 1))
+        self.spacing = (bound.bit_length() + 7) // 8
 
     def pack(self, terms):
         """One int from (degree, coordinates) pairs; absent degrees are zero."""
@@ -674,21 +675,33 @@ class SeriesPacking:
         """The packed series cut to degrees <= ``degree``."""
         return packed & ((1 << (8 * self.block * (degree + 1))) - 1)
 
-    def unpack(self, packed, degrees):
-        """Coordinates at ``degrees`` (ascending) of a product of packed series,
-        each degree's block reduced by ``reduce_block`` to canonical residues."""
-        width, block, reduce_block = self.width, self.block, self.ring.reduce_block
-        from_bytes = int.from_bytes
-        buf = self.truncate(packed, degrees[-1]).to_bytes(block * (degrees[-1] + 1), "little")
-        out = []
-        for d in degrees:
-            slots = range(d * block, (d + 1) * block, width)
-            out.append(reduce_block([from_bytes(buf[o : o + width], "little") for o in slots]))
-        return out
+    def unpack(self, products):
+        """Canonical coordinates at ``degrees`` of each (packed, degrees) pair
+        in ``products``, in order; [] when nothing is read.  Only the blocks
+        read are kept, and one ``fold_block`` reduces them all as columns."""
+        width, block, spacing, ring = self.width, self.block, self.spacing, self.ring
+        blocks = bytearray()
+        for packed, degrees in products:
+            last = max(degrees, default=-1)
+            buf = self.truncate(packed, last).to_bytes(block * (last + 1), "little")
+            blocks += b"".join([buf[d * block : (d + 1) * block] for d in degrees])
+        size = len(blocks) // block * spacing
+        column, columns = bytearray(size), []
+        for k in range(0, block, width):
+            for b in range(width):
+                column[b::spacing] = blocks[k + b :: block]
+            columns.append(int.from_bytes(column, "little"))
+        del blocks
+        ring.fold_block(columns)
+        pn, from_bytes, offsets, coords = ring.pn, int.from_bytes, range(0, size, spacing), []
+        for k in ring.slots:
+            raw = columns[k].to_bytes(size, "little")
+            coords.append([from_bytes(raw[o : o + spacing], "little") % pn for o in offsets])
+        return list(zip(*coords))
 
     def product(self, a_terms, b_terms, degrees):
         """Coordinates at ``degrees`` of the product of two term lists."""
-        return self.unpack(self.pack(a_terms) * self.pack(b_terms), degrees)
+        return self.unpack([(self.pack(a_terms) * self.pack(b_terms), degrees)])
 
 
 def nondegenerate_trace(ring, t):

@@ -26,6 +26,7 @@ from .errors import (
     NonIntegralResult,
     NotDivisible,
     PrecisionNotReached,
+    ReportedMismatch,
     RingMismatch,
     TailNotCertified,
     TruncationTooSmall,
@@ -49,7 +50,8 @@ def series_length(p, degree):
 
 def exp_fractions(f, degree):
     """exp of a rational series with f(0) = 0, to the given degree."""
-    assert not f or f[0] == 0
+    if f and f[0]:
+        raise InvalidParameter(f"exp needs f(0) = 0, have {f[0]}")
     g = [Fraction(1)] + [Fraction(0)] * degree
     fp = [k * (f[k] if k < len(f) else 0) for k in range(degree + 1)]
     for k in range(1, degree + 1):
@@ -301,7 +303,8 @@ class ZpTSeriesRing:
 
     def compose(self, g, f):
         """g(f(T)) truncated; f must have zero constant term."""
-        assert f.co[0] == 0
+        if f.co[0]:
+            raise InvalidParameter("the inner series of a composition needs f(0) = 0")
         acc = self.zero()
         for c in reversed(g.co):
             acc = acc * f
@@ -332,14 +335,15 @@ def witt_w(lt, length, degree, nprec, headroom):
     comps = ghost_invert(
         GhostSolveInput(ring, seq, lambda g: ring.compose(g, f), headroom)
     )
-    for c in comps:
-        assert c.co[0] == 0, "w component has a constant term"
+    if any(c.co[0] for c in comps):
+        raise ReportedMismatch("a component of w has a constant term")
     return tuple(comps)
 
 
 def varpi(ring, m, length, degree_t=None):
     """varpi_m inside ``ring`` (level >= m): w specialized at pi_m."""
-    assert ring.m >= m >= 0
+    if not ring.m >= m >= 0:
+        raise InvalidParameter(f"varpi_{m} needs 0 <= m <= the ring's level {ring.m}")
     if degree_t is None:
         degree_t = max(6 * ring.e, 4 * ring.e + 2, 24)
     key = (m, length, degree_t)
@@ -695,8 +699,8 @@ def certify_tail(valuations, target, cap):
 
 def series_eval_unit(series, z, target_prec):
     """Certified value of the series at integral z, at target pi-precision."""
-    vz = z.valuation()
-    assert vz is None or vz >= 0, "evaluation point must be integral"
+    if (z.valuation() or 0) < 0:
+        raise InvalidParameter("the evaluation point must be integral")
     vals = series.min_valuations()
     certify_tail(vals, target_prec, series.ring.cap)
     value = series.eval_full(z)

@@ -119,6 +119,7 @@ def test_refusals_hold_under_python_O(argv, needle):
 _DIRECT_REFUSALS = """
 from types import SimpleNamespace
 
+from wittlab import series
 from wittlab.characters import (
     CharParams, RootOfUnityTable, _match_root_tables, mu_ppow_table, omega_factorization_check,
 )
@@ -126,7 +127,9 @@ from wittlab.errors import WittlabError
 from wittlab.fields import finite_field
 from wittlab.gausstrace import alpha_matrix
 from wittlab.rings import LubinTateSeries, ring_of
-from wittlab.series import Series1, TruncSeries2, pulita_theta_ms
+from wittlab.series import (
+    Series1, TruncSeries2, ZpTSeriesRing, exp_fractions, pulita_theta_ms, series_eval_unit, varpi,
+)
 from wittlab.wittvec import delta, one_vec, scalar_nat, te_lift
 
 zp, f4 = ring_of(2, nprec=8), finite_field(2, 2)
@@ -135,6 +138,18 @@ lvl0 = ring_of(2, 1, 0, LubinTateSeries.cyclotomic(2), 8)
 # a table whose generator powers match two entries, and one with a y-coordinate
 twins = SimpleNamespace(elements=[zp.one(), zp.one()], gen_index=0, order=2, ring=zp)
 y_root = SimpleNamespace(ring=zq, elements=[zq.y_gen()])
+zpt = ZpTSeriesRing(2, 8, 4)
+
+
+def w_with_constant_term():
+    # a ghost inversion that breaks w's invariant, to reach witt_w's check
+    saved, series.ghost_invert = series.ghost_invert, lambda inp: [inp.ring.one()]
+    try:
+        return series.witt_w(LubinTateSeries.plain(2), 1, 4, 8, 1)
+    finally:
+        series.ghost_invert = saved
+
+
 calls = [
     lambda: one_vec(zp, 3) ** 0,
     lambda: one_vec(zp, 3).truncate(4),
@@ -155,6 +170,11 @@ calls = [
     lambda: _match_root_tables(y_root, y_root),
     lambda: TruncSeries2.outer(Series1(zp, [zp.one()]), Series1(z3, [z3.one()]), 4),
     lambda: TruncSeries2(zp, 4) * TruncSeries2(z3, 4),
+    lambda: exp_fractions([1, 1], 4),
+    lambda: zpt.compose(zpt.gen(), zpt.one()),
+    w_with_constant_term,
+    lambda: varpi(zp, 0, 2),
+    lambda: series_eval_unit(Series1(zp, [zp.one()]), SimpleNamespace(valuation=lambda: -1), 2),
 ]
 for call in calls:
     try:
@@ -197,6 +217,11 @@ def test_direct_refusals_hold_under_python_O():
         "ReportedMismatch",
         "RingMismatch",
         "RingMismatch",
+        "InvalidParameter",
+        "InvalidParameter",
+        "ReportedMismatch",
+        "InvalidParameter",
+        "InvalidParameter",
     ]
 
 

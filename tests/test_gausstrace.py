@@ -15,6 +15,7 @@ from wittlab.errors import (
 from wittlab.fields import finite_field
 from wittlab.gausstrace import (
     GaussConfig,
+    _kernel_factors,
     alpha_apply_monomial,
     alpha_matrix,
     alpha_trace,
@@ -25,6 +26,7 @@ from wittlab.gausstrace import (
     gauss_brute,
     kernel_H,
     kernel_lattice,
+    lattice_columns,
     matrix_trace,
     roots_of_unity_sum_check,
     trace_formula_check,
@@ -386,6 +388,31 @@ def test_kernel_lattice_matches_kernel_H(p, s):
         # one b != 0 character at the benchmark's N = 16, D = 128, target 3e
         sys = next(nondegenerate_systems(p, s, 16, 128))
         assert_lattice_matches_kernel_H(sys, 1, sys.field.from_index(1), 128, 3 * sys.ring.e)
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2)])
+def test_lattice_columns_match_ring_products(p, s):
+    # every lattice column g_j against RingElem products b_{j-k} c_k, summed
+    # onto x0^0 at q = 2, packed the way kernel_lattice packs G_j
+    for degree in (40, 43):
+        sys = next(nondegenerate_systems(p, s, 14, degree))
+        step = sys.field.q - 1
+        split = p * (step - 1) or 1
+        packing = SeriesPacking(sys.ring, degree // split + 1)
+        for chi_m in range(step):
+            for chi_b in sys.field.elements():
+                _, b, sub = _kernel_factors(sys, chi_m, chi_b, degree)
+                got = lattice_columns(packing, b, sub, chi_m, degree, step, split)
+                assert len(got) == degree // step + 1
+                for n, g in enumerate(got):
+                    j, col = step * n, {}
+                    for u, k, c in sub:
+                        if k <= j and u + j + chi_m <= degree:
+                            term = b.coeffs[j - k] * c
+                            col[u // split] = col[u // split] + term if u // split in col else term
+                    assert g == packing.pack((x, c.co) for x, c in col.items()), (chi_m, n)
+                    if p**s == 2 and chi_b and n:  # several terms on x0^0
+                        assert list(col) == [0] and sum(k <= j for _, k, _ in sub) > 1
 
 
 @pytest.mark.parametrize("p,s,m", [(3, 1, 1), (2, 2, 1)])

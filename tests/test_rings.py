@@ -392,11 +392,13 @@ def _oracle_product(a, b, e, s, h, eis, mod):
     return tuple(poly.get((i, j), 0) % mod for i in range(e) for j in range(s))
 
 
-@pytest.mark.parametrize(
-    "p,s,m,nprec",
-    [(3, 1, 1, 16), (2, 2, 1, 16), (2, 3, 1, 16), (5, 1, 1, 8), (2, 1, 2, 16),
-     (3, 2, 1, 8), (3, 1, 0, 8), (2, 2, -1, 4), (2, 1, -1, 10)],
-)
+_RING_SHAPES = [
+    (3, 1, 1, 16), (2, 2, 1, 16), (2, 3, 1, 16), (5, 1, 1, 8), (2, 1, 2, 16),
+    (3, 2, 1, 8), (3, 1, 0, 8), (2, 2, -1, 4), (2, 1, -1, 10),
+]
+
+
+@pytest.mark.parametrize("p,s,m,nprec", _RING_SHAPES)
 def test_ring_product_matches_long_division_oracle(p, s, m, nprec):
     # mul_co and the packed series product share the block reduction; both
     # are checked against schoolbook long division by h(y) and E_m(pi)
@@ -409,6 +411,67 @@ def test_ring_product_matches_long_division_oracle(p, s, m, nprec):
         want = _oracle_product(a.co, b.co, ring.e, s, ring.h_coeffs, eis, ring.pn)
         assert (a * b).co == want, (a, b)
         assert packing.product([(1, a.co)], [(0, b.co), (2, b.co)], [1, 3]) == [want, want]
+
+
+def _read_blocks(packing, packed, degrees):
+    # the reader one degree at a time: each block folded alone, then reduced
+    ring, width, block = packing.ring, packing.width, packing.block
+    size = max(block * (degrees[-1] + 1), (packed.bit_length() + 7) // 8)
+    buf = packed.to_bytes(size, "little")
+    out = []
+    for d in degrees:
+        slots = range(d * block, (d + 1) * block, width)
+        v = ring.fold_block([int.from_bytes(buf[o : o + width], "little") for o in slots])
+        out.append(tuple(v[k] % ring.pn for k in ring.slots))
+    return out
+
+
+@pytest.mark.parametrize("p,s,m,nprec", _RING_SHAPES)
+def test_batched_reader_worst_case(p, s, m, nprec):
+    # every coordinate at p^N - 1, so the middle slots of a length-n square
+    # reach the width's bound; one batched read of several products at
+    # uneven, gapped degree lists against a per-degree fold and long division
+    ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p) if m >= 0 else None, nprec)
+    eis = ring.eis_coeffs[:-1] if m >= 0 else ()
+    n = 6
+    packing = SeriesPacking(ring, n)
+    full = (ring.pn - 1,) * ring.dim
+    square = _oracle_product(full, full, ring.e, s, ring.h_coeffs, eis, ring.pn)
+    specs = [  # degrees of a, degrees of b, degrees read
+        (range(n), range(n), [0, 2, 3, 5, 6, 10]),
+        (range(2), range(n), [1]),
+        (range(n), range(n), []),
+        (range(3, n), range(1, 4), range(4, 10, 3)),
+        (range(n), range(n), range(2 * n - 1)),
+    ]
+    products = [
+        (packing.pack((d, full) for d in da) * packing.pack((d, full) for d in db), degrees)
+        for da, db, degrees in specs
+    ]
+    got = packing.unpack(iter(products))
+    per_degree = [co for packed, ds in products if ds for co in _read_blocks(packing, packed, ds)]
+    oracle = [
+        tuple(c * sum(x + y == d for x in da for y in db) % ring.pn for c in square)
+        for da, db, degrees in specs
+        for d in degrees
+    ]
+    assert got == per_degree == oracle
+    # a block with every slot at the slot bound, the fold's worst case, stays
+    # inside the spacing
+    bound = n * ring.e * ring.s * (ring.pn - 1) ** 2
+    assert bound < 256**packing.width
+    worst = ring.fold_block([bound] * (packing.block // packing.width))
+    assert max(worst) < 256**packing.spacing
+
+
+def test_unpack_reads_nothing():
+    ring = ring_of(3, 1, 1, LubinTateSeries.cyclotomic(3), 8)
+    packing = SeriesPacking(ring, 4)
+    one = packing.pack([(0, ring.one().co)])
+    assert packing.unpack([]) == []
+    assert packing.unpack([(one, range(0))]) == []
+    assert packing.unpack([(one, []), (one * one, [])]) == []
+    assert packing.product([(0, ring.one().co)], [(1, ring.one().co)], []) == []
 
 
 @pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2), (2, 4)])
