@@ -263,6 +263,7 @@ class CharacterSystem:
         self.nondegenerate, self.trace_t = nondegenerate_trace(self.ring, self.t)
         self._theta = {}
         self._theta_cert = {}
+        self._omega_factors = {}
         self._mu = None
         self._psi1 = {}
         self._table = None
@@ -335,15 +336,23 @@ class CharacterSystem:
 
     # -- splitting function and the multiplicative character ---------------------------
 
+    def omega_factors(self, degree):
+        """theta_{l-1-j,s}(1)(t^(p^j) x) truncated at ``degree``, j < l: the
+        factors of Omega_{l,s,t}, built once per degree."""
+        got = self._omega_factors.get(degree)
+        if got is None:
+            got, tpj = [], self.t
+            for j in range(self.params.ell):
+                got.append(self.theta_series(j).truncate(degree).compose_scale(tpj))
+                tpj = tpj ** self.params.p
+            got = self._omega_factors[degree] = tuple(got)
+        return got
+
     def omega(self, degree=None):
         """Omega_{l,s,t} as a truncated series (l = 1 or 2)."""
         degree = degree if degree is not None else self.params.degree
         ell = self.params.ell
-        factors = []
-        tpj = self.t
-        for j in range(ell):
-            factors.append(self.theta_series(j).truncate(degree).compose_scale(tpj))
-            tpj = tpj ** self.params.p
+        factors = self.omega_factors(degree)
         if ell == 1:
             return factors[0]
         if ell == 2:
@@ -590,15 +599,11 @@ def omega_factorization_check(params, r, degree):
         tpj = tpj ** params.p
     lhs = TruncSeries2.outer(lhs_factors[0], lhs_factors[1], degree)
     rhs = TruncSeries2.constant(ring, degree, ring.one())
+    factors = base.omega_factors(degree)
     for i in range(r):
-        fs = []
-        tpj = base.t
-        for j in range(2):
-            fj = base.theta_series(j).truncate(degree).compose_scale(tpj)
-            fs.append(fj.compose_xpow(q**i) if q**i <= degree else None)
-            tpj = tpj ** params.p
-        if fs[0] is None:
+        if q**i > degree:
             continue
+        fs = [f.compose_xpow(q**i) for f in factors]
         rhs = rhs * TruncSeries2.outer(fs[0], fs[1], degree)
     if not lhs == rhs:
         raise ReportedMismatch("splitting-function factorization fails")

@@ -102,12 +102,7 @@ def _kernel_factors(system, chi_m, chi_b, degree):
         raise TruncationTooSmall(
             f"kernel needs degree > {chi_m + stride + 1}, have {degree}"
         )
-    a = system.theta_series(0).truncate(degree).compose_scale(system.t)
-    b = (
-        system.theta_series(1)
-        .truncate(degree)
-        .compose_scale(system.t ** system.params.p)
-    )
+    a, b = system.omega_factors(degree)
     return a, b, omega1_substituted(system, chi_b, degree)
 
 

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fields import convolve, pow_ladder
 from .rings import RingElem, SeriesPacking, ring_of
-from .upoly import GhostSolveInput, ghost_invert
+from .upoly import ghost_invert
 from .wittvec import WittVec, delta, versch, witt_add, witt_map, witt_mul, witt_neg, zero_vec
 
 
@@ -332,39 +332,27 @@ def witt_w(lt, length, degree, nprec, headroom):
     for _ in range(length):
         seq.append(acc)
         acc = ring.compose(f, acc)
-    comps = ghost_invert(
-        GhostSolveInput(ring, seq, lambda g: ring.compose(g, f), headroom)
-    )
+    comps = ghost_invert(ring, seq, lambda g: ring.compose(g, f), headroom)
     if any(c.co[0] for c in comps):
         raise ReportedMismatch("a component of w has a constant term")
     return tuple(comps)
 
 
-def varpi(ring, m, length, degree_t=None):
-    """varpi_m inside ``ring`` (level >= m): w specialized at pi_m."""
+@functools.lru_cache(maxsize=None)
+def varpi(ring, m, length):
+    """varpi_m inside ``ring`` (level >= m): w specialized at pi_m, w's
+    components cut at T-degree max(6e, 4e + 2, 24)."""
     if not ring.m >= m >= 0:
         raise InvalidParameter(f"varpi_{m} needs 0 <= m <= the ring's level {ring.m}")
-    if degree_t is None:
-        degree_t = max(6 * ring.e, 4 * ring.e + 2, 24)
-    key = (m, length, degree_t)
-    cache = getattr(ring, "_varpi_cache", None)
-    if cache is None:
-        cache = {}
-        ring._varpi_cache = cache
-    got = cache.get(key)
-    if got is not None:
-        return got
+    degree_t = max(6 * ring.e, 4 * ring.e + 2, 24)
     comps_t = witt_w(ring.lt, length, degree_t, ring.nprec, length)
     point = ring.pi_level(m)
-    vpi = point.valuation()
-    prec = min((degree_t + 1) * vpi, ring.cap)
+    prec = min((degree_t + 1) * point.valuation(), ring.cap)
     comps = []
     for w_n in comps_t:
         val = ring.eval_int_poly(list(w_n.co), point)
         comps.append(RingElem(ring, val.co, prec))
-    got = WittVec(ring, comps)
-    cache[key] = got
-    return got
+    return WittVec(ring, comps)
 
 
 # -- the Artin-Hasse morphism E and the Pulita exponentials --------------------------

@@ -16,7 +16,7 @@ Witt arithmetic and the series code, live here too.
 from __future__ import annotations
 
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import (
     CongruenceFailure,
@@ -28,7 +28,7 @@ from .errors import (
     PrecisionExhausted,
     TimeBudgetExceeded,
 )
-from .fields import is_prime
+from .fields import is_prime, pow_ladder
 
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
@@ -86,50 +86,6 @@ def _mul_terms(a, b, deadline=_NO_DEADLINE):
             elif k in out:
                 del out[k]
     return out
-
-
-def _pow_multinomial(items, n, deadline=_NO_DEADLINE):
-    """n-th power of a polynomial with very few terms, by multinomials."""
-    out = {}
-    get = out.get
-    last_key, last_coeff = items[-1]
-
-    def rec(idx, rem, key_acc, coeff_acc):
-        deadline.check()
-        if idx == len(items) - 1:
-            k = key_acc + rem * last_key
-            c = coeff_acc * last_coeff**rem
-            t = get(k, 0) + c
-            if t:
-                out[k] = t
-            elif k in out:
-                del out[k]
-            return
-        kterm, cterm = items[idx]
-        binom = 1
-        cpow = 1
-        for a in range(rem + 1):
-            if a:
-                binom = binom * (rem - a + 1) // a
-                cpow *= cterm
-            rec(idx + 1, rem - a, key_acc + a * kterm, coeff_acc * binom * cpow)
-
-    rec(0, n, 0, 1)
-    return out
-
-
-def _pow_terms(terms, n, deadline=_NO_DEADLINE):
-    if n == 0:
-        return {0: 1}
-    if n == 1:
-        return dict(terms)
-    items = list(terms.items())
-    if len(items) <= 4:
-        return _pow_multinomial(items, n, deadline)
-    acc = dict(terms)
-    for _ in range(n - 1):
-        acc = _mul_terms(acc, terms, deadline)
-    return acc
 
 
 class UniversalPoly:
@@ -206,7 +162,7 @@ class UniversalPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return self._same_shape(_pow_terms(self.terms, n))
+        return self._same_shape(pow_ladder(self.terms, n, _mul_terms) if n else {0: 1})
 
     def __eq__(self, other):
         return (
@@ -346,20 +302,12 @@ def eval_plan_at(poly, values):
     """
     zero = values[0].from_int_like(0)
     acc = zero
-    powcache = [dict() for _ in values]
+    powcache = {}
 
     def power(i, e):
-        cache = powcache[i]
-        got = cache.get(e)
+        got = powcache.get((i, e))
         if got is None:
-            if e == 1:
-                got = values[i]
-            elif e % 2 == 0:
-                h = power(i, e // 2)
-                got = h * h
-            else:
-                got = power(i, e - 1) * values[i]
-            cache[e] = got
+            got = powcache[(i, e)] = pow_ladder(values[i], e)
         return got
 
     for coeff, factors in poly.eval_plan():
@@ -377,11 +325,7 @@ def ghost_poly(p, n):
     """fant_n(X_0..X_n) = X_0^(p^n) + p X_1^(p^(n-1)) + ... + p^n X_n."""
     if n < 0:
         raise InvalidParameter(f"ghost polynomial index must be >= 0, have {n}")
-    terms = {}
-    for i in range(n + 1):
-        key = (p ** (n - i)) << (_SHIFT * i)
-        terms[key] = p**i
-    return UniversalPoly(p, n + 1, 0, terms)
+    return _ghost_in(p, n, n + 1, 0, 0)
 
 
 def _ghost_in(p, n, nx, ny, block):
@@ -482,7 +426,8 @@ def _ladder_power(state, p, i, e, deadline):
         return state["polys"][i].terms
     got = state["powers"].get((i, e))
     if got is None:
-        got = _pow_terms(_ladder_power(state, p, i, e // p, deadline), p, deadline)
+        base = _ladder_power(state, p, i, e // p, deadline)
+        got = pow_ladder(base, p, partial(_mul_terms, deadline=deadline))
         state["powers"][(i, e)] = got
     return got
 
@@ -569,24 +514,6 @@ def ghost_peel(p, entries):
     return comps
 
 
-class GhostSolveInput:
-    """Input bundle for ghost inversion.
-
-    ``ring`` must have from_int and elements supporting -, *, **,
-    exact_div_p and valuation; ``sigma`` is a ring endomorphism lifting
-    Frobenius (sigma(a) = a^p mod p, checked on ring.generators());
-    ``headroom`` is the number of guard p-digits available.
-    """
-
-    __slots__ = ("ring", "seq", "sigma", "headroom")
-
-    def __init__(self, ring, seq, sigma, headroom):
-        self.ring = ring
-        self.seq = list(seq)
-        self.sigma = sigma
-        self.headroom = headroom
-
-
 def _divisible_by_p(x, k):
     try:
         x.exact_div_p(k)
@@ -595,18 +522,22 @@ def _divisible_by_p(x, k):
     return True
 
 
-def ghost_invert(inp):
-    """The unique (a_n) with fant_n(a_0..a_n) = u_n, by ghost_peel.
+def ghost_invert(ring, seq, sigma, headroom):
+    """The unique (a_n) with fant_n(a_0..a_n) = u_n, the entries of ``seq``,
+    by ghost_peel.
 
-    The congruences sigma(u_{n-1}) = u_n mod p^n, which make every division
-    exact, are checked first; component a_n comes back with its precision
-    reduced by the division.
+    ``ring`` must have ``p``, ``from_int`` and ``generators``, with elements
+    supporting -, *, **, exact_div_p and valuation; ``sigma`` is a ring
+    endomorphism lifting Frobenius (sigma(a) = a^p mod p, checked on
+    ring.generators()); ``headroom`` is the number of guard p-digits
+    available, at least len(seq) - 1.  The congruences sigma(u_{n-1}) = u_n
+    mod p^n, which make every division exact, are checked first; component
+    a_n comes back with its precision reduced by the division.
     """
-    ring, seq, sigma = inp.ring, inp.seq, inp.sigma
     length = len(seq)
-    if inp.headroom < length - 1:
+    if headroom < length - 1:
         raise PrecisionExhausted(
-            f"need {length - 1} guard digits for length {length}, have {inp.headroom}"
+            f"need {length - 1} guard digits for length {length}, have {headroom}"
         )
     p = ring.p
     for g in ring.generators():

@@ -20,9 +20,9 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import InvalidParameter, NotDivisible, NotGaloisStable, RingMismatch, TooShort
-from .fields import Fq
+from .fields import Fq, pow_ladder
 from .rings import RingElem, TowerRing, ring_of
-from .upoly import GhostSolveInput, ghost_invert, ghost_peel, ghost_values
+from .upoly import ghost_invert, ghost_peel, ghost_values
 
 
 class WittVec:
@@ -64,12 +64,7 @@ class WittVec:
         return witt_mul(self, other)
 
     def __pow__(self, n):
-        if n < 1:
-            raise InvalidParameter(f"Witt power needs an exponent >= 1, have {n}")
-        acc = self
-        for _ in range(n - 1):
-            acc = witt_mul(acc, self)
-        return acc
+        return pow_ladder(self, n, witt_mul)
 
     def __repr__(self):
         return f"W({', '.join(repr(c) for c in self.comps)})"
@@ -286,17 +281,11 @@ def frob(a):
 
 
 def scalar_nat(a, n):
-    """n * a in the Witt ring (n a natural number), by double-and-add."""
+    """n * a in the Witt ring (n a natural number), by the power ladder on
+    witt_add."""
     if n < 0:
         raise InvalidParameter(f"scalar_nat needs a natural number, have {n}")
-    acc = zero_vec(a.ring, len(a))
-    base = a
-    while n:
-        if n & 1:
-            acc = witt_add(acc, base)
-        base = witt_add(base, base)
-        n >>= 1
-    return acc
+    return pow_ladder(a, n, witt_add) if n else zero_vec(a.ring, len(a))
 
 
 def witt_div_p(a):
@@ -325,10 +314,7 @@ def delta(x, length):
     ring = x.ring
     if not (isinstance(ring, TowerRing) and ring.m == -1 and ring.s == 1):
         raise RingMismatch(f"delta needs x over Z/p^N, have x in {ring!r}")
-    comps = ghost_invert(
-        GhostSolveInput(ring, [x] * length, lambda t: t, headroom=length)
-    )
-    return WittVec(ring, comps)
+    return WittVec(ring, ghost_invert(ring, [x] * length, lambda t: t, length))
 
 
 def te_lift(y, target, length):

@@ -143,7 +143,7 @@ zpt = ZpTSeriesRing(2, 8, 4)
 
 def w_with_constant_term():
     # a ghost inversion that breaks w's invariant, to reach witt_w's check
-    saved, series.ghost_invert = series.ghost_invert, lambda inp: [inp.ring.one()]
+    saved, series.ghost_invert = series.ghost_invert, lambda ring, *_: [ring.one()]
     try:
         return series.witt_w(LubinTateSeries.plain(2), 1, 4, 8, 1)
     finally:

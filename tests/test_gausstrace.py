@@ -529,6 +529,23 @@ def test_checks_share_one_character_system(monkeypatch):
     characters._system_for_key.cache_clear()
 
 
+def test_checks_on_one_system_build_omega_factors_once(monkeypatch):
+    # A(t x0) and B(t^p x1) depend only on the system and D: the first check
+    # on a shared system builds them, a second check reuses them
+    params = CharParams(2, 1, 2, nprec=16, degree=64)
+    characters._system_for_key.cache_clear()
+    calls = []
+    real = Series1.compose_scale
+    monkeypatch.setattr(
+        Series1, "compose_scale", lambda series, alpha: calls.append(1) or real(series, alpha)
+    )
+    trace_formula_check(GaussConfig(params, 0, 0, target_prec=6))
+    first = len(calls)
+    trace_formula_check(GaussConfig(params, 0, 1, target_prec=6))
+    assert first == 2 and len(calls) == first
+    characters._system_for_key.cache_clear()
+
+
 def test_chi_value_snaps_into_order_p_roots():
     sys = CharacterSystem(CharParams(3, 1, 2, nprec=14, degree=54))
     f = sys.field

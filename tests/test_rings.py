@@ -325,6 +325,10 @@ def test_embed_from_unramified_part():
             make_ring(_LEVEL0), 0, 1, one_vec(make_ring(_LEVEL0), 2), 8, form="double"),
          "form must be 'single' or 'product', have 'double'"),
         (lambda: ghost_poly(2, -1), "index must be >= 0, have -1"),
+        # a negative power of a universal polynomial is refused, not answered
+        # with the zero polynomial or the polynomial itself
+        (lambda: ghost_poly(2, 2) ** -1, "exponent >= 1, have -1"),
+        (lambda: ghost_poly(3, 1) ** -2, "exponent >= 1, have -2"),
     ],
 )
 def test_ring_arguments_refused_with_typed_errors(call, needle):

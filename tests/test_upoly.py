@@ -5,11 +5,15 @@ import random
 import pytest
 
 from wittlab import upoly
-from wittlab.errors import CongruenceFailure, FamilyTooLarge, PrecisionExhausted
+from wittlab.errors import (
+    CongruenceFailure,
+    FamilyTooLarge,
+    PrecisionExhausted,
+    TimeBudgetExceeded,
+)
 from wittlab.rings import ring_of
 from wittlab.upoly import (
     MAX_FAMILY_MONOMIALS,
-    GhostSolveInput,
     UniversalPoly,
     eval_poly,
     family_size_bound,
@@ -156,7 +160,7 @@ def test_ghost_invert_constant_teichmuller_sequence():
     ring = ring_of(3, nprec=12)
     a = ring.from_int(5)
     seq = [a ** (3**n) for n in range(4)]
-    comps = ghost_invert(GhostSolveInput(ring, seq, lambda x: x, headroom=4))
+    comps = ghost_invert(ring, seq, lambda x: x, headroom=4)
     assert comps[0] == a
     assert all(c.is_zero() for c in comps[1:])
 
@@ -166,7 +170,7 @@ def test_ghost_invert_constant_p_sequence():
     for p in (2, 3, 5):
         ring = ring_of(p, nprec=14)
         seq = [ring.from_int(p) for _ in range(3)]
-        comps = ghost_invert(GhostSolveInput(ring, seq, lambda x: x, headroom=3))
+        comps = ghost_invert(ring, seq, lambda x: x, headroom=3)
         assert comps[0] == ring.from_int(p)
         assert comps[1] == ring.from_int(1 - p ** (p - 1))
 
@@ -183,9 +187,7 @@ def test_ghost_invert_roundtrip_random():
                 for i in range(n + 1):
                     acc = acc + (vec[i] ** (p ** (n - i))).scale_int(p**i)
                 seq.append(acc)
-            comps = ghost_invert(
-                GhostSolveInput(ring, seq, lambda x: x, headroom=4)
-            )
+            comps = ghost_invert(ring, seq, lambda x: x, headroom=4)
             for got, want in zip(comps, vec):
                 assert got == want
 
@@ -194,14 +196,14 @@ def test_ghost_invert_congruence_failure():
     ring = ring_of(3, nprec=10)
     seq = [ring.from_int(1), ring.from_int(2), ring.from_int(2)]
     with pytest.raises(CongruenceFailure):
-        ghost_invert(GhostSolveInput(ring, seq, lambda x: x, headroom=3))
+        ghost_invert(ring, seq, lambda x: x, headroom=3)
 
 
 def test_ghost_invert_headroom_guard():
     ring = ring_of(3, nprec=10)
     seq = [ring.from_int(1)] * 4
     with pytest.raises(PrecisionExhausted):
-        ghost_invert(GhostSolveInput(ring, seq, lambda x: x, headroom=1))
+        ghost_invert(ring, seq, lambda x: x, headroom=1)
 
 
 def test_serialization_roundtrip_text_and_json():
@@ -258,3 +260,33 @@ def test_refused_family_leaves_cache_untouched(monkeypatch, kind):
     with pytest.raises(FamilyTooLarge, match=f"{kind} family at p = 5, length 5"):
         structural_polys(kind, 5, 5, deadline_seconds=1.0)
     assert (kind, 5) not in upoly._structural_cache
+
+
+def test_poly_power_matches_repeated_multiplication(monkeypatch):
+    # every power takes fields.pow_ladder: n.bit_length() - 1 squarings and
+    # popcount(n) - 1 further products, with the terms of 1 * x * ... * x
+    polys = [
+        ghost_poly(2, 2),
+        structural_polys("sum", 3, 2)[1],
+        mono(3, 1, 1, [(0, 2), (1, 1)], -3),
+    ]
+    for poly in polys:
+        powers = [mono(poly.prime, poly.nx, poly.ny, [])]
+        for _ in range(12):
+            powers.append(powers[-1] * poly)
+        calls = []
+        mul_terms = upoly._mul_terms
+        monkeypatch.setattr(upoly, "_mul_terms", lambda *a: calls.append(1) or mul_terms(*a))
+        for n, want in enumerate(powers):
+            calls.clear()
+            assert poly**n == want, (poly, n)
+            assert len(calls) == (n.bit_length() + bin(n).count("1") - 2 if n else 0), n
+        monkeypatch.undo()
+
+
+def test_family_powers_keep_the_deadline(monkeypatch):
+    # the p-th powers of a family's members are ladder steps that still
+    # check the construction's deadline
+    monkeypatch.setattr(upoly, "_structural_cache", {})
+    with pytest.raises(TimeBudgetExceeded):
+        structural_polys("sum", 3, 3, deadline_seconds=-1.0)

@@ -401,6 +401,46 @@ def rand_mixed_prec_vec(ring, rng, length):
     )
 
 
+def test_power_and_multiple_ladders_match_repeated_ops(monkeypatch):
+    # a ** n and scalar_nat(a, n) take fields.pow_ladder on witt_mul and
+    # witt_add: n.bit_length() - 1 + popcount(n) - 1 calls, with the values
+    # and every component's precision of a * a * ... * a and a + a + ... + a
+    from wittlab import wittvec
+
+    def state(v):
+        return [(c.co, getattr(c, "prec", None)) for c in v.comps]
+
+    rng = random.Random(1212)
+    tower = make_ring(RingSpec(2, 2, 1, LubinTateSeries.cyclotomic(2), 12))
+    vecs = [
+        rand_mixed_prec_vec(ring_of(2, nprec=14), rng, 3),
+        rand_mixed_prec_vec(ring_of(3, nprec=10), rng, 4),
+        rand_mixed_prec_vec(tower, rng, 3),
+        rand_fq_vec(finite_field(2, 2), rng, 4),
+    ]
+    for a in vecs:
+        sums, prods = [zero_vec(a.ring, len(a)), a], [None, a]
+        for _ in range(11):
+            sums.append(witt_add(sums[-1], a))
+            prods.append(witt_mul(prods[-1], a))
+        calls = []
+        for name in ("witt_add", "witt_mul"):
+            real = getattr(wittvec, name)
+            monkeypatch.setattr(
+                wittvec, name, lambda x, y, real=real, name=name: calls.append(name) or real(x, y)
+            )
+        for n in range(13):
+            want = n.bit_length() + bin(n).count("1") - 2 if n else 0
+            calls.clear()
+            assert state(scalar_nat(a, n)) == state(sums[n]), (a.ring, n)
+            assert calls == ["witt_add"] * want, n
+            if n:
+                calls.clear()
+                assert state(a**n) == state(prods[n]), (a.ring, n)
+                assert calls == ["witt_mul"] * want, n
+        monkeypatch.undo()
+
+
 def test_transport_agrees_with_universal_polynomials():
     # over a TowerRing the Witt ops take ghost transport, and the universal
     # polynomials are an independent code path: values and the precision of
