@@ -1,7 +1,12 @@
 """Additive characters of W_l(F_q), splitting functions and W_2 characters.
 
-psi_{l,s,t}(y) evaluates the cached series theta_{l-1-j,s}(1) at the points
-t^(p^j) Teich(y_j) and snaps the product to the root-of-unity table of
+Every character value here is a product of values of theta_{l-1-j,s}(1) at
+points t^(p^j) Teich(c).  Since t = Teich(u) and Teichmueller lifts are
+multiplicative exactly mod p^N, each point is Teich(u^(p^j) c): a series
+only ever meets the q' - 1 lifts of F_q'^*.  ``theta_teich_values``
+certifies a series once and evaluates it at all of them; psi_{l,s,t}, the
+psi_1 part of chi and both sides of the splitting-function product formula
+read that one table.  psi snaps its product to the root-of-unity table of
 mu_{p^l}.  Snapping is ultrametric: the value must be strictly closer to
 one root than the minimal pairwise distance of the table, otherwise the
 computation refuses (SnapAmbiguous) rather than guessing.
@@ -34,6 +39,22 @@ def theta_one_series(ring, m, s, degree):
     """theta_{m,s}(1) over ``ring`` (coefficients are level-universal)."""
     one = one_vec(ring, series_length(ring.p, degree))
     return pulita_theta_ms(ring, m, s, one, degree)
+
+
+@functools.lru_cache(maxsize=None)
+def theta_teich_values(ring, m, s, degree, target):
+    """theta_{m,s}(1) at every Teichmueller point of ``ring``, tail-certified once.
+
+    Maps c.index() to the value at Teich(c), at pi-precision ``target``, for
+    each c of the residue field: at a unit by ``eval_full``, at Teich(0) = 0
+    (reached only when t = 0) by the constant term.
+    """
+    series = theta_one_series(ring, m, s, degree)
+    certify_tail(series.min_valuations(), target, ring.cap)
+    values = {0: RingElem(ring, series.coeffs[0].co, target)}
+    for c in ring.residue_field.units():
+        values[c.index()] = RingElem(ring, series.eval_full(ring.teichmuller(c)).co, target)
+    return values
 
 
 class RootOfUnityTable:
@@ -261,8 +282,6 @@ class CharacterSystem:
             self.u = self.field.from_index(params.u_index)
         self.t = self.ring.teichmuller(self.u)
         self.nondegenerate, self.trace_t = nondegenerate_trace(self.ring, self.t)
-        self._theta = {}
-        self._theta_cert = {}
         self._omega_factors = {}
         self._mu = None
         self._psi1 = {}
@@ -271,17 +290,17 @@ class CharacterSystem:
     # -- building blocks ---------------------------------------------------------
 
     def theta_series(self, j):
-        """theta_{l-1-j, s}(1) over the system ring, tail-certified once."""
-        got = self._theta.get(j)
-        if got is None:
-            got = theta_one_series(
-                self.ring, self.params.ell - 1 - j, self.params.s, self.params.degree
-            )
-            self._theta_cert[j] = certify_tail(
-                got.min_valuations(), self.target_prec, self.ring.cap
-            )
-            self._theta[j] = got
-        return got
+        """theta_{l-1-j, s}(1) over the system ring; its certified values are
+        read through ``theta_at``."""
+        return theta_one_series(
+            self.ring, self.params.ell - 1 - j, self.params.s, self.params.degree
+        )
+
+    def theta_at(self, m, c):
+        """theta_{m,s}(1) at Teich(c), c in F_q, at the system's target."""
+        return theta_teich_values(
+            self.ring, m, self.params.s, self.params.degree, self.target_prec
+        )[c.index()]
 
     @property
     def mu_table(self):
@@ -292,18 +311,15 @@ class CharacterSystem:
     # -- the additive character -----------------------------------------------------
 
     def psi_raw(self, y):
-        """Analytic value theta_{l-1,s}(Te(y))(t), by the factored formula."""
-        ring = self.ring
-        p = self.params.p
-        acc = ring.one()
-        tpj = self.t
-        for j in range(self.params.ell):
-            comp = y[j] if j < len(y) else self.field.zero()
-            if comp:
-                point = tpj * ring.teichmuller(comp)
-                value = self.theta_series(j).eval_full(point)
-                acc = acc * RingElem(ring, value.co, self.target_prec)
-            tpj = tpj**p
+        """Analytic value theta_{l-1,s}(Te(y))(t), by the factored formula:
+        the product over j of theta_{l-1-j,s}(1) at Teich(u^(p^j) y_j)."""
+        ell = self.params.ell
+        acc = self.ring.one()
+        upj = self.u
+        for j in range(ell):
+            if j < len(y) and y[j]:
+                acc = acc * self.theta_at(ell - 1 - j, upj * y[j])
+            upj = upj**self.params.p
         return acc
 
     def psi(self, y):
@@ -377,7 +393,7 @@ class CharacterSystem:
         """chi_{m,b}(z) for z a unit of W_2(F_q): Teich part times psi_1 part.
 
         The psi_1 part depends on z only through b z_1 z_0^(p(q-2)), so its
-        snapped value is kept per argument: at most q - 1 evaluations.
+        snapped value is kept per argument: at most q - 1 snaps.
         """
         if self.params.ell != 2:
             raise InvalidParameter(f"chi is defined on W_2, not W_{self.params.ell}")
@@ -392,10 +408,7 @@ class CharacterSystem:
         key = arg.index()
         snapped = self._psi1.get(key)
         if snapped is None:
-            point = self.t * self.ring.teichmuller(arg)
-            raw = self.theta_series(1).eval_full(point)
-            raw = RingElem(self.ring, raw.co, self.target_prec)
-            index, _ = self.mu_table.snap(raw, self.mu_p_indices())
+            index, _ = self.mu_table.snap(self.theta_at(0, self.u * arg), self.mu_p_indices())
             snapped = self._psi1[key] = self.mu_table.root(index)
         return teich_part * snapped
 
@@ -528,12 +541,11 @@ def check_splitting(params, r):
     ident = _match_root_tables(base.mu_table, big.mu_table)
     q = base.field.q
     p = params.p
-    # Omega_{l,s,t} factors (base s!) over the big ring, certified once
-    omega_factors = []
-    for j in range(params.ell):
-        series = theta_one_series(big.ring, params.ell - 1 - j, params.s, params.degree)
-        certify_tail(series.min_valuations(), big.target_prec, big.ring.cap)
-        omega_factors.append(series)
+    # Omega_{l,s,t} factors (base s!) over the big ring, at its Teichmueller points
+    omega_values = [
+        theta_teich_values(big.ring, params.ell - 1 - j, params.s, params.degree, big.target_prec)
+        for j in range(params.ell)
+    ]
     checked = 0
     for y in big.domain():
         tr = witt_trace(y, params.s, r)
@@ -544,14 +556,12 @@ def check_splitting(params, r):
         # product formula: prod over i of Omega_{l,s,t} at Teich(y_j)^(q^i)
         prod = big.ring.one()
         for i in range(r):
-            tpj = big.t
+            upj = big.u
             for j in range(params.ell):
                 comp = y[j] ** (q**i)
                 if comp:
-                    point = tpj * big.ring.teichmuller(comp)
-                    val = omega_factors[j].eval_full(point)
-                    prod = prod * RingElem(big.ring, val.co, big.target_prec)
-                tpj = tpj**p
+                    prod = prod * omega_values[j][(upj * comp).index()]
+                upj = upj**p
         got, _ = big.mu_table.snap(prod)
         if got != lhs:
             raise ReportedMismatch(f"product formula fails at {y!r}")
@@ -584,27 +594,36 @@ def _match_root_tables(small, big):
 
 
 def omega_factorization_check(params, r, degree):
-    """Omega_{l,sr,t} = prod_i Omega_{l,s,t}(x^(q^i)) as a series identity."""
+    """Omega_{l,sr,t} = prod_i Omega_{l,s,t}(x^(q^i)) as a series identity.
+
+    Omega_{2,s,t}(x0, x1) = A(x0) B(x1) with A = theta_{1,s}(1)(t x) and
+    B = theta_{0,s}(1)(t^p x), and A', B' the same at s r.  Once all four
+    constant terms are checked to be exactly 1, the bivariate identity
+    A'(x0) B'(x1) = prod_i A(x0^(q^i)) B(x1^(q^i)) up to total degree D is
+    equivalent to the two univariate ones A' = prod_i A(x^(q^i)) and
+    B' = prod_i B(x^(q^i)) up to degree D: set x1 = 0, then x0 = 0;
+    conversely, multiply them.  A factor with q^i > D is then 1 and is
+    skipped.  Each packed product is floored at the least precision of its
+    own factors, so each comparison is at no lower precision than the
+    bivariate product, whose floor was the least over both chains.
+    """
     if params.ell != 2:
         raise InvalidParameter(f"the factorization check is over W_2, not W_{params.ell}")
     base = CharacterSystem(params)
     q = base.field.q
     ring = base.ring
-    # both sides over the base ring: theta_{m,sr}(1) has the same coefficients
-    lhs_factors = []
+    one = ring.one().co
     tpj = base.t
-    for j in range(2):
-        series = theta_one_series(ring, 1 - j, params.s * r, degree)
-        lhs_factors.append(series.compose_scale(tpj))
-        tpj = tpj ** params.p
-    lhs = TruncSeries2.outer(lhs_factors[0], lhs_factors[1], degree)
-    rhs = TruncSeries2.constant(ring, degree, ring.one())
-    factors = base.omega_factors(degree)
-    for i in range(r):
-        if q**i > degree:
-            continue
-        fs = [f.compose_xpow(q**i) for f in factors]
-        rhs = rhs * TruncSeries2.outer(fs[0], fs[1], degree)
-    if not lhs == rhs:
-        raise ReportedMismatch("splitting-function factorization fails")
+    for j, factor in enumerate(base.omega_factors(degree)):
+        # theta_{m,sr}(1) over the base ring: it has the same coefficients
+        lhs = theta_one_series(ring, 1 - j, params.s * r, degree).compose_scale(tpj)
+        tpj = tpj**params.p
+        if lhs.coeffs[0].co != one or factor.coeffs[0].co != one:
+            raise ReportedMismatch(f"Omega factor {j} has a constant term other than 1")
+        rhs = factor
+        for i in range(1, r):
+            if q**i <= degree:
+                rhs = rhs * factor.compose_xpow(q**i)
+        if not lhs == rhs:
+            raise ReportedMismatch(f"splitting-function factorization fails in factor {j}")
     return True

@@ -112,6 +112,8 @@ class Series1:
         )
 
     def __mul__(self, other):
+        if self.ring is not other.ring:
+            raise RingMismatch("product of series over different rings")
         degree = min(self.degree, other.degree)
         ring = self.ring
         # sound ultrametric floor: any skipped-at-precision term could hide
@@ -569,28 +571,6 @@ class TruncSeries2:
                     v = row[j]
                     if any(v.co):
                         orow[j + b] = orow[j + b] + v * c
-        for i in range(out.degree + 1):
-            orow = out.rows[i]
-            for j in range(len(orow)):
-                orow[j] = RingElem(ring, orow[j].co, min(orow[j].prec, floor))
-        return out
-
-    def __mul__(self, other):
-        if self.ring is not other.ring:
-            raise RingMismatch("product of series over different rings")
-        ring = self.ring
-        floor = min(self.min_prec(), other.min_prec())
-        out = TruncSeries2(ring, min(self.degree, other.degree))
-        for i, j, c in self.terms():
-            if i + j > out.degree:
-                continue
-            for a in range(out.degree + 1 - i - j):
-                row = other.rows[a] if a <= other.degree else []
-                orow = out.rows[i + a]
-                for b in range(min(len(row) - 1, out.degree - i - j - a) + 1):
-                    v = row[b]
-                    if any(v.co):
-                        orow[j + b] = orow[j + b] + c * v
         for i in range(out.degree + 1):
             orow = out.rows[i]
             for j in range(len(orow)):

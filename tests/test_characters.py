@@ -4,17 +4,21 @@ import itertools
 
 import pytest
 
+from wittlab import characters
 from wittlab.characters import (
     CharParams,
     CharacterSystem,
     check_splitting,
     mu_ppow_table,
     omega_factorization_check,
+    theta_one_series,
+    theta_teich_values,
 )
-from wittlab.errors import SnapAmbiguous
+from wittlab.errors import ReportedMismatch, SnapAmbiguous, WittlabError
 from wittlab.fields import finite_field
 from wittlab.rings import LubinTateSeries, RingSpec, make_ring
-from wittlab.wittvec import WittVec, one_vec, scalar_nat, witt_add, witt_mul
+from wittlab.series import Series1
+from wittlab.wittvec import WittVec, one_vec, scalar_nat, witt_add, witt_mul, zero_vec
 
 
 def system(p, s, ell, **kw):
@@ -210,6 +214,90 @@ def test_splitting_function_checks():
 
 def test_omega_factorization_series():
     omega_factorization_check(CharParams(2, 1, 2, nprec=14, degree=48), 2, 24)
+
+
+@pytest.mark.parametrize("p,s,deg", [(2, 1, 128), (3, 1, 96), (2, 2, 128)])
+def test_theta_tables_match_eval_full(p, s, deg):
+    # criterion 7's configurations: the entry at Teich(u^(p^j) c) is eval_full
+    # at t^(p^j) Teich(c), over the system ring and, for the big system and
+    # the base-s factors that check_splitting reads, over the r = 2 ring
+    base = system(p, s, 2, nprec=16, degree=deg)
+    embed, _ = base.field.embedding_into(finite_field(p, 2 * s))
+    big = system(p, 2 * s, 2, u_index=embed(base.u).index(), nprec=16, degree=deg)
+    for sys, s_theta in [(base, s), (big, 2 * s), (big, s)]:
+        ring = sys.ring
+        for j in range(2):
+            series = theta_one_series(ring, 1 - j, s_theta, deg)
+            table = theta_teich_values(ring, 1 - j, s_theta, deg, sys.target_prec)
+            assert len(table) == sys.field.q
+            tpj, upj = sys.t ** (p**j), sys.u ** (p**j)
+            for c in sys.field.elements():
+                entry = table[(upj * c).index()]
+                want = series.eval_full(tpj * ring.teichmuller(c))
+                assert entry.co == want.co and entry.prec == sys.target_prec, (j, c)
+
+
+def test_degenerate_t_zero_reads_the_constant_term():
+    # t = Teich(0) = 0: every table read is at the point 0, so psi and the
+    # psi_1 part of chi are trivial
+    sys = system(2, 1, 2, u_index=0, nprec=14, degree=48)
+    assert {sys.psi(y) for y in sys.domain()} == {sys.psi(zero_vec(sys.field, 2))}
+    one = sys.field.one()
+    assert sys.chi_value(0, one, WittVec(sys.field, [one, one])) == sys.ring.one()
+
+
+def test_check_splitting_evaluates_each_point_once(monkeypatch):
+    # cold tables: two over the base ring at q - 1 points each, and four over
+    # the r = 2 ring (the big system's and the base-s factors) at q^2 - 1
+    calls = []
+    real = Series1.eval_full
+    monkeypatch.setattr(Series1, "eval_full", lambda f, z: calls.append(1) or real(f, z))
+    theta_teich_values.cache_clear()
+    check_splitting(CharParams(2, 1, 2, nprec=14, degree=48), 2)
+    q = 2
+    assert 0 < len(calls) <= 2 * (q - 1) + 4 * (q**2 - 1)
+
+
+def perturb_theta(monkeypatch, pick, k, delta):
+    """theta_one_series, for the (ring, m, s) that ``pick`` accepts, returns a
+    copy with ``delta(ring)`` added at degree k; the cached series stays."""
+    real = characters.theta_one_series
+
+    def perturbed(ring, m, s, degree):
+        series = real(ring, m, s, degree)
+        if not pick(ring, m, s):
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[k] = coeffs[k] + delta(ring)
+        return Series1(ring, coeffs)
+
+    monkeypatch.setattr(characters, "theta_one_series", perturbed)
+
+
+@pytest.mark.parametrize(
+    "s_theta,m,k", [(1, 1, 0), (1, 1, 1), (1, 0, 7), (1, 1, 24), (2, 0, 1), (2, 1, 7), (2, 0, 24)]
+)
+def test_omega_factorization_refuses_a_perturbed_factor(monkeypatch, s_theta, m, k):
+    # pi^3 at degree k of theta_{m,s}(1) (base factor, s = 1) or of
+    # theta_{m,sr}(1) (s = 2); at k = 0 the constant term is no longer 1
+    pick = lambda ring, mm, s: (mm, s) == (m, s_theta)
+    perturb_theta(monkeypatch, pick, k, lambda ring: ring.pi() ** 3)
+    with pytest.raises(ReportedMismatch, match="constant term" if k == 0 else "fails"):
+        omega_factorization_check(CharParams(2, 1, 2, nprec=14, degree=48), 2, 24)
+
+
+def test_check_splitting_refuses_a_perturbed_base_factor(monkeypatch):
+    # pi at degree 1 of the base-s theta_{1,1}(1) over the r = 2 ring moves
+    # each product-formula value a distance 1 from its root
+    theta_teich_values.cache_clear()
+    perturb_theta(
+        monkeypatch, lambda ring, m, s: (ring.s, m, s) == (2, 1, 1), 1, lambda r: r.pi()
+    )
+    try:
+        with pytest.raises(WittlabError):
+            check_splitting(CharParams(2, 1, 2, nprec=14, degree=48), 2)
+    finally:
+        theta_teich_values.cache_clear()
 
 
 def test_omega_evaluates_to_psi():

@@ -169,7 +169,9 @@ calls = [
     lambda: RootOfUnityTable._discrete_logs(twins),
     lambda: _match_root_tables(y_root, y_root),
     lambda: TruncSeries2.outer(Series1(zp, [zp.one()]), Series1(z3, [z3.one()]), 4),
-    lambda: TruncSeries2(zp, 4) * TruncSeries2(z3, 4),
+    lambda: (
+        Series1(zp, [zp.from_int(3), zp.from_int(5)]) * Series1(z3, [z3.from_int(7), z3.from_int(2)])
+    ),
     lambda: exp_fractions([1, 1], 4),
     lambda: zpt.compose(zpt.gen(), zpt.one()),
     w_with_constant_term,

@@ -267,25 +267,32 @@ def test_dwork_and_mult_linearity():
             for j in range(7 - i):
                 assert lhs.coefficient(i, j) == ra.coefficient(i, j) + rb.coefficient(i, j) * c
         # mult_H(g + c h) = mult_H(g) + c mult_H(h)
-        lhs = kern * combined
-        ra, rb = kern * g, kern * h
+        kern_terms = list(kern.terms())
+        lhs = combined.mul_sparse(kern_terms)
+        ra, rb = g.mul_sparse(kern_terms), h.mul_sparse(kern_terms)
         for i in range(13):
             for j in range(13 - i):
                 assert lhs.coefficient(i, j) == ra.coefficient(i, j) + rb.coefficient(i, j) * c
 
 
+CHAR_TABLE_GOLDENS = {
+    "char_table_2_1_2.csv": ["--p", "2", "--s", "1", "--prec", "14", "--deg", "48"],
+    "char_table_3_1_2.csv": ["--p", "3", "--s", "1", "--prec", "14", "--deg", "54"],
+    "char_table_2_2_2.csv": ["--p", "2", "--s", "2", "--deg", "64"],
+}
+
+
 def test_cli_csv_export(capsys):
+    # the pinned CSVs hold every psi index and raw snap distance
+    import pathlib
+
     from wittlab.cli import main
 
-    code = main([
-        "char-table", "--p", "2", "--s", "1", "--ell", "2",
-        "--prec", "14", "--deg", "48", "--format", "csv",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "vector,psi_index,raw_distance"
-    assert len(lines) == 5
+    data = pathlib.Path(__file__).parent / "data"
+    for name, flags in CHAR_TABLE_GOLDENS.items():
+        code = main(["char-table", "--ell", "2", *flags, "--format", "csv"])
+        assert code == 0
+        assert capsys.readouterr().out == (data / name).read_text(), name
 
 
 def test_gauss_sweep_with_jobs(capsys):
