@@ -368,12 +368,12 @@ class CharacterSystem:
         """Omega_{l,s,t} as a truncated series (l = 1 or 2)."""
         degree = degree if degree is not None else self.params.degree
         ell = self.params.ell
+        if ell > 2:
+            raise InvalidParameter(f"omega is realized for l <= 2, have l = {ell}")
         factors = self.omega_factors(degree)
         if ell == 1:
             return factors[0]
-        if ell == 2:
-            return TruncSeries2.outer(factors[0], factors[1], degree)
-        raise NotImplementedError("omega is realized for l <= 2")
+        return TruncSeries2.outer(factors[0], factors[1], degree)
 
     def mu_p_indices(self):
         """Table indices of the order-p subgroup (the values of psi_1)."""

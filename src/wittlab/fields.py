@@ -132,11 +132,18 @@ class FqElem:
         self.field = field
         self.co = co
 
+    def _binary(self, other):
+        if not isinstance(other, FqElem) or other.field is not self.field:
+            raise RingMismatch(f"cannot combine an element of F_{self.field.q} with {other!r}")
+        return other
+
     def __add__(self, other):
+        other = self._binary(other)
         p = self.field.p
         return FqElem(self.field, tuple((a + b) % p for a, b in zip(self.co, other.co)))
 
     def __sub__(self, other):
+        other = self._binary(other)
         p = self.field.p
         return FqElem(self.field, tuple((a - b) % p for a, b in zip(self.co, other.co)))
 
@@ -145,6 +152,7 @@ class FqElem:
         return FqElem(self.field, tuple(-a % p for a in self.co))
 
     def __mul__(self, other):
+        other = self._binary(other)
         field = self.field
         return FqElem(field, mul_mod(self.co, other.co, field.rows, field.p))
 

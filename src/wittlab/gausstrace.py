@@ -60,6 +60,8 @@ def gauss_brute(system, chi_m, chi_b, convention="full"):
     convention 'full': z_1 over F_q (the definition); 'units': z_1 over
     F_q^*, matching the diagonal selection in the trace formula.
     """
+    if convention not in ("full", "units"):
+        raise InvalidParameter(f"convention must be 'full' or 'units', have {convention!r}")
     field = system.field
     ring = system.ring
     table = system.character_table()

@@ -3,8 +3,8 @@
 Everything with denominators (exp, the Artin-Hasse series) is computed
 over exact rationals and only then reduced mod p^N; reductions are refused
 when a coefficient is not p-integral.  The Lubin-Tate vector w (ghost
-components F^n(T)) lives over Z/p^(N+h)[[T]] truncated at a chosen degree,
-and specializes at pi_m to the Witt vector varpi_m.
+components F^n(T)) specializes at pi_m to the Witt vector varpi_m, which is
+built by ghost transport in the coefficient ring itself.
 
 Series evaluation inside the closed unit disk is certified from observed
 coefficient valuations (``certify_tail``): their suffix-minimum envelope
@@ -24,17 +24,16 @@ from fractions import Fraction
 from .errors import (
     InvalidParameter,
     NonIntegralResult,
-    NotDivisible,
     PrecisionNotReached,
     ReportedMismatch,
     RingMismatch,
     TailNotCertified,
     TruncationTooSmall,
 )
-from .fields import convolve, pow_ladder
 from .rings import RingElem, SeriesPacking, ring_of
-from .upoly import ghost_invert
-from .wittvec import WittVec, delta, versch, witt_add, witt_map, witt_mul, witt_neg, zero_vec
+from .wittvec import (
+    WittVec, _recover, delta, versch, witt_add, witt_map, witt_mul, witt_neg, zero_vec,
+)
 
 
 def series_length(p, degree):
@@ -208,153 +207,28 @@ def exp_zero_constant(ring, int_coeffs, degree):
 # -- the Lubin-Tate vector w and its specializations varpi_m ------------------------
 
 
-class ZpTSeries:
-    """Element of Z/p^nprec [[T]] / T^(degree+1), a ghost-invertible ring."""
-
-    __slots__ = ("ring", "co", "prec")
-
-    def __init__(self, ring, co, prec=None):
-        self.ring = ring
-        self.co = tuple(co)
-        self.prec = ring.nprec if prec is None else min(prec, ring.nprec)
-
-    def __add__(self, other):
-        pn = self.ring.pn
-        return ZpTSeries(
-            self.ring,
-            [(a + b) % pn for a, b in zip(self.co, other.co)],
-            min(self.prec, other.prec),
-        )
-
-    def __sub__(self, other):
-        pn = self.ring.pn
-        return ZpTSeries(
-            self.ring,
-            [(a - b) % pn for a, b in zip(self.co, other.co)],
-            min(self.prec, other.prec),
-        )
-
-    def __neg__(self):
-        pn = self.ring.pn
-        return ZpTSeries(self.ring, [-a % pn for a in self.co], self.prec)
-
-    def __mul__(self, other):
-        pn = self.ring.pn
-        out = convolve(self.co, other.co)[: len(self.co)]
-        return ZpTSeries(self.ring, [c % pn for c in out], min(self.prec, other.prec))
-
-    def __pow__(self, k):
-        return pow_ladder(self, k) if k else ZpTSeries(self.ring, self.ring.one().co, self.prec)
-
-    def scale_int(self, c):
-        pn = self.ring.pn
-        return ZpTSeries(self.ring, [a * c % pn for a in self.co], self.prec)
-
-    def from_int_like(self, c):
-        return self.ring.from_int(c)
-
-    def exact_div_p(self, k=1):
-        pk = self.ring.p**k
-        if any(c % pk for c in self.co):
-            raise NotDivisible(f"series not divisible by p^{k}")
-        return ZpTSeries(self.ring, [c // pk for c in self.co], self.prec - k)
-
-    def is_zero(self):
-        mod = self.ring.p**self.prec if self.prec < self.ring.nprec else self.ring.pn
-        return all(c % mod == 0 for c in self.co)
-
-    def __eq__(self, other):
-        diff = self - other
-        return diff.is_zero()
-
-    def __repr__(self):
-        return f"ZpT({list(self.co[:6])}..., prec={self.prec})"
-
-
-class ZpTSeriesRing:
-    def __init__(self, p, nprec, degree):
-        self.p = p
-        self.nprec = nprec
-        self.pn = p**nprec
-        self.degree = degree
-
-    def zero(self):
-        return ZpTSeries(self, (0,) * (self.degree + 1))
-
-    def one(self):
-        return self.from_int(1)
-
-    def from_int(self, c):
-        co = [0] * (self.degree + 1)
-        co[0] = c % self.pn
-        return ZpTSeries(self, co)
-
-    def gen(self):
-        co = [0] * (self.degree + 1)
-        co[1] = 1
-        return ZpTSeries(self, co)
-
-    def from_int_poly(self, coeffs):
-        co = [0] * (self.degree + 1)
-        for k, c in enumerate(coeffs[: self.degree + 1]):
-            co[k] = c % self.pn
-        return ZpTSeries(self, co)
-
-    def generators(self):
-        return [self.one(), self.gen()]
-
-    def compose(self, g, f):
-        """g(f(T)) truncated; f must have zero constant term."""
-        if f.co[0]:
-            raise InvalidParameter("the inner series of a composition needs f(0) = 0")
-        acc = self.zero()
-        for c in reversed(g.co):
-            acc = acc * f
-            acc = acc + self.from_int(c)
-        return ZpTSeries(self, acc.co, min(g.prec, f.prec))
-
-
-def lt_iterate(lt, n, degree, nprec):
-    """F^n(T) mod (p^nprec, T^(degree+1)); F^0 = T."""
-    ring = ZpTSeriesRing(lt.p, nprec, degree)
-    f = ring.from_int_poly(lt.f_coeffs())
-    acc = ring.gen()
-    for _ in range(n):
-        acc = ring.compose(f, acc)
-    return acc
-
-
-@functools.lru_cache(maxsize=None)
-def witt_w(lt, length, degree, nprec, headroom):
-    """The vector w with fant_n(w) = F^n(T), components in T Z_p[[T]]."""
-    ring = ZpTSeriesRing(lt.p, nprec + headroom, degree)
-    f = ring.from_int_poly(lt.f_coeffs())
-    seq = []
-    acc = ring.gen()
-    for _ in range(length):
-        seq.append(acc)
-        acc = ring.compose(f, acc)
-    comps = ghost_invert(ring, seq, lambda g: ring.compose(g, f), headroom)
-    if any(c.co[0] for c in comps):
-        raise ReportedMismatch("a component of w has a constant term")
-    return tuple(comps)
-
-
 @functools.lru_cache(maxsize=None)
 def varpi(ring, m, length):
-    """varpi_m inside ``ring`` (level >= m): w specialized at pi_m, w's
-    components cut at T-degree max(6e, 4e + 2, 24)."""
+    """varpi_m = w(pi_m) inside ``ring`` (level >= m), by ghost transport.
+
+    The Lubin-Tate vector w has ghost coordinates F^n(T), so varpi_m has
+    ghost coordinates pi_m, pi_(m-1), ..., pi_0 and then 0, since
+    F(pi_0) = 0.  They are formed in a copy of the ring with L = ``length``
+    guard digits and peeled there by transport's own recovery
+    (``wittvec._recover``).  Every component is exact mod p^N: if
+    a'_i = a_i mod p^(N+L-i) for i < n, then p^i a'_i^(p^(n-i)) =
+    p^i a_i^(p^(n-i)) mod p^(N+L), so the peel returns a_n mod p^(N+L-n),
+    which covers p^N for every n < L.  w lies in W(T Z_p[[T]]), so a
+    component of valuation 0 is refused.
+    """
     if not ring.m >= m >= 0:
         raise InvalidParameter(f"varpi_{m} needs 0 <= m <= the ring's level {ring.m}")
-    degree_t = max(6 * ring.e, 4 * ring.e + 2, 24)
-    comps_t = witt_w(ring.lt, length, degree_t, ring.nprec, length)
-    point = ring.pi_level(m)
-    prec = min((degree_t + 1) * point.valuation(), ring.cap)
-    comps = []
-    for w_n in comps_t:
-        val = ring.eval_int_poly(list(w_n.co), point)
-        comps.append(RingElem(ring, val.co, prec))
-    return WittVec(ring, comps)
+    big = ring.with_precision(ring.nprec + length)
+    ghosts = [big.pi_level(m - n) if n <= m else big.zero() for n in range(length)]
+    vec = _recover(ring, ghosts, [ring.cap] * length)
+    if any(c.valuation() == 0 for c in vec.comps):
+        raise ReportedMismatch(f"a component of varpi_{m} is a unit")
+    return vec
 
 
 # -- the Artin-Hasse morphism E and the Pulita exponentials --------------------------

@@ -121,16 +121,17 @@ from types import SimpleNamespace
 
 from wittlab import series
 from wittlab.characters import (
-    CharParams, RootOfUnityTable, _match_root_tables, mu_ppow_table, omega_factorization_check,
+    CharacterSystem, CharParams, RootOfUnityTable, _match_root_tables, mu_ppow_table,
+    omega_factorization_check,
 )
 from wittlab.errors import WittlabError
 from wittlab.fields import finite_field
-from wittlab.gausstrace import alpha_matrix
+from wittlab.gausstrace import alpha_matrix, gauss_brute
 from wittlab.rings import LubinTateSeries, ring_of
 from wittlab.series import (
-    Series1, TruncSeries2, ZpTSeriesRing, exp_fractions, pulita_theta_ms, series_eval_unit, varpi,
+    Series1, TruncSeries2, exp_fractions, pulita_theta_ms, series_eval_unit, varpi,
 )
-from wittlab.wittvec import delta, one_vec, scalar_nat, te_lift
+from wittlab.wittvec import WittVec, delta, one_vec, scalar_nat, te_lift
 
 zp, f4 = ring_of(2, nprec=8), finite_field(2, 2)
 z3, zq = ring_of(3, nprec=8), ring_of(2, 2, nprec=8)
@@ -138,16 +139,16 @@ lvl0 = ring_of(2, 1, 0, LubinTateSeries.cyclotomic(2), 8)
 # a table whose generator powers match two entries, and one with a y-coordinate
 twins = SimpleNamespace(elements=[zp.one(), zp.one()], gen_index=0, order=2, ring=zp)
 y_root = SimpleNamespace(ring=zq, elements=[zq.y_gen()])
-zpt = ZpTSeriesRing(2, 8, 4)
+f2_system = CharacterSystem(CharParams(2, 1, 2, nprec=8, degree=16))
 
 
 def w_with_constant_term():
-    # a ghost inversion that breaks w's invariant, to reach witt_w's check
-    saved, series.ghost_invert = series.ghost_invert, lambda ring, *_: [ring.one()]
+    # a recovery that breaks w's invariant, to reach varpi's valuation check
+    saved, series._recover = series._recover, lambda ring, *_: WittVec(ring, [ring.one()])
     try:
-        return series.witt_w(LubinTateSeries.plain(2), 1, 4, 8, 1)
+        return varpi(lvl0, 0, 1)
     finally:
-        series.ghost_invert = saved
+        series._recover = saved
 
 
 calls = [
@@ -173,9 +174,12 @@ calls = [
         Series1(zp, [zp.from_int(3), zp.from_int(5)]) * Series1(z3, [z3.from_int(7), z3.from_int(2)])
     ),
     lambda: exp_fractions([1, 1], 4),
-    lambda: zpt.compose(zpt.gen(), zpt.one()),
     w_with_constant_term,
     lambda: varpi(zp, 0, 2),
+    lambda: f4.gen() + finite_field(2, 3).gen(),
+    lambda: f4.gen() * finite_field(2, 3).gen(),
+    lambda: gauss_brute(f2_system, 0, f2_system.field.one(), "unit"),
+    lambda: CharacterSystem(CharParams(2, 1, 3, nprec=8, degree=16)).omega(),
     lambda: series_eval_unit(Series1(zp, [zp.one()]), SimpleNamespace(valuation=lambda: -1), 2),
 ]
 for call in calls:
@@ -220,8 +224,11 @@ def test_direct_refusals_hold_under_python_O():
         "RingMismatch",
         "RingMismatch",
         "InvalidParameter",
-        "InvalidParameter",
         "ReportedMismatch",
+        "InvalidParameter",
+        "RingMismatch",
+        "RingMismatch",
+        "InvalidParameter",
         "InvalidParameter",
         "InvalidParameter",
     ]

@@ -1,5 +1,7 @@
 """Kernel, Dwork operator, alpha matrix/trace and the trace formula."""
 
+import json
+import pathlib
 import random
 
 import pytest
@@ -311,13 +313,42 @@ def test_gauss_sweep_with_jobs(capsys):
     assert all("units" in r["convention"] for r in payload["sweep"])
 
 
+_SWEEP_GOLDEN = pathlib.Path(__file__).parent / "data" / "gauss_sweep_golden.json"
+
+
+def _sweep_digest(report):
+    """The pinned part of one ``gauss --sweep`` report: trace_value only at
+    its target precision, as coordinates mod p^(target / e)."""
+    p, value = report["config"]["p"], report["trace_value"]
+    mod = p ** (report["target_prec"] // (p ** value["level"] * (p - 1)))
+    return {
+        "chi": report["config"]["chi"],
+        "convention": report["convention"],
+        "residual_valuation": report["residual_valuation"],
+        "certificate": report["certificate"],
+        "g_brute": report["g_brute"],
+        "trace_coords_mod": mod,
+        "trace_coords": [[c % mod for c in row] for row in value["coords"]],
+    }
+
+
+@pytest.mark.parametrize("p,s,degree", [(2, 1, 64), (2, 2, 128), (3, 1, 128)])
+def test_gauss_sweep_matches_golden(capsys, p, s, degree):
+    # every report of the sweep against values frozen from an earlier
+    # release; wall-clock fields are left out
+    from wittlab.cli import main
+
+    argv = ["gauss", "--p", str(p), "--s", str(s), "--deg", str(degree), "--prec", "16"]
+    assert main([*argv, "--sweep"]) == 0
+    reports = json.loads(capsys.readouterr().out)["sweep"]
+    golden = json.loads(_SWEEP_GOLDEN.read_text())[f"{p},{s},{degree}"]
+    assert [_sweep_digest(r) for r in reports] == golden
+
+
 def test_gauss_brute_golden_values():
     # frozen (2,1) values; each was independently derived from the psi
     # group structure: g_full(0,0) = 0, g_units(0,0) = psi(1,0) = 1 + pi,
     # g_full(0,1) = -2 psi(1,0), g_units(0,1) = -psi(1,0)
-    import json
-    import pathlib
-
     golden = json.loads(
         (pathlib.Path(__file__).parent / "data" / "gauss_2_1_golden.json").read_text()
     )

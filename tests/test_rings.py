@@ -1,5 +1,6 @@
 """Coefficient rings: Eisenstein layers, valuation, Teichmueller, Frobenius."""
 
+import operator
 import random
 
 import pytest
@@ -282,6 +283,18 @@ def test_field_embedding():
     assert sorted(emb(a).co for a in f4.elements()) == sorted(x.co for x in fixed)
 
 
+def test_field_elements_of_different_fields_do_not_mix():
+    # zip truncated the longer coefficient tuple, so F_4 + F_8 gave an F_4
+    # element; now each binary operation refuses, as RingElem's do
+    f4, f8, f9 = finite_field(2, 2), finite_field(2, 3), finite_field(3, 2)
+    for a, b in ((f4.gen(), f8.gen()), (f8.gen(), f4.gen()), (f4.one(), f9.one())):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(RingMismatch):
+                op(a, b)
+    with pytest.raises(RingMismatch):
+        f4.gen() + 1
+
+
 def test_inverse_units_and_failure():
     from wittlab.errors import NotUnit
 
@@ -342,7 +355,6 @@ def test_pow_ladder_matches_repeated_multiplication(monkeypatch):
     # yet gives the same canonical residues and precision as x * x * ... * x
     from wittlab import fields
     from wittlab.rings import TowerRing
-    from wittlab.series import ZpTSeriesRing
 
     ring = make_ring(RingSpec(2, 2, 1, LubinTateSeries.cyclotomic(2), 8))
     f8 = finite_field(2, 3)
@@ -366,7 +378,7 @@ def test_pow_ladder_matches_repeated_multiplication(monkeypatch):
         assert calls == ["r"] * muls + ["f"] * muls, n
     # a negative exponent reaching the ladder is refused, not looped on forever
     with pytest.raises(InvalidParameter):
-        ZpTSeriesRing(2, 8, 4).gen() ** -1
+        fields.pow_ladder(x, -1)
 
 
 def _divide(poly, var, low):

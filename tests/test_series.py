@@ -17,7 +17,6 @@ from wittlab.series import (
     exp_zero_constant,
     f_delta_coeffs,
     g_delta_coeffs,
-    lt_iterate,
     pad_vector,
     phi_vector,
     pulita_theta,
@@ -27,7 +26,6 @@ from wittlab.series import (
     series_length,
     varpi,
     witt_series_eval,
-    witt_w,
 )
 from wittlab.wittvec import (
     WittVec,
@@ -125,33 +123,21 @@ def test_exp_zero_constant_examples():
     assert conv == efg
 
 
-def test_lt_iterate():
-    lt = LubinTateSeries.plain(3)
-    t = lt_iterate(lt, 0, 10, 6)
-    assert t.co[1] == 1 and sum(t.co) == 1
-    f1 = lt_iterate(lt, 1, 10, 6)
-    assert f1.co[1] == 3 and f1.co[3] == 1
-    f2 = lt_iterate(lt, 2, 10, 6)
-    assert f2.co[1] == 9  # linear term p^2
-
-
-@pytest.mark.parametrize(
-    "lt", [LubinTateSeries.plain(2), LubinTateSeries.cyclotomic(3)]
-)
-def test_witt_w_components(lt):
-    p = lt.p
-    comps = witt_w(lt, 3, 12, 8, 3)
-    # w_0 = T
-    assert comps[0].co[1] == 1 and all(
-        c == 0 for k, c in enumerate(comps[0].co) if k != 1
-    )
-    # w_1 = (F - T^p)/p = T + T^2 G(T)
-    w1 = comps[1]
-    assert w1.co[1] == 1
-    for k, g in enumerate(lt.g_coeffs):
-        assert w1.co[2 + k] == g % comps[1].ring.pn
-    # all components vanish at T = 0
-    assert all(c.co[0] == 0 for c in comps)
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("tag", ["plain", "cyclotomic"])
+@pytest.mark.parametrize("m", [0, 1])
+def test_varpi_low_components(p, tag, m):
+    # varpi_m = w(pi_m), and w_0 = T, w_1 = (F(T) - T^p)/p = T + T^2 G(T)
+    lt = LubinTateSeries.plain(p) if tag == "plain" else LubinTateSeries.cyclotomic(p)
+    ring = make_ring(RingSpec(p, 1, m + 1, lt, 12))
+    point = ring.pi_level(m)
+    w = varpi(ring, m, 4)
+    assert w[0].co == point.co
+    assert w[1].co == ring.eval_int_poly([0, 1, *lt.g_coeffs], point).co
+    # w lies in W(T Z_p[[T]]): every component has positive valuation, and
+    # every component is exact at the ring's full precision
+    assert all(c.is_zero() or c.valuation() > 0 for c in w.comps)
+    assert all(c.prec == ring.cap for c in w.comps)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -160,14 +146,16 @@ def test_witt_w_components(lt):
 def test_varpi_ghost_components(p, tag, m):
     lt = LubinTateSeries.plain(p) if tag == "plain" else LubinTateSeries.cyclotomic(p)
     ring = make_ring(RingSpec(p, 1, m, lt, 12))
-    length = 4
+    length = 5
     w = varpi(ring, m, length)
+    # canonical coordinates: the ghost identity holds mod p^N, not only at
+    # some lower declared precision
     g = ghost_map(w)
     for n in range(length):
         if n <= m:
-            assert g[n] == ring.pi_level(m - n), (p, tag, m, n)
+            assert g[n].co == ring.pi_level(m - n).co, (p, tag, m, n)
         else:
-            assert g[n].is_zero()
+            assert not any(g[n].co)
     # components have positive valuation
     for c in w.comps:
         v = c.valuation()
