@@ -5,7 +5,7 @@ from .fields import finite_field
 from .gausstrace import GaussConfig, bench_report, trace_formula_check
 from .rings import LubinTateSeries, RingElem, RingSpec, make_ring, ring_of
 from .series import artin_hasse_E, pulita_theta, pulita_theta_ms, robba, varpi
-from .upoly import ghost_invert, ghost_poly, structural_polys
+from .upoly import ghost_poly, structural_polys
 from .wittvec import WittVec, frob, ghost_map, tau, versch, witt_add, witt_mul
 
 __version__ = "0.1.0"
@@ -23,7 +23,6 @@ __all__ = [
     "check_splitting",
     "finite_field",
     "frob",
-    "ghost_invert",
     "ghost_map",
     "ghost_poly",
     "make_ring",

@@ -14,7 +14,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .characters import CharParams, CharacterSystem, check_splitting, shared_system
-from .errors import WittlabError
+from .errors import InvalidParameter, WittlabError
 from .gausstrace import GaussConfig, bench_report, trace_formula_check
 from .rings import LubinTateSeries
 from .upoly import structural_polys
@@ -47,7 +47,7 @@ def _char_flags(parser):
     parser.add_argument("--format", choices=["json", "text", "csv"], default="json")
 
 
-def _params(args):
+def _params(args, target_prec):
     return CharParams(
         args.p,
         args.s,
@@ -56,7 +56,7 @@ def _params(args):
         lt=LT_CHOICES[args.lt](args.p),
         nprec=args.prec,
         degree=args.deg,
-        target_prec=args.target_prec,
+        target_prec=target_prec,
     )
 
 
@@ -87,7 +87,7 @@ def cmd_gen_polys(args):
 
 
 def cmd_char_table(args):
-    system = CharacterSystem(_params(args))
+    system = CharacterSystem(_params(args, args.target_prec))
     table = system.character_table()
     table.verify_homomorphism()
     table.verify_image_is_full()
@@ -112,62 +112,33 @@ def cmd_char_table(args):
     return 0
 
 
-def _sweep_params(argtuple):
-    (p, s, ell, u_index, lt_tag, nprec, degree, _target, _m, _b) = argtuple
-    return CharParams(
-        p,
-        s,
-        ell,
-        u_index=u_index,
-        lt=LT_CHOICES[lt_tag](p),
-        nprec=nprec,
-        degree=degree,
-        target_prec=None,
-    )
-
-
-def _gauss_one(argtuple):
-    target, m, b = argtuple[-3:]
-    params = _sweep_params(argtuple)
+def _gauss_one(job):
+    params, m, b, target = job
     return trace_formula_check(GaussConfig(params, m, b, target_prec=target))
 
 
 def cmd_gauss(args):
-    params = _params(args)
+    # a sweep's system keeps its own default target: --target-prec is then
+    # the trace target only
+    params = _params(args, None if args.sweep else args.target_prec)
     if args.sweep:
         q = params.p**params.s
-        combos = [(m, b) for m in range(q - 1) for b in range(q)]
-        jobs = max(args.jobs, 1)
-        argtuples = [
-            (
-                args.p,
-                args.s,
-                args.ell,
-                args.t_residue,
-                args.lt,
-                args.prec,
-                args.deg if args.deg is not None else params.degree,
-                args.target_prec,
-                m,
-                b,
-            )
-            for m, b in combos
-        ]
-        if jobs > 1:
+        jobs = [(params, m, b, args.target_prec) for m in range(q - 1) for b in range(q)]
+        if args.jobs > 1:
             # forked workers inherit the shared system the checks use, with
             # its theta series, mu and psi tables, instead of each building
             # them from cold
-            system = shared_system(_sweep_params(argtuples[0]))
+            system = shared_system(params)
             system.theta_series(0)
             system.theta_series(1)
             system.character_table()
             try:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    reports = list(pool.map(_gauss_one, argtuples))
+                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                    reports = list(pool.map(_gauss_one, jobs))
             except (OSError, RuntimeError):
-                reports = [_gauss_one(t) for t in argtuples]
+                reports = [_gauss_one(job) for job in jobs]
         else:
-            reports = [_gauss_one(t) for t in argtuples]
+            reports = [_gauss_one(job) for job in jobs]
         payload = {"sweep": reports}
         _emit(args, payload)
         return 0
@@ -193,9 +164,14 @@ def cmd_gauss(args):
 
 
 def cmd_bench(args):
-    degrees = [int(d) for d in args.bench_degrees.split(",")]
+    try:
+        degrees = [int(d) for d in args.bench_degrees.split(",")]
+    except ValueError:
+        raise InvalidParameter(
+            f"--D needs comma-separated integers, have {args.bench_degrees!r}"
+        ) from None
     report = bench_report(
-        _params(args), args.chi_m, args.chi_b, degrees, args.target_prec
+        _params(args, args.target_prec), args.chi_m, args.chi_b, degrees, args.target_prec
     )
     _emit(args, report)
     return 0

@@ -21,14 +21,6 @@ class FamilyTooLarge(WittlabError):
     """A universal polynomial family is predicted too large to build."""
 
 
-class CongruenceFailure(WittlabError):
-    """Ghost inversion input violates sigma(u_{n-1}) = u_n mod p^n."""
-
-
-class PrecisionExhausted(WittlabError):
-    """Not enough guard digits to carry out the requested divisions."""
-
-
 class NonEisenstein(WittlabError):
     """The ramified modulus failed the Eisenstein criterion."""
 

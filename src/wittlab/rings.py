@@ -477,14 +477,6 @@ class TowerRing:
             acc = acc * x + self.from_int(c)
         return acc
 
-    def generators(self):
-        gens = [self.one()]
-        if self.s > 1:
-            gens.append(self.y_gen())
-        if self.m >= 0:
-            gens.append(self.pi())
-        return gens
-
     def random(self, rng, prec=None):
         co = tuple(rng.randrange(self.pn) for _ in range(self.dim))
         return RingElem(self, co, prec)

@@ -30,9 +30,9 @@ from .errors import (
     TailNotCertified,
     TruncationTooSmall,
 )
-from .rings import RingElem, SeriesPacking, ring_of
+from .rings import RingElem, SeriesPacking
 from .wittvec import (
-    WittVec, _recover, delta, versch, witt_add, witt_map, witt_mul, witt_neg, zero_vec,
+    WittVec, from_ghosts, versch, witt_add, witt_map, witt_mul, witt_neg, zero_vec,
 )
 
 
@@ -146,6 +146,8 @@ class Series1:
         return Series1(self.ring, out)
 
     def truncate(self, degree):
+        if degree < 0:
+            raise InvalidParameter(f"a series truncates to a degree >= 0, have {degree}")
         if degree > self.degree:
             raise TruncationTooSmall(f"cannot truncate a degree-{self.degree} series to {degree}")
         return Series1(self.ring, self.coeffs[: degree + 1])
@@ -213,19 +215,16 @@ def varpi(ring, m, length):
 
     The Lubin-Tate vector w has ghost coordinates F^n(T), so varpi_m has
     ghost coordinates pi_m, pi_(m-1), ..., pi_0 and then 0, since
-    F(pi_0) = 0.  They are formed in a copy of the ring with L = ``length``
-    guard digits and peeled there by transport's own recovery
-    (``wittvec._recover``).  Every component is exact mod p^N: if
-    a'_i = a_i mod p^(N+L-i) for i < n, then p^i a'_i^(p^(n-i)) =
-    p^i a_i^(p^(n-i)) mod p^(N+L), so the peel returns a_n mod p^(N+L-n),
-    which covers p^N for every n < L.  w lies in W(T Z_p[[T]]), so a
-    component of valuation 0 is refused.
+    F(pi_0) = 0; ``wittvec.from_ghosts`` recovers it exactly mod p^N.
+    w lies in W(T Z_p[[T]]), so a component of valuation 0 is refused.
     """
     if not ring.m >= m >= 0:
         raise InvalidParameter(f"varpi_{m} needs 0 <= m <= the ring's level {ring.m}")
-    big = ring.with_precision(ring.nprec + length)
-    ghosts = [big.pi_level(m - n) if n <= m else big.zero() for n in range(length)]
-    vec = _recover(ring, ghosts, [ring.cap] * length)
+    vec = from_ghosts(
+        ring,
+        length,
+        lambda big: [big.pi_level(m - n) if n <= m else big.zero() for n in range(length)],
+    )
     if any(c.valuation() == 0 for c in vec.comps):
         raise ReportedMismatch(f"a component of varpi_{m} is a unit")
     return vec
@@ -310,10 +309,9 @@ def pulita_theta_ms(ring, m, s, a, degree, form="single"):
 
 
 def delta_vector(ring, c, length):
-    """Delta(c) mapped into ``ring`` (c an integer)."""
-    plain = ring_of(ring.p, nprec=ring.nprec + length + 1)
-    vec = delta(plain.from_int(c), length)
-    return witt_map(lambda t: ring.from_int(t.co[0]), vec, ring)
+    """Delta(c) in W(``ring``) (c an integer): ghost coordinates c, c, ...,
+    recovered exactly mod p^N by ``wittvec.from_ghosts``."""
+    return from_ghosts(ring, length, lambda big: [big.from_int(c)] * length)
 
 
 def f_delta_coeffs(ring, length):
@@ -520,8 +518,12 @@ def certify_tail(valuations, target, cap):
     xs = range(lo, degree + 1)
     xbar = sum(xs) / n
     ybar = sum(window) / n
-    num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, window))
-    den = sum((x - xbar) ** 2 for x in xs)
+    # one plain left-to-right pass: from Python 3.12 on, sum() compensates
+    # float additions, which moves the certificate's last digits
+    num = den = 0.0
+    for x, y in zip(xs, window):
+        num += (x - xbar) * (y - ybar)
+        den += (x - xbar) ** 2
     slope = num / den if den else 0.0
     extrapolated = min(ybar + slope * (2 * degree - xbar), cap)
     if extrapolated < target + 1:

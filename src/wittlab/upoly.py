@@ -9,8 +9,6 @@ division is certified exact (IntegralityFailure otherwise).
 
 Polynomials are stored sparsely: a term is a packed integer key (16 bits
 per indeterminate, X-block then Y-block) mapping to an integer coefficient.
-The ghost map over a coefficient ring and its one inversion, shared by the
-Witt arithmetic and the series code, live here too.
 """
 
 from __future__ import annotations
@@ -19,13 +17,10 @@ import time
 from functools import lru_cache, partial
 
 from .errors import (
-    CongruenceFailure,
     FamilyTooLarge,
     IntegralityFailure,
     InvalidParameter,
     MissingAssignment,
-    NotDivisible,
-    PrecisionExhausted,
     TimeBudgetExceeded,
 )
 from .fields import is_prime, pow_ladder
@@ -475,80 +470,3 @@ def ghost_identity_residual(kind, p, length, deadline_seconds=None):
         lhs = lhs + p**i * UniversalPoly(p, nx, ny, terms)
     return lhs - _ghost_target(kind, p, n, nx, ny, deadline)
 
-
-# -- ghost coordinates over coefficient rings ----------------------------------------
-
-
-def ghost_values(p, comps):
-    """The ghost coordinates fant_n(a_0..a_n), n < len(comps), of a vector."""
-    out = []
-    pows = []  # pows[i] = a_i^(p^(n-i)) at step n
-    for n, a_n in enumerate(comps):
-        for i in range(n):
-            pows[i] = pows[i] ** p
-        pows.append(a_n)
-        acc = pows[0]
-        for i in range(1, n + 1):
-            acc = acc + pows[i].scale_int(p**i)
-        out.append(acc)
-    return out
-
-
-def ghost_peel(p, entries):
-    """The vector (a_n) with ghost coordinates ``entries``, peeled one
-    component at a time: a_n = (u_n - sum_{i<n} p^i a_i^(p^(n-i))) / p^n.
-
-    Raises NotDivisible where a division is not exact at working precision;
-    component a_n comes back with its precision reduced by the division.
-    """
-    comps = []
-    pows = []  # pows[i] = a_i^(p^(n-1-i)) entering step n
-    for n, u in enumerate(entries):
-        acc = u
-        for i in range(n):
-            pows[i] = pows[i] ** p
-            acc = acc - pows[i].scale_int(p**i)
-        a_n = acc if n == 0 else acc.exact_div_p(n)
-        comps.append(a_n)
-        pows.append(a_n)
-    return comps
-
-
-def _divisible_by_p(x, k):
-    try:
-        x.exact_div_p(k)
-    except NotDivisible:
-        return False
-    return True
-
-
-def ghost_invert(ring, seq, sigma, headroom):
-    """The unique (a_n) with fant_n(a_0..a_n) = u_n, the entries of ``seq``,
-    by ghost_peel.
-
-    ``ring`` must have ``p``, ``from_int`` and ``generators``, with elements
-    supporting -, *, **, exact_div_p and valuation; ``sigma`` is a ring
-    endomorphism lifting Frobenius (sigma(a) = a^p mod p, checked on
-    ring.generators()); ``headroom`` is the number of guard p-digits
-    available, at least len(seq) - 1.  The congruences sigma(u_{n-1}) = u_n
-    mod p^n, which make every division exact, are checked first; component
-    a_n comes back with its precision reduced by the division.
-    """
-    length = len(seq)
-    if headroom < length - 1:
-        raise PrecisionExhausted(
-            f"need {length - 1} guard digits for length {length}, have {headroom}"
-        )
-    p = ring.p
-    for g in ring.generators():
-        if not _divisible_by_p(sigma(g) - g**p, 1):
-            raise CongruenceFailure("sigma(a) = a^p mod p fails on a ring generator")
-    for n in range(1, length):
-        if not _divisible_by_p(sigma(seq[n - 1]) - seq[n], n):
-            raise CongruenceFailure(
-                f"sigma(u_{n-1}) != u_{n} mod p^{n} at working precision"
-            )
-    try:
-        return ghost_peel(p, seq)
-    except NotDivisible as exc:  # pragma: no cover - guarded by congruences
-        raise CongruenceFailure(str(exc)) from exc

@@ -12,6 +12,10 @@ sum p^i [a_i^(p^-i)] is a ring isomorphism W_n(F_q) = Z_q/p^n onto the
 unramified TowerRing of precision n, so sum, product and negation are one
 ring operation between two table-driven maps, at every length, and Frobenius
 is a_i -> a_i^p.  The universal polynomials of upoly serve no Witt operation.
+
+The ghost map over a coefficient ring (``ghost_values``) and its one
+inversion (``ghost_peel``) live here: transport, ``delta`` and the exact
+recovery ``from_ghosts`` (which builds varpi_m and Delta(c)) all take it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from itertools import accumulate
 from .errors import InvalidParameter, NotDivisible, NotGaloisStable, RingMismatch, TooShort
 from .fields import Fq, pow_ladder
 from .rings import RingElem, TowerRing, ring_of
-from .upoly import ghost_invert, ghost_peel, ghost_values
 
 
 class WittVec:
@@ -70,7 +73,7 @@ class WittVec:
         return f"W({', '.join(repr(c) for c in self.comps)})"
 
     def truncate(self, length):
-        if length > len(self):
+        if not 0 <= length <= len(self):
             raise InvalidParameter(f"cannot truncate a length-{len(self)} vector to {length}")
         return WittVec(self.ring, self.comps[:length])
 
@@ -146,6 +149,8 @@ def tau(ring, x, length):
 
 def versch(a, k=1):
     """Shift k zeros in front, keeping the declared length."""
+    if k < 0:
+        raise InvalidParameter(f"versch needs a shift k >= 0, have {k}")
     if k == 0:
         return a
     ring = a.ring
@@ -157,6 +162,41 @@ def witt_map(fn, a, target_ring=None):
     """Apply a ring morphism componentwise."""
     ring = target_ring if target_ring is not None else a.ring
     return WittVec(ring, [fn(c) for c in a.comps])
+
+
+def ghost_values(p, comps):
+    """The ghost coordinates fant_n(a_0..a_n), n < len(comps), of a vector."""
+    out = []
+    pows = []  # pows[i] = a_i^(p^(n-i)) at step n
+    for n, a_n in enumerate(comps):
+        for i in range(n):
+            pows[i] = pows[i] ** p
+        pows.append(a_n)
+        acc = pows[0]
+        for i in range(1, n + 1):
+            acc = acc + pows[i].scale_int(p**i)
+        out.append(acc)
+    return out
+
+
+def ghost_peel(p, entries):
+    """The vector (a_n) with ghost coordinates ``entries``, peeled one
+    component at a time: a_n = (u_n - sum_{i<n} p^i a_i^(p^(n-i))) / p^n.
+
+    Raises NotDivisible where a division is not exact at working precision;
+    component a_n comes back with its precision reduced by the division.
+    """
+    comps = []
+    pows = []  # pows[i] = a_i^(p^(n-1-i)) entering step n
+    for n, u in enumerate(entries):
+        acc = u
+        for i in range(n):
+            pows[i] = pows[i] ** p
+            acc = acc - pows[i].scale_int(p**i)
+        a_n = acc if n == 0 else acc.exact_div_p(n)
+        comps.append(a_n)
+        pows.append(a_n)
+    return comps
 
 
 def ghost_map(a):
@@ -235,6 +275,21 @@ def _recover(ring, entries, precs):
     )
 
 
+def from_ghosts(ring, length, ghosts):
+    """The length-``length`` vector over ``ring`` whose ghost coordinates
+    are ``ghosts(big)``, exact mod p^N, every component declared at
+    ``ring.cap``.
+
+    ``ghosts`` forms the coordinates, exactly, in big, a copy of the ring
+    with L = ``length`` guard digits, where transport's recovery peels them.
+    If a'_i = a_i mod p^(N+L-i) for i < n, then p^i a'_i^(p^(n-i)) =
+    p^i a_i^(p^(n-i)) mod p^(N+L), so the peel returns a_n mod p^(N+L-n),
+    which covers p^N for every n < L.
+    """
+    big = ring.with_precision(ring.nprec + length)
+    return _recover(ring, ghosts(big), [ring.cap] * length)
+
+
 def _prefix_min(vecs, length):
     """Entry n: the least precision among components 0..n of the inputs."""
     return list(accumulate((min(v.comps[i].prec for v in vecs) for i in range(length)), min))
@@ -309,12 +364,15 @@ def witt_div_p(a):
 def delta(x, length):
     """The unique vector with constant ghost <x, x, ...> (x over Z/p^N).
 
-    Component n loses n guard digits to the exact divisions.
+    No congruence check is needed: sigma = id, so every division is exact.
+    Component n loses n digits, because x is only known mod p^N.
     """
     ring = x.ring
     if not (isinstance(ring, TowerRing) and ring.m == -1 and ring.s == 1):
         raise RingMismatch(f"delta needs x over Z/p^N, have x in {ring!r}")
-    return WittVec(ring, ghost_invert(ring, [x] * length, lambda t: t, length))
+    if length < 0:
+        raise InvalidParameter(f"delta needs a length >= 0, have {length}")
+    return WittVec(ring, ghost_peel(ring.p, [x] * length))
 
 
 def te_lift(y, target, length):

@@ -79,6 +79,8 @@ def test_gen_polys_refuses_oversized_family(capsys):
         (["gauss", "--p", "2", "--deg", "0"], "D = 0"),
         (["char-table", "--p", "2", "--deg", "0"], "D = 0"),
         (["bench", "--p", "2", "--D", "32,0"], "D = 0"),
+        (["bench", "--p", "2", "--D", "32,x"], "--D"),
+        (["bench", "--p", "2", "--D", ""], "--D"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, needle):
@@ -129,9 +131,10 @@ from wittlab.fields import finite_field
 from wittlab.gausstrace import alpha_matrix, gauss_brute
 from wittlab.rings import LubinTateSeries, ring_of
 from wittlab.series import (
-    Series1, TruncSeries2, exp_fractions, pulita_theta_ms, series_eval_unit, varpi,
+    Series1, TruncSeries2, exp_fractions, pad_vector, pulita_theta_ms, series_eval_unit,
+    varpi,
 )
-from wittlab.wittvec import WittVec, delta, one_vec, scalar_nat, te_lift
+from wittlab.wittvec import WittVec, delta, one_vec, scalar_nat, te_lift, versch
 
 zp, f4 = ring_of(2, nprec=8), finite_field(2, 2)
 z3, zq = ring_of(3, nprec=8), ring_of(2, 2, nprec=8)
@@ -144,11 +147,11 @@ f2_system = CharacterSystem(CharParams(2, 1, 2, nprec=8, degree=16))
 
 def w_with_constant_term():
     # a recovery that breaks w's invariant, to reach varpi's valuation check
-    saved, series._recover = series._recover, lambda ring, *_: WittVec(ring, [ring.one()])
+    saved, series.from_ghosts = series.from_ghosts, lambda ring, *_: WittVec(ring, [ring.one()])
     try:
         return varpi(lvl0, 0, 1)
     finally:
-        series._recover = saved
+        series.from_ghosts = saved
 
 
 calls = [
@@ -181,6 +184,11 @@ calls = [
     lambda: gauss_brute(f2_system, 0, f2_system.field.one(), "unit"),
     lambda: CharacterSystem(CharParams(2, 1, 3, nprec=8, degree=16)).omega(),
     lambda: series_eval_unit(Series1(zp, [zp.one()]), SimpleNamespace(valuation=lambda: -1), 2),
+    lambda: one_vec(zp, 4).truncate(-1),
+    lambda: pad_vector(one_vec(zp, 4), -1),
+    lambda: versch(one_vec(zp, 4), -1),
+    lambda: Series1(zp, [zp.one()] * 5).truncate(-1),
+    lambda: delta(zp.one(), -2),
 ]
 for call in calls:
     try:
@@ -228,6 +236,11 @@ def test_direct_refusals_hold_under_python_O():
         "InvalidParameter",
         "RingMismatch",
         "RingMismatch",
+        "InvalidParameter",
+        "InvalidParameter",
+        "InvalidParameter",
+        "InvalidParameter",
+        "InvalidParameter",
         "InvalidParameter",
         "InvalidParameter",
         "InvalidParameter",

@@ -13,6 +13,7 @@ from wittlab.series import (
     artin_hasse_E,
     artin_hasse_fractions,
     artin_hasse_series,
+    delta_vector,
     exp_fractions,
     exp_zero_constant,
     f_delta_coeffs,
@@ -29,6 +30,7 @@ from wittlab.series import (
 )
 from wittlab.wittvec import (
     WittVec,
+    delta,
     frob,
     ghost_map,
     scalar_nat,
@@ -166,6 +168,26 @@ def test_varpi_ghost_components(p, tag, m):
         assert fr == varpi(ring, m - 1, length).truncate(length - 1)
     else:
         assert fr.is_zero()
+
+
+@pytest.mark.parametrize(
+    "p,s,m,tag",
+    [(2, 1, -1, None), (3, 2, -1, None), (2, 1, 1, "cyclotomic"), (3, 1, 1, "plain"),
+     (2, 2, 1, "cyclotomic")],
+)
+def test_delta_vector_is_exact(p, s, m, tag):
+    # Delta(c) has ghost coordinates c, c, ... by canonical coordinates, so
+    # exactly mod p^N; the oracle is Delta(c) over Z/p^(N+L+1), reduced
+    lt = LubinTateSeries.plain(p) if tag == "plain" else LubinTateSeries.cyclotomic(p)
+    nprec, length = 10, 4
+    ring = make_ring(RingSpec(p, s, m, lt if m >= 0 else None, nprec))
+    plain = ring_of(p, nprec=nprec + length + 1)
+    for c in (0, 1, 2, p, p * p + 1, -3, 12345):
+        vec = delta_vector(ring, c, length)
+        assert all(x.prec == ring.cap for x in vec.comps)
+        assert all(g.co == ring.from_int(c).co for g in ghost_map(vec).entries), (c,)
+        want = delta(plain.from_int(c), length)
+        assert [x.co for x in vec.comps] == [ring.from_int(t.co[0]).co for t in want.comps]
 
 
 def test_varpi_at_higher_level():

@@ -15,6 +15,7 @@ from wittlab.wittvec import (
     delta,
     frob,
     ghost_map,
+    ghost_peel,
     ghost_shift,
     ghost_vshift,
     one_vec,
@@ -278,11 +279,39 @@ def test_delta_spec_examples():
     assert d1 == one_vec(ring, 4)
     d0 = delta(ring.zero(), 3)
     assert d0.is_zero()
-    dp = delta(ring.from_int(3), 3)
-    assert dp[0] == ring.from_int(3)
-    assert dp[1] == ring.from_int(1 - 3**2)
-    g = ghost_map(dp)
-    assert all(e == ring.from_int(3) for e in g.entries)
+    # Delta(p) = (p, 1 - p^(p-1), ...), solving fant_1 = p by hand
+    for p in (2, 3, 5):
+        ring = ring_of(p, nprec=14)
+        dp = delta(ring.from_int(p), 3)
+        assert dp[0] == ring.from_int(p)
+        assert dp[1] == ring.from_int(1 - p ** (p - 1))
+        g = ghost_map(dp)
+        assert all(e == ring.from_int(p) for e in g.entries)
+
+
+def test_ghost_peel_constant_teichmuller_sequence():
+    # u_n = a^(p^n) is the ghost of tau(a): the peel gives (a, 0, 0, ...)
+    ring = ring_of(3, nprec=12)
+    a = ring.from_int(5)
+    comps = ghost_peel(3, [a ** (3**n) for n in range(4)])
+    assert comps[0] == a
+    assert all(c.is_zero() for c in comps[1:])
+
+
+def test_ghost_peel_roundtrip_random():
+    rng = random.Random(7)
+    for p in (2, 3):
+        ring = ring_of(p, nprec=16)
+        for _ in range(10):
+            vec = [ring.random(rng) for _ in range(4)]
+            seq = []
+            for n in range(4):
+                acc = ring.zero()
+                for i in range(n + 1):
+                    acc = acc + (vec[i] ** (p ** (n - i))).scale_int(p**i)
+                seq.append(acc)
+            for got, want in zip(ghost_peel(p, seq), vec):
+                assert got == want
 
 
 def test_delta_p2():
