@@ -14,6 +14,7 @@ from wittlab.upoly import (
     ghost_poly,
     structural_polys,
 )
+from wittlab.wittvec import ghost_peel
 
 
 def mono(p, nx, ny, exps, coeff=1):
@@ -231,3 +232,12 @@ def test_family_powers_keep_the_deadline(monkeypatch):
     monkeypatch.setattr(upoly, "_structural_cache", {})
     with pytest.raises(TimeBudgetExceeded):
         structural_polys("sum", 3, 3, deadline_seconds=-1.0)
+
+
+def test_ghost_invert_constant_p_sequence():
+    # u_n = p: components (p, 1 - p^(p-1), ...), solving fant_1 = p by hand
+    for p in (2, 3, 5):
+        ring = ring_of(p, nprec=14)
+        comps = ghost_peel(p, [ring.from_int(p) for _ in range(3)])
+        assert comps[0] == ring.from_int(p)
+        assert comps[1] == ring.from_int(1 - p ** (p - 1))
