@@ -4,7 +4,7 @@ from .characters import CharParams, CharacterSystem, check_splitting, mu_ppow_ta
 from .fields import finite_field
 from .gausstrace import GaussConfig, bench_report, trace_formula_check
 from .rings import LubinTateSeries, RingElem, RingSpec, make_ring, ring_of
-from .series import artin_hasse_E, pulita_theta, pulita_theta_ms, robba, varpi
+from .series import artin_hasse_E, pulita_theta_ms, robba, varpi
 from .upoly import ghost_poly, structural_polys
 from .wittvec import WittVec, frob, ghost_map, tau, versch, witt_add, witt_mul
 
@@ -27,7 +27,6 @@ __all__ = [
     "ghost_poly",
     "make_ring",
     "mu_ppow_table",
-    "pulita_theta",
     "pulita_theta_ms",
     "ring_of",
     "robba",

@@ -213,6 +213,12 @@ def check_degree(degree):
         raise InvalidParameter(f"series degree D = {degree!r} is not an integer >= 1")
 
 
+def check_target(target_prec):
+    """Refuse a target pi-precision M below 1 (None keeps the default)."""
+    if target_prec is not None and target_prec < 1:
+        raise InvalidParameter(f"target precision M = {target_prec} is below 1")
+
+
 class CharParams:
     """Configuration for psi_{l,s,t}: prime, unramified degree, length, t."""
 
@@ -235,6 +241,7 @@ class CharParams:
             raise InvalidParameter(f"t residue index {u_index} outside 0..{p**s - 1}")
         if degree is not None:
             check_degree(degree)
+        check_target(target_prec)
         self.p = p
         self.s = s
         self.ell = ell

@@ -112,18 +112,14 @@ def cmd_char_table(args):
     return 0
 
 
-def _gauss_one(job):
-    params, m, b, target = job
-    return trace_formula_check(GaussConfig(params, m, b, target_prec=target))
-
-
 def cmd_gauss(args):
-    # a sweep's system keeps its own default target: --target-prec is then
-    # the trace target only
-    params = _params(args, None if args.sweep else args.target_prec)
+    if args.jobs < 1:
+        raise InvalidParameter(f"--jobs needs at least 1 worker, have {args.jobs}")
+    params = _params(args, None)
     if args.sweep:
         q = params.p**params.s
-        jobs = [(params, m, b, args.target_prec) for m in range(q - 1) for b in range(q)]
+        configs = [GaussConfig(params, m, b, target_prec=args.target_prec)
+                   for m in range(q - 1) for b in range(q)]
         if args.jobs > 1:
             # forked workers inherit the shared system the checks use, with
             # its theta series, mu and psi tables, instead of each building
@@ -134,11 +130,11 @@ def cmd_gauss(args):
             system.character_table()
             try:
                 with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    reports = list(pool.map(_gauss_one, jobs))
+                    reports = list(pool.map(trace_formula_check, configs))
             except (OSError, RuntimeError):
-                reports = [_gauss_one(job) for job in jobs]
+                reports = [trace_formula_check(cfg) for cfg in configs]
         else:
-            reports = [_gauss_one(job) for job in jobs]
+            reports = [trace_formula_check(cfg) for cfg in configs]
         payload = {"sweep": reports}
         _emit(args, payload)
         return 0
@@ -170,9 +166,7 @@ def cmd_bench(args):
         raise InvalidParameter(
             f"--D needs comma-separated integers, have {args.bench_degrees!r}"
         ) from None
-    report = bench_report(
-        _params(args, args.target_prec), args.chi_m, args.chi_b, degrees, args.target_prec
-    )
+    report = bench_report(_params(args, None), args.chi_m, args.chi_b, degrees, args.target_prec)
     _emit(args, report)
     return 0
 
@@ -184,10 +178,11 @@ def _selftest_checks():
     from .gausstrace import alpha_apply_monomial, alpha_matrix
     from .rings import RingSpec, make_ring
     from .series import (
+        Series1,
         TruncSeries2,
         artin_hasse_fractions,
         f_delta_coeffs,
-        pulita_theta,
+        phi_vector,
         pulita_theta_ms,
         series_length,
         varpi,
@@ -231,7 +226,7 @@ def _selftest_checks():
 
     def local_expansion_ok():
         ring = make_ring(RingSpec(2, 1, 1, LubinTateSeries.cyclotomic(2), 10))
-        th = pulita_theta(ring, 1, one_vec(ring, series_length(2, 24)), 24)
+        th = pulita_theta_ms(ring, 1, 1, one_vec(ring, series_length(2, 24)), 24)
         rng = random.Random(9)
         pi = ring.pi()
         for _ in range(5):
@@ -268,11 +263,15 @@ def _selftest_checks():
             for c in artin_hasse_fractions(p, 32):
                 if c.denominator % p == 0:
                     return False
-        ring = make_ring(RingSpec(2, 1, 1, LubinTateSeries.cyclotomic(2), 12))
-        one = one_vec(ring, series_length(2, 16))
-        single = pulita_theta_ms(ring, 1, 1, one, 16, form="single")
-        product = pulita_theta_ms(ring, 1, 1, one, 16, form="product")
-        return single == product
+        # theta_{1,2}(a) = theta_1(a) theta_1(a^phi)(x^2), at s = 2 where phi acts
+        ring = make_ring(RingSpec(2, 2, 1, LubinTateSeries.cyclotomic(2), 12))
+        rng = random.Random(3)
+        a = WittVec(ring, [ring.random(rng) for _ in range(series_length(2, 16))])
+        product = Series1.one(ring, 16)
+        for i in range(2):
+            factor = pulita_theta_ms(ring, 1, 1, phi_vector(a, i), 16)
+            product = product * factor.compose_xpow(2**i)
+        return pulita_theta_ms(ring, 1, 2, a, 16) == product
 
     def characters_ok():
         system = CharacterSystem(CharParams(2, 1, 2, nprec=14, degree=48))

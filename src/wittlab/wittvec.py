@@ -80,15 +80,6 @@ class WittVec:
     def is_zero(self):
         return all(_is_zero(c) for c in self.comps)
 
-    def to_json_obj(self):
-        return {
-            "length": len(self),
-            "components": [
-                c.to_json_obj() if hasattr(c, "to_json_obj") else list(c.co)
-                for c in self.comps
-            ],
-        }
-
 
 class GhostSeq:
     """A finite slice of the product-ring side (ghost coordinates)."""
@@ -134,16 +125,23 @@ def _check_pair(a, b):
     return min(len(a), len(b))
 
 
+def _check_length(length):
+    if length < 0:
+        raise InvalidParameter(f"a Witt vector needs a length >= 0, have {length}")
+
+
 def zero_vec(ring, length):
+    _check_length(length)
     return WittVec(ring, [ring.zero() for _ in range(length)])
 
 
 def one_vec(ring, length):
-    return WittVec(ring, [ring.one()] + [ring.zero() for _ in range(length - 1)])
+    return tau(ring, ring.one(), length)
 
 
 def tau(ring, x, length):
     """The multiplicative section x -> (x, 0, ..., 0)."""
+    _check_length(length)
     return WittVec(ring, [x] + [ring.zero() for _ in range(length - 1)])
 
 
@@ -286,6 +284,7 @@ def from_ghosts(ring, length, ghosts):
     p^i a_i^(p^(n-i)) mod p^(N+L), so the peel returns a_n mod p^(N+L-n),
     which covers p^N for every n < L.
     """
+    _check_length(length)
     big = ring.with_precision(ring.nprec + length)
     return _recover(ring, ghosts(big), [ring.cap] * length)
 
@@ -370,8 +369,7 @@ def delta(x, length):
     ring = x.ring
     if not (isinstance(ring, TowerRing) and ring.m == -1 and ring.s == 1):
         raise RingMismatch(f"delta needs x over Z/p^N, have x in {ring!r}")
-    if length < 0:
-        raise InvalidParameter(f"delta needs a length >= 0, have {length}")
+    _check_length(length)
     return WittVec(ring, ghost_peel(ring.p, [x] * length))
 
 

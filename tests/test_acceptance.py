@@ -36,7 +36,6 @@ from wittlab.series import (
     g_delta_coeffs,
     pad_vector,
     phi_vector,
-    pulita_theta,
     pulita_theta_ms,
     series_length,
     varpi,
@@ -305,7 +304,7 @@ def test_criterion_05_series_layer():
         length = series_length(p, deg)
         a = WittVec(ring, [ring.random(rng) for _ in range(length)])
         b = WittVec(ring, [ring.random(rng) for _ in range(length)])
-        th = lambda m, v: pulita_theta(ring, m, v, deg)
+        th = lambda m, v: pulita_theta_ms(ring, m, 1, v, deg)
         assert th(1, witt_add(a, b)) == th(1, a) * th(1, b)
         # pulitadecal
         assert th(1, versch(pad_vector(a, length), 1)) == th(0, a).compose_xpow(p)
@@ -316,10 +315,11 @@ def test_criterion_05_series_layer():
             assert th(1, tau(ring, t, length)) == th(
                 1, tau(ring, ring.one(), length)
             ).compose_scale(t)
-        # theta_{m,s}: both computational forms, V-shift, transitivity
-        single = pulita_theta_ms(ring, 1, s, a, deg, form="single")
-        product = pulita_theta_ms(ring, 1, s, a, deg, form="product")
-        assert single == product
+        # theta_{m,s}: the product over Frobenius twists, V-shift, transitivity
+        product = Series1.one(ring, deg)
+        for i in range(s):
+            product = product * th(1, phi_vector(a, i)).compose_xpow(p**i)
+        assert pulita_theta_ms(ring, 1, s, a, deg) == product
         assert pulita_theta_ms(
             ring, 1, s, versch(pad_vector(a, length), 1), deg
         ) == pulita_theta_ms(ring, 0, s, a, deg).compose_xpow(p)
@@ -345,7 +345,7 @@ def test_criterion_06_local_expansions():
         deg = 32 if p == 2 else 27
         length = series_length(p, deg)
         one = one_vec(ring, length)
-        th1 = pulita_theta(ring, 1, one, deg)
+        th1 = pulita_theta_ms(ring, 1, 1, one, deg)
         ths = pulita_theta_ms(ring, 1, s, one, deg)
         pi = ring.pi()
         rng = random.Random(55)

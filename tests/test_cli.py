@@ -81,6 +81,12 @@ def test_gen_polys_refuses_oversized_family(capsys):
         (["bench", "--p", "2", "--D", "32,0"], "D = 0"),
         (["bench", "--p", "2", "--D", "32,x"], "--D"),
         (["bench", "--p", "2", "--D", ""], "--D"),
+        (["gauss", "--p", "2", "--chi-b", "1", "--target-prec", "0"], "M = 0"),
+        (["gauss", "--p", "2", "--sweep", "--target-prec", "-4"], "M = -4"),
+        (["bench", "--p", "2", "--target-prec", "0"], "M = 0"),
+        (["char-table", "--p", "2", "--target-prec", "0"], "M = 0"),
+        (["gauss", "--p", "2", "--sweep", "--jobs", "0"], "--jobs"),
+        (["gauss", "--p", "2", "--sweep", "--jobs", "-3"], "--jobs"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, needle):
@@ -126,15 +132,15 @@ from wittlab.characters import (
     CharacterSystem, CharParams, RootOfUnityTable, _match_root_tables, mu_ppow_table,
     omega_factorization_check,
 )
-from wittlab.errors import WittlabError
+from wittlab.errors import InvalidParameter, ReportedMismatch, RingMismatch, TruncationTooSmall
 from wittlab.fields import finite_field
-from wittlab.gausstrace import alpha_matrix, gauss_brute
+from wittlab.gausstrace import alpha_matrix
 from wittlab.rings import LubinTateSeries, ring_of
 from wittlab.series import (
     Series1, TruncSeries2, exp_fractions, pad_vector, pulita_theta_ms, series_eval_unit,
     varpi,
 )
-from wittlab.wittvec import WittVec, delta, one_vec, scalar_nat, te_lift, versch
+from wittlab.wittvec import WittVec, delta, one_vec, scalar_nat, tau, te_lift, versch, zero_vec
 
 zp, f4 = ring_of(2, nprec=8), finite_field(2, 2)
 z3, zq = ring_of(3, nprec=8), ring_of(2, 2, nprec=8)
@@ -142,7 +148,6 @@ lvl0 = ring_of(2, 1, 0, LubinTateSeries.cyclotomic(2), 8)
 # a table whose generator powers match two entries, and one with a y-coordinate
 twins = SimpleNamespace(elements=[zp.one(), zp.one()], gen_index=0, order=2, ring=zp)
 y_root = SimpleNamespace(ring=zq, elements=[zq.y_gen()])
-f2_system = CharacterSystem(CharParams(2, 1, 2, nprec=8, degree=16))
 
 
 def w_with_constant_term():
@@ -154,48 +159,55 @@ def w_with_constant_term():
         series.from_ghosts = saved
 
 
-calls = [
-    lambda: one_vec(zp, 3) ** 0,
-    lambda: one_vec(zp, 3).truncate(4),
-    lambda: scalar_nat(one_vec(zp, 3), -1),
-    lambda: delta(ring_of(2, 2, nprec=8).one(), 3),
-    lambda: te_lift(one_vec(f4, 3), ring_of(2, 2, nprec=8), 2),
-    lambda: Series1(zp, [zp.one()] * 5).truncate(9),
-    lambda: alpha_matrix(TruncSeries2(zp, 24), 2, 20),
-    lambda: f4.embedding_into(finite_field(3, 2)),
-    lambda: f4.embedding_into(finite_field(2, 3)),
-    lambda: pulita_theta_ms(lvl0, 0, 0, one_vec(lvl0, 2), 8),
-    lambda: finite_field(6, 2),
-    lambda: finite_field(4, 1).multiplicative_generator(),
-    lambda: finite_field(2, 0),
-    lambda: mu_ppow_table(zp, 2),
-    lambda: omega_factorization_check(CharParams(2, 1, 3), 1, 8),
-    lambda: RootOfUnityTable._discrete_logs(twins),
-    lambda: _match_root_tables(y_root, y_root),
-    lambda: TruncSeries2.outer(Series1(zp, [zp.one()]), Series1(z3, [z3.one()]), 4),
-    lambda: (
+rows = [
+    (InvalidParameter, lambda: one_vec(zp, 3) ** 0),
+    (InvalidParameter, lambda: one_vec(zp, 3).truncate(4)),
+    (InvalidParameter, lambda: scalar_nat(one_vec(zp, 3), -1)),
+    (RingMismatch, lambda: delta(ring_of(2, 2, nprec=8).one(), 3)),
+    (InvalidParameter, lambda: te_lift(one_vec(f4, 3), ring_of(2, 2, nprec=8), 2)),
+    (TruncationTooSmall, lambda: Series1(zp, [zp.one()] * 5).truncate(9)),
+    (TruncationTooSmall, lambda: alpha_matrix(TruncSeries2(zp, 24), 2, 20)),
+    (RingMismatch, lambda: f4.embedding_into(finite_field(3, 2))),
+    (RingMismatch, lambda: f4.embedding_into(finite_field(2, 3))),
+    (InvalidParameter, lambda: pulita_theta_ms(lvl0, 0, 0, one_vec(lvl0, 2), 8)),
+    (InvalidParameter, lambda: finite_field(6, 2)),
+    (InvalidParameter, lambda: finite_field(4, 1).multiplicative_generator()),
+    (InvalidParameter, lambda: finite_field(2, 0)),
+    (InvalidParameter, lambda: mu_ppow_table(zp, 2)),
+    (InvalidParameter, lambda: omega_factorization_check(CharParams(2, 1, 3), 1, 8)),
+    (ReportedMismatch, lambda: RootOfUnityTable._discrete_logs(twins)),
+    (ReportedMismatch, lambda: _match_root_tables(y_root, y_root)),
+    (RingMismatch, lambda: TruncSeries2.outer(Series1(zp, [zp.one()]), Series1(z3, [z3.one()]), 4)),
+    (RingMismatch, lambda: (
         Series1(zp, [zp.from_int(3), zp.from_int(5)]) * Series1(z3, [z3.from_int(7), z3.from_int(2)])
-    ),
-    lambda: exp_fractions([1, 1], 4),
-    w_with_constant_term,
-    lambda: varpi(zp, 0, 2),
-    lambda: f4.gen() + finite_field(2, 3).gen(),
-    lambda: f4.gen() * finite_field(2, 3).gen(),
-    lambda: gauss_brute(f2_system, 0, f2_system.field.one(), "unit"),
-    lambda: CharacterSystem(CharParams(2, 1, 3, nprec=8, degree=16)).omega(),
-    lambda: series_eval_unit(Series1(zp, [zp.one()]), SimpleNamespace(valuation=lambda: -1), 2),
-    lambda: one_vec(zp, 4).truncate(-1),
-    lambda: pad_vector(one_vec(zp, 4), -1),
-    lambda: versch(one_vec(zp, 4), -1),
-    lambda: Series1(zp, [zp.one()] * 5).truncate(-1),
-    lambda: delta(zp.one(), -2),
+    )),
+    (InvalidParameter, lambda: exp_fractions([1, 1], 4)),
+    (ReportedMismatch, w_with_constant_term),
+    (InvalidParameter, lambda: varpi(zp, 0, 2)),
+    (RingMismatch, lambda: f4.gen() + finite_field(2, 3).gen()),
+    (RingMismatch, lambda: f4.gen() * finite_field(2, 3).gen()),
+    (InvalidParameter, lambda: CharacterSystem(CharParams(2, 1, 3, nprec=8, degree=16)).omega()),
+    (InvalidParameter, lambda: series_eval_unit(
+        Series1(zp, [zp.one()]), SimpleNamespace(valuation=lambda: -1), 2)),
+    (InvalidParameter, lambda: one_vec(zp, 4).truncate(-1)),
+    (InvalidParameter, lambda: pad_vector(one_vec(zp, 4), -1)),
+    (InvalidParameter, lambda: versch(one_vec(zp, 4), -1)),
+    (InvalidParameter, lambda: Series1(zp, [zp.one()] * 5).truncate(-1)),
+    (InvalidParameter, lambda: delta(zp.one(), -2)),
+    (InvalidParameter, lambda: zero_vec(zp, -1)),
+    (InvalidParameter, lambda: series.delta_vector(zp, 3, -1)),
+    (InvalidParameter, lambda: one_vec(zp, -1)),
+    (InvalidParameter, lambda: tau(zp, zp.one(), -2)),
 ]
-for call in calls:
+for want, call in rows:
     try:
         call()
-        print("returned")
-    except WittlabError as exc:
-        print(type(exc).__name__)
+        got = "returned"
+    except Exception as exc:
+        if type(exc) is want:
+            continue
+        got = type(exc).__name__
+    print(call.__code__.co_firstlineno, want.__name__, got)
 """
 
 
@@ -203,6 +215,8 @@ def test_direct_refusals_hold_under_python_O():
     # each of these guarded its argument or an invariant with an assert, so
     # under -O it returned a wrong value (scalar_nat looped forever), and Fq
     # checked nothing (a non-prime p never found a generator); each now raises
+    # exactly the error class its row names, and the script prints each row
+    # that does not
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -211,40 +225,12 @@ def test_direct_refusals_hold_under_python_O():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [
-        "InvalidParameter",
-        "InvalidParameter",
-        "InvalidParameter",
-        "RingMismatch",
-        "InvalidParameter",
-        "TruncationTooSmall",
-        "TruncationTooSmall",
-        "RingMismatch",
-        "RingMismatch",
-        "InvalidParameter",
-        "InvalidParameter",
-        "InvalidParameter",
-        "InvalidParameter",
-        "InvalidParameter",
-        "InvalidParameter",
-        "ReportedMismatch",
-        "ReportedMismatch",
-        "RingMismatch",
-        "RingMismatch",
-        "InvalidParameter",
-        "ReportedMismatch",
-        "InvalidParameter",
-        "RingMismatch",
-        "RingMismatch",
-        "InvalidParameter",
-        "InvalidParameter",
-        "InvalidParameter",
-        "InvalidParameter",
-        "InvalidParameter",
-        "InvalidParameter",
-        "InvalidParameter",
-        "InvalidParameter",
+    lines = _DIRECT_REFUSALS.splitlines()
+    mismatches = [
+        f"{lines[int(n) - 1].strip()}  expected {want}, got {got}"
+        for n, want, got in (row.split() for row in proc.stdout.splitlines())
     ]
+    assert not mismatches, "\n".join(mismatches)
 
 
 def test_bench_rejects_jobs(capsys):

@@ -334,9 +334,6 @@ def test_embed_from_unramified_part():
          "level -1 outside 0..1"),
         (lambda: pulita_theta_ms(make_ring(_LEVEL0), 0, 0, one_vec(make_ring(_LEVEL0), 2), 8),
          "s >= 1, have 0"),
-        (lambda: pulita_theta_ms(
-            make_ring(_LEVEL0), 0, 1, one_vec(make_ring(_LEVEL0), 2), 8, form="double"),
-         "form must be 'single' or 'product', have 'double'"),
         (lambda: ghost_poly(2, -1), "index must be >= 0, have -1"),
         # a negative power of a universal polynomial is refused, not answered
         # with the zero polynomial or the polynomial itself

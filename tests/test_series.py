@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittlab.errors import NonIntegralResult, PrecisionNotReached, TailNotCertified
+from wittlab.errors import NonIntegralResult, TailNotCertified
 from wittlab.rings import LubinTateSeries, RingElem, RingSpec, make_ring, ring_of
 from wittlab.series import (
     exp_ring_series,
@@ -15,13 +15,12 @@ from wittlab.series import (
     artin_hasse_series,
     delta_vector,
     exp_fractions,
-    exp_zero_constant,
     f_delta_coeffs,
     g_delta_coeffs,
     pad_vector,
     phi_vector,
-    pulita_theta,
     pulita_theta_ms,
+    reduce_fraction,
     robba,
     series_eval_unit,
     series_length,
@@ -106,13 +105,11 @@ def test_artin_hasse_low_terms():
 
 
 def test_exp_zero_constant_examples():
-    z3 = ring_of(3, nprec=6)
-    s = exp_zero_constant(z3, [0, 1], 2)  # exp(x) mod x^3
-    assert s.coeffs[0] == z3.one() and s.coeffs[1] == z3.one()
-    assert s.coeffs[2] == z3.from_int((3**6 + 1) // 2)  # 1/2 reduced
-    z2 = ring_of(2, nprec=6)
+    # exp(x) mod x^3 = 1 + x + x^2/2, reduced mod 3^6; 1/2 is not 2-integral
+    e = exp_fractions([Fraction(0), Fraction(1)], 2)
+    assert [reduce_fraction(c, 3, 3**6) for c in e] == [1, 1, (3**6 + 1) // 2]
     with pytest.raises(NonIntegralResult):
-        exp_zero_constant(z2, [0, 1], 2)
+        reduce_fraction(e[2], 2, 2**6)
     # exp(f+g) = exp(f) exp(g), checked over exact rationals
     f = [Fraction(0), Fraction(1), Fraction(1, 2)]
     g = [Fraction(0), Fraction(2), Fraction(0), Fraction(1, 3)]
@@ -293,13 +290,13 @@ def test_theta_zero_is_one_and_morphism():
     p, m, deg = 3, 1, 12
     ring = make_ring(RingSpec(p, 1, m, LubinTateSeries.cyclotomic(p), 10))
     length = series_length(p, deg)
-    assert pulita_theta(ring, m, zero_vec(ring, length), deg) == Series1.one(ring, deg)
+    assert pulita_theta_ms(ring, m, 1, zero_vec(ring, length), deg) == Series1.one(ring, deg)
     rng = random.Random(13)
     a = WittVec(ring, [ring.random(rng) for _ in range(length)])
     b = WittVec(ring, [ring.random(rng) for _ in range(length)])
-    assert pulita_theta(ring, m, witt_add(a, b), deg) == pulita_theta(
-        ring, m, a, deg
-    ) * pulita_theta(ring, m, b, deg)
+    assert pulita_theta_ms(ring, m, 1, witt_add(a, b), deg) == pulita_theta_ms(
+        ring, m, 1, a, deg
+    ) * pulita_theta_ms(ring, m, 1, b, deg)
 
 
 def test_theta_verschiebung_shift():
@@ -309,9 +306,9 @@ def test_theta_verschiebung_shift():
     rng = random.Random(7)
     length = series_length(p, deg)
     a = WittVec(ring, [ring.random(rng) for _ in range(length)])
-    th = pulita_theta(ring, 1, versch(pad_vector(a, length), 1), deg)
-    assert th == pulita_theta(ring, 0, a, deg).compose_xpow(p)
-    th2 = pulita_theta(ring, 0, versch(pad_vector(a, length), 1), deg)
+    th = pulita_theta_ms(ring, 1, 1, versch(pad_vector(a, length), 1), deg)
+    assert th == pulita_theta_ms(ring, 0, 1, a, deg).compose_xpow(p)
+    th2 = pulita_theta_ms(ring, 0, 1, versch(pad_vector(a, length), 1), deg)
     assert th2 == Series1.one(ring, deg)
 
 
@@ -323,8 +320,8 @@ def test_theta_tau_root_of_unity():
     length = series_length(p, deg)
     for u in fq.units():
         t = ring.teichmuller(u)
-        lhs = pulita_theta(ring, 1, tau(ring, t, length), deg)
-        rhs = pulita_theta(ring, 1, tau(ring, ring.one(), length), deg).compose_scale(t)
+        lhs = pulita_theta_ms(ring, 1, 1, tau(ring, t, length), deg)
+        rhs = pulita_theta_ms(ring, 1, 1, tau(ring, ring.one(), length), deg).compose_scale(t)
         assert lhs == rhs
 
 
@@ -335,10 +332,12 @@ def test_theta_ms_forms_agree():
         rng = random.Random(17)
         length = series_length(p, deg)
         a = WittVec(ring, [ring.random(rng) for _ in range(length)])
-        single = pulita_theta_ms(ring, 1, s, a, deg, form="single")
-        product = pulita_theta_ms(ring, 1, s, a, deg, form="product")
-        assert single == product
-        assert pulita_theta_ms(ring, 1, 1, a, deg) == pulita_theta(ring, 1, a, deg)
+        # theta_{m,s}(a) = prod_{i<s} theta_m(a^(phi^i)) o x^(p^i)
+        product = Series1.one(ring, deg)
+        for i in range(s):
+            factor = pulita_theta_ms(ring, 1, 1, phi_vector(a, i), deg)
+            product = product * factor.compose_xpow(p**i)
+        assert pulita_theta_ms(ring, 1, s, a, deg) == product
 
 
 def test_theta_ms_transitivity():
@@ -374,8 +373,8 @@ def test_theta_reciprocal():
     rng = random.Random(29)
     length = series_length(p, deg)
     a = WittVec(ring, [ring.random(rng) for _ in range(length)])
-    forward = pulita_theta(ring, 1, a, deg)
-    backward = pulita_theta(ring, 1, witt_neg(a), deg)
+    forward = pulita_theta_ms(ring, 1, 1, a, deg)
+    backward = pulita_theta_ms(ring, 1, 1, witt_neg(a), deg)
     assert forward * backward == Series1.one(ring, deg)
 
 
@@ -387,7 +386,7 @@ def test_theta_ideal_bound():
     length = series_length(p, deg)
     pi = ring.pi()
     a = WittVec(ring, [pi * ring.random(rng) for _ in range(length)])
-    th = pulita_theta(ring, m, a, deg)
+    th = pulita_theta_ms(ring, m, 1, a, deg)
     assert th.coeffs[0] == ring.one()
     for c in th.coeffs[1:]:
         v = c.valuation()
@@ -433,7 +432,7 @@ def test_local_expansion_lemma():
         deg = 24 if p == 2 else 18
         length = series_length(p, deg)
         one = WittVec(ring, [ring.one()] + [ring.zero()] * (length - 1))
-        th = pulita_theta(ring, 1, one, deg)
+        th = pulita_theta_ms(ring, 1, 1, one, deg)
         pi = ring.pi()
         rng = random.Random(37)
         for _ in range(5):
@@ -453,16 +452,6 @@ def test_series_eval_certification():
     flat = Series1(ring, [ring.one() for _ in range(13)])
     with pytest.raises(TailNotCertified):
         series_eval_unit(flat, ring.pi(), 4)
-
-
-def test_witt_series_eval_guards():
-    ring = make_ring(RingSpec(2, 1, 1, LubinTateSeries.cyclotomic(2), 8))
-    x = varpi(ring, 1, 3)
-    coeffs = [zero_vec(ring, 3)] * 2
-    with pytest.raises(PrecisionNotReached):
-        witt_series_eval(coeffs, x, target_prec=50, exact=False)
-    b = WittVec(ring, [ring.from_int(5), ring.one(), ring.zero()])
-    assert witt_series_eval([b], x, target_prec=1, exact=False) == b
 
 
 def test_artin_hasse_series_reduction():
