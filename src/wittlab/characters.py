@@ -29,9 +29,10 @@ from .series import (
     TruncSeries2,
     certify_tail,
     pulita_theta_ms,
+    series_eval_unit,
     series_length,
 )
-from .wittvec import WittVec, one_vec, witt_add, witt_mul, witt_trace, zero_vec
+from .wittvec import WittVec, one_vec, te_lift, witt_add, witt_mul, witt_trace, zero_vec
 
 
 @functools.lru_cache(maxsize=None)
@@ -336,9 +337,6 @@ class CharacterSystem:
 
     def psi_direct(self, y):
         """Definition path: theta_{l-1,s}(Te(y)) evaluated at t (slow)."""
-        from .series import series_eval_unit
-        from .wittvec import te_lift
-
         length = series_length(self.params.p, self.params.degree)
         lifted = te_lift(y, self.ring, length)
         series = pulita_theta_ms(
@@ -408,7 +406,7 @@ class CharacterSystem:
         if not z0:
             raise NotUnit("chi is defined on units: z_0 != 0")
         q = self.field.q
-        teich_part = self.ring.teichmuller(z0) ** m
+        teich_part = self.ring.teichmuller(z0**m)
         if not b or not z1:
             return teich_part
         arg = b * z1 * z0 ** (self.params.p * (q - 2))

@@ -22,7 +22,7 @@ from .upoly import structural_polys
 LT_CHOICES = {"cyc": LubinTateSeries.cyclotomic, "plain": LubinTateSeries.plain}
 
 
-def _char_flags(parser):
+def _char_flags(parser, formats):
     parser.add_argument("--p", type=int, default=2, help="the prime")
     parser.add_argument("--s", type=int, default=1, help="unramified degree, q = p^s")
     parser.add_argument("--ell", type=int, default=2, help="Witt vector length")
@@ -44,7 +44,8 @@ def _char_flags(parser):
         default=None,
         help="index of the residue u with t = Teich(u); default: first of nonzero trace",
     )
-    parser.add_argument("--format", choices=["json", "text", "csv"], default="json")
+    parser.add_argument("--format", default="json", help=" or ".join(formats))
+    parser.set_defaults(formats=formats)
 
 
 def _params(args, target_prec):
@@ -63,7 +64,7 @@ def _params(args, target_prec):
 def _emit(args, payload, text_renderer=None):
     payload.setdefault("schema", 1)
     payload["run_meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
-    if args.format == "text" and text_renderer is not None:
+    if args.format == "text":
         print(text_renderer(payload))
     else:
         print(json.dumps(payload, sort_keys=True, default=str))
@@ -115,6 +116,8 @@ def cmd_char_table(args):
 def cmd_gauss(args):
     if args.jobs < 1:
         raise InvalidParameter(f"--jobs needs at least 1 worker, have {args.jobs}")
+    if args.sweep and (args.format != "json" or args.convention != "both"):
+        raise InvalidParameter("--sweep writes JSON with both conventions only")
     params = _params(args, None)
     if args.sweep:
         q = params.p**params.s
@@ -361,11 +364,11 @@ def main(argv=None):
     g.set_defaults(func=cmd_gen_polys)
 
     c = sub.add_parser("char-table", help="build and verify a psi table")
-    _char_flags(c)
+    _char_flags(c, ("json", "text", "csv"))
     c.set_defaults(func=cmd_char_table)
 
     ga = sub.add_parser("gauss", help="trace-formula report for one character")
-    _char_flags(ga)
+    _char_flags(ga, ("json", "text"))
     ga.add_argument("--chi-m", type=int, default=0)
     ga.add_argument("--chi-b", type=int, default=0, help="index of b in F_q")
     ga.add_argument("--convention", choices=["full", "units", "both"], default="both")
@@ -374,7 +377,7 @@ def main(argv=None):
     ga.set_defaults(func=cmd_gauss)
 
     b = sub.add_parser("bench", help="time brute force against the operator trace")
-    _char_flags(b)
+    _char_flags(b, ("json",))
     b.add_argument("--chi-m", type=int, default=0)
     b.add_argument("--chi-b", type=int, default=0)
     b.add_argument("--D", dest="bench_degrees", default="32,64", help="degree list")
@@ -385,6 +388,9 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        if "formats" in args and args.format not in args.formats:
+            offered = " or ".join(args.formats)
+            raise InvalidParameter(f"{args.command} writes {offered}, not {args.format}")
         return args.func(args)
     except WittlabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

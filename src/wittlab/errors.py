@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
-Every failure mode that callers are expected to handle gets its own class;
-anything else is a plain bug and surfaces as AssertionError/ValueError.
+Every failure mode that callers are expected to handle gets its own class.
+No check is an ``assert``, which ``python -O`` strips (a tier-1 test walks the
+package for them); any other exception is a plain bug.
 """
 
 

@@ -16,13 +16,16 @@ folds many at once, as wide ints).  When e = 1 or s = 1 the block is one
 polynomial, and ``mul_co`` takes ``fields.mul_mod``, which folds with the same rows.
 
 E_m is built from the Lubin-Tate series F(T) = pT + T^p + pT^2 G(T) as
-F^(m+1)(T)/F^m(T) = p + u^(p-1) + p*u*G(u) with u = F^m(T), which is an
-exact integer polynomial identity, then reduced and certified Eisenstein.
+F^(m+1)(T)/F^m(T) = F(u)/u with u = F^m(T), an exact integer polynomial
+composition, then reduced and certified Eisenstein.  ``RingElem`` is the one
+arithmetic of a ring: the Frobenius lift sigma(y) is found by Newton in the
+ring itself, and the Teichmueller lifts are powers of one lifted generator.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -67,19 +70,10 @@ class LubinTateSeries:
 
     @classmethod
     def cyclotomic(cls, p):
-        """F(T) = (1+T)^p - 1; G determined by expanding the binomial."""
+        """F(T) = (1+T)^p - 1: G has the coefficients C(p, k)/p, 2 <= k < p."""
         if not is_prime(p):
             raise InvalidParameter(f"p = {p} is not prime")
-        binom = [1]
-        for _ in range(p):
-            binom = [a + b for a, b in zip(binom + [0], [0] + binom)]
-        # F coefficients: binom[k] for k = 1..p (constant term cancels);
-        # p divides binom[k] for 0 < k < p
-        g = []
-        for k in range(2, p):
-            c = binom[k]
-            g.append(c // p)
-        return cls(p, tuple(g))
+        return cls(p, tuple(math.comb(p, k) // p for k in range(2, p)))
 
     def f_coeffs(self):
         """Coefficient list of F over Z (index = degree)."""
@@ -121,27 +115,8 @@ def lt_iterate_exact(lt, n):
 
 
 def eisenstein_poly(lt, m):
-    """E_m(T) = F^(m+1)/F^m = p + u^(p-1) + p u G(u), u = F^m(T), over Z."""
-    p = lt.p
-    u = lt_iterate_exact(lt, m)
-    out = list(pow_ladder(u, p - 1, convolve))
-    out[0] += p
-    if lt.g_coeffs:
-        gu = [0]
-        acc = [1]
-        for g in lt.g_coeffs:
-            gu = _poly_add_exact(gu, [g * c for c in acc])
-            acc = convolve(acc, u)
-        pug = convolve(u, gu)
-        out = _poly_add_exact(out, [p * c for c in pug])
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_add_exact(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+    """E_m(T) = F^(m+1)/F^m = (F(T)/T)(u), u = F^m(T), over Z."""
+    return _poly_compose(lt.f_coeffs()[1:], lt_iterate_exact(lt, m))
 
 
 @dataclass(frozen=True)
@@ -264,7 +239,7 @@ class RingElem:
     def phi(self, k=1):
         """Frobenius absolu: identity on pi, sigma^k on the unramified part."""
         co = self.co
-        for _ in range(k % self.ring.phi_order()):
+        for _ in range(k % self.ring.s):
             co = self.ring.phi_co(co)
         return RingElem(self.ring, co, self.prec)
 
@@ -326,78 +301,19 @@ class TowerRing:
         rs = 2 * spec.s - 1
         self.slots = tuple(i * rs + j for i in range(self.e) for j in range(spec.s))
         self.residue_field = finite_field(spec.p, spec.s)
-        self._build_unramified()
+        self.h_coeffs = min_poly_coeffs(spec.p, spec.s)  # monic lift with digits in [0, p)
+        self.yred = reduction_rows(self.h_coeffs, self.pn)
         self._build_eisenstein()
+        self.sigma_pows = self._sigma_pows()
         self._pi_cache = {}
         self._embed_cache = {}
+        self._teich = None
 
     def __repr__(self):
         lt = self.lt.tag() if self.lt else "-"
         return f"Ring(p={self.p},s={self.s},m={self.m},{lt},N={self.nprec})"
 
     # -- construction ------------------------------------------------------------
-
-    def _build_unramified(self):
-        p, s, pn = self.p, self.s, self.pn
-        self.h_coeffs = min_poly_coeffs(p, s)  # monic lift with digits in [0, p)
-        self.yred = reduction_rows(self.h_coeffs, pn)
-        if s > 1:
-            self.sigma_pows = self._sigma_matrix()
-        else:
-            self.sigma_pows = ((1,),)
-
-    def ur_mul(self, a, b):
-        """Product of unramified coordinates (s-tuples) mod p^N."""
-        if self.s == 1:
-            return ((a[0] * b[0]) % self.pn,)
-        return mul_mod(a, b, self.yred, self.pn)
-
-    def ur_pow(self, a, n):
-        return pow_ladder(a, n, self.ur_mul) if n else (1,) + (0,) * (self.s - 1)
-
-    def ur_inv(self, a):
-        """Inverse of an unramified unit, by Hensel lifting a field inverse."""
-        fq = self.residue_field
-        res = fq.from_coeffs(tuple(c % self.p for c in a))
-        winv = res.inverse()
-        w = tuple(winv.co)
-        pn = self.pn
-        two = (2,) + (0,) * (self.s - 1)
-        for _ in range(self.nprec.bit_length() + 1):
-            aw = self.ur_mul(a, w)
-            corr = tuple((t - u) % pn for t, u in zip(two, aw))
-            w = self.ur_mul(w, corr)
-        if self.ur_mul(a, w) != (1,) + (0,) * (self.s - 1):
-            raise SeedNotConverging("Hensel inverse of an unramified unit did not converge")
-        return w
-
-    def _sigma_matrix(self):
-        """sigma(y)^j for j < s, sigma the Hensel root of h near y^p."""
-        s, pn = self.s, self.pn
-        ygen = (0, 1) + (0,) * (s - 2)
-        z = self.ur_pow(ygen, self.p)
-        hc = tuple(self.h_coeffs) + (1,)
-        dh = tuple((k * hc[k]) % pn for k in range(1, s + 1))
-
-        def ur_eval(coeffs, x):
-            acc = (0,) * s
-            for c in reversed(coeffs):
-                acc = self.ur_mul(acc, x)
-                acc = ((acc[0] + c) % pn,) + acc[1:]
-            return acc
-
-        for _ in range(self.nprec.bit_length() + 2):
-            hz = ur_eval(hc, z)
-            if not any(hz):
-                break
-            dz = ur_eval(dh, z)
-            z = tuple((a - b) % pn for a, b in zip(z, self.ur_mul(hz, self.ur_inv(dz))))
-        if any(ur_eval(hc, z)):
-            raise SeedNotConverging("sigma(y) failed to converge")
-        pows = [(1,) + (0,) * (s - 1)]
-        for _ in range(s - 1):
-            pows.append(self.ur_mul(pows[-1], z))
-        return tuple(pows)
 
     def _build_eisenstein(self):
         if self.m < 0:
@@ -421,6 +337,26 @@ class TowerRing:
             raise NonEisenstein("constant term of E_m divisible by p^2")
         self.eis_coeffs = tuple(eis)
         self.pired = reduction_rows(eis[:-1], pn)
+
+    def _sigma_pows(self):
+        """sigma(y)^j for j < s, sigma(y) the root of h near y^p, by Newton."""
+        s = self.s
+        if s == 1:
+            return ((1,),)
+        hc = self.h_coeffs + (1,)
+        dh = [k * c for k, c in enumerate(hc)][1:]
+        z = self.y_gen() ** self.p
+        for _ in range(self.nprec.bit_length() + 2):
+            hz = self.eval_int_poly(hc, z)
+            if not any(hz.co):
+                break
+            z = z - hz * self.eval_int_poly(dh, z).inverse()
+        if any(self.eval_int_poly(hc, z).co):
+            raise SeedNotConverging("sigma(y) failed to converge")
+        pows = [self.one()]
+        for _ in range(s - 1):
+            pows.append(pows[-1] * z)
+        return tuple(x.co[:s] for x in pows)
 
     # -- element constructors ------------------------------------------------------
 
@@ -490,10 +426,10 @@ class TowerRing:
     # -- core arithmetic -------------------------------------------------------------
 
     def mul_co(self, a, b):
-        if self.e == 1:
-            return self.ur_mul(a, b)
-        if self.s == 1:
-            return mul_mod(a, b, self.pired, self.pn)
+        if self.dim == 1:
+            return (a[0] * b[0] % self.pn,)
+        if self.e == 1 or self.s == 1:
+            return mul_mod(a, b, self.yred or self.pired, self.pn)
         v, pn = self.fold_block(convolve(self._spread(a), self._spread(b))), self.pn
         return tuple([v[k] % pn for k in self.slots])
 
@@ -560,27 +496,36 @@ class TowerRing:
             out.extend(c % pn for c in acc)
         return tuple(out)
 
-    def phi_order(self):
-        return self.s
-
     # -- Teichmueller ---------------------------------------------------------------
 
     def teichmuller(self, u):
         """The unique q-power-fixed lift of u in F_q (unramified part)."""
         if u.field is not self.residue_field:
             raise RingMismatch("residue field mismatch for Teichmueller lift")
-        if not u:
-            return self.zero()
-        z = tuple(u.co)
-        q = self.residue_field.q
+        if self._teich is None:
+            self._teich = self._teich_table()
+        return self._teich[u.co]
+
+    def _teich_table(self):
+        """Every Teichmueller lift, keyed by its residue's coordinates: the
+        powers of Teich(g), g a generator of F_q^*, which is the fixed point
+        of x -> x^q from g.  Teich(g)^(q-1) = 1 makes every power q-power-fixed."""
+        fq = self.residue_field
+        g, q = fq.multiplicative_generator(), fq.q
+        z = self.from_ur(g.co)
         for _ in range(self.nprec + 2):
-            nz = self.ur_pow(z, q)
-            if nz == z:
+            nz = z**q
+            if nz.co == z.co:
                 break
             z = nz
-        if self.ur_pow(z, q) != z:
+        if (z ** (q - 1)).co != self.one().co:
             raise SeedNotConverging("Teichmueller iteration did not stabilize")
-        return self.from_ur(z)
+        table = {fq.zero().co: self.zero()}
+        lift, res = self.one(), fq.one()
+        for _ in range(q - 1):
+            table[res.co] = lift
+            lift, res = lift * z, res * g
+        return table
 
     # -- headroom / embeddings ---------------------------------------------------------
 

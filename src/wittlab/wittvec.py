@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import InvalidParameter, NotDivisible, NotGaloisStable, RingMismatch, TooShort
-from .fields import Fq, pow_ladder
+from .fields import Fq, finite_field, pow_ladder
 from .rings import RingElem, TowerRing, ring_of
 
 
@@ -142,7 +142,7 @@ def one_vec(ring, length):
 def tau(ring, x, length):
     """The multiplicative section x -> (x, 0, ..., 0)."""
     _check_length(length)
-    return WittVec(ring, [x] + [ring.zero() for _ in range(length - 1)])
+    return WittVec(ring, [x][:length] + [ring.zero() for _ in range(length - 1)])
 
 
 def versch(a, k=1):
@@ -387,8 +387,6 @@ def witt_trace(y, s, r):
     field = y.ring
     if not isinstance(field, Fq) or field.s != s * r:
         raise RingMismatch("witt_trace expects a vector over F_{q^r}")
-    from .fields import finite_field
-
     base = finite_field(field.p, s)
     q = base.q
     acc = None

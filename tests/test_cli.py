@@ -87,6 +87,11 @@ def test_gen_polys_refuses_oversized_family(capsys):
         (["char-table", "--p", "2", "--target-prec", "0"], "M = 0"),
         (["gauss", "--p", "2", "--sweep", "--jobs", "0"], "--jobs"),
         (["gauss", "--p", "2", "--sweep", "--jobs", "-3"], "--jobs"),
+        (["gauss", "--p", "2", "--format", "csv"], "gauss writes json or text"),
+        (["bench", "--p", "2", "--format", "text"], "bench writes json"),
+        (["bench", "--p", "2", "--format", "csv"], "bench writes json"),
+        (["gauss", "--p", "2", "--sweep", "--format", "text"], "--sweep writes JSON"),
+        (["gauss", "--p", "2", "--sweep", "--convention", "units"], "--sweep writes JSON"),
     ],
 )
 def test_invalid_input_exits_2(capsys, argv, needle):

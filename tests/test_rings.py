@@ -6,13 +6,14 @@ import random
 import pytest
 
 from wittlab.errors import InvalidParameter, NonEisenstein, NotDivisible, RingMismatch
-from wittlab.fields import finite_field, is_prime
+from wittlab.fields import convolve, finite_field, is_prime
 from wittlab.rings import (
     LubinTateSeries,
     RingElem,
     RingSpec,
     SeriesPacking,
     eisenstein_poly,
+    lt_iterate_exact,
     make_ring,
     nondegenerate_trace,
     ring_of,
@@ -67,6 +68,15 @@ def test_eisenstein_cyclotomic_level1_p2():
     # F(T) = 2T + T^2, E_1 = F(F(T))/F(T) = T^2 + 2T + 2
     eis = eisenstein_poly(LubinTateSeries.cyclotomic(2), 1)
     assert eis == [2, 2, 1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_eisenstein_times_f_m_is_f_m_plus_1(p):
+    # E_m = F^(m+1)/F^m exactly over Z, for plain, cyclotomic and custom G
+    for lt in (LubinTateSeries.plain(p), LubinTateSeries.cyclotomic(p), LubinTateSeries(p, (1, 2))):
+        for m in range(3):
+            eis = eisenstein_poly(lt, m)
+            assert convolve(eis, lt_iterate_exact(lt, m)) == lt_iterate_exact(lt, m + 1)
 
 
 def test_eisenstein_rejects_fat_g():
@@ -162,34 +172,57 @@ def test_teichmuller_order_q4():
     assert t.residue() == u
 
 
+# unramified, e = 1 at a level (p = 2, m = 0), and ramified with s > 1
+_SHAPES = [
+    RingSpec(3, 2, -1, None, 9),
+    RingSpec(2, 1, -1, None, 16),
+    RingSpec(2, 4, 0, LubinTateSeries.plain(2), 5),
+    RingSpec(2, 2, 1, LubinTateSeries.cyclotomic(2), 10),
+    RingSpec(3, 2, 1, LubinTateSeries.cyclotomic(3), 8),
+    RingSpec(2, 3, 2, LubinTateSeries.plain(2), 6),
+    RingSpec(5, 1, 1, LubinTateSeries.cyclotomic(5), 5),
+]
+
+
 def test_teichmuller_multiplicative():
-    fq = finite_field(3, 2)
-    ring = make_ring(RingSpec(3, 2, -1, None, 9))
-    rng = random.Random(3)
-    units = fq.units()
-    for _ in range(15):
-        u, v = rng.choice(units), rng.choice(units)
-        assert ring.teichmuller(u) * ring.teichmuller(v) == ring.teichmuller(u * v)
+    # every lift of each ring's table, on exact coordinates: it reduces to its
+    # residue, is fixed by x -> x^q, and the table is multiplicative
+    for spec in _SHAPES:
+        ring = make_ring(spec)
+        fq = ring.residue_field
+        lifts = {u.co: ring.teichmuller(u) for u in fq.elements()}
+        assert not any(lifts[fq.zero().co].co)
+        for u in fq.elements():
+            t = lifts[u.co]
+            assert t.residue() == u
+            assert (t**fq.q).co == t.co
+            for v in fq.units():
+                assert (t * lifts[v.co]).co == lifts[(u * v).co].co
 
 
 def test_frobenius_phi_properties():
-    fq = finite_field(2, 2)
-    ring = make_ring(RingSpec(2, 2, 1, LubinTateSeries.cyclotomic(2), 10))
-    rng = random.Random(17)
-    # phi fixes pi
-    assert ring.pi().phi() == ring.pi()
-    # phi(Teich(u)) = Teich(u^p)
-    for u in fq.units():
-        assert ring.teichmuller(u).phi() == ring.teichmuller(u.frobenius())
-    for _ in range(20):
-        a, b = ring.random(rng), ring.random(rng)
-        assert (a * b).phi() == a.phi() * b.phi()
-        assert (a + b).phi() == a.phi() + b.phi()
-        assert a.phi(ring.s) == a
-    # phi(x) = x^p mod maximal ideal for units
-    for _ in range(10):
-        x = ring.random_integral_unit(rng)
-        assert (x.phi() - x**2).valuation() >= 1
+    for spec in [spec for spec in _SHAPES if spec.s > 1]:
+        ring = make_ring(spec)
+        fq = ring.residue_field
+        rng = random.Random(17)
+        # sigma(y) is an exact root of h, and = y^p mod p
+        y = ring.y_gen()
+        assert not any(ring.eval_int_poly(ring.h_coeffs + (1,), y.phi()).co)
+        assert all(c % ring.p == 0 for c in (y.phi() - y**ring.p).co)
+        if ring.m >= 0:  # phi fixes pi
+            assert ring.pi().phi() == ring.pi()
+        # phi(Teich(u)) = Teich(u^p)
+        for u in fq.units():
+            assert ring.teichmuller(u).phi() == ring.teichmuller(u.frobenius())
+        for _ in range(20):
+            a, b = ring.random(rng), ring.random(rng)
+            assert (a * b).phi() == a.phi() * b.phi()
+            assert (a + b).phi() == a.phi() + b.phi()
+            assert a.phi(ring.s) == a
+        # phi(x) = x^p mod maximal ideal for units
+        for _ in range(10):
+            x = ring.random_integral_unit(rng)
+            assert (x.phi() - x**ring.p).valuation() >= 1
 
 
 def test_exact_div_p():

@@ -82,13 +82,18 @@ def test_f2_addition_example():
 
 
 def test_unit_and_zero_laws():
+    # length 0 too: W_0 holds only the empty vector, over a ring and a field
     rng = random.Random(1)
     ring = ring_of(3, nprec=8)
-    for _ in range(5):
-        a = rand_vec(ring, rng, 4)
-        assert witt_add(a, zero_vec(ring, 4)) == a
-        assert witt_mul(a, one_vec(ring, 4)) == a
-        assert witt_add(a, witt_neg(a)).is_zero()
+    f4 = finite_field(2, 2)
+    for length in (4, 0):
+        for base, x in ((ring, ring.from_int(2)), (f4, f4.gen())):
+            assert len(one_vec(base, length)) == len(tau(base, x, length)) == length
+        for _ in range(5):
+            a = rand_vec(ring, rng, length)
+            assert witt_add(a, zero_vec(ring, length)) == a
+            assert witt_mul(a, one_vec(ring, length)) == a
+            assert witt_add(a, witt_neg(a)).is_zero()
 
 
 @pytest.mark.parametrize(
