@@ -22,7 +22,14 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import InvalidParameter, NotUnit, ReportedMismatch, SeedNotConverging, SnapAmbiguous
+from .errors import (
+    InvalidParameter,
+    NotDivisible,
+    NotUnit,
+    ReportedMismatch,
+    SeedNotConverging,
+    SnapAmbiguous,
+)
 from .fields import finite_field, is_prime
 from .rings import LubinTateSeries, RingElem, RingSpec, make_ring, nondegenerate_trace
 from .series import (
@@ -181,7 +188,7 @@ def mu_ppow_table(ring, ell):
                 break
             try:
                 step = fz.exact_div_p(ell) * (z ** (f_exp - 1)).inverse()
-            except Exception as exc:  # pragma: no cover - depth guards this
+            except (NotDivisible, NotUnit) as exc:
                 raise SeedNotConverging(str(exc)) from exc
             z = RingElem(ring, (z - step).co)
         if any(f(z).co):

@@ -9,15 +9,35 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .characters import CharParams, CharacterSystem, check_splitting, shared_system
 from .errors import InvalidParameter, WittlabError
-from .gausstrace import GaussConfig, bench_report, trace_formula_check
-from .rings import LubinTateSeries
-from .upoly import structural_polys
+from .fields import finite_field
+from .gausstrace import (
+    GaussConfig,
+    alpha_apply_monomial,
+    alpha_matrix,
+    bench_report,
+    trace_formula_check,
+)
+from .rings import LubinTateSeries, RingSpec, make_ring
+from .series import (
+    Series1,
+    TruncSeries2,
+    artin_hasse_fractions,
+    f_delta_coeffs,
+    phi_vector,
+    pulita_theta_ms,
+    series_length,
+    varpi,
+    witt_series_eval,
+)
+from .upoly import UniversalPoly, ghost_identity_residual, structural_polys
+from .wittvec import WittVec, frob, ghost_map, one_vec, witt_add, witt_mul
 
 LT_CHOICES = {"cyc": LubinTateSeries.cyclotomic, "plain": LubinTateSeries.plain}
 
@@ -175,25 +195,6 @@ def cmd_bench(args):
 
 
 def _selftest_checks():
-    import random
-
-    from .fields import finite_field
-    from .gausstrace import alpha_apply_monomial, alpha_matrix
-    from .rings import RingSpec, make_ring
-    from .series import (
-        Series1,
-        TruncSeries2,
-        artin_hasse_fractions,
-        f_delta_coeffs,
-        phi_vector,
-        pulita_theta_ms,
-        series_length,
-        varpi,
-        witt_series_eval,
-    )
-    from .upoly import UniversalPoly, ghost_identity_residual, structural_polys
-    from .wittvec import WittVec, frob, ghost_map, one_vec, witt_add, witt_mul
-
     def polys_ok():
         for p in (2, 3):
             for kind in ("sum", "prod", "neg", "frob"):

@@ -30,10 +30,6 @@ class NotDivisible(WittlabError):
     """Exact division by a power of p is impossible at working precision."""
 
 
-class MissingAssignment(WittlabError):
-    """Polynomial evaluation is missing a value for some indeterminate."""
-
-
 class RingMismatch(WittlabError):
     """Operands live in different rings (or incompatible lengths)."""
 

@@ -159,10 +159,8 @@ class Series1:
         return acc
 
     def min_valuations(self):
-        return [
-            (c.valuation() if c.valuation() is not None else self.ring.cap)
-            for c in self.coeffs
-        ]
+        cap = self.ring.cap
+        return [cap if v is None else v for v in (c.valuation() for c in self.coeffs)]
 
 
 def artin_hasse_series(ring, degree):

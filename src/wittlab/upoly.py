@@ -13,16 +13,11 @@ per indeterminate, X-block then Y-block) mapping to an integer coefficient.
 
 from __future__ import annotations
 
+import math
 import time
 from functools import lru_cache, partial
 
-from .errors import (
-    FamilyTooLarge,
-    IntegralityFailure,
-    InvalidParameter,
-    MissingAssignment,
-    TimeBudgetExceeded,
-)
+from .errors import FamilyTooLarge, IntegralityFailure, InvalidParameter, TimeBudgetExceeded
 from .fields import is_prime, pow_ladder
 
 _SHIFT = 16
@@ -49,30 +44,20 @@ _YBLOCK = MAX_LENGTH + 1
 MAX_FAMILY_MONOMIALS = 200_000
 
 
-class _Deadline:
-    """Cooperative wall-clock budget checked inside long multiplications."""
-
-    __slots__ = ("limit",)
-
-    def __init__(self, seconds):
-        self.limit = None if seconds is None else time.monotonic() + seconds
-
-    def check(self):
-        if self.limit is not None and time.monotonic() > self.limit:
-            raise TimeBudgetExceeded("polynomial construction ran over its time budget")
+def _limit(seconds):
+    """The time.monotonic() reading a budget of ``seconds`` ends at (None: never)."""
+    return math.inf if seconds is None else time.monotonic() + seconds
 
 
-_NO_DEADLINE = _Deadline(None)
-
-
-def _mul_terms(a, b, deadline=_NO_DEADLINE):
+def _mul_terms(a, b, limit=math.inf):
     if len(a) > len(b):
         a, b = b, a
     out = {}
     get = out.get
     items_b = list(b.items())
     for ka, va in a.items():
-        deadline.check()
+        if time.monotonic() > limit:
+            raise TimeBudgetExceeded("polynomial construction ran over its time budget")
         for kb, vb in items_b:
             k = ka + kb
             c = get(k, 0) + va * vb
@@ -100,25 +85,19 @@ class UniversalPoly:
     def _slot(self, v):
         return v if v < self.nx else _YBLOCK + (v - self.nx)
 
+    def _key(self, exps):
+        """Packed key of the monomial with (variable index, exponent) pairs exps."""
+        return sum(e << (_SHIFT * self._slot(v)) for v, e in exps)
+
     @classmethod
     def monomial(cls, prime, nx, ny, exps, coeff=1):
-        poly = cls(prime, nx, ny, {})
-        key = 0
-        for v, e in exps:
-            key += e << (_SHIFT * poly._slot(v))
-        poly.terms = {key: coeff} if coeff else {}
+        poly = cls(prime, nx, ny)
+        if coeff:
+            poly.terms[poly._key(exps)] = coeff
         return poly
 
     def _same_shape(self, terms):
         return UniversalPoly(self.prime, self.nx, self.ny, terms)
-
-    def cast(self, nx, ny):
-        """The same polynomial viewed in a (possibly smaller) variable frame.
-
-        Valid because key slots are frame-independent; the caller must know
-        the polynomial only involves the retained indeterminates.
-        """
-        return UniversalPoly(self.prime, nx, ny, self.terms)
 
     # -- ring operations -------------------------------------------------------
 
@@ -134,15 +113,7 @@ class UniversalPoly:
         return self._same_shape(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        get = out.get
-        for k, v in other.terms.items():
-            c = get(k, 0) - v
-            if c:
-                out[k] = c
-            elif k in out:
-                del out[k]
-        return self._same_shape(out)
+        return self + -other
 
     def __neg__(self):
         return self._same_shape({k: -v for k, v in self.terms.items()})
@@ -179,7 +150,8 @@ class UniversalPoly:
             q, r = divmod(v, divisor)
             if r:
                 raise IntegralityFailure(
-                    f"coefficient {v} of {self._term_name(k)} is not divisible by {divisor}"
+                    f"coefficient {v} of {self._factors(self._decode(k)) or '1'} "
+                    f"is not divisible by {divisor}"
                 )
             out[k] = q
         return self._same_shape(out)
@@ -188,10 +160,7 @@ class UniversalPoly:
         """Apply fn to every decoded exponent vector (e.g. x -> x^p)."""
         out = {}
         for k, v in self.terms.items():
-            exps = fn(self._decode(k))
-            key = 0
-            for i, e in enumerate(exps):
-                key += e << (_SHIFT * self._slot(i))
+            key = self._key(enumerate(fn(self._decode(k))))
             out[key] = out.get(key, 0) + v
         return self._same_shape({k: v for k, v in out.items() if v})
 
@@ -212,23 +181,18 @@ class UniversalPoly:
         decoded.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
         return decoded
 
-    def _term_name(self, key):
-        exps = self._decode(key)
+    def _factors(self, exps):
+        """"X0^1 Y0^2" for a decoded exponent vector ("" for the constant)."""
         names = self.var_names()
-        parts = [f"{names[i]}^{e}" for i, e in enumerate(exps) if e]
-        return " ".join(parts) if parts else "1"
+        return " ".join(f"{names[i]}^{e}" for i, e in enumerate(exps) if e)
 
     def coefficient(self, exps):
-        key = 0
-        for v, e in exps:
-            key += e << (_SHIFT * self._slot(v))
-        return self.terms.get(key, 0)
+        return self.terms.get(self._key(exps), 0)
 
     def to_text(self):
-        names = self.var_names()
         lines = []
         for exps, coeff in self.sorted_terms():
-            factors = " ".join(f"{names[i]}^{e}" for i, e in enumerate(exps) if e)
+            factors = self._factors(exps)
             lines.append(f"{coeff} * {factors}" if factors else f"{coeff} *")
         return "\n".join(lines)
 
@@ -246,16 +210,9 @@ class UniversalPoly:
 
     def __repr__(self):
         n = len(self.terms)
-        head = ", ".join(
-            f"{c}*{self._term_name_from_exps(e)}" for e, c in self.sorted_terms()[:4]
-        )
+        head = ", ".join(f"{c}*{self._factors(e) or '1'}" for e, c in self.sorted_terms()[:4])
         tail = ", ..." if n > 4 else ""
         return f"UniversalPoly({head}{tail}; {n} terms)"
-
-    def _term_name_from_exps(self, exps):
-        names = self.var_names()
-        parts = [f"{names[i]}^{e}" for i, e in enumerate(exps) if e]
-        return "*".join(parts) if parts else "1"
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -268,25 +225,6 @@ class UniversalPoly:
                 plan.append((v, tuple((i, e) for i, e in enumerate(exps) if e)))
             self._plan = plan
         return self._plan
-
-
-def eval_poly(poly, assignment):
-    """Evaluate a UniversalPoly at ring elements.
-
-    ``assignment`` maps variable names ("X0", "Y1", ...) to elements of one
-    coefficient ring.  Elements must support +, *, ** (int exponents) and
-    ``scale`` by an integer; the result precision is the minimum of the
-    inputs' by the ring's own semantics.
-    """
-    names = poly.var_names()
-    values = []
-    for name in names:
-        if name not in assignment:
-            raise MissingAssignment(f"no value for indeterminate {name}")
-        values.append(assignment[name])
-    if not values:
-        raise MissingAssignment("polynomial has no indeterminates to evaluate")
-    return eval_plan_at(poly, values)
 
 
 def eval_plan_at(poly, values):
@@ -325,12 +263,10 @@ def ghost_poly(p, n):
 
 def _ghost_in(p, n, nx, ny, block):
     """fant_n over the X block (block=0) or the Y block (block=1)."""
-    offset = 0 if block == 0 else _YBLOCK
-    terms = {}
+    poly = UniversalPoly(p, nx, ny)
     for i in range(n + 1):
-        key = (p ** (n - i)) << (_SHIFT * (offset + i))
-        terms[key] = p**i
-    return UniversalPoly(p, nx, ny, terms)
+        poly.terms[poly._key([(block * nx + i, p ** (n - i))])] = p**i
+    return poly
 
 
 def _count_weighted(weights, degree):
@@ -385,11 +321,6 @@ def _refusal(kind, p, length):
     return None
 
 
-def family_fits(kind, p, length):
-    """Whether structural_polys(kind, p, length) agrees to build the family."""
-    return _refusal(kind, p, length) is None
-
-
 def check_family(kind, p, length):
     """Raise the error structural_polys would refuse (kind, p, length) with."""
     err = _refusal(kind, p, length)
@@ -400,7 +331,7 @@ def check_family(kind, p, length):
 _structural_cache = {}
 
 
-def _ghost_target(kind, p, n, nx, ny, deadline=_NO_DEADLINE):
+def _ghost_target(kind, p, n, nx, ny, limit):
     """The n-th ghost coordinate the family must reproduce (S: X + Y, P:
     X * Y, I: -X, F: the shift fant_(n+1)(X))."""
     if kind == "sum":
@@ -408,23 +339,32 @@ def _ghost_target(kind, p, n, nx, ny, deadline=_NO_DEADLINE):
     if kind == "prod":
         a = _ghost_in(p, n, nx, ny, 0)
         b = _ghost_in(p, n, nx, ny, 1)
-        return a._same_shape(_mul_terms(a.terms, b.terms, deadline))
+        return a._same_shape(_mul_terms(a.terms, b.terms, limit))
     if kind == "neg":
         return -_ghost_in(p, n, nx, ny, 0)
     return _ghost_in(p, n + 1, nx, ny, 0)
 
 
-def _ladder_power(state, p, i, e, deadline):
+def _ladder_power(state, p, i, e, limit):
     """Terms of phi_i ** e for a cached family, memoized along the p-power
     ladder e = p, p^2, ..."""
     if e == 1:
         return state["polys"][i].terms
     got = state["powers"].get((i, e))
     if got is None:
-        base = _ladder_power(state, p, i, e // p, deadline)
-        got = pow_ladder(base, p, partial(_mul_terms, deadline=deadline))
+        base = _ladder_power(state, p, i, e // p, limit)
+        got = pow_ladder(base, p, partial(_mul_terms, limit=limit))
         state["powers"][(i, e)] = got
     return got
+
+
+def _power_sum(state, p, n, nx, ny, limit):
+    """sum_{i<n} p^i phi_i^(p^(n-i)): fant_n of the family without its last term."""
+    acc = UniversalPoly(p, nx, ny)
+    for i in range(n):
+        terms = _ladder_power(state, p, i, p ** (n - i), limit)
+        acc = acc + p**i * UniversalPoly(p, nx, ny, terms)
+    return acc
 
 
 def structural_polys(kind, p, length, deadline_seconds=None):
@@ -437,17 +377,14 @@ def structural_polys(kind, p, length, deadline_seconds=None):
     FamilyTooLarge before any construction.
     """
     check_family(kind, p, length)
-    deadline = _Deadline(deadline_seconds)
+    limit = _limit(deadline_seconds)
     state = _structural_cache.setdefault((kind, p), {"polys": [], "powers": {}})
     polys = state["polys"]
     nx = length + 1 if kind == "frob" else length
     ny = length if kind in ("sum", "prod") else 0
     while len(polys) < length:
         n = len(polys)
-        acc = _ghost_target(kind, p, n, nx, ny, deadline)
-        for i in range(n):
-            terms = _ladder_power(state, p, i, p ** (n - i), deadline)
-            acc = acc - p**i * UniversalPoly(p, nx, ny, terms)
+        acc = _ghost_target(kind, p, n, nx, ny, limit) - _power_sum(state, p, n, nx, ny, limit)
         polys.append(acc.divide_exact(p**n))
     return [UniversalPoly(p, nx, ny, q.terms) for q in polys[:length]]
 
@@ -460,13 +397,9 @@ def ghost_identity_residual(kind, p, length, deadline_seconds=None):
     are reused, so the recheck mostly re-spends the final summation.
     """
     polys = structural_polys(kind, p, length, deadline_seconds)
-    deadline = _Deadline(deadline_seconds)
-    state = _structural_cache[(kind, p)]
+    limit = _limit(deadline_seconds)
     n = length - 1
-    nx, ny = polys[0].nx, polys[0].ny
-    lhs = UniversalPoly(p, nx, ny, {})
-    for i in range(n + 1):
-        terms = _ladder_power(state, p, i, p ** (n - i), deadline)
-        lhs = lhs + p**i * UniversalPoly(p, nx, ny, terms)
-    return lhs - _ghost_target(kind, p, n, nx, ny, deadline)
+    nx, ny = polys[n].nx, polys[n].ny
+    lhs = _power_sum(_structural_cache[(kind, p)], p, n, nx, ny, limit) + p**n * polys[n]
+    return lhs - _ghost_target(kind, p, n, nx, ny, limit)
 

@@ -14,9 +14,15 @@ from wittlab.characters import (
     theta_one_series,
     theta_teich_values,
 )
-from wittlab.errors import ReportedMismatch, SnapAmbiguous, WittlabError
+from wittlab.errors import (
+    NotUnit,
+    ReportedMismatch,
+    SeedNotConverging,
+    SnapAmbiguous,
+    WittlabError,
+)
 from wittlab.fields import finite_field
-from wittlab.rings import LubinTateSeries, RingSpec, make_ring
+from wittlab.rings import LubinTateSeries, RingElem, RingSpec, make_ring
 from wittlab.series import Series1
 from wittlab.wittvec import WittVec, one_vec, scalar_nat, witt_add, witt_mul, zero_vec
 
@@ -311,6 +317,23 @@ def test_omega_evaluates_to_psi():
         val = RingElem(sys.ring, val.co, sys.target_prec)
         idx, _ = sys.mu_table.snap(val)
         assert idx == sys.psi(y)
+
+
+@pytest.mark.parametrize(
+    "error,raised", [(NotUnit, SeedNotConverging), (ZeroDivisionError, ZeroDivisionError)]
+)
+def test_mu_table_newton_labels_only_ring_failures(monkeypatch, error, raised):
+    # a Newton step the ring cannot take means the seed did not converge; any
+    # other exception is a bug and comes back as itself (at p = 3 the digit
+    # lifting leaves Newton steps to take)
+    ring = make_ring(RingSpec(3, 1, 1, LubinTateSeries.cyclotomic(3), 14))
+
+    def inverse(self):
+        raise error("injected")
+
+    monkeypatch.setattr(RingElem, "inverse", inverse)
+    with pytest.raises(raised, match="injected"):
+        mu_ppow_table(ring, 2)
 
 
 def test_mu_table_plain_lubin_tate_p3():

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from wittlab.cli import main
-from wittlab.upoly import family_fits
+from wittlab.errors import FamilyTooLarge
+from wittlab.upoly import check_family
 
 
 def run_cli(capsys, *argv):
@@ -51,7 +52,8 @@ def test_gen_polys_unknown_kind(capsys):
 
 def test_gen_polys_refuses_oversized_family(capsys):
     # S_4 at p = 5 spans 1.3e8 monomials: refused at once, exit 2, no traceback
-    assert not family_fits("sum", 5, 5)  # else the command would never return
+    with pytest.raises(FamilyTooLarge):  # else the command would never return
+        check_family("sum", 5, 5)
     code = main(["gen-polys", "--p", "5", "--len", "5", "--kind", "sum"])
     captured = capsys.readouterr()
     assert code == 2

@@ -1,14 +1,18 @@
 """Witt polynomial families against the closed forms displayed in print."""
 
+import json
+import pathlib
+
 import pytest
 
 from wittlab import upoly
-from wittlab.errors import FamilyTooLarge, TimeBudgetExceeded
+from wittlab.cli import main
+from wittlab.errors import FamilyTooLarge, IntegralityFailure, TimeBudgetExceeded
 from wittlab.rings import ring_of
 from wittlab.upoly import (
     MAX_FAMILY_MONOMIALS,
     UniversalPoly,
-    eval_poly,
+    eval_plan_at,
     family_size_bound,
     ghost_identity_residual,
     ghost_poly,
@@ -120,32 +124,21 @@ def test_ghost_identities_exact(p, kind):
 
 
 def test_eval_poly_spec_examples():
+    # values in variable order: X0..X_{nx-1}, then Y0..Y_{ny-1}
     z32 = ring_of(2, nprec=5)
     s0 = structural_polys("sum", 2, 1)[0]
-    got = eval_poly(s0, {"X0": z32.from_int(3), "Y0": z32.from_int(4)})
+    got = eval_plan_at(s0, [z32.from_int(3), z32.from_int(4)])
     assert got == z32.from_int(7)
 
     z3 = ring_of(3, nprec=6)
     f1 = ghost_poly(3, 1)
-    got = eval_poly(f1, {"X0": z3.one(), "X1": z3.zero()})
+    got = eval_plan_at(f1, [z3.one(), z3.zero()])
     assert got == z3.one()
 
     z2 = ring_of(2, nprec=6)
     p1 = structural_polys("prod", 2, 2)[1]
-    got = eval_poly(
-        p1,
-        {"X0": z2.one(), "X1": z2.zero(), "Y0": z2.one(), "Y1": z2.zero()},
-    )
+    got = eval_plan_at(p1, [z2.one(), z2.zero(), z2.one(), z2.zero()])
     assert got.is_zero()
-
-
-def test_eval_poly_missing_assignment():
-    from wittlab.errors import MissingAssignment
-
-    s0 = structural_polys("sum", 2, 1)[0]
-    z = ring_of(2, nprec=4)
-    with pytest.raises(MissingAssignment):
-        eval_poly(s0, {"X0": z.one()})
 
 
 def test_serialization_roundtrip_text_and_json():
@@ -157,6 +150,26 @@ def test_serialization_roundtrip_text_and_json():
     # graded-lex descending: degrees non-increasing
     degs = [sum(r["exps"].values()) for r in rows]
     assert degs == sorted(degs, reverse=True)
+
+
+_GEN_POLYS_GOLDEN = pathlib.Path(__file__).parent / "data" / "gen_polys_golden.json"
+
+
+@pytest.mark.parametrize("p,length", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("kind", ["sum", "prod", "neg", "frob"])
+def test_gen_polys_matches_golden(capsys, kind, p, length):
+    golden = json.loads(_GEN_POLYS_GOLDEN.read_text())
+    for fmt in ("text", "json"):
+        args = ["gen-polys", "--p", str(p), "--len", str(length), "--kind", kind]
+        assert main(args + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == golden[f"{kind},{p},{length},{fmt}"], fmt
+
+
+def test_integrality_failure_names_the_monomial():
+    poly = UniversalPoly.monomial(2, 1, 1, [(0, 1), (1, 2)], 3)
+    with pytest.raises(IntegralityFailure) as err:
+        poly.divide_exact(2)
+    assert str(err.value) == "coefficient 3 of X0^1 Y0^2 is not divisible by 2"
 
 
 def _brute_count(weights, degree):

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from wittlab.errors import NotDivisible, RingMismatch, TooShort
+from wittlab.errors import FamilyTooLarge, NotDivisible, RingMismatch, TooShort
 from wittlab.fields import finite_field
 from wittlab.rings import LubinTateSeries, RingSpec, make_ring, ring_of
-from wittlab.upoly import eval_plan_at, family_fits, structural_polys
+from wittlab.upoly import UniversalPoly, check_family, eval_plan_at, structural_polys
 from wittlab.wittvec import (
     WittVec,
     delta,
@@ -51,7 +51,7 @@ def universal_family(kind, p, length):
     for n, poly in enumerate(structural_polys(kind, p, length)):
         nx = n + 2 if kind == "frob" else n + 1
         ny = n + 1 if kind in ("sum", "prod") else 0
-        out.append(poly.cast(nx, ny))
+        out.append(UniversalPoly(p, nx, ny, poly.terms))
     return out
 
 
@@ -347,7 +347,9 @@ def test_p5_length5_ops_take_ghost_transport():
     # length-5 sum and product are transported through ghost coordinates
     from wittlab.wittvec import GhostSeq
 
-    assert not family_fits("sum", 5, 5) and not family_fits("prod", 5, 5)
+    for kind in ("sum", "prod"):
+        with pytest.raises(FamilyTooLarge):
+            check_family(kind, 5, 5)
     ring = ring_of(5, nprec=8)
     rng = random.Random(55)
     for _ in range(3):
@@ -362,7 +364,9 @@ def test_p5_length5_ops_take_ghost_transport():
 def test_p5_length5_over_finite_field_agrees_with_transport():
     # S_4 and P_4 at p = 5 are refused by upoly; over F_5 the length-5 ops
     # take Z_5/5^5 and must agree with the transported ops over Z/5^8 reduced
-    assert not family_fits("sum", 5, 5) and not family_fits("prod", 5, 5)
+    for kind in ("sum", "prod"):
+        with pytest.raises(FamilyTooLarge):
+            check_family(kind, 5, 5)
     f5, z5 = finite_field(5, 1), ring_of(5, nprec=8)
     rng = random.Random(56)
     for _ in range(4):
