@@ -19,6 +19,7 @@ distance from a whole coset of p^(l-1) roots.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 
@@ -39,7 +40,7 @@ from .series import (
     series_eval_unit,
     series_length,
 )
-from .wittvec import WittVec, one_vec, te_lift, witt_add, witt_mul, witt_trace, zero_vec
+from .wittvec import WittVec, one_vec, te_lift, witt_add, witt_mul, witt_trace
 
 
 @functools.lru_cache(maxsize=None)
@@ -70,9 +71,11 @@ class RootOfUnityTable:
 
     def __init__(self, ring, ell, elements):
         self.ring = ring
-        self.ell = ell
         self.order = ring.p**ell
         self.elements = elements
+        # group check first: equal entries would hand max() a None valuation
+        self.gen_index = self._find_generator()
+        self.dlog = self._discrete_logs()
         self.max_pairwise_val = max(
             v
             for i, a in enumerate(elements)
@@ -80,8 +83,6 @@ class RootOfUnityTable:
             if i != j
             for v in [(a - b).valuation()]
         )
-        self.gen_index = self._find_generator()
-        self.dlog = self._discrete_logs()
 
     def _find_generator(self):
         pl1 = self.order // self.ring.p
@@ -91,7 +92,8 @@ class RootOfUnityTable:
         raise SeedNotConverging("no element of exact order p^l in the table")
 
     def _discrete_logs(self):
-        """index -> exponent k with element = g^k, matched at precision."""
+        """index -> exponent k with element = g^k, matched at precision: the
+        table's one group check (each entry is one g^k, and g^(p^l) = 1)."""
         g = self.elements[self.gen_index]
         acc = self.ring.one()
         logs = {}
@@ -101,14 +103,9 @@ class RootOfUnityTable:
                 raise ReportedMismatch(f"g^{k} matches {len(matches)} table entries, not one")
             logs[matches[0]] = k
             acc = acc * g
+        if acc != self.ring.one() or not len(logs) == len(self.elements) == self.order:
+            raise ReportedMismatch(f"the table is not the group <g> of order {self.order}")
         return logs
-
-    def root(self, index):
-        return self.elements[index]
-
-    def log_of_index(self, index):
-        """Exponent k with table[index] = g^k for the fixed generator g."""
-        return self.dlog[index]
 
     def snap(self, value, indices=None):
         """(index, distance valuation) of the unique nearest root, among
@@ -205,12 +202,6 @@ def mu_ppow_table(ring, ell):
             roots.append(RingElem(ring, z.co, resolution))
     if len(roots) != order:
         raise SeedNotConverging(f"found {len(roots)} roots, expected {order}")
-    # closure under multiplication, compared at the pinned precision
-    for a in roots:
-        for b in roots:
-            prod = a * b
-            if not any(prod == rep for rep in roots):
-                raise SeedNotConverging("table is not closed under multiplication")
     roots.sort(key=lambda z: z.co)
     return RootOfUnityTable(ring, ell, roots)
 
@@ -227,42 +218,36 @@ def check_target(target_prec):
         raise InvalidParameter(f"target precision M = {target_prec} is below 1")
 
 
+@dataclasses.dataclass(frozen=True)
 class CharParams:
     """Configuration for psi_{l,s,t}: prime, unramified degree, length, t."""
 
-    def __init__(
-        self,
-        p,
-        s,
-        ell,
-        u_index=None,
-        lt=None,
-        nprec=None,
-        degree=None,
-        target_prec=None,
-    ):
+    p: int
+    s: int
+    ell: int
+    u_index: int | None = None
+    lt: LubinTateSeries | None = None
+    nprec: int | None = None
+    degree: int | None = None
+    target_prec: int | None = None
+
+    def __post_init__(self):
+        p, s, ell = self.p, self.s, self.ell
         if not is_prime(p):
             raise InvalidParameter(f"p = {p} is not prime")
         if s < 1 or ell < 1:
             raise InvalidParameter(f"need s >= 1 and ell >= 1, have s = {s}, ell = {ell}")
-        if u_index is not None and not 0 <= u_index < p**s:
-            raise InvalidParameter(f"t residue index {u_index} outside 0..{p**s - 1}")
-        if degree is not None:
-            check_degree(degree)
-        check_target(target_prec)
-        self.p = p
-        self.s = s
-        self.ell = ell
-        self.lt = lt if lt is not None else LubinTateSeries.cyclotomic(p)
-        self.nprec = nprec if nprec is not None else 16
-        self.degree = degree if degree is not None else (128 if p == 2 else 96)
-        self.u_index = u_index
-        self.target_prec = target_prec
-
-    def key(self):
-        """Every field a CharacterSystem depends on, in constructor order."""
-        return (self.p, self.s, self.ell, self.u_index, self.lt, self.nprec, self.degree,
-                self.target_prec)
+        if self.u_index is not None and not 0 <= self.u_index < p**s:
+            raise InvalidParameter(f"t residue index {self.u_index} outside 0..{p**s - 1}")
+        if self.degree is not None:
+            check_degree(self.degree)
+        check_target(self.target_prec)
+        if self.lt is None:
+            object.__setattr__(self, "lt", LubinTateSeries.cyclotomic(p))
+        if self.nprec is None:
+            object.__setattr__(self, "nprec", 16)
+        if self.degree is None:
+            object.__setattr__(self, "degree", 128 if p == 2 else 96)
 
     def describe(self):
         return {
@@ -298,7 +283,6 @@ class CharacterSystem:
         self.t = self.ring.teichmuller(self.u)
         self.nondegenerate, self.trace_t = nondegenerate_trace(self.ring, self.t)
         self._omega_factors = {}
-        self._mu = None
         self._psi1 = {}
         self._table = None
 
@@ -317,11 +301,9 @@ class CharacterSystem:
             self.ring, m, self.params.s, self.params.degree, self.target_prec
         )[c.index()]
 
-    @property
+    @functools.cached_property
     def mu_table(self):
-        if self._mu is None:
-            self._mu = mu_ppow_table(self.ring, self.params.ell)
-        return self._mu
+        return mu_ppow_table(self.ring, self.params.ell)
 
     # -- the additive character -----------------------------------------------------
 
@@ -388,18 +370,11 @@ class CharacterSystem:
         return TruncSeries2.outer(factors[0], factors[1], degree)
 
     def mu_p_indices(self):
-        """Table indices of the order-p subgroup (the values of psi_1)."""
-        one = self.ring.one()
-        indices = [
-            k
-            for k, z in enumerate(self.mu_table.elements)
-            if (z ** self.params.p - one).is_zero()
-        ]
-        if len(indices) != self.params.p:
-            raise SeedNotConverging(
-                f"{len(indices)} roots of order p in the table, expected p"
-            )
-        return indices
+        """Table indices of the order-p subgroup (the values of psi_1): the
+        roots whose discrete log is a multiple of p^(l-1)."""
+        table = self.mu_table
+        step = table.order // self.params.p
+        return [k for k in range(table.order) if table.dlog[k] % step == 0]
 
     def chi_value(self, m, b, z):
         """chi_{m,b}(z) for z a unit of W_2(F_q): Teich part times psi_1 part.
@@ -421,7 +396,7 @@ class CharacterSystem:
         snapped = self._psi1.get(key)
         if snapped is None:
             index, _ = self.mu_table.snap(self.theta_at(0, self.u * arg), self.mu_p_indices())
-            snapped = self._psi1[key] = self.mu_table.root(index)
+            snapped = self._psi1[key] = self.mu_table.elements[index]
         return teich_part * snapped
 
     def count_E_t_ell(self, t_scalar=None):
@@ -437,19 +412,15 @@ class CharacterSystem:
         return count
 
 
+@functools.lru_cache(maxsize=None)
 def shared_system(params):
     """The one CharacterSystem of ``params``' configuration.
 
-    Keyed by ``CharParams.key``, so the theta series, the mu_{p^l} table,
+    Keyed by the params themselves, so the theta series, the mu_{p^l} table,
     the psi table and the psi_1 values are built once per configuration
     rather than once per caller.
     """
-    return _system_for_key(params.key())
-
-
-@functools.lru_cache(maxsize=None)
-def _system_for_key(key):
-    return CharacterSystem(CharParams(*key))
+    return CharacterSystem(params)
 
 
 class CharacterTable:
@@ -476,7 +447,7 @@ class CharacterTable:
         """psi(y+z) = psi(y) psi(z) for every pair, via discrete logs."""
         sys = self.system
         table = sys.mu_table
-        logs = [table.log_of_index(k) for k in range(table.order)]
+        logs = table.dlog
         vecs = list(sys.domain())
         for y in vecs:
             for z in vecs:
@@ -539,16 +510,12 @@ def check_splitting(params, r):
     base = CharacterSystem(params)
     big_field = finite_field(params.p, params.s * r)
     embed, _ = base.field.embedding_into(big_field)
-    big_params = CharParams(
-        params.p,
-        params.s * r,
-        params.ell,
+    big = CharacterSystem(dataclasses.replace(
+        params,
+        s=params.s * r,
         u_index=embed(base.u).index(),  # the same t inside the bigger ring
-        lt=params.lt,
-        nprec=params.nprec,
-        degree=params.degree,
-    )
-    big = CharacterSystem(big_params)
+        target_prec=None,
+    ))
 
     ident = _match_root_tables(base.mu_table, big.mu_table)
     q = base.field.q

@@ -66,7 +66,7 @@ def gauss_brute(system, chi_m, chi_b):
     for z0 in field.units():
         for z1 in field.elements():
             z = WittVec(field, [z0, z1])
-            term = system.mu_table.root(table.index_of(z)) * system.chi_value(chi_m, chi_b, z)
+            term = system.mu_table.elements[table.index_of(z)] * system.chi_value(chi_m, chi_b, z)
             if z1:
                 units = units + term
             else:

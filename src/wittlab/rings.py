@@ -482,8 +482,6 @@ class TowerRing:
 
     def phi_co(self, co):
         e, s, pn = self.e, self.s, self.pn
-        if s == 1:
-            return co
         out = []
         for i in range(e):
             row = co[i * s : (i + 1) * s]
@@ -533,11 +531,6 @@ class TowerRing:
         return make_ring(
             RingSpec(self.p, self.s, self.m, self.lt, nprec)
         )
-
-    def reduce_from(self, elem):
-        """Reduce an element of a higher-precision copy back to this ring."""
-        pn = self.pn
-        return RingElem(self, tuple(c % pn for c in elem.co), min(elem.prec, self.cap))
 
     def embed_from_lower(self, x):
         """Ring embedding from a lower level: pi_low -> F^(m - low)(pi_m)."""

@@ -268,9 +268,9 @@ def _recover(ring, entries, precs):
     """The vector with ghost coordinates ``entries``, reduced to ``ring``;
     component n declared at precision precs[n]."""
     comps = ghost_peel(ring.p, entries)
-    return WittVec(
-        ring, [RingElem(ring, ring.reduce_from(c).co, prec) for c, prec in zip(comps, precs)]
-    )
+    return WittVec(ring, [
+        RingElem(ring, tuple(x % ring.pn for x in c.co), prec) for c, prec in zip(comps, precs)
+    ])
 
 
 def from_ghosts(ring, length, ghosts):

@@ -8,6 +8,7 @@ from wittlab import characters
 from wittlab.characters import (
     CharParams,
     CharacterSystem,
+    RootOfUnityTable,
     check_splitting,
     mu_ppow_table,
     omega_factorization_check,
@@ -22,7 +23,7 @@ from wittlab.errors import (
     WittlabError,
 )
 from wittlab.fields import finite_field
-from wittlab.rings import LubinTateSeries, RingElem, RingSpec, make_ring
+from wittlab.rings import LubinTateSeries, RingElem, RingSpec, make_ring, ring_of
 from wittlab.series import Series1
 from wittlab.wittvec import WittVec, one_vec, scalar_nat, witt_add, witt_mul, zero_vec
 
@@ -66,6 +67,15 @@ def test_mu_table_closure_and_dlog():
         seen.add(acc.co)
         acc = acc * g
     assert len(seen) == 9  # generator has exact order p^l
+
+
+@pytest.mark.parametrize("entries", [(1, 3), (1, -1, 5), (1, 1, 3)])
+def test_root_table_that_is_not_a_group_is_refused(entries):
+    # would-be mu_2 tables in Z/2^8: with g = 3, g^2 = 9 is not 1; with
+    # g = -1, the entry 5 is no power of g; and 1 = g^0 is two entries
+    ring = ring_of(2, nprec=8)
+    with pytest.raises(ReportedMismatch):
+        RootOfUnityTable(ring, 1, [ring.from_int(c) for c in entries])
 
 
 def test_psi_trivial_and_order():
@@ -152,15 +162,15 @@ def test_snap_against_a_subset():
     table = sys.mu_table
     subset = sys.mu_p_indices()
     for k in range(table.order):
-        index, dist = table.snap(table.root(k))
+        index, dist = table.snap(table.elements[k])
         assert index == k and dist > table.max_pairwise_val
         if k in subset:
-            assert table.snap(table.root(k), subset)[0] == k
+            assert table.snap(table.elements[k], subset)[0] == k
         else:
             # a root outside the subset is no closer to one member than the
             # pairwise bound: refused, not rounded
             with pytest.raises(SnapAmbiguous):
-                table.snap(table.root(k), subset)
+                table.snap(table.elements[k], subset)
 
 
 @pytest.mark.parametrize("p,ell,expect", [(2, 2, 2), (3, 2, 3), (2, 3, 4)])

@@ -297,6 +297,42 @@ def test_gauss_report(capsys):
     assert payload["residual_valuation"]["units"] >= 6
 
 
+def test_char_table_text(capsys):
+    code, out = run_cli(
+        capsys, "char-table", "--p", "2", "--ell", "2", "--prec", "14", "--deg", "48",
+        "--format", "text",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "psi table over W_2(F_2) (t residue 1)"
+    assert lines[-1] == "image size 4, checks: ['homomorphism', 'image', 'separation']"
+
+
+GAUSS_ARGS = (
+    "gauss", "--p", "2", "--prec", "16", "--deg", "64", "--chi-b", "1", "--target-prec", "6",
+)
+
+
+def test_gauss_text(capsys):
+    code, out = run_cli(capsys, *GAUSS_ARGS, "--format", "text")
+    assert code == 0
+    assert out == (
+        "g({'p': 2, 's': 1, 'ell': 2, 'lt': 'plain', 'N': 16, 'D': 64, "
+        "'chi': {'m': 0, 'b': 1}}) matches convention ['units'] "
+        "at residual {'full': 0, 'units': 11}\n"
+    )
+
+
+def test_gauss_one_convention(capsys):
+    # --convention keeps only that convention's residual and brute-force sum
+    _, both = run_cli(capsys, *GAUSS_ARGS)
+    code, units = run_cli(capsys, *GAUSS_ARGS, "--convention", "units")
+    assert code == 0
+    both, units = json.loads(both), json.loads(units)
+    for key in ("residual_valuation", "g_brute"):
+        assert units[key] == {"units": both[key]["units"]}
+
+
 def test_bench_monotone_rows(capsys):
     code, out = run_cli(
         capsys, "bench", "--p", "2", "--prec", "16", "--chi-b", "1",

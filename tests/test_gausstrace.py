@@ -172,7 +172,7 @@ def test_kernel_matches_characters_termwise():
                         )
                         val = RingElem(sys.ring, val.co, sys.target_prec)
                         expect = -(
-                            sys.mu_table.root(table.index_of(z))
+                            sys.mu_table.elements[table.index_of(z)]
                             * sys.chi_value(chi_m, chi_b, z)
                         )
                         assert val == expect, (p, chi_m, chi_b)
@@ -201,7 +201,7 @@ def test_gauss_brute_structural_values_p2():
     sys = system21()
     f = sys.field
     table = sys.character_table()
-    root = lambda z: sys.mu_table.root(table.index_of(WittVec(f, z)))
+    root = lambda z: sys.mu_table.elements[table.index_of(WittVec(f, z))]
     psi10 = root([f.one(), f.zero()])
     psi01 = root([f.zero(), f.one()])
     psi11 = root([f.one(), f.one()])
@@ -530,11 +530,11 @@ def test_checks_share_one_character_system(monkeypatch):
     # systems report
     params = CharParams(3, 1, 2, nprec=14, degree=54)
     configs = [GaussConfig(params, m, b, target_prec=6) for m in range(2) for b in range(3)]
-    characters._system_for_key.cache_clear()
+    characters.shared_system.cache_clear()
     fresh = []
     for cfg in configs:
         fresh.append(strip_timing(trace_formula_check(cfg)))
-        characters._system_for_key.cache_clear()
+        characters.shared_system.cache_clear()
 
     counts = {"mu": 0, "table": 0}
     real_mu = characters.mu_ppow_table
@@ -564,14 +564,14 @@ def test_checks_share_one_character_system(monkeypatch):
     assert shared == fresh
     assert counts == {"mu": 1, "table": 1}
     assert len(points) == len(set(points)) <= system.field.q - 1
-    characters._system_for_key.cache_clear()
+    characters.shared_system.cache_clear()
 
 
 def test_checks_on_one_system_build_omega_factors_once(monkeypatch):
     # A(t x0) and B(t^p x1) depend only on the system and D: the first check
     # on a shared system builds them, a second check reuses them
     params = CharParams(2, 1, 2, nprec=16, degree=64)
-    characters._system_for_key.cache_clear()
+    characters.shared_system.cache_clear()
     calls = []
     real = Series1.compose_scale
     monkeypatch.setattr(
@@ -581,14 +581,14 @@ def test_checks_on_one_system_build_omega_factors_once(monkeypatch):
     first = len(calls)
     trace_formula_check(GaussConfig(params, 0, 1, target_prec=6))
     assert first == 2 and len(calls) == first
-    characters._system_for_key.cache_clear()
+    characters.shared_system.cache_clear()
 
 
 def test_chi_value_snaps_into_order_p_roots():
     sys = CharacterSystem(CharParams(3, 1, 2, nprec=14, degree=54))
     f = sys.field
     table = sys.mu_table
-    p_roots = [table.root(k) for k in sys.mu_p_indices()]
+    p_roots = [table.elements[k] for k in sys.mu_p_indices()]
     assert len(p_roots) == 3
     for b in f.units():
         for z0 in f.units():

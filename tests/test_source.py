@@ -17,3 +17,29 @@ def test_no_invariant_relies_on_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not offenders, "assert statements in the package: " + ", ".join(offenders)
+
+
+def test_no_unused_imports():
+    # a name a module imports and never reads is a dependency it does not
+    # have; __init__.py imports names to re-export them, so it is exempt
+    root = Path(wittlab.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [
+            f"{path.relative_to(root.parent)}:{line} {name}"
+            for name, line in imported.items()
+            if name not in read
+        ]
+    assert not offenders, "imported but never used: " + ", ".join(offenders)
