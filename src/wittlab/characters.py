@@ -206,16 +206,25 @@ def mu_ppow_table(ring, ell):
     return RootOfUnityTable(ring, ell, roots)
 
 
+def check_int(name, value, least=None):
+    """Refuse a parameter that is not an integer (a bool is not one), or is
+    below ``least`` when that is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameter(f"{name} = {value!r} is not an integer")
+    if least is not None and value < least:
+        raise InvalidParameter(f"{name} = {value!r} is below {least}")
+
+
 def check_degree(degree):
     """Refuse a series degree D that is not an integer >= 1."""
-    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
-        raise InvalidParameter(f"series degree D = {degree!r} is not an integer >= 1")
+    check_int("series degree D", degree, 1)
 
 
 def check_target(target_prec):
-    """Refuse a target pi-precision M below 1 (None keeps the default)."""
-    if target_prec is not None and target_prec < 1:
-        raise InvalidParameter(f"target precision M = {target_prec} is below 1")
+    """Refuse a target pi-precision M that is not an integer >= 1 (None
+    keeps the default)."""
+    if target_prec is not None:
+        check_int("target precision M", target_prec, 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -233,12 +242,17 @@ class CharParams:
 
     def __post_init__(self):
         p, s, ell = self.p, self.s, self.ell
+        check_int("p", p)
         if not is_prime(p):
             raise InvalidParameter(f"p = {p} is not prime")
-        if s < 1 or ell < 1:
-            raise InvalidParameter(f"need s >= 1 and ell >= 1, have s = {s}, ell = {ell}")
-        if self.u_index is not None and not 0 <= self.u_index < p**s:
-            raise InvalidParameter(f"t residue index {self.u_index} outside 0..{p**s - 1}")
+        check_int("s", s, 1)
+        check_int("ell", ell, 1)
+        if self.u_index is not None:
+            check_int("t residue index", self.u_index)
+            if not 0 <= self.u_index < p**s:
+                raise InvalidParameter(f"t residue index {self.u_index} outside 0..{p**s - 1}")
+        if self.nprec is not None:
+            check_int("N", self.nprec, 1)
         if self.degree is not None:
             check_degree(self.degree)
         check_target(self.target_prec)
@@ -588,6 +602,7 @@ def omega_factorization_check(params, r, degree):
     """
     if params.ell != 2:
         raise InvalidParameter(f"the factorization check is over W_2, not W_{params.ell}")
+    check_degree(degree)
     base = CharacterSystem(params)
     q = base.field.q
     ring = base.ring

@@ -6,10 +6,14 @@ alpha = Dw_q o mult_H acts on truncations, its trace is the certified
 partial sum of the (q-1)-strided diagonal, and the trace formula predicts
 g = (q-1)^2 Tr(alpha) for one of the two summation conventions.  The check
 computes only that diagonal (``kernel_lattice``) from packed series products
-(``rings.SeriesPacking``), the column terms and the lattice each read back in
-one batched fold, and sums it by shell gcds and raw coordinates.  The full kernel
-(``kernel_H``) stays schoolbook through ``TruncSeries2``: it serves the alpha
-matrix and is the independent oracle the tests compare the lattice against.
+(``rings.SeriesPacking``).  Every factor is packed as its q - 1 residue
+classes of degree, so each product forms only the class of degrees the
+lattice reads, and its slots hold the integers the full product would, in
+the same width.  The column terms and the lattice are each read back in one
+batched fold, and the lattice is summed by shell gcds and raw coordinates.
+The full kernel (``kernel_H``) stays schoolbook through ``TruncSeries2``: it
+serves the alpha matrix and is the independent oracle the tests compare the
+lattice against.
 
 The definition sums z_1 over all of F_q; the diagonal-selection identity
 behind the trace formula sums both variables over mu_{q-1}.  Both
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 
-from .characters import check_degree, check_target, shared_system
+from .characters import check_degree, check_int, check_target, shared_system
 from .errors import InvalidParameter, NoConventionMatches, PrecisionNotReached, TruncationTooSmall
 from .rings import RingElem, SeriesPacking
 from .series import TruncSeries2, certify_tail
@@ -36,8 +40,10 @@ class GaussConfig:
         q = params.p**params.s
         if params.ell != 2:
             raise InvalidParameter(f"the trace formula is over W_2, not W_{params.ell}")
+        check_int("chi_m", chi_m)
         if not 0 <= chi_m < q - 1:
             raise InvalidParameter(f"chi_m = {chi_m} outside 0..{q - 2}")
+        check_int("chi_b index", chi_b_index)
         if not 0 <= chi_b_index < q:
             raise InvalidParameter(f"chi_b index {chi_b_index} outside 0..{q - 1}")
         if degree is not None:
@@ -121,22 +127,30 @@ def kernel_H(system, chi_m, chi_b, degree):
 
 
 def lattice_columns(packing, b, sub, chi_m, degree, step, split):
-    """G_j = g_j(x0^split) packed at each lattice column j = step n: b_{j-k} c_k
-    at x0^u for each C term (u, k, c_k) with u + j + m <= D, summed at q = 2 (every
-    u = 0).  Each c_k B is one packed product; one ``unpack`` reads them all."""
-    packed_b = packing.pack(enumerate(c.co for c in b.coeffs))
-    reads = [(u, k, c, range(-k % step, degree - chi_m - u - k + 1, step)) for u, k, c in sub]
-    reads = [read for read in reads if read[3]]
+    """G_j = g_j(x0^split) at each lattice column j = step n, as the ``step``
+    residue classes of g_j's degree: g_j(y) = sum_h y^h g_{j,h}(y^step).  g_j
+    holds b_{j-k} c_k at y^(u // split) for each C term (u, k, c_k) with u + j
+    + m <= D, summed at q = 2 (every u = 0).  B is packed once as its classes,
+    so c_k B, read at the degrees j - k, is c_k times a prefix of class -k:
+    one packed product per C term, and one ``unpack`` reads them all."""
+    classes = [packing.pack(enumerate(c.co for c in b.coeffs[h::step])) for h in range(step)]
+    reads = [(u, k, c, len(range(-k % step, degree - chi_m - u - k + 1, step))) for u, k, c in sub]
+    reads = [read for read in reads if read[3] > 0]
     terms = packing.unpack(
-        (packing.truncate(packed_b, ks[-1]) * packing.pack([(0, c.co)]), ks)
-        for _, _, c, ks in reads
+        (packing.truncate(classes[-k % step], count - 1) * packing.pack([(0, c.co)]), count)
+        for _, k, c, count in reads
     )
-    cols, pn = [{} for _ in range(degree // step + 1)], packing.ring.pn
-    keys = [((i + k) // step, u // split) for u, k, _, ks in reads for i in ks]
-    for (n, x), co in zip(keys, terms):
-        old = cols[n].get(x)
-        cols[n][x] = co if old is None else tuple((y + z) % pn for y, z in zip(old, co))
-    return [packing.pack(col.items()) for col in cols]
+    cols = [[{} for _ in range(step)] for _ in range(degree // step + 1)]
+    keys = [
+        ((k + -k % step) // step + l, divmod(u // split, step))
+        for u, k, _, count in reads
+        for l in range(count)
+    ]
+    pn = packing.ring.pn
+    for (n, (l, h)), co in zip(keys, terms):  # y^x of g_j is slot x // step of class x mod step
+        old = cols[n][h].get(l)
+        cols[n][h][l] = co if old is None else tuple((y + z) % pn for y, z in zip(old, co))
+    return [[packing.pack(g.items()) for g in col] for col in cols]
 
 
 def kernel_lattice(system, chi_m, chi_b, degree):
@@ -144,12 +158,17 @@ def kernel_lattice(system, chi_m, chi_b, degree):
 
     H = -x0^m A(x0) G(x0, x1) with G = B(x1) C(x0^stride x1), stride =
     p(q-2) and C the terms of ``omega1_substituted``.  G is formed only at
-    the lattice columns j, packed as g_j(x0^stride) (``lattice_columns``).
-    F = -x0^m A(x0) = sum_r x0^r F_r(x0^stride), and column j, F G_j cut to
-    degree D - j, is one packed product F_r g_j (``SeriesPacking``) per
-    r < stride.  stride is prime to q - 1, so lattice degree r + stride k
-    comes from one r, at k = -r/stride mod q - 1; one ``unpack`` reads only
-    these degrees.  At q = 2 (stride 0) G_j is a constant: one class.
+    the lattice columns j, as g_j(x0^stride) (``lattice_columns``).  F =
+    -x0^m A(x0) = sum_r x0^r F_r(x0^stride), and column j, F G_j cut to
+    degree D - j, is F_r g_j (``SeriesPacking``) for each r < stride.
+    stride is prime to q - 1, so lattice degree r + stride k comes from one
+    r, at k = -r/stride mod q - 1: only one residue class of F_r g_j is
+    read.  F_r and g_j are packed as their q - 1 classes of degree, and
+    ``SeriesPacking.class_product`` forms that class alone from q - 1
+    products, each 1/(q - 1) as long.  Every slot of the sum holds the
+    integer the full product held there, so the packing's width and
+    spacing bounds hold unchanged.  One ``unpack`` reads every class
+    product's prefix.  At q = 2 (stride 0) G_j is a constant: one class.
 
     Returns the shells: entry [k][n0] is b_{(q-1) n0, (q-1)(k - n0)}, at the
     least precision over A, B and C (the floor ``mul_sparse`` clamps to).
@@ -160,8 +179,13 @@ def kernel_lattice(system, chi_m, chi_b, degree):
     split = system.params.p * (step - 1) or 1
     floor = min(c.prec for c in a.coeffs + b.coeffs + [c for _, _, c in sub])
     packing = SeriesPacking(ring, degree // split + 1)
-    f = [(d // split, (-c).co) for d, c in enumerate(a.coeffs[: degree + 1 - chi_m], chi_m)]
-    parts = [packing.pack(f[(r - chi_m) % split :: split]) for r in range(split)]
+    # x0^d of F, d = r + split (h + step l), is slot l of class h of F_r
+    period = split * step
+    f = [(d // period, (-c).co) for d, c in enumerate(a.coeffs[: degree + 1 - chi_m], chi_m)]
+    parts = [
+        [packing.pack(f[(r + split * h - chi_m) % period :: period]) for h in range(step)]
+        for r in range(split)
+    ]
     inverse = pow(split, -1, step)
     gs = lattice_columns(packing, b, sub, chi_m, degree, step, split)
     reads = [
@@ -170,7 +194,9 @@ def kernel_lattice(system, chi_m, chi_b, degree):
         for r in range(split)
         if (ks := range(-r * inverse % step, (degree - step * n - r) // split + 1, step))
     ]
-    values = packing.unpack((packing.truncate(parts[r], ks[-1]) * gs[n], ks) for n, r, ks in reads)
+    values = packing.unpack(
+        (packing.class_product(parts[r], gs[n], ks[0], len(ks)), len(ks)) for n, r, ks in reads
+    )
     shells = [[None] * (k + 1) for k in range(degree // step + 1)]
     cells = [(n, (r + split * k) // step) for n, r, ks in reads for k in ks]
     for (n, n0), co in zip(cells, values):

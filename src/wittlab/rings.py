@@ -605,16 +605,32 @@ class SeriesPacking:
         """The packed series cut to degrees <= ``degree``."""
         return packed & ((1 << (8 * self.block * (degree + 1))) - 1)
 
+    def class_product(self, fs, gs, k, count):
+        """Degrees k + c l of F G at slots l < ``count`` (>= 1) of one packed
+        int, F and G given as their c = len(fs) residue classes of degree: F =
+        sum_a x^a fs[a](x^c), and ``gs`` likewise.  Class k of F G is the sum
+        of fs[a] gs[b] over a + b = k, plus one block up over a + b = k + c.
+        Each pair of input degrees whose sum is k mod c lands in exactly one
+        of these products, at the slot of its degree, so slot l holds the
+        integer slot k + c l of F G holds (cutting ``fs`` drops only pairs
+        past slot count - 1), and ``width`` still bounds it."""
+        c = len(fs)
+        low = high = 0
+        for a, f in enumerate(fs):
+            if a <= k:
+                low += self.truncate(f, count - 1) * gs[k - a]
+            else:
+                high += self.truncate(f, count - 2) * gs[k + c - a]
+        return low + (high << 8 * self.block)
+
     def unpack(self, products):
-        """Canonical coordinates at ``degrees`` of each (packed, degrees) pair
-        in ``products``, in order; [] when nothing is read.  Only the blocks
-        read are kept, and one ``fold_block`` reduces them all as columns."""
+        """Canonical coordinates at degrees 0..count-1 of each (packed, count)
+        pair in ``products``, in order; [] when nothing is read.  Only these
+        prefixes are kept, and one ``fold_block`` reduces them all as columns."""
         width, block, spacing, ring = self.width, self.block, self.spacing, self.ring
         blocks = bytearray()
-        for packed, degrees in products:
-            last = max(degrees, default=-1)
-            buf = self.truncate(packed, last).to_bytes(block * (last + 1), "little")
-            blocks += b"".join([buf[d * block : (d + 1) * block] for d in degrees])
+        for packed, count in products:
+            blocks += self.truncate(packed, count - 1).to_bytes(block * count, "little")
         size = len(blocks) // block * spacing
         column, columns = bytearray(size), []
         for k in range(0, block, width):
@@ -629,9 +645,9 @@ class SeriesPacking:
             coords.append([from_bytes(raw[o : o + spacing], "little") % pn for o in offsets])
         return list(zip(*coords))
 
-    def product(self, a_terms, b_terms, degrees):
-        """Coordinates at ``degrees`` of the product of two term lists."""
-        return self.unpack([(self.pack(a_terms) * self.pack(b_terms), degrees)])
+    def product(self, a_terms, b_terms, count):
+        """Coordinates at degrees 0..count-1 of the product of two term lists."""
+        return self.unpack([(self.pack(a_terms) * self.pack(b_terms), count)])
 
 
 def nondegenerate_trace(ring, t):

@@ -122,7 +122,7 @@ class Series1:
         cos = SeriesPacking(ring, degree + 1).product(
             enumerate(c.co for c in self.coeffs[: degree + 1]),
             enumerate(c.co for c in other.coeffs[: degree + 1]),
-            range(degree + 1),
+            degree + 1,
         )
         return Series1(ring, [RingElem(ring, co, floor) for co in cos])
 
@@ -233,7 +233,7 @@ def artin_hasse_E(a, degree):
             apow = apow * comp
             factor.append((k * step, apow.scale_int(ah[k]).co))
         acc = SeriesPacking(ring, len(factor)).product(
-            enumerate(acc), factor, range(degree + 1)
+            enumerate(acc), factor, degree + 1
         )
     return Series1(ring, [RingElem(ring, co, floor) for co in acc])
 

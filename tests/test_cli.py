@@ -141,7 +141,7 @@ from wittlab.characters import (
 )
 from wittlab.errors import InvalidParameter, ReportedMismatch, RingMismatch, TruncationTooSmall
 from wittlab.fields import finite_field
-from wittlab.gausstrace import alpha_matrix
+from wittlab.gausstrace import GaussConfig, alpha_matrix
 from wittlab.rings import LubinTateSeries, ring_of
 from wittlab.series import (
     Series1, TruncSeries2, exp_fractions, pad_vector, pulita_theta_ms, series_eval_unit,
@@ -182,6 +182,16 @@ rows = [
     (InvalidParameter, lambda: finite_field(2, 0)),
     (InvalidParameter, lambda: mu_ppow_table(zp, 2)),
     (InvalidParameter, lambda: omega_factorization_check(CharParams(2, 1, 3), 1, 8)),
+    (InvalidParameter, lambda: omega_factorization_check(CharParams(2, 1, 2), 1, 0)),
+    (InvalidParameter, lambda: CharParams(3.0, 1, 2)),
+    (InvalidParameter, lambda: CharParams(2, 1.5, 2)),
+    (InvalidParameter, lambda: CharParams(2, True, 2)),
+    (InvalidParameter, lambda: CharParams(2, 1, 2.0)),
+    (InvalidParameter, lambda: CharParams(2, 1, 2, u_index=1.5)),
+    (InvalidParameter, lambda: CharParams(2, 1, 2, nprec=16.0)),
+    (InvalidParameter, lambda: CharParams(2, 1, 2, target_prec=2.5)),
+    (InvalidParameter, lambda: GaussConfig(CharParams(3, 1, 2), chi_b_index=True)),
+    (InvalidParameter, lambda: GaussConfig(CharParams(3, 1, 2), chi_m=0.0)),
     (ReportedMismatch, lambda: RootOfUnityTable._discrete_logs(twins)),
     (ReportedMismatch, lambda: _match_root_tables(y_root, y_root)),
     (RingMismatch, lambda: TruncSeries2.outer(Series1(zp, [zp.one()]), Series1(z3, [z3.one()]), 4)),
@@ -221,9 +231,11 @@ for want, call in rows:
 def test_direct_refusals_hold_under_python_O():
     # each of these guarded its argument or an invariant with an assert, so
     # under -O it returned a wrong value (scalar_nat looped forever), and Fq
-    # checked nothing (a non-prime p never found a generator); each now raises
-    # exactly the error class its row names, and the script prints each row
-    # that does not
+    # checked nothing (a non-prime p never found a generator); the
+    # CharParams and GaussConfig rows took floats and bools, and the
+    # factorization check at D = 0 compared constant terms only; each now
+    # raises exactly the error class its row names, and the script prints
+    # each row that does not
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

@@ -407,10 +407,20 @@ def assert_lattice_matches_kernel_H(sys, chi_m, chi_b, degree, target):
     assert report == report_ref
 
 
-@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)])
 def test_kernel_lattice_matches_kernel_H(p, s):
     # the lattice path reads the coefficients kernel_H builds, at the floor
     # mul_sparse clamps to, and certifies the same sum
+    q = p**s
+    if q > 4:
+        # q - 1 = 4 and 7 residue classes of degree, every chi_m, each with
+        # its own b (b = 0 at m = 0): D >= (q-1)(p(q-2) + 1), so column q - 1
+        # reads two slots and the class sums take products shifted a block up
+        degree = 64 if q == 5 else 96
+        sys = next(nondegenerate_systems(p, s, 14, degree))
+        for chi_m in range(q - 1):
+            assert_lattice_matches_kernel_H(sys, chi_m, sys.field.from_index(chi_m), degree, 4)
+        return
     for sys in nondegenerate_systems(p, s, 14, 40):
         for chi_m in range(sys.field.q - 1):
             for chi_b in sys.field.elements():
@@ -431,7 +441,8 @@ def test_kernel_lattice_matches_kernel_H(p, s):
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2)])
 def test_lattice_columns_match_ring_products(p, s):
     # every lattice column g_j against RingElem products b_{j-k} c_k, summed
-    # onto x0^0 at q = 2, packed the way kernel_lattice packs G_j
+    # onto x0^0 at q = 2, packed the way kernel_lattice packs G_j: each of
+    # its q - 1 residue classes of degree on its own
     for degree in (40, 43):
         sys = next(nondegenerate_systems(p, s, 14, degree))
         step = sys.field.q - 1
@@ -448,7 +459,11 @@ def test_lattice_columns_match_ring_products(p, s):
                         if k <= j and u + j + chi_m <= degree:
                             term = b.coeffs[j - k] * c
                             col[u // split] = col[u // split] + term if u // split in col else term
-                    assert g == packing.pack((x, c.co) for x, c in col.items()), (chi_m, n)
+                    assert len(g) == step
+                    # y^x of g_j is slot x // step of class x mod step
+                    for cls, packed in enumerate(g):
+                        want = ((x // step, c.co) for x, c in col.items() if x % step == cls)
+                        assert packed == packing.pack(want), (chi_m, n, cls)
                     if p**s == 2 and chi_b and n:  # several terms on x0^0
                         assert list(col) == [0] and sum(k <= j for _, k, _ in sub) > 1
 
@@ -463,12 +478,46 @@ def test_split_packing_worst_case_slots(p, s, m):
     packing = SeriesPacking(ring, n)
     full = RingElem(ring, (ring.pn - 1,) * ring.dim)
     terms = [(d, full.co) for d in range(n)]
-    got = packing.product(terms, terms, range(2 * n - 1))
+    got = packing.product(terms, terms, 2 * n - 1)
     for d, co in enumerate(got):
         want = ring.zero()
         for _ in range(min(d, 2 * n - 2 - d) + 1):
             want = want + full * full
         assert co == want.co, d
+
+
+@pytest.mark.parametrize("p,s,m", [(3, 1, 1), (2, 2, 1)])
+def test_class_product_worst_case_slots(p, s, m):
+    # the q - 1 class products of one read, plus the one shifted a block,
+    # summed as kernel_lattice sums them, at the packing's longest factors
+    # with every coordinate at p^N - 1: every slot is the exact integer of
+    # the full product's slot, below the width's bound, and reads back as
+    # RingElem sums
+    ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p), 16)
+    step = p**s - 1
+    n = 128 // (p * (step - 1)) + 1
+    packing = SeriesPacking(ring, n)
+    full = RingElem(ring, (ring.pn - 1,) * ring.dim)
+    classes = [packing.pack((l, full.co) for l in range(len(range(h, n, step))))
+               for h in range(step)]
+    rows = 2 * ring.e - 1, 2 * s - 1
+    block = [  # one full * full block, slot i (2s - 1) + j holding pi^i y^j
+        (ring.pn - 1) ** 2 * (min(i, rows[0] - 1 - i) + 1) * (min(j, rows[1] - 1 - j) + 1)
+        for i in range(rows[0])
+        for j in range(rows[1])
+    ]
+    for k in range(step):
+        count = len(range(k, 2 * n - 1, step))
+        got = packing.class_product(classes, classes, k, count)
+        pairs = [min(d, 2 * n - 2 - d) + 1 for d in range(k, 2 * n - 1, step)]
+        slots = [c * v for c in pairs for v in block]
+        assert max(slots) < 256**packing.width
+        assert got == sum(v << 8 * packing.width * i for i, v in enumerate(slots))
+        for c, co in zip(pairs, packing.unpack([(got, count)])):
+            want = ring.zero()
+            for _ in range(c):
+                want = want + full * full
+            assert co == want.co, (k, c)
 
 
 @pytest.mark.parametrize("p,s,m", [(3, 1, 1), (2, 2, 1)])

@@ -456,16 +456,16 @@ def test_ring_product_matches_long_division_oracle(p, s, m, nprec):
         a, b = ring.random(rng), ring.random(rng)
         want = _oracle_product(a.co, b.co, ring.e, s, ring.h_coeffs, eis, ring.pn)
         assert (a * b).co == want, (a, b)
-        assert packing.product([(1, a.co)], [(0, b.co), (2, b.co)], [1, 3]) == [want, want]
+        assert packing.product([(1, a.co)], [(0, b.co), (2, b.co)], 4)[1::2] == [want, want]
 
 
-def _read_blocks(packing, packed, degrees):
+def _read_blocks(packing, packed, count):
     # the reader one degree at a time: each block folded alone, then reduced
     ring, width, block = packing.ring, packing.width, packing.block
-    size = max(block * (degrees[-1] + 1), (packed.bit_length() + 7) // 8)
+    size = max(block * count, (packed.bit_length() + 7) // 8)
     buf = packed.to_bytes(size, "little")
     out = []
-    for d in degrees:
+    for d in range(count):
         slots = range(d * block, (d + 1) * block, width)
         v = ring.fold_block([int.from_bytes(buf[o : o + width], "little") for o in slots])
         out.append(tuple(v[k] % ring.pn for k in ring.slots))
@@ -475,31 +475,32 @@ def _read_blocks(packing, packed, degrees):
 @pytest.mark.parametrize("p,s,m,nprec", _RING_SHAPES)
 def test_batched_reader_worst_case(p, s, m, nprec):
     # every coordinate at p^N - 1, so the middle slots of a length-n square
-    # reach the width's bound; one batched read of several products at
-    # uneven, gapped degree lists against a per-degree fold and long division
+    # reach the width's bound; one batched read of several products' uneven
+    # prefixes, short, empty and past the last formed degree, against a
+    # per-degree fold and long division
     ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p) if m >= 0 else None, nprec)
     eis = ring.eis_coeffs[:-1] if m >= 0 else ()
     n = 6
     packing = SeriesPacking(ring, n)
     full = (ring.pn - 1,) * ring.dim
     square = _oracle_product(full, full, ring.e, s, ring.h_coeffs, eis, ring.pn)
-    specs = [  # degrees of a, degrees of b, degrees read
-        (range(n), range(n), [0, 2, 3, 5, 6, 10]),
-        (range(2), range(n), [1]),
-        (range(n), range(n), []),
-        (range(3, n), range(1, 4), range(4, 10, 3)),
-        (range(n), range(n), range(2 * n - 1)),
+    specs = [  # degrees of a, degrees of b, how many degrees are read
+        (range(n), range(n), 7),
+        (range(2), range(n), 1),
+        (range(n), range(n), 0),
+        (range(3, n), range(1, 4), 2 * n),
+        (range(n), range(n), 2 * n - 1),
     ]
     products = [
-        (packing.pack((d, full) for d in da) * packing.pack((d, full) for d in db), degrees)
-        for da, db, degrees in specs
+        (packing.pack((d, full) for d in da) * packing.pack((d, full) for d in db), count)
+        for da, db, count in specs
     ]
     got = packing.unpack(iter(products))
-    per_degree = [co for packed, ds in products if ds for co in _read_blocks(packing, packed, ds)]
+    per_degree = [co for packed, count in products for co in _read_blocks(packing, packed, count)]
     oracle = [
         tuple(c * sum(x + y == d for x in da for y in db) % ring.pn for c in square)
-        for da, db, degrees in specs
-        for d in degrees
+        for da, db, count in specs
+        for d in range(count)
     ]
     assert got == per_degree == oracle
     # a block with every slot at the slot bound, the fold's worst case, stays
@@ -515,9 +516,9 @@ def test_unpack_reads_nothing():
     packing = SeriesPacking(ring, 4)
     one = packing.pack([(0, ring.one().co)])
     assert packing.unpack([]) == []
-    assert packing.unpack([(one, range(0))]) == []
-    assert packing.unpack([(one, []), (one * one, [])]) == []
-    assert packing.product([(0, ring.one().co)], [(1, ring.one().co)], []) == []
+    assert packing.unpack([(one, 0)]) == []
+    assert packing.unpack([(one, 0), (one * one, 0)]) == []
+    assert packing.product([(0, ring.one().co)], [(1, ring.one().co)], 0) == []
 
 
 @pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2), (2, 4)])
