@@ -203,7 +203,7 @@ def varpi(ring, m, length):
     vec = from_ghosts(
         ring,
         length,
-        lambda big: [big.pi_level(m - n) if n <= m else big.zero() for n in range(length)],
+        lambda big: [big.pi_level(m - n).co if n <= m else big.zero().co for n in range(length)],
     )
     if any(c.valuation() == 0 for c in vec.comps):
         raise ReportedMismatch(f"a component of varpi_{m} is a unit")
@@ -275,7 +275,7 @@ def pulita_theta_ms(ring, m, s, a, degree):
 def delta_vector(ring, c, length):
     """Delta(c) in W(``ring``) (c an integer): ghost coordinates c, c, ...,
     recovered exactly mod p^N by ``wittvec.from_ghosts``."""
-    return from_ghosts(ring, length, lambda big: [big.from_int(c)] * length)
+    return from_ghosts(ring, length, lambda big: [big.from_int(c).co] * length)
 
 
 def f_delta_coeffs(ring, length):

@@ -233,6 +233,11 @@ def eval_plan_at(poly, values):
     Elements must support +, *, ``scale_int`` and ``from_int_like``.  The
     result's precision is the least over the variables the polynomial uses.
     """
+    if not values or len(values) < poly.nx + poly.ny:
+        raise InvalidParameter(
+            f"a polynomial in {poly.nx + poly.ny} variables needs as many values"
+            f" (and at least one), have {len(values)}"
+        )
     zero = values[0].from_int_like(0)
     acc = zero
     powcache = {}

@@ -14,12 +14,18 @@ ring operation between two table-driven maps, at every length, and Frobenius
 is a_i -> a_i^p.  The universal polynomials of upoly serve no Witt operation.
 
 The ghost map over a coefficient ring (``ghost_values``) and its one
-inversion (``ghost_peel``) live here: transport, ``delta`` and the exact
-recovery ``from_ghosts`` (which builds varpi_m and Delta(c)) all take it.
+inversion (``ghost_peel``) live here: transport, ``ghost_map``, ``delta``
+and the exact recovery ``from_ghosts`` (which builds varpi_m and Delta(c))
+all take them.  Both work on the coordinate tuples of one ring: p-th powers
+by ``TowerRing.mul_co``, the p^i scalings and sums on integers mod p^N, and
+the peel's division by p^n checked coordinate by coordinate.  No precision
+is tracked inside; a ``RingElem`` is built only for what a caller returns,
+stamped once as above.  Transport refuses a component of another ring.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import accumulate
 
@@ -103,11 +109,18 @@ class GhostSeq:
             and all(a == b for a, b in zip(self.entries, other.entries))
         )
 
+    def _pair(self, other):
+        if not isinstance(other, GhostSeq) or other.ring is not self.ring:
+            raise RingMismatch("ghost slices over different rings")
+        if len(other) != len(self):
+            raise RingMismatch(f"ghost slices of lengths {len(self)} and {len(other)}")
+        return zip(self.entries, other.entries)
+
     def __add__(self, other):
-        return GhostSeq(self.ring, [a + b for a, b in zip(self.entries, other.entries)])
+        return GhostSeq(self.ring, [a + b for a, b in self._pair(other)])
 
     def __mul__(self, other):
-        return GhostSeq(self.ring, [a * b for a, b in zip(self.entries, other.entries)])
+        return GhostSeq(self.ring, [a * b for a, b in self._pair(other)])
 
     def __repr__(self):
         return f"<{', '.join(repr(c) for c in self.entries)}>"
@@ -162,44 +175,58 @@ def witt_map(fn, a, target_ring=None):
     return WittVec(ring, [fn(c) for c in a.comps])
 
 
-def ghost_values(p, comps):
-    """The ghost coordinates fant_n(a_0..a_n), n < len(comps), of a vector."""
-    out = []
-    pows = []  # pows[i] = a_i^(p^(n-i)) at step n
-    for n, a_n in enumerate(comps):
-        for i in range(n):
-            pows[i] = pows[i] ** p
+def ghost_values(ring, comps):
+    """The ghost coordinates fant_n(a_0..a_n), n < len(comps), of the vector
+    whose components have the coordinate tuples ``comps`` in ``ring``: the
+    p-th powers by ``ring.mul_co``, the p^i scalings and the sums on the
+    coordinates mod p^N."""
+    p, pn, mul = ring.p, ring.pn, ring.mul_co
+    scales = [p**i for i in range(len(comps))]
+    out, pows = [], []  # pows[i] = a_i^(p^(n-i)) at step n
+    for a_n in comps:
+        pows = [pow_ladder(x, p, mul) for x in pows]
         pows.append(a_n)
-        acc = pows[0]
-        for i in range(1, n + 1):
-            acc = acc + pows[i].scale_int(p**i)
-        out.append(acc)
+        out.append(tuple([sum(map(operator.mul, scales, col)) % pn for col in zip(*pows)]))
     return out
 
 
-def ghost_peel(p, entries):
-    """The vector (a_n) with ghost coordinates ``entries``, peeled one
-    component at a time: a_n = (u_n - sum_{i<n} p^i a_i^(p^(n-i))) / p^n.
+def ghost_peel(ring, entries):
+    """The coordinate tuples of the vector (a_n) whose ghost coordinates
+    have the coordinate tuples ``entries`` in ``ring``, peeled one component
+    at a time: a_n = (u_n - sum_{i<n} p^i a_i^(p^(n-i))) / p^n.
 
-    Raises NotDivisible where a division is not exact at working precision;
-    component a_n comes back with its precision reduced by the division.
+    Raises NotDivisible where a coordinate of the numerator is not divisible
+    by p^n.  Otherwise a_n is known mod p^(N-n), and its coordinates are the
+    quotients, below p^(N-n).
     """
-    comps = []
-    pows = []  # pows[i] = a_i^(p^(n-1-i)) entering step n
+    p, pn, mul = ring.p, ring.pn, ring.mul_co
+    scales = [p**i for i in range(len(entries))]
+    comps, pows = [], []  # pows[i] = a_i^(p^(n-i)) at step n
     for n, u in enumerate(entries):
-        acc = u
-        for i in range(n):
-            pows[i] = pows[i] ** p
-            acc = acc - pows[i].scale_int(p**i)
-        a_n = acc if n == 0 else acc.exact_div_p(n)
-        comps.append(a_n)
-        pows.append(a_n)
+        pows = [pow_ladder(x, p, mul) for x in pows]
+        if n:
+            pk = p**n
+            split = [
+                divmod((c - sum(map(operator.mul, scales, col))) % pn, pk)
+                for c, col in zip(u, zip(*pows))
+            ]
+            if any([r for _, r in split]):
+                raise NotDivisible(f"ghost coordinate {n} is not divisible by p^{n} at precision")
+            u = tuple([q for q, _ in split])
+        comps.append(u)
+        pows.append(u)
     return comps
 
 
 def ghost_map(a):
-    """Ghost coordinates fant_n(a_0..a_n) for n < len(a)."""
-    return GhostSeq(a.ring, ghost_values(a.ring.p, a.comps))
+    """Ghost coordinates fant_n(a_0..a_n) for n < len(a), entry n declared
+    at the least precision among components 0..n."""
+    ring = a.ring
+    if not isinstance(ring, TowerRing):
+        raise RingMismatch("the ghost map needs a p-regular coefficient ring")
+    ghosts = ghost_values(ring, _coords(a, len(a)))
+    precs = _prefix_min([a], len(a))
+    return GhostSeq(ring, [RingElem(ring, g, prec) for g, prec in zip(ghosts, precs)])
 
 
 def ghost_shift(u):
@@ -236,9 +263,10 @@ def _zq_table(field, n):
 def _to_zq(a, length):
     """The image of a's first ``length`` components in Z_q/p^length."""
     rows = _zq_table(a.ring, length)
-    acc = rows[0][a.comps[0].co]
-    for row, c in zip(rows[1:], a.comps[1:length]):
-        acc = acc + row[c.co]
+    first, *rest = _coords(a, length)
+    acc = rows[0][first]
+    for row, co in zip(rows[1:], rest):
+        acc = acc + row[co]
     return acc
 
 
@@ -255,28 +283,37 @@ def _from_zq(field, x, length):
     return WittVec(field, comps)
 
 
+def _coords(a, length):
+    """The coordinate tuples of a's first ``length`` components; a component
+    of another ring is refused, since its coordinates mean nothing in a's."""
+    ring, comps = a.ring, a.comps[:length]
+    if any((c.field if isinstance(ring, Fq) else c.ring) is not ring for c in comps):
+        raise RingMismatch(f"a component of a vector over {ring!r} lives in another ring")
+    return [c.co for c in comps]
+
+
 def _lifted_ghosts(ring, vecs, length):
-    """Ghost coordinates 0..length-1 of each vector, over a copy of the ring
-    with ``length`` guard digits, so the recovering divisions stay exact."""
+    """big, a copy of the ring with ``length`` guard digits, so the
+    recovering divisions stay exact, and the ghost coordinates 0..length-1
+    of each vector there."""
     big = ring.with_precision(ring.nprec + length)
-    return [
-        ghost_values(ring.p, [RingElem(big, c.co) for c in v.comps[:length]]) for v in vecs
-    ]
+    return big, [ghost_values(big, _coords(v, length)) for v in vecs]
 
 
-def _recover(ring, entries, precs):
-    """The vector with ghost coordinates ``entries``, reduced to ``ring``;
-    component n declared at precision precs[n]."""
-    comps = ghost_peel(ring.p, entries)
+def _recover(ring, big, entries, precs):
+    """The vector with ghost coordinates ``entries`` in big, reduced to
+    ``ring``; component n declared at precision precs[n]."""
+    pn = ring.pn
     return WittVec(ring, [
-        RingElem(ring, tuple(x % ring.pn for x in c.co), prec) for c, prec in zip(comps, precs)
+        RingElem(ring, tuple([x % pn for x in c]), prec)
+        for c, prec in zip(ghost_peel(big, entries), precs)
     ])
 
 
 def from_ghosts(ring, length, ghosts):
     """The length-``length`` vector over ``ring`` whose ghost coordinates
-    are ``ghosts(big)``, exact mod p^N, every component declared at
-    ``ring.cap``.
+    have the coordinate tuples ``ghosts(big)``, exact mod p^N, every
+    component declared at ``ring.cap``.
 
     ``ghosts`` forms the coordinates, exactly, in big, a copy of the ring
     with L = ``length`` guard digits, where transport's recovery peels them.
@@ -286,7 +323,7 @@ def from_ghosts(ring, length, ghosts):
     """
     _check_length(length)
     big = ring.with_precision(ring.nprec + length)
-    return _recover(ring, ghosts(big), [ring.cap] * length)
+    return _recover(ring, big, ghosts(big), [ring.cap] * length)
 
 
 def _prefix_min(vecs, length):
@@ -294,22 +331,31 @@ def _prefix_min(vecs, length):
     return list(accumulate((min(v.comps[i].prec for v in vecs) for i in range(length)), min))
 
 
-def _binary(op, a, b):
+def _binary(a, b, field_op, co_op):
+    """field_op on the images in Z_q/p^n over F_q; otherwise co_op(big, x, y)
+    on each pair of ghost coordinate tuples."""
     length = _check_pair(a, b)
     if length == 0:
         return WittVec(a.ring, [])
     if isinstance(a.ring, Fq):
-        return _from_zq(a.ring, op(_to_zq(a, length), _to_zq(b, length)), length)
-    ga, gb = _lifted_ghosts(a.ring, [a, b], length)
-    return _recover(a.ring, [op(x, y) for x, y in zip(ga, gb)], _prefix_min([a, b], length))
+        return _from_zq(a.ring, field_op(_to_zq(a, length), _to_zq(b, length)), length)
+    big, (ga, gb) = _lifted_ghosts(a.ring, [a, b], length)
+    return _recover(
+        a.ring, big, [co_op(big, x, y) for x, y in zip(ga, gb)], _prefix_min([a, b], length)
+    )
+
+
+def _add_co(ring, x, y):
+    pn = ring.pn
+    return tuple([(u + v) % pn for u, v in zip(x, y)])
 
 
 def witt_add(a, b):
-    return _binary(lambda x, y: x + y, a, b)
+    return _binary(a, b, operator.add, _add_co)
 
 
 def witt_mul(a, b):
-    return _binary(lambda x, y: x * y, a, b)
+    return _binary(a, b, operator.mul, TowerRing.mul_co)
 
 
 def witt_neg(a):
@@ -318,9 +364,10 @@ def witt_neg(a):
         return a
     if isinstance(ring, Fq):
         return _from_zq(ring, -_to_zq(a, length), length)
-    (ga,) = _lifted_ghosts(ring, [a], length)
+    big, (ga,) = _lifted_ghosts(ring, [a], length)
     precs = [c.prec for c in a.comps] if ring.p % 2 else _prefix_min([a], length)
-    return _recover(ring, [-x for x in ga], precs)
+    pn = big.pn
+    return _recover(ring, big, [tuple([-x % pn for x in g]) for g in ga], precs)
 
 
 def frob(a):
@@ -330,8 +377,8 @@ def frob(a):
         raise TooShort("frob needs length >= 2")
     if isinstance(ring, Fq):
         return WittVec(ring, [c.frobenius() for c in a.comps[:-1]])
-    (ga,) = _lifted_ghosts(ring, [a], length)
-    return _recover(ring, ga[1:], _prefix_min([a], length)[1:])
+    big, (ga,) = _lifted_ghosts(ring, [a], length)
+    return _recover(ring, big, ga[1:], _prefix_min([a], length)[1:])
 
 
 def scalar_nat(a, n):
@@ -348,29 +395,35 @@ def witt_div_p(a):
     Solved through ghost coordinates with guard digits; p must not be a
     zero divisor in the coefficient ring.
     """
-    ring = a.ring
+    ring, length = a.ring, len(a)
     if not isinstance(ring, TowerRing):
         raise RingMismatch("witt_div_p needs a p-regular coefficient ring")
-    length = len(a)
-    (ga,) = _lifted_ghosts(ring, [a], length)
-    prec = min(c.prec for c in a.comps) - ring.e
+    if length == 0:
+        return WittVec(ring, [])
+    big, (ga,) = _lifted_ghosts(ring, [a], length)
+    p, prec = ring.p, min(c.prec for c in a.comps) - ring.e
+    refused = NotDivisible("vector is not in p*W(A) at working precision")
+    if any(x % p for g in ga for x in g):
+        raise refused
     try:
-        return _recover(ring, [x.exact_div_p(1) for x in ga], [prec] * length)
+        return _recover(ring, big, [tuple([x // p for x in g]) for g in ga], [prec] * length)
     except NotDivisible:
-        raise NotDivisible("vector is not in p*W(A) at working precision") from None
+        raise refused from None
 
 
 def delta(x, length):
     """The unique vector with constant ghost <x, x, ...> (x over Z/p^N).
 
     No congruence check is needed: sigma = id, so every division is exact.
-    Component n loses n digits, because x is only known mod p^N.
+    Component n loses n digits, because x is only known mod p^N: it is
+    declared at max(0, prec(x) - n).
     """
     ring = x.ring
     if not (isinstance(ring, TowerRing) and ring.m == -1 and ring.s == 1):
         raise RingMismatch(f"delta needs x over Z/p^N, have x in {ring!r}")
     _check_length(length)
-    return WittVec(ring, ghost_peel(ring.p, [x] * length))
+    comps = ghost_peel(ring, [x.co] * length)
+    return WittVec(ring, [RingElem(ring, c, max(0, x.prec - n)) for n, c in enumerate(comps)])
 
 
 def te_lift(y, target, length):

@@ -147,7 +147,10 @@ from wittlab.series import (
     Series1, TruncSeries2, exp_fractions, pad_vector, pulita_theta_ms, series_eval_unit,
     varpi,
 )
-from wittlab.wittvec import WittVec, delta, one_vec, scalar_nat, tau, te_lift, versch, zero_vec
+from wittlab.upoly import UniversalPoly, eval_plan_at, structural_polys
+from wittlab.wittvec import (
+    GhostSeq, WittVec, delta, one_vec, scalar_nat, tau, te_lift, versch, witt_add, zero_vec,
+)
 
 zp, f4 = ring_of(2, nprec=8), finite_field(2, 2)
 z3, zq = ring_of(3, nprec=8), ring_of(2, 2, nprec=8)
@@ -215,6 +218,10 @@ rows = [
     (InvalidParameter, lambda: series.delta_vector(zp, 3, -1)),
     (InvalidParameter, lambda: one_vec(zp, -1)),
     (InvalidParameter, lambda: tau(zp, zp.one(), -2)),
+    (InvalidParameter, lambda: eval_plan_at(structural_polys("sum", 2, 2)[1], [zp.one()] * 2)),
+    (InvalidParameter, lambda: eval_plan_at(UniversalPoly.monomial(2, 0, 0, [], 5), [])),
+    (RingMismatch, lambda: witt_add(WittVec(zp, [ring_of(2, nprec=9).one()]), one_vec(zp, 1))),
+    (RingMismatch, lambda: GhostSeq(zp, [zp.one()] * 2) + GhostSeq(zp, [zp.one()])),
 ]
 for want, call in rows:
     try:
@@ -233,7 +240,9 @@ def test_direct_refusals_hold_under_python_O():
     # under -O it returned a wrong value (scalar_nat looped forever), and Fq
     # checked nothing (a non-prime p never found a generator); the
     # CharParams and GaussConfig rows took floats and bools, and the
-    # factorization check at D = 0 compared constant terms only; each now
+    # factorization check at D = 0 compared constant terms only;
+    # eval_plan_at indexed past a short value list, transport read another
+    # ring's coordinates and ghost slices zipped to the shorter; each now
     # raises exactly the error class its row names, and the script prints
     # each row that does not
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,0 +1,246 @@
+"""Ghost transport on coordinate tuples against the element-level oracle.
+
+``ghost_oracle`` runs the ghost map and its inversion on ``RingElem``
+values, tracking precision through every step; the package runs them on
+bare coordinates and stamps precision once.  Both must give the same
+coordinates, the same declared precisions and the same ``NotDivisible``.
+"""
+
+import random
+
+import ghost_oracle as oracle
+import pytest
+
+from wittlab import series
+from wittlab.errors import NotDivisible, RingMismatch
+from wittlab.fields import finite_field
+from wittlab.rings import LubinTateSeries, RingElem, RingSpec, make_ring, ring_of
+from wittlab.wittvec import (
+    GhostSeq,
+    WittVec,
+    delta,
+    frob,
+    from_ghosts,
+    ghost_map,
+    ghost_peel,
+    one_vec,
+    scalar_nat,
+    witt_add,
+    witt_div_p,
+    witt_mul,
+    witt_neg,
+)
+
+CYC2, CYC3 = LubinTateSeries.cyclotomic(2), LubinTateSeries.cyclotomic(3)
+
+RINGS = [
+    ring_of(2, nprec=10),
+    ring_of(3, nprec=8),
+    ring_of(5, nprec=5),
+    ring_of(2, 2, nprec=8),
+    make_ring(RingSpec(3, 1, 1, CYC3, 5)),
+    make_ring(RingSpec(2, 1, 1, CYC2, 8)),
+    make_ring(RingSpec(2, 2, 1, CYC2, 6)),
+]
+
+
+def rand_vec(ring, rng, length):
+    """Random components, about a third of them below full precision."""
+    return WittVec(ring, [
+        ring.random(rng, rng.randrange(ring.cap + 1) if rng.random() < 0.35 else None)
+        for _ in range(length)
+    ])
+
+
+def cells(v):
+    if isinstance(v, str):
+        return v
+    return [(c.co, c.prec) for c in v.comps]
+
+
+def oracle_nat(a, n):
+    acc = a
+    for _ in range(n - 1):
+        acc = oracle.witt_add(acc, a)
+    return acc
+
+
+def step(rng, x, y):
+    """One random op applied to the package's x and the oracle's y."""
+    ring, length = x.ring, len(x)
+    kinds = ["add", "mul", "neg", "truncate", "div_p", "div_p p*"] + ["frob"] * (length >= 2)
+    kind = rng.choice(kinds)
+    if kind in ("add", "mul"):
+        other = rand_vec(ring, rng, length)
+        fn, ofn = (witt_add, oracle.witt_add) if kind == "add" else (witt_mul, oracle.witt_mul)
+        return kind, fn(x, other), ofn(y, other)
+    if kind == "neg":
+        return kind, witt_neg(x), oracle.witt_neg(y)
+    if kind == "frob":
+        return kind, frob(x), oracle.frob(y)
+    if kind == "truncate":
+        cut = rng.randrange(length + 1)
+        return kind, x.truncate(cut), y.truncate(cut)
+    if kind == "div_p p*":
+        x, y = scalar_nat(x, ring.p), oracle_nat(y, ring.p)
+    got = oracle.raises_not_divisible(witt_div_p, x)
+    want = oracle.raises_not_divisible(oracle.witt_div_p, y)
+    return kind, got, want
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_chains_match_the_element_oracle(ring):
+    rng = random.Random(f"chains {ring!r}")
+    ops = set()
+    for _ in range(14):
+        x = rand_vec(ring, rng, rng.randrange(1, 6))
+        y = x
+        for _ in range(rng.randrange(1, 6)):
+            kind, x, y = step(rng, x, y)
+            ops.add(kind if not isinstance(x, str) else kind + " refused")
+            assert cells(x) == cells(y), (ring, kind)
+            if isinstance(x, str) or not len(x):
+                break
+    assert {"add", "mul", "neg", "div_p p*", "div_p refused"} <= ops, ops
+
+
+def test_ghost_map_matches_the_element_oracle():
+    rng = random.Random(404)
+    for ring in RINGS:
+        for length in range(6):
+            a = rand_vec(ring, rng, length)
+            got = ghost_map(a).entries
+            want = oracle.ghost_map(a)
+            assert [(g.co, g.prec) for g in got] == [(w.co, w.prec) for w in want], ring
+
+
+def test_ghost_peel_matches_the_element_oracle():
+    # the peel over the ring itself, with no guard digits: where the element
+    # peel divides exactly the coordinate peel returns the same coordinates,
+    # and where it raises NotDivisible so does the coordinate peel
+    rng = random.Random(505)
+    seen = set()
+    for ring in RINGS:
+        for _ in range(20):
+            entries = [ring.random(rng) for _ in range(rng.randrange(1, 5))]
+            if rng.random() < 0.5:
+                entries = oracle.ghost_values(ring.p, [ring.random(rng) for _ in entries])
+            try:
+                want = [c.co for c in oracle.ghost_peel(ring.p, entries)]
+            except NotDivisible:
+                want = "NotDivisible"
+            got = oracle.raises_not_divisible(ghost_peel, ring, [u.co for u in entries])
+            seen.add(want == "NotDivisible")
+            assert got == want, ring
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "spec,m",
+    [((2, 1, 1, CYC2, 10), 1), ((3, 1, 1, LubinTateSeries.plain(3), 10), 0),
+     ((2, 2, 1, CYC2, 8), 1), ((2, 1, 2, CYC2, 8), 2)],
+)
+def test_varpi_matches_the_element_oracle(spec, m):
+    ring = make_ring(RingSpec(*spec))
+    for length in (1, 3, 5):
+        got = series.varpi(ring, m, length)
+        want = oracle.from_ghosts(
+            ring, length,
+            lambda big: [big.pi_level(m - n) if n <= m else big.zero() for n in range(length)],
+        )
+        assert cells(got) == cells(want), (spec, length)
+
+
+def test_delta_vector_matches_the_element_oracle():
+    for ring in RINGS:
+        for c in (0, 1, ring.p, -3, 12345):
+            got = series.delta_vector(ring, c, 4)
+            want = oracle.from_ghosts(ring, 4, lambda big: [big.from_int(c)] * 4)
+            assert cells(got) == cells(want), (ring, c)
+
+
+def test_from_ghosts_of_length_zero():
+    ring = RINGS[0]
+    assert len(from_ghosts(ring, 0, lambda big: [])) == 0
+
+
+def test_delta_matches_the_element_oracle_in_coordinates():
+    rng = random.Random(606)
+    for p, nprec in ((2, 12), (3, 12), (5, 6)):
+        ring = ring_of(p, nprec=nprec)
+        for _ in range(10):
+            x = RingElem(ring, (rng.randrange(ring.pn),), rng.randrange(ring.cap + 1))
+            got, want = delta(x, 6), oracle.delta(x, 6)
+            assert [c.co for c in got.comps] == [c.co for c in want]
+            assert [c.prec for c in got.comps] == [max(0, x.prec - n) for n in range(6)]
+
+
+def test_delta_declares_the_precision_a_perturbation_shows():
+    # x known mod 3^6: perturbing it by 3^6 r moves component n exactly at
+    # 3^(6-n) for some draws and never below, so n digits are lost, not
+    # n(n+1)/2; and no component is declared below zero
+    ring = ring_of(3, nprec=12)
+    rng = random.Random(707)
+    least = [None] * 5
+    for _ in range(200):
+        x = RingElem(ring, (rng.randrange(ring.pn),), 6)
+        y = RingElem(ring, ((x.co[0] + 3**6 * rng.randrange(1, 3**6)) % ring.pn,), 6)
+        dx, dy = delta(x, 5), delta(y, 5)
+        assert [c.prec for c in dx.comps] == [6, 5, 4, 3, 2]
+        assert dx == dy
+        for n in range(5):
+            v = (dx[n] - dy[n]).valuation()
+            if v is not None:
+                least[n] = v if least[n] is None else min(least[n], v)
+    assert least == [6, 5, 4, 3, 2]
+    low = delta(RingElem(ring, (5,), 2), 5)
+    assert [c.prec for c in low.comps] == [2, 1, 0, 0, 0]
+
+
+def test_witt_div_p_of_the_empty_vector():
+    ring = ring_of(3, nprec=8)
+    assert witt_div_p(WittVec(ring, [])) == WittVec(ring, [])
+    f9 = finite_field(3, 2)
+    with pytest.raises(RingMismatch):
+        witt_div_p(WittVec(f9, []))
+
+
+def test_ghost_slices_refuse_a_length_or_ring_mismatch():
+    ring, other = ring_of(3, nprec=8), ring_of(3, nprec=9)
+    two = GhostSeq(ring, [ring.one(), ring.one()])
+    one = GhostSeq(ring, [ring.one()])
+    for op in (GhostSeq.__add__, GhostSeq.__mul__):
+        with pytest.raises(RingMismatch):
+            op(two, one)
+        with pytest.raises(RingMismatch):
+            op(one, two)
+        with pytest.raises(RingMismatch):
+            op(one, GhostSeq(other, [other.one()]))
+        with pytest.raises(RingMismatch):
+            op(one, [ring.one()])
+    assert two + two == GhostSeq(ring, [ring.from_int(2)] * 2)
+
+
+def test_transport_refuses_another_rings_component():
+    z8, z9 = ring_of(2, nprec=8), ring_of(2, nprec=9)
+    stray = WittVec(z8, [z9.one()])
+    good = WittVec(z8, [z8.one()])
+    calls = [
+        lambda: witt_add(stray, good),
+        lambda: witt_add(good, stray),
+        lambda: witt_mul(stray, good),
+        lambda: witt_neg(stray),
+        lambda: frob(WittVec(z8, [z8.one(), z9.one()])),
+        lambda: witt_div_p(stray),
+        lambda: ghost_map(stray),
+    ]
+    f4, f8 = finite_field(2, 2), finite_field(2, 3)
+    field_stray = WittVec(f4, [f8.one()])
+    calls += [
+        lambda: witt_add(field_stray, one_vec(f4, 1)),
+        lambda: witt_mul(one_vec(f4, 1), field_stray),
+        lambda: witt_neg(field_stray),
+    ]
+    for call in calls:
+        with pytest.raises(RingMismatch):
+            call()
