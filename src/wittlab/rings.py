@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 from .errors import (
@@ -575,10 +576,16 @@ class SeriesPacking:
     holds B.  ``unpack`` turns slot k of every block it reads into one int,
     ``spacing`` bytes an entry, and folds these.  Row entries lie in
     [0, p^N) and a folded slot adds s - 1 y-row multiples of slots, then e - 1
-    Eisenstein-row ones, so the spacing holds B (1 + (s-1)(p^N-1)) (1 + (e-1)(p^N-1)).
+    Eisenstein-row ones, so the spacing holds B (1 + (s-1)(p^N-1)) (1 + (e-1)(p^N-1)),
+    rounded up to whole 64-bit words.
+
+    Coordinates go in and out as columns of 64-bit words: a coordinate takes
+    ``words`` of them (p^N - 1 fits in ``lanes`` bytes), a folded entry
+    ``spacing // 8``.  Words go through ``struct`` as little-endian, whatever
+    the host's byte order.
     """
 
-    __slots__ = ("ring", "width", "block", "spacing")
+    __slots__ = ("ring", "width", "block", "spacing", "lanes", "words")
 
     def __init__(self, ring, n):
         self.ring = ring
@@ -586,20 +593,30 @@ class SeriesPacking:
         self.width = (bound.bit_length() + 7) // 8
         self.block = (2 * ring.e - 1) * (2 * ring.s - 1) * self.width
         bound *= (1 + (ring.s - 1) * (ring.pn - 1)) * (1 + (ring.e - 1) * (ring.pn - 1))
-        self.spacing = (bound.bit_length() + 7) // 8
+        self.spacing = 8 * ((bound.bit_length() + 63) // 64)
+        self.lanes = ((ring.pn - 1).bit_length() + 7) // 8
+        self.words = (self.lanes + 7) // 8
 
-    def pack(self, terms):
-        """One int from (degree, coordinates) pairs; absent degrees are zero."""
-        slots, width = self.ring.slots, self.width
-        terms = [(d, co) for d, co in terms if any(co)]
-        buf = bytearray(self.block * (max((d for d, _ in terms), default=-1) + 1))
-        for d, co in terms:
-            base = d * self.block
-            for k, c in zip(slots, co):
-                if c:
-                    o = base + k * width
-                    buf[o : o + width] = c.to_bytes(width, "little")
-        return int.from_bytes(buf, "little")
+    def pack(self, columns, lengths):
+        """One int for each series of a batch, series t at degrees 0 ..
+        lengths[t] - 1.  ``columns[i]`` lists coordinate i (in [0, p^N)) of
+        every degree of every series, series after series.  Each column is
+        cut into ``words`` columns of 64-bit words, each written out by one
+        ``struct.pack``, and each byte lane of a coordinate lands in its slot
+        of every block by one strided copy."""
+        width, block, lanes, words = self.width, self.block, self.lanes, self.words
+        buf = bytearray(block * sum(lengths))
+        for k, col in zip(self.ring.slots, columns):
+            for w in range(words):
+                part = col if words == 1 else [c >> 64 * w & _WORD for c in col]
+                raw = struct.pack(f"<{len(part)}Q", *part)
+                for b in range(8 * w, min(8 * w + 8, lanes)):
+                    buf[k * width + b :: block] = raw[b - 8 * w :: 8]
+        view, ints, o = memoryview(buf), [], 0
+        for n in lengths:
+            ints.append(int.from_bytes(view[o : o + n * block], "little"))
+            o += n * block
+        return ints
 
     def truncate(self, packed, degree):
         """The packed series cut to degrees <= ``degree``."""
@@ -625,8 +642,11 @@ class SeriesPacking:
 
     def unpack(self, products):
         """Canonical coordinates at degrees 0..count-1 of each (packed, count)
-        pair in ``products``, in order; [] when nothing is read.  Only these
-        prefixes are kept, and one ``fold_block`` reduces them all as columns."""
+        pair in ``products``, as columns: entry i lists coordinate i of every
+        degree read, in order.  Only these prefixes are kept, one
+        ``fold_block`` reduces them all as columns, and each folded column is
+        read as 64-bit words, joined ``spacing // 8`` to an entry and reduced
+        mod p^N once."""
         width, block, spacing, ring = self.width, self.block, self.spacing, self.ring
         blocks = bytearray()
         for packed, count in products:
@@ -639,15 +659,23 @@ class SeriesPacking:
             columns.append(int.from_bytes(column, "little"))
         del blocks
         ring.fold_block(columns)
-        pn, from_bytes, offsets, coords = ring.pn, int.from_bytes, range(0, size, spacing), []
+        pn, words, out = ring.pn, spacing // 8, []
         for k in ring.slots:
-            raw = columns[k].to_bytes(size, "little")
-            coords.append([from_bytes(raw[o : o + spacing], "little") % pn for o in offsets])
-        return list(zip(*coords))
+            vals = struct.unpack(f"<{size // 8}Q", columns[k].to_bytes(size, "little"))
+            entries = vals[words - 1 :: words]
+            for w in range(words - 2, -1, -1):
+                entries = [x << 64 | v for x, v in zip(entries, vals[w::words])]
+            out.append([x % pn for x in entries])
+        return out
 
-    def product(self, a_terms, b_terms, count):
-        """Coordinates at degrees 0..count-1 of the product of two term lists."""
-        return self.unpack([(self.pack(a_terms) * self.pack(b_terms), count)])
+    def product(self, a, b, count):
+        """Coordinate tuples at degrees 0..count-1 of the product of two
+        series, each a list of coordinate tuples by degree."""
+        fa, fb = self.pack(list(zip(*a, *b)), [len(a), len(b)])
+        return list(zip(*self.unpack([(fa * fb, count)])))
+
+
+_WORD = (1 << 64) - 1
 
 
 def nondegenerate_trace(ring, t):

@@ -120,8 +120,8 @@ class Series1:
             c.prec for c in self.coeffs[: degree + 1] + other.coeffs[: degree + 1]
         )
         cos = SeriesPacking(ring, degree + 1).product(
-            enumerate(c.co for c in self.coeffs[: degree + 1]),
-            enumerate(c.co for c in other.coeffs[: degree + 1]),
+            [c.co for c in self.coeffs[: degree + 1]],
+            [c.co for c in other.coeffs[: degree + 1]],
             degree + 1,
         )
         return Series1(ring, [RingElem(ring, co, floor) for co in cos])
@@ -226,15 +226,16 @@ def artin_hasse_E(a, degree):
         floor = min(floor, comp.prec)
         if not any(comp.co):
             continue
-        ah = artin_hasse_ints(p, degree // step, ring.nprec)
-        factor = [(0, ring.from_int(ah[0]).co)]
+        terms = degree // step + 1
+        ah = artin_hasse_ints(p, terms - 1, ring.nprec)
+        factor = [ring.zero().co] * (step * (terms - 1) + 1)
+        factor[0] = ring.from_int(ah[0]).co
         apow = ring.one()
-        for k in range(1, degree // step + 1):
+        for k in range(1, terms):
             apow = apow * comp
-            factor.append((k * step, apow.scale_int(ah[k]).co))
-        acc = SeriesPacking(ring, len(factor)).product(
-            enumerate(acc), factor, degree + 1
-        )
+            factor[k * step] = apow.scale_int(ah[k]).co
+        # a product slot sums at most ``terms`` nonzero pairs
+        acc = SeriesPacking(ring, terms).product(acc, factor, degree + 1)
     return Series1(ring, [RingElem(ring, co, floor) for co in acc])
 
 

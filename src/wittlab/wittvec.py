@@ -20,7 +20,8 @@ all take them.  Both work on the coordinate tuples of one ring: p-th powers
 by ``TowerRing.mul_co``, the p^i scalings and sums on integers mod p^N, and
 the peel's division by p^n checked coordinate by coordinate.  No precision
 is tracked inside; a ``RingElem`` is built only for what a caller returns,
-stamped once as above.  Transport refuses a component of another ring.
+stamped once as above.  A vector refuses a component of another ring when
+it is built, so no operation reads coordinates that mean nothing in its ring.
 """
 
 from __future__ import annotations
@@ -35,13 +36,17 @@ from .rings import RingElem, TowerRing, ring_of
 
 
 class WittVec:
-    """Finite Witt vector; components live in ``ring``."""
+    """Finite Witt vector; components live in ``ring``, and a component of
+    another ring (or no ring element at all) is refused with RingMismatch."""
 
     __slots__ = ("ring", "comps")
 
     def __init__(self, ring, comps):
         self.ring = ring
         self.comps = tuple(comps)
+        home = "field" if isinstance(ring, Fq) else "ring"
+        if any(getattr(c, home, None) is not ring for c in self.comps):
+            raise RingMismatch(f"a component of a vector over {ring!r} lives in another ring")
 
     def __len__(self):
         return len(self.comps)
@@ -284,12 +289,8 @@ def _from_zq(field, x, length):
 
 
 def _coords(a, length):
-    """The coordinate tuples of a's first ``length`` components; a component
-    of another ring is refused, since its coordinates mean nothing in a's."""
-    ring, comps = a.ring, a.comps[:length]
-    if any((c.field if isinstance(ring, Fq) else c.ring) is not ring for c in comps):
-        raise RingMismatch(f"a component of a vector over {ring!r} lives in another ring")
-    return [c.co for c in comps]
+    """The coordinate tuples of a's first ``length`` components."""
+    return [c.co for c in a.comps[:length]]
 
 
 def _lifted_ghosts(ring, vecs, length):

@@ -23,6 +23,7 @@ from wittlab.gausstrace import (
     alpha_trace,
     bench_report,
     certified_diagonal_sum,
+    diagonal_lattice,
     diagonal_selection_check,
     dwork_op,
     gauss_brute,
@@ -36,6 +37,8 @@ from wittlab.gausstrace import (
 from wittlab.rings import LubinTateSeries, RingElem, SeriesPacking, ring_of
 from wittlab.series import Series1, TruncSeries2
 from wittlab.wittvec import WittVec
+
+from packing_oracle import pack_bytewise, pack_terms, read_tuples
 
 
 def system21(degree=48):
@@ -391,17 +394,21 @@ def nondegenerate_systems(p, s, nprec, degree):
 
 
 def assert_lattice_matches_kernel_H(sys, chi_m, chi_b, degree, target):
+    # every coordinate of every lattice coefficient, and the floor, against
+    # kernel_H's; the certified sum and report against alpha_trace's
     q = sys.field.q
     full = kernel_H(sys, chi_m, chi_b, degree)
-    floor = min(c.prec for _, _, c in full.terms())
-    shells = kernel_lattice(sys, chi_m, chi_b, degree)
+    lattice = kernel_lattice(sys, chi_m, chi_b, degree)
+    floor, shells = lattice
+    assert floor == min(c.prec for _, _, c in full.terms())
     assert len(shells) == degree // (q - 1) + 1
     for k, shell in enumerate(shells):
-        for n0, c in enumerate(shell):
-            want = full.coefficient((q - 1) * n0, (q - 1) * (k - n0))
-            assert c.co == want.co, (chi_m, chi_b, k, n0)
-            assert c.prec == floor
-    value, report = certified_diagonal_sum(sys.ring, shells, target)
+        want = [full.coefficient((q - 1) * n0, (q - 1) * (k - n0)) for n0 in range(k + 1)]
+        assert len(shell) == sys.ring.dim
+        for i, col in enumerate(shell):
+            assert list(col) == [c.co[i] for c in want], (chi_m, chi_b, k, i)
+    assert lattice == diagonal_lattice(full, q)
+    value, report = certified_diagonal_sum(sys.ring, lattice, target)
     value_ref, report_ref = alpha_trace(full, q, target)
     assert value.co == value_ref.co and value.prec == value_ref.prec
     assert report == report_ref
@@ -463,7 +470,7 @@ def test_lattice_columns_match_ring_products(p, s):
                     # y^x of g_j is slot x // step of class x mod step
                     for cls, packed in enumerate(g):
                         want = ((x // step, c.co) for x, c in col.items() if x % step == cls)
-                        assert packed == packing.pack(want), (chi_m, n, cls)
+                        assert packed == pack_bytewise(packing, want), (chi_m, n, cls)
                     if p**s == 2 and chi_b and n:  # several terms on x0^0
                         assert list(col) == [0] and sum(k <= j for _, k, _ in sub) > 1
 
@@ -477,8 +484,7 @@ def test_split_packing_worst_case_slots(p, s, m):
     n = 128 // (p * (p**s - 2)) + 1
     packing = SeriesPacking(ring, n)
     full = RingElem(ring, (ring.pn - 1,) * ring.dim)
-    terms = [(d, full.co) for d in range(n)]
-    got = packing.product(terms, terms, 2 * n - 1)
+    got = packing.product([full.co] * n, [full.co] * n, 2 * n - 1)
     for d, co in enumerate(got):
         want = ring.zero()
         for _ in range(min(d, 2 * n - 2 - d) + 1):
@@ -486,20 +492,29 @@ def test_split_packing_worst_case_slots(p, s, m):
         assert co == want.co, d
 
 
-@pytest.mark.parametrize("p,s,m", [(3, 1, 1), (2, 2, 1)])
-def test_class_product_worst_case_slots(p, s, m):
+@pytest.mark.parametrize("p,s,m,nprec", [
+    pytest.param(3, 1, 1, 16, id="3-1-1"),
+    pytest.param(2, 2, 1, 16, id="2-2-1"),
+    # p^N above 2^64: a coordinate takes two 64-bit words, and a folded
+    # entry more than 16 bytes
+    (3, 1, -1, 48),
+    (2, 2, 1, 70),
+    (3, 2, 0, 44),
+])
+def test_class_product_worst_case_slots(p, s, m, nprec):
     # the q - 1 class products of one read, plus the one shifted a block,
     # summed as kernel_lattice sums them, at the packing's longest factors
     # with every coordinate at p^N - 1: every slot is the exact integer of
     # the full product's slot, below the width's bound, and reads back as
     # RingElem sums
-    ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p), 16)
+    ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p) if m >= 0 else None, nprec)
     step = p**s - 1
     n = 128 // (p * (step - 1)) + 1
     packing = SeriesPacking(ring, n)
     full = RingElem(ring, (ring.pn - 1,) * ring.dim)
-    classes = [packing.pack((l, full.co) for l in range(len(range(h, n, step))))
-               for h in range(step)]
+    series = [[(l, full.co) for l in range(len(range(h, n, step)))] for h in range(step)]
+    classes = pack_terms(packing, *series)
+    assert classes == [pack_bytewise(packing, terms) for terms in series]
     rows = 2 * ring.e - 1, 2 * s - 1
     block = [  # one full * full block, slot i (2s - 1) + j holding pi^i y^j
         (ring.pn - 1) ** 2 * (min(i, rows[0] - 1 - i) + 1) * (min(j, rows[1] - 1 - j) + 1)
@@ -513,7 +528,7 @@ def test_class_product_worst_case_slots(p, s, m):
         slots = [c * v for c in pairs for v in block]
         assert max(slots) < 256**packing.width
         assert got == sum(v << 8 * packing.width * i for i, v in enumerate(slots))
-        for c, co in zip(pairs, packing.unpack([(got, count)])):
+        for c, co in zip(pairs, read_tuples(packing, [(got, count)]), strict=True):
             want = ring.zero()
             for _ in range(c):
                 want = want + full * full
@@ -544,7 +559,8 @@ def test_certified_sum_shell_valuations_match_per_coefficient_minimum(p, s, m):
             [ring.zero()] * (k + 1) if k % 5 == 3 else [coefficient(k) for _ in range(k + 1)]
             for k in range(16)
         ]
-        value, report = certified_diagonal_sum(ring, shells, 2)
+        lattice = (ring.cap, [list(zip(*(c.co for c in shell))) for shell in shells])
+        value, report = certified_diagonal_sum(ring, lattice, 2)
         want_shells = [
             min([ring.cap] + [v for c in shell for v in [ring.val_co(c.co)] if v is not None])
             for shell in shells

@@ -22,6 +22,8 @@ from wittlab.series import pulita_theta_ms
 from wittlab.upoly import ghost_poly
 from wittlab.wittvec import one_vec
 
+from packing_oracle import pack_bytewise, pack_terms, read_tuples
+
 _LEVEL0 = RingSpec(2, 1, 0, LubinTateSeries.cyclotomic(2), 8)
 
 
@@ -441,6 +443,9 @@ def _oracle_product(a, b, e, s, h, eis, mod):
 _RING_SHAPES = [
     (3, 1, 1, 16), (2, 2, 1, 16), (2, 3, 1, 16), (5, 1, 1, 8), (2, 1, 2, 16),
     (3, 2, 1, 8), (3, 1, 0, 8), (2, 2, -1, 4), (2, 1, -1, 10),
+    # p^N above 2^64: coordinates of two 64-bit words, folded entries of 24
+    # and 40 bytes
+    (3, 1, -1, 48), (2, 2, 1, 70),
 ]
 
 
@@ -456,7 +461,8 @@ def test_ring_product_matches_long_division_oracle(p, s, m, nprec):
         a, b = ring.random(rng), ring.random(rng)
         want = _oracle_product(a.co, b.co, ring.e, s, ring.h_coeffs, eis, ring.pn)
         assert (a * b).co == want, (a, b)
-        assert packing.product([(1, a.co)], [(0, b.co), (2, b.co)], 4)[1::2] == [want, want]
+        zero = ring.zero().co
+        assert packing.product([zero, a.co], [b.co, zero, b.co], 4)[1::2] == [want, want]
 
 
 def _read_blocks(packing, packed, count):
@@ -491,11 +497,12 @@ def test_batched_reader_worst_case(p, s, m, nprec):
         (range(3, n), range(1, 4), 2 * n),
         (range(n), range(n), 2 * n - 1),
     ]
-    products = [
-        (packing.pack((d, full) for d in da) * packing.pack((d, full) for d in db), count)
-        for da, db, count in specs
-    ]
-    got = packing.unpack(iter(products))
+    products = []
+    for da, db, count in specs:
+        fa, fb = pack_terms(packing, [(d, full) for d in da], [(d, full) for d in db])
+        assert fa == pack_bytewise(packing, [(d, full) for d in da])
+        products.append((fa * fb, count))
+    got = read_tuples(packing, iter(products))
     per_degree = [co for packed, count in products for co in _read_blocks(packing, packed, count)]
     oracle = [
         tuple(c * sum(x + y == d for x in da for y in db) % ring.pn for c in square)
@@ -511,14 +518,45 @@ def test_batched_reader_worst_case(p, s, m, nprec):
     assert max(worst) < 256**packing.spacing
 
 
+@pytest.mark.parametrize(
+    "p,s,m,nprec", [(3, 1, -1, 48), (2, 2, 1, 70), (3, 2, 0, 44), (2, 1, -1, 64)]
+)
+def test_multiword_packing_matches_ring_products(p, s, m, nprec):
+    # above p^N = 2^64 a coordinate spans several 64-bit words (at 2^64
+    # exactly, one full word), and a folded entry more than 16 bytes: a
+    # batch of random series packs to the bytewise ints, and their products
+    # read back as RingElem convolutions
+    ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p) if m >= 0 else None, nprec)
+    rng = random.Random(nprec)
+    packing = SeriesPacking(ring, 5)
+    assert packing.words == ((ring.pn - 1).bit_length() + 63) // 64
+    assert packing.spacing > 16 and packing.spacing % 8 == 0
+    top = RingElem(ring, (ring.pn - 1,) * ring.dim)
+    series = [[ring.random(rng) for _ in range(n)] for n in (5, 3, 0, 5)] + [[top] * 5]
+    packed = pack_terms(packing, *[list(enumerate(c.co for c in f)) for f in series])
+    assert packed == [pack_bytewise(packing, enumerate(c.co for c in f)) for f in series]
+    pairs = [(0, 1), (3, 0), (4, 4), (1, 2), (0, 4)]
+    got = read_tuples(packing, [(packed[i] * packed[j], 9) for i, j in pairs])
+    for (i, j), block in zip(pairs, (got[9 * t : 9 * t + 9] for t in range(len(pairs)))):
+        for d, co in enumerate(block):
+            want = ring.zero()
+            for k in range(d + 1):
+                if k < len(series[i]) and d - k < len(series[j]):
+                    want = want + series[i][k] * series[j][d - k]
+            assert co == want.co, (i, j, d)
+
+
 def test_unpack_reads_nothing():
     ring = ring_of(3, 1, 1, LubinTateSeries.cyclotomic(3), 8)
     packing = SeriesPacking(ring, 4)
-    one = packing.pack([(0, ring.one().co)])
-    assert packing.unpack([]) == []
-    assert packing.unpack([(one, 0)]) == []
-    assert packing.unpack([(one, 0), (one * one, 0)]) == []
-    assert packing.product([(0, ring.one().co)], [(1, ring.one().co)], 0) == []
+    (one,) = pack_terms(packing, [(0, ring.one().co)])
+    nothing = [[] for _ in ring.slots]
+    assert packing.unpack([]) == nothing
+    assert packing.unpack([(one, 0)]) == nothing
+    assert packing.unpack([(one, 0), (one * one, 0)]) == nothing
+    assert packing.product([ring.one().co], [ring.zero().co, ring.one().co], 0) == []
+    assert packing.pack([[] for _ in ring.slots], []) == []
+    assert packing.pack([[] for _ in ring.slots], [0, 0]) == [0, 0]
 
 
 @pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2), (2, 4)])
