@@ -32,7 +32,14 @@ from .errors import (
     SnapAmbiguous,
 )
 from .fields import finite_field, is_prime
-from .rings import LubinTateSeries, RingElem, RingSpec, make_ring, nondegenerate_trace
+from .rings import (
+    LubinTateSeries,
+    RingElem,
+    RingSpec,
+    SeriesPacking,
+    make_ring,
+    nondegenerate_trace,
+)
 from .series import (
     TruncSeries2,
     certify_tail,
@@ -297,6 +304,7 @@ class CharacterSystem:
         self.t = self.ring.teichmuller(self.u)
         self.nondegenerate, self.trace_t = nondegenerate_trace(self.ring, self.t)
         self._omega_factors = {}
+        self._class_products = {}
         self._psi1 = {}
         self._table = None
 
@@ -370,6 +378,49 @@ class CharacterSystem:
                 got.append(self.theta_series(j).truncate(degree).compose_scale(tpj))
                 tpj = tpj ** self.params.p
             got = self._omega_factors[degree] = tuple(got)
+        return got
+
+    def omega_class_products(self, degree):
+        """The products of the residue classes of degree of Omega_2's
+        factors A, B = ``omega_factors(degree)``, built once per degree.
+
+        With c = q - 1, A_r(w) = sum_l a_(r + c l) w^l and B_r likewise.
+        Returns (packing, products, floors): entry r c + r' of ``products``
+        is A_r B_r' packed in ``packing`` and of ``floors`` its min-plus
+        valuation sequence, a lower bound on each coefficient's valuation,
+        both at the degrees l <= (D - r - r') // c, which the factors' terms
+        of degree <= D determine.  Each factor coefficient enters the floors
+        at min(valuation, prec), 0 at ``ring.cap``.  ``packing`` is sized
+        for the Gauss trace's shell sums, where a slot receives one product
+        per term of Omega_1(Teich(b) x1 x0^(p(q-2))): at most
+        D // (p(q-2) + 1) + 1 of them.
+        """
+        got = self._class_products.get(degree)
+        if got is not None:
+            return got
+        ring, step = self.ring, self.field.q - 1
+        classes = [f.coeffs[r::step] for f in self.omega_factors(degree) for r in range(step)]
+        first = SeriesPacking(ring, len(classes[0]))
+        packed = first.pack(
+            list(zip(*(c.co for cls in classes for c in cls))), [len(cls) for cls in classes]
+        )
+        counts = [max(0, (degree - r - r2) // step + 1) for r in range(step) for r2 in range(step)]
+        columns = first.unpack(
+            (packed[i // step] * packed[step + i % step], n) for i, n in enumerate(counts)
+        )
+        packing = SeriesPacking(ring, degree // (self.params.p * (step - 1) + 1) + 1)
+        vals = [
+            [min(ring.cap if v is None else v, c.prec) for c in cls for v in [c.valuation()]]
+            for cls in classes
+        ]
+        floors = []
+        for i, n in enumerate(counts):
+            va, vb = vals[i // step], vals[step + i % step]
+            floor = [va[0] + v for v in vb[:n]]
+            for l in range(1, n):
+                floor[l:] = map(min, floor[l:], map(va[l].__add__, vb))
+            floors.append(floor)
+        got = self._class_products[degree] = packing, packing.pack(columns, counts), floors
         return got
 
     def omega(self, degree=None):

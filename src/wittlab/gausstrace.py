@@ -4,18 +4,18 @@ The kernel H(x0, x1) = -Omega_2(x0, x1) x0^m Omega_1(Teich(b) x1 x0^(p(q-2)))
 packs the additive and multiplicative characters into one bivariate series;
 alpha = Dw_q o mult_H acts on truncations, its trace is the certified
 partial sum of the (q-1)-strided diagonal, and the trace formula predicts
-g = (q-1)^2 Tr(alpha) for one of the two summation conventions.  The check
-computes only that diagonal (``kernel_lattice``) from packed series products
-(``rings.SeriesPacking``).  Every factor is packed as its q - 1 residue
-classes of degree, so each product forms only the class of degrees the
-lattice reads, and its slots hold the integers the full product would, in
-the same width.  Factors are packed in batches, the column terms and the
-lattice are each read back in one batched fold as coordinate columns, and
-the lattice stays in columns, cut into shells, up to its certified sum: one
-gcd and one int sum per shell and coordinate.
+g = (q-1)^2 Tr(alpha) for one of the two summation conventions.  The sum
+needs only two things per shell of that diagonal: its sum, and a lower
+bound on its least valuation for the tail certificate.  ``kernel_shells``
+computes both from the univariate factors, forming no single coefficient:
+the sums are the coefficients of at most q - 1 packed products (Kronecker
+substitution, ``rings.SeriesPacking``) of residue-class products of
+Omega_2's factors, which each system forms once, and sparse series of
+Omega_1's terms; the floors are the min-plus convolutions of the same
+factors' valuations (the Newton-polygon bound for a product).
 The full kernel (``kernel_H``) stays schoolbook through ``TruncSeries2``: it
-serves the alpha matrix and is the independent oracle the tests compare the
-lattice against.
+serves the alpha matrix, and ``diagonal_lattice`` of it, with the actual
+shell minima, is the independent oracle the tests compare the shells with.
 
 The definition sums z_1 over all of F_q; the diagonal-selection identity
 behind the trace formula sums both variables over mu_{q-1}.  Both
@@ -25,16 +25,12 @@ matches; the z_1 = 0 column is exactly their difference.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import time
-from bisect import bisect_left
-from itertools import chain, repeat
 
 from .characters import check_degree, check_int, check_target, shared_system
 from .errors import InvalidParameter, NoConventionMatches, PrecisionNotReached, TruncationTooSmall
-from .rings import RingElem, SeriesPacking
+from .rings import RingElem
 from .series import TruncSeries2, certify_tail
 from .wittvec import WittVec
 
@@ -122,8 +118,8 @@ def kernel_H(system, chi_m, chi_b, degree):
     """The bivariate kernel, truncated at total degree ``degree``.
 
     Every coefficient, built through ``TruncSeries2``; the trace formula
-    reads only the lattice of ``kernel_lattice``, which is computed from
-    the same factors.
+    reads only the shells of ``kernel_shells``, which are computed from the
+    same factors.
     """
     a, b, sub = _kernel_factors(system, chi_m, chi_b, degree)
     omega2 = TruncSeries2.outer(a, b, degree)
@@ -132,135 +128,51 @@ def kernel_H(system, chi_m, chi_b, degree):
     return out.scale(-system.ring.one())
 
 
-def lattice_columns(packing, b, sub, chi_m, degree, step, split):
-    """G_j = g_j(x0^split) at each lattice column j = step n, as the ``step``
-    residue classes of g_j's degree: g_j(y) = sum_h y^h g_{j,h}(y^step).  g_j
-    holds b_{j-k} c_k at y^(u // split) for each C term (u, k, c_k) with u + j
-    + m <= D, summed at q = 2 (every u = 0).  B's classes and the C terms are
-    packed in one batch, so c_k B, read at the degrees j - k, is c_k times a
-    prefix of class -k: one packed product per C term, and one ``unpack``
-    reads them all.  Its columns are regrouped into the classes of every g_j
-    by one gather per coordinate (a sum of gathers at q = 2), and these are
-    packed in one batch."""
-    pn = packing.ring.pn
-    reads = [(u, k, c, len(range(-k % step, degree - chi_m - u - k + 1, step))) for u, k, c in sub]
-    reads = [read for read in reads if read[3] > 0]
-    classes = [b.coeffs[h::step] for h in range(step)]
-    packed = packing.pack(
-        list(zip(*(c.co for cls in classes for c in cls), *(c.co for _, _, c, _ in reads))),
-        [len(cls) for cls in classes] + [1] * len(reads),
-    )
-    terms = packing.unpack(
-        (packing.truncate(packed[-k % step], count - 1) * ck, count)
-        for (_, k, _, count), ck in zip(reads, packed[step:])
-    )
-    # y^x of g_j is slot x // step of class x mod step: value l of the read
-    # of (u, k, c_k), x = u // split, lands in slot lc of class h of column
-    # n0 + l, at key (step n + h) span + lc.  The d-th read of an x goes in
-    # layer d; the layers are summed (only at q = 2 is there more than one)
-    span = max([u // split for u, _, _, _ in reads], default=0) // step + 1
-    depth, layers, src = {}, [], 0
-    for u, k, _, count in reads:
-        x = u // split
-        d = depth[x] = depth.get(x, -1) + 1
-        if d == len(layers):
-            layers.append({})
-        lc, h = divmod(x, step)
-        n0 = (k + -k % step) // step
-        key = (step * n0 + h) * span + lc
-        keys = range(key, key + count * step * span, step * span)
-        layers[d].update(zip(keys, range(src, src + count)))
-        src += count
-    # each class is dense in its slots up to the last one a read lands in
-    keys, cells, lengths, i = sorted(set().union(*layers)), [], [], 0
-    for cell in range((degree // step + 1) * step):
-        top = bisect_left(keys, (cell + 1) * span, i)
-        lengths.append(keys[top - 1] - cell * span + 1 if top > i else 0)
-        cells += range(cell * span, cell * span + lengths[-1])
-        i = top
-    zero = src  # each column of terms gets a 0 there, for slots no read fills
-    gathers = [_gather(list(map(layer.get, cells, repeat(zero)))) for layer in layers]
-    columns = []
-    for col in terms:
-        col.append(0)
-        parts = [gather(col) for gather in gathers]
-        columns.append(parts[0] if len(parts) == 1 else [sum(x) % pn for x in zip(*parts)])
-    packed = iter(packing.pack(columns, lengths))
-    return [[next(packed) for _ in range(step)] for _ in range(degree // step + 1)]
+def kernel_shells(system, chi_m, chi_b, degree):
+    """The (q-1)-strided diagonal of H, shell by shell, straight from its
+    factors: (floor, sums, valuations) in ``diagonal_lattice``'s form, with
+    lower bounds for the valuations.
 
-
-def _gather(indices):
-    """seq -> the tuple of its entries at ``indices``, one or more (one
-    ``itemgetter``, which returns a bare entry for a single index)."""
-    if len(indices) == 1:
-        return lambda seq, i=indices[0]: (seq[i],)
-    return operator.itemgetter(*indices)
-
-
-@functools.lru_cache(maxsize=32)
-def _lattice_reads(degree, q, p):
-    """What ``kernel_lattice`` reads at (D, q, p): the class products, (n, r,
-    ks) each, the gather taking their values in read order to shell order,
-    and each shell's span in it."""
-    step = q - 1
-    split = p * (step - 1) or 1
-    inverse = pow(split, -1, step)
-    reads = [
-        (n, r, ks)
-        for n in range(degree // step + 1)
-        for r in range(split)
-        if (ks := range(-r * inverse % step, (degree - step * n - r) // split + 1, step))
-    ]
-    cells = [(n + n0, n0) for n, r, ks in reads for n0 in ((r + split * k) // step for k in ks)]
-    spans = [(k * (k + 1) // 2, (k + 1) * (k + 2) // 2) for k in range(degree // step + 1)]
-    return reads, _gather(sorted(range(len(cells)), key=cells.__getitem__)), spans
-
-
-def kernel_lattice(system, chi_m, chi_b, degree):
-    """The coefficients b_{(q-1) n0, (q-1) n1} of H, straight from its factors.
-
-    H = x0^m A(x0) G(x0, x1) with G = B(x1) (-C)(x0^stride x1), stride =
-    p(q-2) and C the terms of ``omega1_substituted``, negated here: there
-    are fewer of them than of A.  G is formed only at the lattice columns j,
-    as g_j(x0^stride) (``lattice_columns``).  F = x0^m A(x0) = sum_r x0^r
-    F_r(x0^stride), and column j, F G_j cut to degree D - j, is F_r g_j
-    (``SeriesPacking``) for each r < stride.  stride is prime to q - 1, so
-    lattice degree r + stride k comes from one r, at k = -r/stride mod q - 1:
-    only one residue class of F_r g_j is read.  F_r and g_j are packed as
-    their q - 1 classes of degree, all F_r in one batch, and
-    ``SeriesPacking.class_product`` forms that class alone from q - 1
-    products, each 1/(q - 1) as long.  Every slot of the sum holds the
-    integer the full product held there, so the packing's width and spacing
-    bounds hold unchanged.  One ``unpack`` reads every class product's
-    prefix.  At q = 2 (stride 0) G_j is a constant: one class.
-
-    Returns (floor, shells): the least precision over A, B and C (the floor
-    ``mul_sparse`` clamps to), and per shell k one tuple per coordinate
-    index i, entry n0 coordinate i of b_{(q-1) n0, (q-1)(k - n0)}.
+    H = -x0^m A(x0) B(x1) C(x0^stride x1), stride = p(q-2) and C the terms
+    (k stride, k, c_k) of ``omega1_substituted``.  Shell K, the lattice
+    coefficients of total degree (q-1) K, sums to -sum_k c_k [z^d] A^(r)
+    B^(r') with d = (q-1) K - m - k (stride + 1), where A^(r) is the part of
+    A of degree = r mod q - 1, r = -m - k stride and r' = -k mod q - 1.  The
+    class pair depends only on k mod q - 1, so with w = z^(q-1) the shells
+    are the coefficients of sum_pair P_pair C'_pair: P_pair = A_r B_r' (in
+    w, ``CharacterSystem.omega_class_products``, built once per system) and
+    C'_pair holds -c_k at w^o, o = (m + k (stride + 1) + r + r') / (q - 1).
+    That is at most q - 1 packed products, summed as ints and read in one
+    ``unpack``.  Each slot of the sum receives one product per C term, which
+    the packing is sized for.  The valuations are floors: shell K is at
+    least v(c_k) + floors_pair[K - o] over the C terms, one ``map(min, ...)``
+    each, and at most ``ring.cap``.  ``floor`` is the least precision over
+    A, B and C, the one ``kernel_H`` clamps to.
     """
     a, b, sub = _kernel_factors(system, chi_m, chi_b, degree)
     ring = system.ring
     step = system.field.q - 1
-    split = system.params.p * (step - 1) or 1
+    stride = system.params.p * (step - 1)
+    top = degree // step
+    packing, products, floors = system.omega_class_products(degree)
+    terms, valuations = {}, [ring.cap] * (top + 1)
+    for _, k, c in sub:
+        r, r2 = (-chi_m - k * stride) % step, -k % step
+        o = (chi_m + k * (stride + 1) + r + r2) // step
+        if o <= top:
+            pair = r * step + r2
+            terms.setdefault(pair, {})[o] = (-c).co
+            v = c.valuation()
+            v = min(ring.cap if v is None else v, c.prec)
+            valuations[o:] = map(min, valuations[o:], map(v.__add__, floors[pair]))
+    zero = (0,) * ring.dim
+    series = [[cs.get(o, zero) for o in range(max(cs) + 1)] for cs in terms.values()]
+    factors = packing.pack(
+        list(zip(*(co for row in series for co in row))), [len(row) for row in series]
+    )
+    total = sum(products[pair] * f for pair, f in zip(terms, factors))
     floor = min(c.prec for c in a.coeffs + b.coeffs + [c for _, _, c in sub])
-    sub = [(u, k, -c) for u, k, c in sub]
-    packing = SeriesPacking(ring, degree // split + 1)
-    # x0^d of F, d = r + split (h + step l), is slot l of class h of F_r
-    period = split * step
-    starts = [r + split * h for r in range(split) for h in range(step)]
-    f = [(0,) * chi_m + col for col in zip(*(c.co for c in a.coeffs[: degree + 1 - chi_m]))]
-    parts = packing.pack(
-        [list(chain.from_iterable(col[start::period] for start in starts)) for col in f],
-        [len(range(start, degree + 1, period)) for start in starts],
-    )
-    gs = lattice_columns(packing, b, sub, chi_m, degree, step, split)
-    reads, order, spans = _lattice_reads(degree, step + 1, system.params.p)
-    values = packing.unpack(
-        (packing.class_product(parts[r * step : (r + 1) * step], gs[n], ks[0], len(ks)), len(ks))
-        for n, r, ks in reads
-    )
-    columns = [order(col) for col in values]
-    return floor, [[col[lo:hi] for col in columns] for lo, hi in spans]
+    return floor, packing.unpack([(total, top + 1)]), valuations
 
 
 def dwork_op(series2, q):
@@ -274,42 +186,42 @@ def dwork_op(series2, q):
 
 
 def diagonal_lattice(series2, q):
-    """The (q-1)-strided diagonal of a series in ``kernel_lattice``'s form:
-    (floor, shells), the least precision over the diagonal's coefficients
-    and per shell k one tuple per coordinate index i, entry n0 coordinate i
-    of b_{(q-1) n0, (q-1)(k - n0)}."""
-    step = q - 1
+    """The (q-1)-strided diagonal of a series as (floor, sums, valuations):
+    the least precision over the diagonal's coefficients; per coordinate
+    index i, coordinate i of each shell's sum, shell k holding the
+    coefficients b_{(q-1) n0, (q-1)(k - n0)}; and each shell's least
+    valuation, ``val_co`` of one gcd per coordinate (``ring.cap`` if 0)."""
+    ring, step = series2.ring, q - 1
     shells = [
         [series2.coefficient(step * n0, step * (k - n0)) for n0 in range(k + 1)]
         for k in range(series2.degree // step + 1)
     ]
     floor = min(c.prec for shell in shells for c in shell)
-    return floor, [list(zip(*(c.co for c in shell))) for shell in shells]
+    sums, valuations = [], []
+    for shell in shells:
+        columns = list(zip(*(c.co for c in shell)))
+        v = ring.val_co([math.gcd(*col) for col in columns])
+        valuations.append(ring.cap if v is None else v)
+        sums.append([sum(col) % ring.pn for col in columns])
+    return floor, [list(col) for col in zip(*sums)], valuations
 
 
-def certified_diagonal_sum(ring, lattice, target_prec):
-    """Certified sum of strided coefficients given as (floor, shells), the
-    form of ``kernel_lattice`` and ``diagonal_lattice``.
+def certified_diagonal_sum(ring, diagonal, target_prec):
+    """Certified sum of strided coefficients given as (floor, sums,
+    valuations), the form of ``kernel_shells`` and ``diagonal_lattice``.
 
-    A shell's valuation, the least over its coefficients, is ``val_co`` of
-    one gcd per coordinate; the sum is one int sum per shell and coordinate,
-    reduced once.  Returns (value, report).  PrecisionNotReached if a
-    coefficient is known to less than the target; TailNotCertified if the
-    shell valuations do not certify the target by the window-and-slope rule.
+    Returns (value, report).  PrecisionNotReached if a coefficient is known
+    to less than the target; TailNotCertified if the shell valuations do not
+    certify the target by the window-and-slope rule.
     """
-    floor, shells = lattice
+    floor, sums, valuations = diagonal
     if floor < target_prec:
         raise PrecisionNotReached(
             f"coefficients known to {floor} pi-digits, target {target_prec}"
         )
-    valuations, totals = [], [0] * ring.dim
-    for shell in shells:
-        v = ring.val_co([math.gcd(*col) for col in shell])
-        valuations.append(ring.cap if v is None else v)
-        totals = [t + sum(col) for t, col in zip(totals, shell)]
     report = certify_tail(valuations, target_prec, ring.cap)
-    return RingElem(ring, tuple(t % ring.pn for t in totals), target_prec), {
-        "shells": valuations,
+    return RingElem(ring, tuple(sum(col) % ring.pn for col in sums), target_prec), {
+        "shells": list(valuations),
         "certificate": report,
     }
 
@@ -379,11 +291,11 @@ def trace_formula_check(config):
     timings = {}
 
     t0 = time.monotonic()
-    lattice = kernel_lattice(system, config.chi_m, chi_b, config.degree)
+    diagonal = kernel_shells(system, config.chi_m, chi_b, config.degree)
     timings["kernel_ms"] = round(1000 * (time.monotonic() - t0), 1)
 
     t0 = time.monotonic()
-    trace_val, trace_report = certified_diagonal_sum(ring, lattice, target)
+    trace_val, trace_report = certified_diagonal_sum(ring, diagonal, target)
     scaled = trace_val.scale_int((q - 1) ** 2)
     timings["trace_ms"] = round(1000 * (time.monotonic() - t0), 1)
 

@@ -622,24 +622,6 @@ class SeriesPacking:
         """The packed series cut to degrees <= ``degree``."""
         return packed & ((1 << (8 * self.block * (degree + 1))) - 1)
 
-    def class_product(self, fs, gs, k, count):
-        """Degrees k + c l of F G at slots l < ``count`` (>= 1) of one packed
-        int, F and G given as their c = len(fs) residue classes of degree: F =
-        sum_a x^a fs[a](x^c), and ``gs`` likewise.  Class k of F G is the sum
-        of fs[a] gs[b] over a + b = k, plus one block up over a + b = k + c.
-        Each pair of input degrees whose sum is k mod c lands in exactly one
-        of these products, at the slot of its degree, so slot l holds the
-        integer slot k + c l of F G holds (cutting ``fs`` drops only pairs
-        past slot count - 1), and ``width`` still bounds it."""
-        c = len(fs)
-        low = high = 0
-        for a, f in enumerate(fs):
-            if a <= k:
-                low += self.truncate(f, count - 1) * gs[k - a]
-            else:
-                high += self.truncate(f, count - 2) * gs[k + c - a]
-        return low + (high << 8 * self.block)
-
     def unpack(self, products):
         """Canonical coordinates at degrees 0..count-1 of each (packed, count)
         pair in ``products``, as columns: entry i lists coordinate i of every
