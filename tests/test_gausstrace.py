@@ -527,6 +527,28 @@ def assert_worst_case_read(packing, packed, hits):
         assert co == want.co, d
 
 
+@pytest.mark.parametrize("p,s,m", [(3, 1, 1), (2, 2, 1)])
+def test_split_packing_worst_case_slots(p, s, m):
+    # omega_class_products splits each factor into its residue classes mod
+    # q - 1 and packs them at length D // (q - 1) + 1, the longest class;
+    # with every coordinate at p^N - 1 the middle slot of a product through
+    # SeriesPacking.product reaches the width's bound and reads back exactly
+    ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p), 16)
+    n = 128 // (p**s - 1) + 1
+    packing = SeriesPacking(ring, n)
+    if m == 1:  # the ring of a Gauss system: its first packing
+        sys = next(nondegenerate_systems(p, s, 16, 128))
+        classes = sys.omega_factors(128)[0].coeffs[:: p**s - 1]
+        assert len(classes) == n and SeriesPacking(ring, len(classes)).width == packing.width
+    full = RingElem(ring, (ring.pn - 1,) * ring.dim)
+    got = packing.product([full.co] * n, [full.co] * n, 2 * n - 1)
+    for d, co in enumerate(got):
+        want = ring.zero()
+        for _ in range(min(d, 2 * n - 2 - d) + 1):
+            want = want + full * full
+        assert co == want.co, d
+
+
 @pytest.mark.parametrize("p,s,m,nprec", [
     pytest.param(3, 1, 1, 16, id="3-1-1"),
     pytest.param(2, 2, 1, 16, id="2-2-1"),
