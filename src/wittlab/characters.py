@@ -6,10 +6,13 @@ multiplicative exactly mod p^N, each point is Teich(u^(p^j) c): a series
 only ever meets the q' - 1 lifts of F_q'^*.  ``theta_teich_values``
 certifies a series once and evaluates it at all of them; psi_{l,s,t}, the
 psi_1 part of chi and both sides of the splitting-function product formula
-read that one table.  psi snaps its product to the root-of-unity table of
-mu_{p^l}.  Snapping is ultrametric: the value must be strictly closer to
-one root than the minimal pairwise distance of the table, otherwise the
-computation refuses (SnapAmbiguous) rather than guessing.
+read that one table.  A system keeps what every Gauss check on it reads:
+per degree, Omega's factors and the running sums of their residue-class
+products, and per b Omega_1's substituted terms.  psi snaps its product to
+the root-of-unity table of mu_{p^l}.  Snapping is ultrametric: the value
+must be strictly closer to one root than the minimal pairwise distance of
+the table, otherwise the computation refuses (SnapAmbiguous) rather than
+guessing.
 
 The mu_{p^l} table is grown by exhaustive digit lifting from the seeds
 1 + c pi_{l-1} (all roots are = 1 mod pi), then polished by Newton; plain
@@ -304,6 +307,7 @@ class CharacterSystem:
         self.t = self.ring.teichmuller(self.u)
         self.nondegenerate, self.trace_t = nondegenerate_trace(self.ring, self.t)
         self._omega_factors = {}
+        self._omega1 = {}
         self._class_products = {}
         self._psi1 = {}
         self._table = None
@@ -381,34 +385,38 @@ class CharacterSystem:
         return got
 
     def omega_class_products(self, degree):
-        """The products of the residue classes of degree of Omega_2's
-        factors A, B = ``omega_factors(degree)``, built once per degree.
+        """Running sums of the products of the residue classes of degree of
+        Omega_2's factors A, B = ``omega_factors(degree)``, once per degree.
 
         With c = q - 1, A_r(w) = sum_l a_(r + c l) w^l and B_r likewise.
-        Returns (packing, products, floors): entry r c + r' of ``products``
-        is A_r B_r' packed in ``packing`` and of ``floors`` its min-plus
-        valuation sequence, a lower bound on each coefficient's valuation,
-        both at the degrees l <= (D - r - r') // c, which the factors' terms
-        of degree <= D determine.  Each factor coefficient enters the floors
-        at min(valuation, prec), 0 at ``ring.cap``.  ``packing`` is sized
-        for the Gauss trace's shell sums, where a slot receives one product
-        per term of Omega_1(Teich(b) x1 x0^(p(q-2))): at most
-        D // (p(q-2) + 1) + 1 of them.
+        Returns (prefixes, floors, prec): entry r c + r' of ``prefixes``
+        lists the coordinate tuples of sum_(i <= l) [w^i] A_r B_r' mod p^N
+        and of ``floors`` the product's min-plus valuation sequence, a lower
+        bound on each coefficient's valuation, both at the degrees
+        l <= (D - r - r') // c, which the factors' terms of degree <= D
+        determine.  Each factor coefficient enters the floors at
+        min(valuation, prec), 0 at ``ring.cap``; ``prec`` is the least
+        precision over A and B.  The products are one packing (Kronecker
+        substitution), c^2 big-int products and one ``unpack``.
         """
         got = self._class_products.get(degree)
         if got is not None:
             return got
         ring, step = self.ring, self.field.q - 1
         classes = [f.coeffs[r::step] for f in self.omega_factors(degree) for r in range(step)]
-        first = SeriesPacking(ring, len(classes[0]))
-        packed = first.pack(
+        packing = SeriesPacking(ring, len(classes[0]))
+        packed = packing.pack(
             list(zip(*(c.co for cls in classes for c in cls))), [len(cls) for cls in classes]
         )
         counts = [max(0, (degree - r - r2) // step + 1) for r in range(step) for r2 in range(step)]
-        columns = first.unpack(
+        columns = packing.unpack(
             (packed[i // step] * packed[step + i % step], n) for i, n in enumerate(counts)
         )
-        packing = SeriesPacking(ring, degree // (self.params.p * (step - 1) + 1) + 1)
+        prefixes, o, pn = [], 0, ring.pn
+        for n in counts:
+            runs = [[x % pn for x in itertools.accumulate(col[o : o + n])] for col in columns]
+            prefixes.append(list(zip(*runs)))
+            o += n
         vals = [
             [min(ring.cap if v is None else v, c.prec) for c in cls for v in [c.valuation()]]
             for cls in classes
@@ -420,7 +428,30 @@ class CharacterSystem:
             for l in range(1, n):
                 floor[l:] = map(min, floor[l:], map(va[l].__add__, vb))
             floors.append(floor)
-        got = self._class_products[degree] = packing, packing.pack(columns, counts), floors
+        prec = min(c.prec for cls in classes for c in cls)
+        got = self._class_products[degree] = prefixes, floors, prec
+        return got
+
+    def omega1_substituted(self, b, degree):
+        """Omega_1(Teich(b) x1 x0^(p(q-2))) as sparse bivariate terms
+        (k p(q-2), k, c_k) up to total degree ``degree``, with each term's
+        valuation min(v(c_k), prec), ``ring.cap`` for 0; built once per b
+        and degree."""
+        got = self._omega1.get((b, degree))
+        if got is not None:
+            return got
+        ring, stride = self.ring, self.params.p * (self.field.q - 2)
+        terms = [(0, 0, ring.one())]
+        if b:
+            scale, theta0 = self.t * ring.teichmuller(b), self.theta_series(1).coeffs
+            terms, acc = [], ring.one()
+            for k in range(degree // (stride + 1) + 1):
+                terms.append((k * stride, k, theta0[k] * acc if k else theta0[0]))
+                acc = acc * scale
+        vals = [
+            min(ring.cap if v is None else v, c.prec) for *_, c in terms for v in [c.valuation()]
+        ]
+        got = self._omega1[b, degree] = terms, vals
         return got
 
     def omega(self, degree=None):

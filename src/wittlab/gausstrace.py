@@ -5,17 +5,17 @@ packs the additive and multiplicative characters into one bivariate series;
 alpha = Dw_q o mult_H acts on truncations, its trace is the certified
 partial sum of the (q-1)-strided diagonal, and the trace formula predicts
 g = (q-1)^2 Tr(alpha) for one of the two summation conventions.  The sum
-needs only two things per shell of that diagonal: its sum, and a lower
-bound on its least valuation for the tail certificate.  ``kernel_shells``
+needs two things: the total of that diagonal, and a lower bound on each
+shell's least valuation for the tail certificate.  ``kernel_shells``
 computes both from the univariate factors, forming no single coefficient:
-the sums are the coefficients of at most q - 1 packed products (Kronecker
-substitution, ``rings.SeriesPacking``) of residue-class products of
-Omega_2's factors, which each system forms once, and sparse series of
-Omega_1's terms; the floors are the min-plus convolutions of the same
-factors' valuations (the Newton-polygon bound for a product).
+the total is one dot product of Omega_1's terms with running sums of the
+residue-class products of Omega_2's factors, which each system forms once
+(Kronecker substitution, ``rings.SeriesPacking``); the floors are the
+min-plus convolutions of the same factors' valuations (the Newton-polygon
+bound for a product).
 The full kernel (``kernel_H``) stays schoolbook through ``TruncSeries2``: it
 serves the alpha matrix, and ``diagonal_lattice`` of it, with the actual
-shell minima, is the independent oracle the tests compare the shells with.
+shell minima, is the independent oracle the tests compare the diagonal with.
 
 The definition sums z_1 over all of F_q; the diagonal-selection identity
 behind the trace formula sums both variables over mu_{q-1}.  Both
@@ -82,97 +82,66 @@ def gauss_brute(system, chi_m, chi_b):
     return {"full": -(units + column), "units": -units}
 
 
-def omega1_substituted(system, chi_b, degree):
-    """Omega_1(Teich(b) x1 x0^(p(q-2))) as sparse bivariate terms."""
-    ring = system.ring
-    q = system.field.q
-    stride = system.params.p * (q - 2)
-    if not chi_b:
-        return [(0, 0, ring.one())]
-    scale = system.t * ring.teichmuller(chi_b)
-    theta0 = system.theta_series(1)  # theta_{0,s}(1)
-    terms = []
-    acc = ring.one()
-    k = 0
-    while k * (stride + 1) <= degree:
-        coeff = theta0.coeffs[k] * acc if k else theta0.coeffs[0]
-        terms.append((k * stride, k, coeff))
-        k += 1
-        acc = acc * scale
-    return terms
-
-
-def _kernel_factors(system, chi_m, chi_b, degree):
-    """The univariate factors of H: A(x0), B(x1) and Omega_1's terms."""
-    q = system.field.q
-    stride = system.params.p * (q - 2)
+def _omega1_terms(system, chi_m, chi_b, degree):
+    """Omega_1's substituted terms and valuations, if H's lowest term fits."""
+    stride = system.params.p * (system.field.q - 2)
     if chi_m + (stride + 1 if chi_b else 0) > degree:
         raise TruncationTooSmall(
             f"kernel needs degree > {chi_m + stride + 1}, have {degree}"
         )
-    a, b = system.omega_factors(degree)
-    return a, b, omega1_substituted(system, chi_b, degree)
+    return system.omega1_substituted(chi_b, degree)
 
 
 def kernel_H(system, chi_m, chi_b, degree):
     """The bivariate kernel, truncated at total degree ``degree``.
 
     Every coefficient, built through ``TruncSeries2``; the trace formula
-    reads only the shells of ``kernel_shells``, which are computed from the
+    reads only the diagonal of ``kernel_shells``, which is computed from the
     same factors.
     """
-    a, b, sub = _kernel_factors(system, chi_m, chi_b, degree)
-    omega2 = TruncSeries2.outer(a, b, degree)
+    sub, _ = _omega1_terms(system, chi_m, chi_b, degree)
+    omega2 = TruncSeries2.outer(*system.omega_factors(degree), degree)
     shifted = omega2.shift_x0(chi_m) if chi_m else omega2
     out = shifted.mul_sparse(sub)
     return out.scale(-system.ring.one())
 
 
 def kernel_shells(system, chi_m, chi_b, degree):
-    """The (q-1)-strided diagonal of H, shell by shell, straight from its
-    factors: (floor, sums, valuations) in ``diagonal_lattice``'s form, with
-    lower bounds for the valuations.
+    """The (q-1)-strided diagonal of H straight from its factors: (floor,
+    total, valuations) in ``diagonal_lattice``'s form, with lower bounds for
+    the shell valuations.
 
     H = -x0^m A(x0) B(x1) C(x0^stride x1), stride = p(q-2) and C the terms
     (k stride, k, c_k) of ``omega1_substituted``.  Shell K, the lattice
     coefficients of total degree (q-1) K, sums to -sum_k c_k [z^d] A^(r)
     B^(r') with d = (q-1) K - m - k (stride + 1), where A^(r) is the part of
-    A of degree = r mod q - 1, r = -m - k stride and r' = -k mod q - 1.  The
-    class pair depends only on k mod q - 1, so with w = z^(q-1) the shells
-    are the coefficients of sum_pair P_pair C'_pair: P_pair = A_r B_r' (in
-    w, ``CharacterSystem.omega_class_products``, built once per system) and
-    C'_pair holds -c_k at w^o, o = (m + k (stride + 1) + r + r') / (q - 1).
-    That is at most q - 1 packed products, summed as ints and read in one
-    ``unpack``.  Each slot of the sum receives one product per C term, which
-    the packing is sized for.  The valuations are floors: shell K is at
+    A of degree = r mod q - 1, r = -m - k stride and r' = -k mod q - 1.  With
+    w = z^(q-1) and P = A_r B_r' in w, that is -c_k [w^(K - o)] P, o = (m +
+    k (stride + 1) + r + r') / (q - 1).  Summed over the shells K <= T =
+    D // (q - 1), term k contributes -c_k S[T - o], S the running sums of P
+    (``CharacterSystem.omega_class_products``, built once per system), so
+    the total is one ``mul_co`` per C term with o <= T; T - o is within S
+    since o (q - 1) >= r + r'.  The valuations are floors: shell K is at
     least v(c_k) + floors_pair[K - o] over the C terms, one ``map(min, ...)``
     each, and at most ``ring.cap``.  ``floor`` is the least precision over
     A, B and C, the one ``kernel_H`` clamps to.
     """
-    a, b, sub = _kernel_factors(system, chi_m, chi_b, degree)
+    sub, term_vals = _omega1_terms(system, chi_m, chi_b, degree)
     ring = system.ring
     step = system.field.q - 1
     stride = system.params.p * (step - 1)
     top = degree // step
-    packing, products, floors = system.omega_class_products(degree)
-    terms, valuations = {}, [ring.cap] * (top + 1)
-    for _, k, c in sub:
+    prefixes, floors, prec = system.omega_class_products(degree)
+    total, valuations = [0] * ring.dim, [ring.cap] * (top + 1)
+    for (_, k, c), v in zip(sub, term_vals):
         r, r2 = (-chi_m - k * stride) % step, -k % step
         o = (chi_m + k * (stride + 1) + r + r2) // step
         if o <= top:
             pair = r * step + r2
-            terms.setdefault(pair, {})[o] = (-c).co
-            v = c.valuation()
-            v = min(ring.cap if v is None else v, c.prec)
+            total = list(map(int.__sub__, total, ring.mul_co(c.co, prefixes[pair][top - o])))
             valuations[o:] = map(min, valuations[o:], map(v.__add__, floors[pair]))
-    zero = (0,) * ring.dim
-    series = [[cs.get(o, zero) for o in range(max(cs) + 1)] for cs in terms.values()]
-    factors = packing.pack(
-        list(zip(*(co for row in series for co in row))), [len(row) for row in series]
-    )
-    total = sum(products[pair] * f for pair, f in zip(terms, factors))
-    floor = min(c.prec for c in a.coeffs + b.coeffs + [c for _, _, c in sub])
-    return floor, packing.unpack([(total, top + 1)]), valuations
+    floor = min(prec, *(c.prec for _, _, c in sub))
+    return floor, tuple(x % ring.pn for x in total), valuations
 
 
 def dwork_op(series2, q):
@@ -186,41 +155,40 @@ def dwork_op(series2, q):
 
 
 def diagonal_lattice(series2, q):
-    """The (q-1)-strided diagonal of a series as (floor, sums, valuations):
-    the least precision over the diagonal's coefficients; per coordinate
-    index i, coordinate i of each shell's sum, shell k holding the
-    coefficients b_{(q-1) n0, (q-1)(k - n0)}; and each shell's least
-    valuation, ``val_co`` of one gcd per coordinate (``ring.cap`` if 0)."""
+    """The (q-1)-strided diagonal of a series as (floor, total, valuations):
+    the least precision over the diagonal's coefficients; the coordinates of
+    their sum, shell k holding the coefficients b_{(q-1) n0, (q-1)(k - n0)};
+    and each shell's least valuation, ``val_co`` of one gcd per coordinate
+    (``ring.cap`` if 0)."""
     ring, step = series2.ring, q - 1
     shells = [
         [series2.coefficient(step * n0, step * (k - n0)) for n0 in range(k + 1)]
         for k in range(series2.degree // step + 1)
     ]
     floor = min(c.prec for shell in shells for c in shell)
-    sums, valuations = [], []
+    valuations = []
     for shell in shells:
-        columns = list(zip(*(c.co for c in shell)))
-        v = ring.val_co([math.gcd(*col) for col in columns])
+        v = ring.val_co([math.gcd(*col) for col in zip(*(c.co for c in shell))])
         valuations.append(ring.cap if v is None else v)
-        sums.append([sum(col) % ring.pn for col in columns])
-    return floor, [list(col) for col in zip(*sums)], valuations
+    total = tuple(sum(col) % ring.pn for col in zip(*(c.co for shell in shells for c in shell)))
+    return floor, total, valuations
 
 
 def certified_diagonal_sum(ring, diagonal, target_prec):
-    """Certified sum of strided coefficients given as (floor, sums,
+    """Certified sum of strided coefficients given as (floor, total,
     valuations), the form of ``kernel_shells`` and ``diagonal_lattice``.
 
     Returns (value, report).  PrecisionNotReached if a coefficient is known
     to less than the target; TailNotCertified if the shell valuations do not
     certify the target by the window-and-slope rule.
     """
-    floor, sums, valuations = diagonal
+    floor, total, valuations = diagonal
     if floor < target_prec:
         raise PrecisionNotReached(
             f"coefficients known to {floor} pi-digits, target {target_prec}"
         )
     report = certify_tail(valuations, target_prec, ring.cap)
-    return RingElem(ring, tuple(sum(col) % ring.pn for col in sums), target_prec), {
+    return RingElem(ring, total, target_prec), {
         "shells": list(valuations),
         "certificate": report,
     }

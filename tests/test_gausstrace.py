@@ -3,6 +3,7 @@
 import json
 import pathlib
 import random
+import types
 
 import pytest
 
@@ -36,7 +37,8 @@ from wittlab.rings import LubinTateSeries, RingElem, SeriesPacking, ring_of
 from wittlab.series import Series1, TruncSeries2
 from wittlab.wittvec import WittVec
 
-from packing_oracle import pack_bytewise, pack_terms, read_tuples
+from packing_oracle import pack_terms, read_tuples
+from shell_identity import cut_sums
 
 
 def system21(degree=48):
@@ -409,25 +411,31 @@ CERTIFICATE_DIFFERS = {(2, 1, 40, 0, 1), (2, 1, 41, 0, 1), (2, 1, 43, 0, 1)}
 
 
 def assert_shells_match_kernel_H(sys, chi_m, chi_b, degree, target):
-    # each shell sum against kernel_H's lattice coefficients, coordinate by
-    # coordinate; the precision floor equal; every valuation floor at most
-    # the shell's least valuation; the certified value, and the certificate
-    # or the refusal, those of alpha_trace(kernel_H), but for the
-    # certificates of CERTIFICATE_DIFFERS
+    # the total against the sum of kernel_H's shells, coordinate by
+    # coordinate; the identity behind it at every cut T against kernel_H's
+    # partial sums, so each shell's sum too; the precision floor equal;
+    # every valuation floor at most the shell's least valuation; the
+    # certified value, and the certificate or the refusal, those of
+    # alpha_trace(kernel_H), but for the certificates of CERTIFICATE_DIFFERS
     q, ring = sys.field.q, sys.ring
     full = kernel_H(sys, chi_m, chi_b, degree)
-    floor, sums, floors = kernel_shells(sys, chi_m, chi_b, degree)
-    want_floor, want_sums, minima = diagonal_lattice(full, q)
+    floor, total, floors = kernel_shells(sys, chi_m, chi_b, degree)
+    want_floor, want_total, minima = diagonal_lattice(full, q)
     assert floor == want_floor == min(c.prec for _, _, c in full.terms())
-    assert len(sums) == ring.dim and len(floors) == degree // (q - 1) + 1
+    assert len(total) == ring.dim and len(floors) == degree // (q - 1) + 1
+    cuts = cut_sums(sys, chi_m, chi_b, degree)
+    assert len(cuts) == len(floors)
+    partial = [0] * ring.dim
     for k in range(len(floors)):
         shell = [full.coefficient((q - 1) * n0, (q - 1) * (k - n0)) for n0 in range(k + 1)]
-        for i, col in enumerate(sums):
-            assert col[k] == sum(c.co[i] for c in shell) % ring.pn, (chi_m, chi_b, k, i)
+        partial = [x + sum(c.co[i] for c in shell) for i, x in enumerate(partial)]
+        assert cuts[k] == tuple(x % ring.pn for x in partial), (chi_m, chi_b, k)
         least = min([ring.cap] + [v for c in shell for v in [c.valuation()] if v is not None])
         assert floors[k] <= least == minima[k], (chi_m, chi_b, k)
-    assert sums == want_sums
-    got = certified_outcome(lambda: certified_diagonal_sum(ring, (floor, sums, floors), target))
+    for i, x in enumerate(partial):
+        assert total[i] == x % ring.pn, (chi_m, chi_b, i)
+    assert total == want_total == cuts[-1]
+    got = certified_outcome(lambda: certified_diagonal_sum(ring, (floor, total, floors), target))
     want = certified_outcome(lambda: alpha_trace(full, q, target))
     if (sys.params.p, sys.params.s, degree, chi_m, chi_b.index()) in CERTIFICATE_DIFFERS:
         assert got[:2] == want[:2] and isinstance(got[2], dict) and got[2] != want[2]
@@ -437,8 +445,8 @@ def assert_shells_match_kernel_H(sys, chi_m, chi_b, degree, target):
 
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)])
 def test_kernel_shells_match_kernel_H(p, s):
-    # the shell sums are the sums of the coefficients kernel_H builds, at
-    # the floor mul_sparse clamps to, below valuation floors that certify
+    # the diagonal's total is the sum of the coefficients kernel_H builds,
+    # at the floor mul_sparse clamps to, below valuation floors that certify
     # what the actual minima certify
     q = p**s
     if q > 4:
@@ -468,16 +476,20 @@ def test_kernel_shells_match_kernel_H(p, s):
 
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2)])
 def test_class_products_match_ring_products(p, s):
-    # every class product A_r B_r' of a system against RingElem products of
-    # the factors' coefficients, with nothing packed past its last degree,
-    # and its floors against the min-plus of min(valuation, prec), each at
-    # most the product coefficient's valuation
+    # every running sum of a class product A_r B_r' of a system against
+    # RingElem running sums of products of the factors' coefficients, with
+    # nothing past its last degree; its floors against the min-plus of
+    # min(valuation, prec), each at most the product coefficient's
+    # valuation; the precision the least over A and B
     for degree in (40, 43):
         sys = next(nondegenerate_systems(p, s, 14, degree))
         ring, step = sys.ring, sys.field.q - 1
         a, b = sys.omega_factors(degree)
-        packing, products, floors = sys.omega_class_products(degree)
-        assert len(products) == len(floors) == step * step
+        if degree == 43:  # one coefficient of B known to less than the rest
+            b.coeffs[5] = RingElem(ring, b.coeffs[5].co, min(c.prec for c in a.coeffs) - 1)
+        prefixes, floors, prec = sys.omega_class_products(degree)
+        assert len(prefixes) == len(floors) == step * step
+        assert prec == min(c.prec for c in a.coeffs + b.coeffs)
 
         def val(c):
             v = c.valuation()
@@ -485,17 +497,19 @@ def test_class_products_match_ring_products(p, s):
 
         for r in range(step):
             for r2 in range(step):
-                packed, floor = products[r * step + r2], floors[r * step + r2]
+                prefix, floor = prefixes[r * step + r2], floors[r * step + r2]
                 count = (degree - r - r2) // step + 1
-                assert packed >> 8 * packing.block * count == 0 and len(floor) == count
-                for l, co in enumerate(read_tuples(packing, [(packed, count)])):
+                assert len(prefix) == len(floor) == count
+                running = ring.zero()
+                for l, co in enumerate(prefix):
                     pairs = [
                         (a.coeffs[r + step * i], b.coeffs[r2 + step * (l - i)]) for i in range(l + 1)
                     ]
                     want = ring.zero()
                     for x, y in pairs:
                         want = want + x * y
-                    assert co == want.co, (degree, r, r2, l)
+                    running = running + want
+                    assert co == running.co, (degree, r, r2, l)
                     assert floor[l] == min(val(x) + val(y) for x, y in pairs), (degree, r, r2, l)
                     assert floor[l] <= val(want)
 
@@ -559,10 +573,10 @@ def test_split_packing_worst_case_slots(p, s, m):
     (3, 2, 0, 44),
 ])
 def test_class_product_worst_case_slots(p, s, m, nprec):
-    # the two packings of the shell route at D = 128, sized as
-    # ``omega_class_products`` sizes them, with every coordinate at p^N - 1:
-    # a class product at the longest classes, and q - 1 products P C'
-    # summed with every C term on the top slots
+    # the route at D = 128 with every coordinate at p^N - 1: a class product
+    # at the longest classes, packed as ``omega_class_products`` packs it,
+    # and the dot product of ``kernel_shells`` on a stand-in system whose
+    # running sums and C terms are all p^N - 1, against RingElem arithmetic
     ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p) if m >= 0 else None, nprec)
     degree, step = 128, p**s - 1
     n = degree // step + 1
@@ -570,22 +584,30 @@ def test_class_product_worst_case_slots(p, s, m, nprec):
     first = SeriesPacking(ring, n)
     a, b = pack_terms(first, full, full)
     assert_worst_case_read(first, a * b, [min(d, 2 * n - 2 - d) + 1 for d in range(2 * n - 1)])
-    terms = degree // (p * (step - 1) + 1) + 1
-    packing = SeriesPacking(ring, terms)
-    if (m, nprec) == (1, 16):  # the ring of a Gauss system: its own packing
+    if (m, nprec) == (1, 16):  # the ring of a Gauss system: its longest class product
         sys = next(nondegenerate_systems(p, s, nprec, degree))
-        assert sys.omega_class_products(degree)[0].width == packing.width
-    products = pack_terms(packing, *[full] * step)
-    # the C terms dealt to the q - 1 class pairs, at offsets 0, 1, .. in each
-    offsets = [range(len(range(j, terms, step))) for j in range(step)]
-    cs = [[(o, full[0][1]) for o in os] for os in offsets]
-    factors = pack_terms(packing, *cs)
-    assert factors == [pack_bytewise(packing, c) for c in cs]
-    total = sum(x * y for x, y in zip(products, factors))
-    reads = n + len(offsets[0]) - 1
-    hits = [sum(0 <= d - o < n for os in offsets for o in os) for d in range(reads)]
-    assert max(hits) == terms
-    assert_worst_case_read(packing, total, hits)
+        assert len(sys.omega_class_products(degree)[0][0]) == n
+    worst = RingElem(ring, full[0][1], ring.cap - 1)  # the precision floor is C's
+    stride = p * (step - 1)
+    terms = [(k * stride, k, worst) for k in range(degree // (stride + 1) + 1)]
+    stand_in = types.SimpleNamespace(
+        ring=ring,
+        field=types.SimpleNamespace(q=step + 1),
+        params=types.SimpleNamespace(p=p),
+        omega_class_products=lambda d: ([[worst.co] * n] * step**2, [[0] * n] * step**2, ring.cap),
+        omega1_substituted=lambda chi_b, d: (terms, [0] * len(terms)),
+    )
+    for chi_m in range(step):
+        floor, total, _ = kernel_shells(stand_in, chi_m, 1, degree)
+        used = sum(
+            (chi_m + k * (stride + 1) + (-chi_m - k * stride) % step + -k % step) // step < n
+            for _, k, _ in terms
+        )
+        want = ring.zero()
+        for _ in range(used):
+            want = want - worst * worst
+        assert used and floor == ring.cap - 1
+        assert total == want.co == cut_sums(stand_in, chi_m, 1, degree)[-1], chi_m
 
 
 def test_checks_on_one_system_build_class_products_once(monkeypatch):
@@ -609,14 +631,51 @@ def test_checks_on_one_system_build_class_products_once(monkeypatch):
     system.character_table()
     assert built == []
     trace_formula_check(GaussConfig(params, 0, 0, target_prec=4))
-    assert len(built) == 2  # the class products' packing and the shells'
+    assert built == [64 // 3 + 1]  # one packing, at the longest class
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
-    assert len(built) == 2
+    assert len(built) == 1
     trace_formula_check(GaussConfig(params, 1, 2, degree=48, target_prec=4))
-    assert len(built) == 4 and sorted(system._class_products) == [48, 64]
+    assert built == [22, 17] and sorted(system._class_products) == [48, 64]
     characters.shared_system.cache_clear()
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
-    assert len(built) == 6
+    assert len(built) == 3
+    characters.shared_system.cache_clear()
+
+
+def test_checks_on_one_system_build_omega1_terms_once():
+    # Omega_1's substituted terms depend only on the system, b and D: a
+    # set-up as the benchmark's builds none, the first check at (b, D)
+    # builds them, later checks and kernel_H reuse them, another b or D
+    # builds its own, and cache_clear drops them with the system
+    params = CharParams(2, 2, 2, nprec=16, degree=64)
+    characters.shared_system.cache_clear()
+    built = []
+
+    class CountedCache(dict):
+        def __setitem__(self, key, value):
+            built.append(key)
+            super().__setitem__(key, value)
+
+    system = shared_system(params)
+    system._omega1 = CountedCache()
+    system.theta_series(0)
+    system.theta_series(1)
+    system.character_table()
+    assert built == []
+    b2, b3 = system.field.from_index(2), system.field.from_index(3)
+    trace_formula_check(GaussConfig(params, 0, 2, target_prec=4))
+    trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
+    kernel_H(system, 2, b2, 64)
+    assert built == [(b2, 64)]
+    trace_formula_check(GaussConfig(params, 1, 3, target_prec=4))
+    trace_formula_check(GaussConfig(params, 2, 2, degree=48, target_prec=4))
+    trace_formula_check(GaussConfig(params, 0, 3, target_prec=4))
+    assert built == [(b2, 64), (b3, 64), (b2, 48)]
+    characters.shared_system.cache_clear()
+    fresh = shared_system(params)
+    assert fresh is not system and fresh._omega1 == {}
+    trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
+    assert list(fresh._omega1) == [(b2, 64)] and len(built) == 3
     characters.shared_system.cache_clear()
 
 
