@@ -14,10 +14,13 @@ must be strictly closer to one root than the minimal pairwise distance of
 the table, otherwise the computation refuses (SnapAmbiguous) rather than
 guessing.
 
-The mu_{p^l} table is grown by exhaustive digit lifting from the seeds
-1 + c pi_{l-1} (all roots are = 1 mod pi), then polished by Newton; plain
-Newton from the seeds alone can stall, since each seed sits at equal
-distance from a whole coset of p^(l-1) roots.
+The mu_{p^l} table depends only on the ring, and is built once per ring
+from one root g.  Its digits are lifted from 1 + pi_{l-1}: the first digit
+1 gives v(g - 1) = 1, so g has exact order p^l.  The lifting goes past the
+pairwise distance p^(l-1) of the roots, so g is nearer one root than any
+other and one Newton polish reaches it.  Entry k is g^k, so an index is a
+discrete log to base g; the table's group check proves the p^l powers
+distinct at precision, so they are all of mu_{p^l}.
 """
 
 from __future__ import annotations
@@ -141,17 +144,18 @@ class RootOfUnityTable:
         return best, best_v
 
 
+@functools.lru_cache(maxsize=None)
 def mu_ppow_table(ring, ell):
-    """Build mu_{p^l} in a level-(l-1) ring by digit lifting plus Newton."""
+    """mu_{p^l} in a level-(l-1) ring, built once per ring: entry k is g^k
+    for one root g of exact order p^l, found by digit lifting plus Newton."""
     if ring.m != ell - 1:
         raise InvalidParameter(f"mu_(p^{ell}) lives at level {ell - 1}, not {ring.m}")
     p = ring.p
     order = p**ell
-    f_exp = order
     pi = ring.pi()
 
     def f(z):
-        return z**f_exp - ring.one()
+        return z**order - ring.one()
 
     def vof(x):
         v = x.valuation()
@@ -166,53 +170,39 @@ def mu_ppow_table(ring, ell):
             acc += (p**r - p ** (r - 1)) * min(d, p ** (ell - r))
         return acc
 
+    # the first digit of g is 1: v(g - 1) = 1, so g has exact order p^l
     depth = min(ring.cap - 2, p ** (ell - 1) + 3)
-    layer = [ring.one()]
-    pi_pow = pi
-    for k in range(1, depth):
-        nxt = []
-        seen = set()
-        for z in layer:
-            for c in range(p):
-                cand = z + pi_pow.scale_int(c) if c else z
-                if vof(f(cand)) >= profile(k + 1) and cand.co not in seen:
-                    seen.add(cand.co)
-                    nxt.append(cand)
-        layer = nxt
-        pi_pow = pi_pow * pi
-        if not layer:
-            raise SeedNotConverging("digit lifting lost every candidate")
-    # Newton polish on exact coordinates: z <- z - f(z)/(p^l z^(p^l - 1));
-    # divisions are exact, so precision metadata is reset to full and the
-    # root is certified at the end by f(z) = 0 exactly mod p^N.
-    resolution = ring.cap - ell * ring.e  # a root mod p^N is pinned this far
-    polished = []
-    for z in layer:
-        z = RingElem(ring, z.co)
-        for _ in range(ring.cap.bit_length() + 3):
-            fz = f(z)
-            if not any(fz.co):
-                break
-            try:
-                step = fz.exact_div_p(ell) * (z ** (f_exp - 1)).inverse()
-            except (NotDivisible, NotUnit) as exc:
-                raise SeedNotConverging(str(exc)) from exc
-            z = RingElem(ring, (z - step).co)
-        if any(f(z).co):
-            raise SeedNotConverging("Newton polish did not reach a root")
-        polished.append(z)
-    # mod p^N the solutions fill balls of radius ``resolution``: cluster them
-    roots = []
-    for z in polished:
-        for rep in roots:
-            v = (rep - z).valuation()
-            if v is None or v >= resolution:
+    g = ring.one() + pi
+    pi_pow = pi * pi
+    for k in range(2, depth):
+        for c in range(p):
+            cand = g + pi_pow.scale_int(c) if c else g
+            if vof(f(cand)) >= profile(k + 1):
+                g = cand
                 break
         else:
-            roots.append(RingElem(ring, z.co, resolution))
-    if len(roots) != order:
-        raise SeedNotConverging(f"found {len(roots)} roots, expected {order}")
-    roots.sort(key=lambda z: z.co)
+            raise SeedNotConverging("digit lifting lost its candidate")
+        pi_pow = pi_pow * pi
+    # Newton polish on exact coordinates: g <- g - f(g)/(p^l g^(p^l - 1));
+    # divisions are exact, so precision metadata is reset to full and the
+    # root is certified at the end by f(g) = 0 exactly mod p^N.
+    g = RingElem(ring, g.co)
+    for _ in range(ring.cap.bit_length() + 3):
+        fg = f(g)
+        if not any(fg.co):
+            break
+        try:
+            step = fg.exact_div_p(ell) * (g ** (order - 1)).inverse()
+        except (NotDivisible, NotUnit) as exc:
+            raise SeedNotConverging(str(exc)) from exc
+        g = RingElem(ring, (g - step).co)
+    if any(f(g).co):
+        raise SeedNotConverging("Newton polish did not reach a root")
+    resolution = ring.cap - ell * ring.e  # a root mod p^N is pinned this far
+    roots, z = [], ring.one()
+    for _ in range(order):
+        roots.append(RingElem(ring, z.co, resolution))
+        z = z * g
     return RootOfUnityTable(ring, ell, roots)
 
 
@@ -512,9 +502,10 @@ class CharacterSystem:
 def shared_system(params):
     """The one CharacterSystem of ``params``' configuration.
 
-    Keyed by the params themselves, so the theta series, the mu_{p^l} table,
-    the psi table and the psi_1 values are built once per configuration
-    rather than once per caller.
+    Keyed by the params themselves, so the psi table, the psi_1 values and
+    the Omega terms are built once per configuration rather than once per
+    caller; the theta series and the mu_{p^l} table are cached per ring
+    beneath it, so systems that differ only in t share them.
     """
     return CharacterSystem(params)
 

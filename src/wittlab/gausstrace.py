@@ -236,13 +236,6 @@ def alpha_apply_monomial(series2, q, n0, n1):
     return dwork_op(shifted, q)
 
 
-def matrix_trace(basis, matrix):
-    acc = None
-    for k in range(len(basis)):
-        acc = matrix[k][k] if acc is None else acc + matrix[k][k]
-    return acc
-
-
 def trace_formula_check(config):
     """Compare (q-1)^2 Tr(alpha) with both brute-force conventions.
 
@@ -298,21 +291,6 @@ def trace_formula_check(config):
         "certificate": trace_report["certificate"],
         "timing_ms": timings,
     }
-
-
-def roots_of_unity_sum_check(system, max_power):
-    """sum_{x in mu_{q-1}} x^n = q-1 if (q-1) | n else 0, in the ring."""
-    ring = system.ring
-    points = [system.ring.teichmuller(u) for u in system.field.units()]
-    q = system.field.q
-    for n in range(max_power + 1):
-        acc = ring.zero()
-        for x in points:
-            acc = acc + x**n
-        expect = ring.from_int(q - 1) if n % (q - 1) == 0 else ring.zero()
-        if not acc == expect:
-            return False
-    return True
 
 
 def diagonal_selection_check(series2, system, target_prec):

@@ -418,12 +418,6 @@ class TowerRing:
         co = tuple(rng.randrange(self.pn) for _ in range(self.dim))
         return RingElem(self, co, prec)
 
-    def random_integral_unit(self, rng):
-        while True:
-            x = self.random(rng)
-            if x.valuation() == 0:
-                return x
-
     # -- core arithmetic -------------------------------------------------------------
 
     def mul_co(self, a, b):

@@ -156,14 +156,6 @@ class UniversalPoly:
             out[k] = q
         return self._same_shape(out)
 
-    def map_exponents(self, fn):
-        """Apply fn to every decoded exponent vector (e.g. x -> x^p)."""
-        out = {}
-        for k, v in self.terms.items():
-            key = self._key(enumerate(fn(self._decode(k))))
-            out[key] = out.get(key, 0) + v
-        return self._same_shape({k: v for k, v in out.items() if v})
-
     # -- inspection -------------------------------------------------------------
 
     def _decode(self, key):

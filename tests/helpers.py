@@ -1,0 +1,46 @@
+"""Test-only helpers on the package's types, kept out of ``src/``: no module
+of the package calls them.
+
+``random_integral_unit`` draws test inputs, ``map_exponents`` rewrites a
+``UniversalPoly``'s monomials for the ghost identities, and
+``matrix_trace`` and ``roots_of_unity_sum_check`` are the plain forms of
+the trace of alpha's matrix and of the character sum over mu_{q-1}.
+"""
+
+
+def random_integral_unit(ring, rng):
+    while True:
+        x = ring.random(rng)
+        if x.valuation() == 0:
+            return x
+
+
+def map_exponents(poly, fn):
+    """Apply fn to every decoded exponent vector (e.g. x -> x^p)."""
+    out = {}
+    for k, v in poly.terms.items():
+        key = poly._key(enumerate(fn(poly._decode(k))))
+        out[key] = out.get(key, 0) + v
+    return poly._same_shape({k: v for k, v in out.items() if v})
+
+
+def matrix_trace(basis, matrix):
+    acc = None
+    for k in range(len(basis)):
+        acc = matrix[k][k] if acc is None else acc + matrix[k][k]
+    return acc
+
+
+def roots_of_unity_sum_check(system, max_power):
+    """sum_{x in mu_{q-1}} x^n = q-1 if (q-1) | n else 0, in the ring."""
+    ring = system.ring
+    points = [system.ring.teichmuller(u) for u in system.field.units()]
+    q = system.field.q
+    for n in range(max_power + 1):
+        acc = ring.zero()
+        for x in points:
+            acc = acc + x**n
+        expect = ring.from_int(q - 1) if n % (q - 1) == 0 else ring.zero()
+        if not acc == expect:
+            return False
+    return True

@@ -33,11 +33,21 @@ def system(p, s, ell, **kw):
 
 
 @pytest.mark.parametrize(
-    "p,ell,tag", [(2, 2, "cyclotomic"), (3, 2, "cyclotomic"), (2, 2, "plain"), (2, 3, "cyclotomic")]
+    "p,ell,tag",
+    [
+        (2, 2, "cyclotomic"),
+        (3, 2, "cyclotomic"),
+        (2, 2, "plain"),
+        (2, 3, "cyclotomic"),
+        (5, 2, "cyclotomic"),
+        (3, 2, "plain"),
+        (3, 2, "cyclotomic-s2"),
+    ],
 )
 def test_mu_table_structure(p, ell, tag):
-    lt = LubinTateSeries.plain(p) if tag == "plain" else LubinTateSeries.cyclotomic(p)
-    ring = make_ring(RingSpec(p, 1, ell - 1, lt, 14))
+    series, _, s = tag.partition("-s")  # "-s2": over the unramified degree-2 ring
+    lt = LubinTateSeries.plain(p) if series == "plain" else LubinTateSeries.cyclotomic(p)
+    ring = make_ring(RingSpec(p, int(s or 1), ell - 1, lt, 14))
     table = mu_ppow_table(ring, ell)
     assert len(table.elements) == p**ell
     one = ring.one()
@@ -67,6 +77,24 @@ def test_mu_table_closure_and_dlog():
         seen.add(acc.co)
         acc = acc * g
     assert len(seen) == 9  # generator has exact order p^l
+
+
+def test_mu_table_is_one_per_ring_from_one_generator():
+    # the table depends on (ring, l) only: systems with different t share it;
+    # entry k is g^k, so the generator is entry 1 and every log is its index
+    mu_ppow_table.cache_clear()
+    a = system(3, 1, 2, u_index=1, nprec=14, degree=54)
+    b = system(3, 1, 2, u_index=2, nprec=14, degree=54)
+    assert a.u != b.u and a.ring is b.ring
+    table = a.mu_table
+    assert b.mu_table is table
+    assert mu_ppow_table.cache_info().misses == 1
+    assert table.gen_index == 1
+    assert all(table.dlog[k] == k for k in range(table.order))
+    mu_ppow_table.cache_clear()
+    rebuilt = mu_ppow_table(a.ring, 2)
+    assert rebuilt is not table and mu_ppow_table.cache_info().misses == 1
+    assert [z.co for z in rebuilt.elements] == [z.co for z in table.elements]
 
 
 @pytest.mark.parametrize("entries", [(1, 3), (1, -1, 5), (1, 1, 3)])
@@ -334,9 +362,12 @@ def test_omega_evaluates_to_psi():
 )
 def test_mu_table_newton_labels_only_ring_failures(monkeypatch, error, raised):
     # a Newton step the ring cannot take means the seed did not converge; any
-    # other exception is a bug and comes back as itself (at p = 3 the digit
-    # lifting leaves Newton steps to take)
-    ring = make_ring(RingSpec(3, 1, 1, LubinTateSeries.cyclotomic(3), 14))
+    # other exception is a bug and comes back as itself (with the plain
+    # series at p = 3 the digit lifting leaves Newton steps to take; with the
+    # cyclotomic one, 1 + pi is already an exact root); a table cached on the
+    # shared ring would take no step at all
+    mu_ppow_table.cache_clear()
+    ring = make_ring(RingSpec(3, 1, 1, LubinTateSeries.plain(3), 14))
 
     def inverse(self):
         raise error("injected")

@@ -29,14 +29,13 @@ from wittlab.gausstrace import (
     gauss_brute,
     kernel_H,
     kernel_shells,
-    matrix_trace,
-    roots_of_unity_sum_check,
     trace_formula_check,
 )
 from wittlab.rings import LubinTateSeries, RingElem, SeriesPacking, ring_of
 from wittlab.series import Series1, TruncSeries2
 from wittlab.wittvec import WittVec
 
+from helpers import matrix_trace, roots_of_unity_sum_check
 from packing_oracle import pack_terms, read_tuples
 from shell_identity import cut_sums
 
