@@ -4,12 +4,16 @@ Every character value here is a product of values of theta_{l-1-j,s}(1) at
 points t^(p^j) Teich(c).  Since t = Teich(u) and Teichmueller lifts are
 multiplicative exactly mod p^N, each point is Teich(u^(p^j) c): a series
 only ever meets the q' - 1 lifts of F_q'^*.  ``theta_teich_values``
-certifies a series once and evaluates it at all of them; psi_{l,s,t}, the
-psi_1 part of chi and both sides of the splitting-function product formula
-read that one table.  A system keeps what every Gauss check on it reads:
-per degree, Omega's factors and the running sums of their residue-class
-products, and per b Omega_1's substituted terms.  psi snaps its product to
-the root-of-unity table of mu_{p^l}.  Snapping is ultrametric: the value
+certifies a series once, folds its coefficients into the q' - 1 classes of
+degree mod q' - 1 (exact, since Teich(c)^(q'-1) = 1 exactly mod p^N) and
+evaluates that fold at all of them; psi_{l,s,t}, the psi_1 part of chi and
+both sides of the splitting-function product formula read that one table.
+A system keeps what every Gauss check on it reads: per degree, Omega's
+factors, the running sums of their residue-class products packed for the
+trace's dot product, and the shell floors per chi_m and term valuations;
+per b, Omega_1's substituted terms, packed alike; and the discrete log of
+each snapped psi_1 value.  psi snaps its product to the root-of-unity table
+of mu_{p^l}.  Snapping is ultrametric: the value
 must be strictly closer to one root than the minimal pairwise distance of
 the table, otherwise the computation refuses (SnapAmbiguous) rather than
 guessing.
@@ -47,6 +51,7 @@ from .rings import (
     nondegenerate_trace,
 )
 from .series import (
+    Series1,
     TruncSeries2,
     certify_tail,
     pulita_theta_ms,
@@ -68,14 +73,21 @@ def theta_teich_values(ring, m, s, degree, target):
     """theta_{m,s}(1) at every Teichmueller point of ``ring``, tail-certified once.
 
     Maps c.index() to the value at Teich(c), at pi-precision ``target``, for
-    each c of the residue field: at a unit by ``eval_full``, at Teich(0) = 0
-    (reached only when t = 0) by the constant term.
+    each c of the residue field: at Teich(0) = 0 (reached only when t = 0)
+    the constant term; at the units, the coefficients folded into q' - 1
+    classes of degree mod z^(q'-1) - 1, evaluated by ``eval_full``.  The
+    fold is exact, since Teich(c)^(q'-1) = 1 exactly mod p^N.
     """
     series = theta_one_series(ring, m, s, degree)
     certify_tail(series.min_valuations(), target, ring.cap)
     values = {0: RingElem(ring, series.coeffs[0].co, target)}
+    step, pn = ring.residue_field.q - 1, ring.pn
+    fold = [[0] * ring.dim for _ in range(step)]
+    for k, c in enumerate(series.coeffs):
+        fold[k % step] = list(map(int.__add__, fold[k % step], c.co))
+    folded = Series1(ring, [RingElem(ring, tuple(x % pn for x in co)) for co in fold])
     for c in ring.residue_field.units():
-        values[c.index()] = RingElem(ring, series.eval_full(ring.teichmuller(c)).co, target)
+        values[c.index()] = RingElem(ring, folded.eval_full(ring.teichmuller(c)).co, target)
     return values
 
 
@@ -119,6 +131,14 @@ class RootOfUnityTable:
         if acc != self.ring.one() or not len(logs) == len(self.elements) == self.order:
             raise ReportedMismatch(f"the table is not the group <g> of order {self.order}")
         return logs
+
+    @functools.cached_property
+    def powers(self):
+        """The entries by discrete log: entry k is g^k."""
+        out = [None] * self.order
+        for i, k in self.dlog.items():
+            out[k] = self.elements[i]
+        return out
 
     def snap(self, value, indices=None):
         """(index, distance valuation) of the unique nearest root, among
@@ -299,8 +319,12 @@ class CharacterSystem:
         self._omega_factors = {}
         self._omega1 = {}
         self._class_products = {}
+        self._dot_packings = {}
         self._psi1 = {}
         self._table = None
+        # (precision floor, shell floors) of ``gausstrace.kernel_shells``,
+        # keyed by (D, chi_m, Omega_1's term valuations, their precision)
+        self.shell_floors = {}
 
     # -- building blocks ---------------------------------------------------------
 
@@ -374,18 +398,28 @@ class CharacterSystem:
             got = self._omega_factors[degree] = tuple(got)
         return got
 
+    def dot_packing(self, degree):
+        """The ``SeriesPacking`` of the trace total's dot product at
+        ``degree``, once per degree: one block per ring element, sized for
+        the longest dot, degree // (p(q-2) + 1) + 1 block products."""
+        got = self._dot_packings.get(degree)
+        if got is None:
+            stride = self.params.p * (self.field.q - 2)
+            got = self._dot_packings[degree] = SeriesPacking(self.ring, degree // (stride + 1) + 1)
+        return got
+
     def omega_class_products(self, degree):
         """Running sums of the products of the residue classes of degree of
         Omega_2's factors A, B = ``omega_factors(degree)``, once per degree.
 
         With c = q - 1, A_r(w) = sum_l a_(r + c l) w^l and B_r likewise.
         Returns (prefixes, floors, prec): entry r c + r' of ``prefixes``
-        lists the coordinate tuples of sum_(i <= l) [w^i] A_r B_r' mod p^N
-        and of ``floors`` the product's min-plus valuation sequence, a lower
-        bound on each coefficient's valuation, both at the degrees
-        l <= (D - r - r') // c, which the factors' terms of degree <= D
-        determine.  Each factor coefficient enters the floors at
-        min(valuation, prec), 0 at ``ring.cap``; ``prec`` is the least
+        lists sum_(i <= l) [w^i] A_r B_r' mod p^N, each packed alone by
+        ``dot_packing(degree)``, and of ``floors`` the product's min-plus
+        valuation sequence, a lower bound on each coefficient's valuation,
+        both at the degrees l <= (D - r - r') // c, which the factors' terms
+        of degree <= D determine.  Each factor coefficient enters the floors
+        at min(valuation, prec), 0 at ``ring.cap``; ``prec`` is the least
         precision over A and B.  The products are one packing (Kronecker
         substitution), c^2 big-int products and one ``unpack``.
         """
@@ -402,11 +436,13 @@ class CharacterSystem:
         columns = packing.unpack(
             (packed[i // step] * packed[step + i % step], n) for i, n in enumerate(counts)
         )
-        prefixes, o, pn = [], 0, ring.pn
+        runs, o, pn = [[] for _ in columns], 0, ring.pn
         for n in counts:
-            runs = [[x % pn for x in itertools.accumulate(col[o : o + n])] for col in columns]
-            prefixes.append(list(zip(*runs)))
+            for run, col in zip(runs, columns):
+                run += [x % pn for x in itertools.accumulate(col[o : o + n])]
             o += n
+        sums = iter(self.dot_packing(degree).pack(runs, [1] * o))
+        prefixes = [list(itertools.islice(sums, n)) for n in counts]
         vals = [
             [min(ring.cap if v is None else v, c.prec) for c in cls for v in [c.valuation()]]
             for cls in classes
@@ -424,9 +460,12 @@ class CharacterSystem:
 
     def omega1_substituted(self, b, degree):
         """Omega_1(Teich(b) x1 x0^(p(q-2))) as sparse bivariate terms
-        (k p(q-2), k, c_k) up to total degree ``degree``, with each term's
-        valuation min(v(c_k), prec), ``ring.cap`` for 0; built once per b
-        and degree."""
+        (k p(q-2), k, c_k) up to total degree ``degree``, built once per b
+        and degree.  Returns (terms, packed, vals, prec): the terms; each
+        c_k packed alone by ``dot_packing(degree)``; the tuple of each
+        term's valuation min(v(c_k), prec), ``ring.cap`` for 0; and the
+        least precision over the c_k.  For b != 0, t Teich(b) is a unit, so
+        the valuations and the precision do not depend on b."""
         got = self._omega1.get((b, degree))
         if got is not None:
             return got
@@ -438,10 +477,10 @@ class CharacterSystem:
             for k in range(degree // (stride + 1) + 1):
                 terms.append((k * stride, k, theta0[k] * acc if k else theta0[0]))
                 acc = acc * scale
-        vals = [
-            min(ring.cap if v is None else v, c.prec) for *_, c in terms for v in [c.valuation()]
-        ]
-        got = self._omega1[b, degree] = terms, vals
+        coeffs = [c for *_, c in terms]
+        packed = self.dot_packing(degree).pack(list(zip(*(c.co for c in coeffs))), [1] * len(coeffs))
+        vals = tuple(min(ring.cap if v is None else v, c.prec) for c in coeffs for v in [c.valuation()])
+        got = self._omega1[b, degree] = terms, packed, vals, min(c.prec for c in coeffs)
         return got
 
     def omega(self, degree=None):
@@ -462,28 +501,35 @@ class CharacterSystem:
         step = table.order // self.params.p
         return [k for k in range(table.order) if table.dlog[k] % step == 0]
 
-    def chi_value(self, m, b, z):
-        """chi_{m,b}(z) for z a unit of W_2(F_q): Teich part times psi_1 part.
+    def psi1_scale(self, b, z0):
+        """b z_0^(p(q-2)): chi_{m,b}'s psi_1 part at z = (z_0, z_1) is the
+        value of psi_1 at this scale times z_1."""
+        return b * z0 ** (self.params.p * (self.field.q - 2))
 
-        The psi_1 part depends on z only through b z_1 z_0^(p(q-2)), so its
-        snapped value is kept per argument: at most q - 1 snaps.
-        """
+    def psi1_log(self, arg):
+        """The discrete log, to the table's base g, of psi_1 at a nonzero
+        ``arg`` of F_q, snapped into the order-p roots and kept per argument:
+        at most q - 1 snaps."""
+        key = arg.index()
+        log = self._psi1.get(key)
+        if log is None:
+            index, _ = self.mu_table.snap(self.theta_at(0, self.u * arg), self.mu_p_indices())
+            log = self._psi1[key] = self.mu_table.dlog[index]
+        return log
+
+    def chi_value(self, m, b, z):
+        """chi_{m,b}(z) for z a unit of W_2(F_q): Teich(z_0^m) times the psi_1
+        part, the table's entry g^k, k = ``psi1_log(psi1_scale(b, z_0) z_1)``
+        (1 when b or z_1 is 0)."""
         if self.params.ell != 2:
             raise InvalidParameter(f"chi is defined on W_2, not W_{self.params.ell}")
         z0, z1 = z[0], z[1]
         if not z0:
             raise NotUnit("chi is defined on units: z_0 != 0")
-        q = self.field.q
         teich_part = self.ring.teichmuller(z0**m)
         if not b or not z1:
             return teich_part
-        arg = b * z1 * z0 ** (self.params.p * (q - 2))
-        key = arg.index()
-        snapped = self._psi1.get(key)
-        if snapped is None:
-            index, _ = self.mu_table.snap(self.theta_at(0, self.u * arg), self.mu_p_indices())
-            snapped = self._psi1[key] = self.mu_table.elements[index]
-        return teich_part * snapped
+        return teich_part * self.mu_table.powers[self.psi1_log(self.psi1_scale(b, z0) * z1)]
 
     def count_E_t_ell(self, t_scalar=None):
         """#roots of unity within |pi| of 1 + t pi_{l-1} (strictly closer)."""

@@ -10,9 +10,15 @@ shell's least valuation for the tail certificate.  ``kernel_shells``
 computes both from the univariate factors, forming no single coefficient:
 the total is one dot product of Omega_1's terms with running sums of the
 residue-class products of Omega_2's factors, which each system forms once
-(Kronecker substitution, ``rings.SeriesPacking``); the floors are the
-min-plus convolutions of the same factors' valuations (the Newton-polygon
-bound for a product).
+(Kronecker substitution, ``rings.SeriesPacking``); both sides are kept
+packed one element to a block, so the dot product is one big-int
+multiply-add per term and one ``unpack``.  The floors are the min-plus
+convolutions of the same factors' valuations (the Newton-polygon bound for
+a product); they depend on chi only through m and Omega_1's valuations,
+the same for every b != 0, so a system builds at most 2 (q - 1) per degree.
+``gauss_brute`` sums psi chi by discrete-log counts: both characters' p-power
+parts are powers of one root of unity, so a check does two ring products per
+z_0, not one per z.
 The full kernel (``kernel_H``) stays schoolbook through ``TruncSeries2``: it
 serves the alpha matrix, and ``diagonal_lattice`` of it, with the actual
 shell minima, is the independent oracle the tests compare the diagonal with.
@@ -67,23 +73,38 @@ def gauss_brute(system, chi_m, chi_b):
     """-sum psi(z) chi(z) in both conventions, exact at ring precision via
     snapped values: 'full' sums z_1 over F_q (the definition), 'units' over
     F_q^*, matching the diagonal selection in the trace formula.  One pass
-    keeps the z_1 = 0 column apart, the difference of the two."""
-    field = system.field
+    keeps the z_1 = 0 column apart, the difference of the two.
+
+    psi(z) and chi's psi_1 part are both powers of the mu_{p^2} table's g,
+    and chi's Teichmueller part depends on z_0 alone.  So for each z_0 the
+    units' terms are Teich(z_0^m) times sum_k n_k g^k, n_k the count of z_1
+    != 0 whose exponents sum to k mod p^2: an integer combination of table
+    entries, at the least precision among those it uses.  The column's one
+    term is Teich(z_0^m) psi(z_0, 0).  Two ring products per z_0.
+    """
+    field, ring, mu = system.field, system.ring, system.mu_table
     table = system.character_table()
-    column = units = system.ring.zero()
-    for z0 in field.units():
-        for z1 in field.elements():
-            z = WittVec(field, [z0, z1])
-            term = system.mu_table.elements[table.index_of(z)] * system.chi_value(chi_m, chi_b, z)
-            if z1:
-                units = units + term
-            else:
-                column = column + term
+    column = units = ring.zero()
+    nonzero = field.units()
+    for z0 in nonzero:
+        counts = [0] * mu.order
+        scale = chi_b and system.psi1_scale(chi_b, z0)
+        for z1 in nonzero:
+            k = mu.dlog[table.index_of(WittVec(field, [z0, z1]))]
+            if chi_b:
+                k += system.psi1_log(scale * z1)
+            counts[k % mu.order] += 1
+        used = [(n, mu.powers[k]) for k, n in enumerate(counts) if n]
+        co = [sum(n * x.co[i] for n, x in used) % ring.pn for i in range(ring.dim)]
+        teich = ring.teichmuller(z0**chi_m)
+        units = units + teich * RingElem(ring, tuple(co), min(x.prec for _, x in used))
+        z = WittVec(field, [z0, field.zero()])
+        column = column + teich * mu.elements[table.index_of(z)]
     return {"full": -(units + column), "units": -units}
 
 
 def _omega1_terms(system, chi_m, chi_b, degree):
-    """Omega_1's substituted terms and valuations, if H's lowest term fits."""
+    """``omega1_substituted(chi_b, degree)``, if H's lowest term fits."""
     stride = system.params.p * (system.field.q - 2)
     if chi_m + (stride + 1 if chi_b else 0) > degree:
         raise TruncationTooSmall(
@@ -99,7 +120,7 @@ def kernel_H(system, chi_m, chi_b, degree):
     reads only the diagonal of ``kernel_shells``, which is computed from the
     same factors.
     """
-    sub, _ = _omega1_terms(system, chi_m, chi_b, degree)
+    sub = _omega1_terms(system, chi_m, chi_b, degree)[0]
     omega2 = TruncSeries2.outer(*system.omega_factors(degree), degree)
     shifted = omega2.shift_x0(chi_m) if chi_m else omega2
     out = shifted.mul_sparse(sub)
@@ -119,29 +140,40 @@ def kernel_shells(system, chi_m, chi_b, degree):
     w = z^(q-1) and P = A_r B_r' in w, that is -c_k [w^(K - o)] P, o = (m +
     k (stride + 1) + r + r') / (q - 1).  Summed over the shells K <= T =
     D // (q - 1), term k contributes -c_k S[T - o], S the running sums of P
-    (``CharacterSystem.omega_class_products``, built once per system), so
-    the total is one ``mul_co`` per C term with o <= T; T - o is within S
-    since o (q - 1) >= r + r'.  The valuations are floors: shell K is at
-    least v(c_k) + floors_pair[K - o] over the C terms, one ``map(min, ...)``
-    each, and at most ``ring.cap``.  ``floor`` is the least precision over
-    A, B and C, the one ``kernel_H`` clamps to.
+    (``CharacterSystem.omega_class_products``, built once per system); T - o
+    is within S since o (q - 1) >= r + r'.  c_k and S[T - o] come packed
+    one block each by ``CharacterSystem.dot_packing``, so the total is one
+    big-int multiply-add per C term with o <= T and one ``unpack``.
+
+    The valuations are floors: shell K is at least v(c_k) + floors_pair[K -
+    o] over the C terms, and at most ``ring.cap``.  ``floor`` is the least
+    precision over A, B and C, the one ``kernel_H`` clamps to.  Both depend
+    on chi only through m and C's valuations and precision, which are the
+    same for every b != 0, so the system keeps them (``shell_floors``).
     """
-    sub, term_vals = _omega1_terms(system, chi_m, chi_b, degree)
+    sub, packed, term_vals, term_prec = _omega1_terms(system, chi_m, chi_b, degree)
     ring = system.ring
     step = system.field.q - 1
     stride = system.params.p * (step - 1)
     top = degree // step
     prefixes, floors, prec = system.omega_class_products(degree)
-    total, valuations = [0] * ring.dim, [ring.cap] * (top + 1)
-    for (_, k, c), v in zip(sub, term_vals):
+    reads = []
+    for i, (_, k, _) in enumerate(sub):
         r, r2 = (-chi_m - k * stride) % step, -k % step
         o = (chi_m + k * (stride + 1) + r + r2) // step
         if o <= top:
-            pair = r * step + r2
-            total = list(map(int.__sub__, total, ring.mul_co(c.co, prefixes[pair][top - o])))
-            valuations[o:] = map(min, valuations[o:], map(v.__add__, floors[pair]))
-    floor = min(prec, *(c.prec for _, _, c in sub))
-    return floor, tuple(x % ring.pn for x in total), valuations
+            reads.append((i, r * step + r2, o))
+    acc = sum(packed[i] * prefixes[pair][top - o] for i, pair, o in reads)
+    total = tuple(-x % ring.pn for (x,) in system.dot_packing(degree).unpack([(acc, 1)]))
+    key = degree, chi_m, term_vals, term_prec
+    got = system.shell_floors.get(key)
+    if got is None:
+        valuations = [ring.cap] * (top + 1)
+        for i, pair, o in reads:
+            valuations[o:] = map(min, valuations[o:], map(term_vals[i].__add__, floors[pair]))
+        got = system.shell_floors[key] = min(prec, term_prec), tuple(valuations)
+    floor, valuations = got
+    return floor, total, valuations
 
 
 def dwork_op(series2, q):

@@ -4,8 +4,12 @@ of the package calls them.
 ``random_integral_unit`` draws test inputs, ``map_exponents`` rewrites a
 ``UniversalPoly``'s monomials for the ghost identities, and
 ``matrix_trace`` and ``roots_of_unity_sum_check`` are the plain forms of
-the trace of alpha's matrix and of the character sum over mu_{q-1}.
+the trace of alpha's matrix and of the character sum over mu_{q-1}, and
+``gauss_brute_per_term`` the Gauss sum as one ring product per term, the
+oracle of ``gausstrace.gauss_brute``.
 """
+
+from wittlab.wittvec import WittVec
 
 
 def random_integral_unit(ring, rng):
@@ -44,3 +48,21 @@ def roots_of_unity_sum_check(system, max_power):
         if not acc == expect:
             return False
     return True
+
+
+def gauss_brute_per_term(system, chi_m, chi_b):
+    """-sum psi(z) chi(z) in both conventions, one ``RingElem`` product per
+    z of W_2(F_q)^*: psi(z) from the exhaustive table times
+    ``chi_value``; 'full' sums z_1 over F_q, 'units' over F_q^*."""
+    field = system.field
+    table = system.character_table()
+    column = units = system.ring.zero()
+    for z0 in field.units():
+        for z1 in field.elements():
+            z = WittVec(field, [z0, z1])
+            term = system.mu_table.elements[table.index_of(z)] * system.chi_value(chi_m, chi_b, z)
+            if z1:
+                units = units + term
+            else:
+                column = column + term
+    return {"full": -(units + column), "units": -units}

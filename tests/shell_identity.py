@@ -2,14 +2,17 @@
 behind ``gausstrace.kernel_shells``, in ``RingElem`` arithmetic.
 
 With C the terms (k p(q-2), k, c_k) of ``omega1_substituted`` and S the
-running sums of the class products of ``omega_class_products``, the shells
-K <= T of the (q-1)-strided diagonal of H sum to -sum_k c_k S_pair[T - o],
-over the terms with o <= T.  At T = D // (q - 1) that is the total
+running sums of the class products of ``omega_class_products``, read
+back from their packed ints through ``unpack``, the shells K <= T of the
+(q-1)-strided diagonal of H sum to -sum_k c_k S_pair[T - o], over the
+terms with o <= T.  At T = D // (q - 1) that is the total
 ``kernel_shells`` returns; the differences of consecutive cuts are the
 single shells.
 """
 
 from wittlab.rings import RingElem
+
+from packing_oracle import read_tuples
 
 
 def cut_sums(system, chi_m, chi_b, degree):
@@ -17,8 +20,9 @@ def cut_sums(system, chi_m, chi_b, degree):
     0..T, for every T <= D // (q - 1)."""
     ring, step = system.ring, system.field.q - 1
     stride = system.params.p * (step - 1)
+    packing = system.dot_packing(degree)
     prefixes = system.omega_class_products(degree)[0]
-    terms, _ = system.omega1_substituted(chi_b, degree)
+    terms = system.omega1_substituted(chi_b, degree)[0]
     out = []
     for cut in range(degree // step + 1):
         acc = ring.zero()
@@ -26,6 +30,7 @@ def cut_sums(system, chi_m, chi_b, degree):
             r, r2 = (-chi_m - k * stride) % step, -k % step
             o = (chi_m + k * (stride + 1) + r + r2) // step
             if o <= cut:
-                acc = acc - c * RingElem(ring, prefixes[r * step + r2][cut - o])
+                (co,) = read_tuples(packing, [(prefixes[r * step + r2][cut - o], 1)])
+                acc = acc - c * RingElem(ring, co)
         out.append(acc.co)
     return out

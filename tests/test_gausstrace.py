@@ -35,7 +35,7 @@ from wittlab.rings import LubinTateSeries, RingElem, SeriesPacking, ring_of
 from wittlab.series import Series1, TruncSeries2
 from wittlab.wittvec import WittVec
 
-from helpers import matrix_trace, roots_of_unity_sum_check
+from helpers import gauss_brute_per_term, matrix_trace, roots_of_unity_sum_check
 from packing_oracle import pack_terms, read_tuples
 from shell_identity import cut_sums
 
@@ -218,6 +218,24 @@ def test_gauss_brute_structural_values_p2():
     assert chi11 == -sys.ring.one()
     g_units_b1 = gauss_brute(sys, 0, f.one())["units"]
     assert g_units_b1 == -(psi11 * chi11)
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_gauss_brute_matches_per_term_oracle(p, s):
+    # the sum from discrete-log counts against one RingElem product per z,
+    # coordinates and precision, in both conventions: every chi on both
+    # nondegenerate t at q <= 4, one b != 0 at q = 5
+    q = p**s
+    for sys in nondegenerate_systems(p, s, 14, 64 if q == 5 else 40):
+        chars = [(1, 1)] if q == 5 else [(m, b) for m in range(q - 1) for b in range(q)]
+        for m, b in chars:
+            chi_b = sys.field.from_index(b)
+            got, want = gauss_brute(sys, m, chi_b), gauss_brute_per_term(sys, m, chi_b)
+            assert sorted(got) == sorted(want) == ["full", "units"]
+            for conv in want:
+                assert (got[conv].co, got[conv].prec) == (want[conv].co, want[conv].prec), (m, b, conv)
+        if q == 5:
+            break
 
 
 def test_config_rejects_out_of_range_indices():
@@ -487,6 +505,7 @@ def test_class_products_match_ring_products(p, s):
         if degree == 43:  # one coefficient of B known to less than the rest
             b.coeffs[5] = RingElem(ring, b.coeffs[5].co, min(c.prec for c in a.coeffs) - 1)
         prefixes, floors, prec = sys.omega_class_products(degree)
+        packing = sys.dot_packing(degree)
         assert len(prefixes) == len(floors) == step * step
         assert prec == min(c.prec for c in a.coeffs + b.coeffs)
 
@@ -500,7 +519,7 @@ def test_class_products_match_ring_products(p, s):
                 count = (degree - r - r2) // step + 1
                 assert len(prefix) == len(floor) == count
                 running = ring.zero()
-                for l, co in enumerate(prefix):
+                for l, co in enumerate(read_tuples(packing, [(x, 1) for x in prefix])):
                     pairs = [
                         (a.coeffs[r + step * i], b.coeffs[r2 + step * (l - i)]) for i in range(l + 1)
                     ]
@@ -565,6 +584,9 @@ def test_split_packing_worst_case_slots(p, s, m):
 @pytest.mark.parametrize("p,s,m,nprec", [
     pytest.param(3, 1, 1, 16, id="3-1-1"),
     pytest.param(2, 2, 1, 16, id="2-2-1"),
+    # q = 2: the stride p(q-2) is 0, so all D + 1 C terms land in the one
+    # class pair and the dot product reaches its packing's bound
+    pytest.param(2, 1, 1, 16, id="2-1-1"),
     # p^N above 2^64: a coordinate takes two 64-bit words, and a folded
     # entry more than 16 bytes
     (3, 1, -1, 48),
@@ -574,8 +596,9 @@ def test_split_packing_worst_case_slots(p, s, m):
 def test_class_product_worst_case_slots(p, s, m, nprec):
     # the route at D = 128 with every coordinate at p^N - 1: a class product
     # at the longest classes, packed as ``omega_class_products`` packs it,
-    # and the dot product of ``kernel_shells`` on a stand-in system whose
-    # running sums and C terms are all p^N - 1, against RingElem arithmetic
+    # and the packed dot product of ``kernel_shells`` on a stand-in system
+    # whose running sums and C terms are all p^N - 1, against RingElem
+    # arithmetic
     ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p) if m >= 0 else None, nprec)
     degree, step = 128, p**s - 1
     n = degree // step + 1
@@ -583,18 +606,24 @@ def test_class_product_worst_case_slots(p, s, m, nprec):
     first = SeriesPacking(ring, n)
     a, b = pack_terms(first, full, full)
     assert_worst_case_read(first, a * b, [min(d, 2 * n - 2 - d) + 1 for d in range(2 * n - 1)])
+    stride = p * (step - 1)
+    terms_n = degree // (stride + 1) + 1
     if (m, nprec) == (1, 16):  # the ring of a Gauss system: its longest class product
         sys = next(nondegenerate_systems(p, s, nprec, degree))
         assert len(sys.omega_class_products(degree)[0][0]) == n
+        assert sys.dot_packing(degree).width == SeriesPacking(ring, terms_n).width
     worst = RingElem(ring, full[0][1], ring.cap - 1)  # the precision floor is C's
-    stride = p * (step - 1)
-    terms = [(k * stride, k, worst) for k in range(degree // (stride + 1) + 1)]
+    terms = [(k * stride, k, worst) for k in range(terms_n)]
+    dot = SeriesPacking(ring, terms_n)
+    (packed,) = pack_terms(dot, [(0, worst.co)])
     stand_in = types.SimpleNamespace(
         ring=ring,
         field=types.SimpleNamespace(q=step + 1),
         params=types.SimpleNamespace(p=p),
-        omega_class_products=lambda d: ([[worst.co] * n] * step**2, [[0] * n] * step**2, ring.cap),
-        omega1_substituted=lambda chi_b, d: (terms, [0] * len(terms)),
+        dot_packing=lambda d: dot,
+        omega_class_products=lambda d: ([[packed] * n] * step**2, [[0] * n] * step**2, ring.cap),
+        omega1_substituted=lambda chi_b, d: (terms, [packed] * terms_n, (0,) * terms_n, ring.cap - 1),
+        shell_floors={},
     )
     for chi_m in range(step):
         floor, total, _ = kernel_shells(stand_in, chi_m, 1, degree)
@@ -602,6 +631,10 @@ def test_class_product_worst_case_slots(p, s, m, nprec):
             (chi_m + k * (stride + 1) + (-chi_m - k * stride) % step + -k % step) // step < n
             for _, k, _ in terms
         )
+        assert_worst_case_read(dot, used * packed * packed, [used])
+        if step == 1:  # every term used: the middle slot is the width's bound
+            assert used == terms_n == degree + 1
+            assert used * max(worst_case_block(ring)) == terms_n * ring.e * ring.s * (ring.pn - 1) ** 2
         want = ring.zero()
         for _ in range(used):
             want = want - worst * worst
@@ -630,14 +663,16 @@ def test_checks_on_one_system_build_class_products_once(monkeypatch):
     system.character_table()
     assert built == []
     trace_formula_check(GaussConfig(params, 0, 0, target_prec=4))
-    assert built == [64 // 3 + 1]  # one packing, at the longest class
+    # the dot product's packing, sized for the most C terms, then the class
+    # products', at the longest class
+    assert built == [64 // 5 + 1, 64 // 3 + 1]
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
-    assert len(built) == 1
+    assert len(built) == 2
     trace_formula_check(GaussConfig(params, 1, 2, degree=48, target_prec=4))
-    assert built == [22, 17] and sorted(system._class_products) == [48, 64]
+    assert built == [13, 22, 10, 17] and sorted(system._class_products) == [48, 64]
     characters.shared_system.cache_clear()
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
-    assert len(built) == 3
+    assert len(built) == 6
     characters.shared_system.cache_clear()
 
 
@@ -675,6 +710,79 @@ def test_checks_on_one_system_build_omega1_terms_once():
     assert fresh is not system and fresh._omega1 == {}
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
     assert list(fresh._omega1) == [(b2, 64)] and len(built) == 3
+    characters.shared_system.cache_clear()
+
+
+@pytest.mark.parametrize("p,s", [(3, 1), (2, 2), (5, 1)])
+def test_omega1_valuations_are_one_for_every_nonzero_b(p, s):
+    # what the shell floors cache rests on: t Teich(b) is a unit for every
+    # b != 0, so Omega_1's substituted terms have the same valuations and
+    # the same least precision; b = 0 has the one term 1
+    for sys in nondegenerate_systems(p, s, 16, 64):
+        seen = set()
+        for b in sys.field.units():
+            terms, packed, vals, prec = sys.omega1_substituted(b, 64)
+            assert len(terms) == len(packed) == len(vals) == 64 // (p * (p**s - 2) + 1) + 1
+            assert prec == min(c.prec for *_, c in terms)
+            seen.add((vals, prec))
+        assert len(seen) == 1
+        _, _, vals, prec = sys.omega1_substituted(sys.field.zero(), 64)
+        assert vals == (0,) and (vals, prec) not in seen
+    # one coefficient of theta_{0,s}(1) known to less than the rest, after
+    # Omega_2's factors are built: the terms' least precision follows it,
+    # still one for every b != 0, and kernel_shells' floor is kernel_H's
+    sys = next(nondegenerate_systems(p, s, 16, 64))
+    sys.omega_factors(64)
+    coeffs = list(sys.theta_series(1).coeffs)
+    low = min(c.prec for c in coeffs) - 1
+    coeffs[1] = RingElem(sys.ring, coeffs[1].co, low)
+    sys.theta_series = lambda j: Series1(sys.ring, coeffs) if j == 1 else None
+    assert {sys.omega1_substituted(b, 64)[3] for b in sys.field.units()} == {low}
+    b = sys.field.one()
+    floor = kernel_shells(sys, 0, b, 64)[0]
+    assert floor == low == diagonal_lattice(kernel_H(sys, 0, b, 64), p**s)[0]
+
+
+def test_checks_on_one_system_build_shell_floors_per_m_and_valuations():
+    # the shell floors depend only on the system, D, chi_m and Omega_1's
+    # term valuations and precision: a set-up as the benchmark's builds
+    # none, every chi at one D builds at most 2 (q - 1), one for b = 0 and
+    # one for every b != 0 per m, another D builds its own, and cache_clear
+    # drops them with the system
+    params = CharParams(2, 2, 2, nprec=16, degree=64)
+    characters.shared_system.cache_clear()
+    built = []
+
+    class CountedCache(dict):
+        def __setitem__(self, key, value):
+            built.append(key)
+            super().__setitem__(key, value)
+
+    system = shared_system(params)
+    system.shell_floors = CountedCache()
+    system.theta_series(0)
+    system.theta_series(1)
+    system.character_table()
+    assert built == []
+    q = system.field.q
+    for m in range(q - 1):
+        for b in range(q):
+            trace_formula_check(GaussConfig(params, m, b, target_prec=4))
+    assert len(built) == len(set(built)) == 2 * (q - 1)
+    assert sorted((d, m, len(vals)) for d, m, vals, _ in built) == [
+        (64, m, n) for m in range(q - 1) for n in (1, 64 // 5 + 1)
+    ]
+    trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
+    kernel_shells(system, 2, system.field.from_index(3), 64)
+    assert len(built) == 2 * (q - 1)
+    trace_formula_check(GaussConfig(params, 1, 2, degree=48, target_prec=4))
+    trace_formula_check(GaussConfig(params, 1, 3, degree=48, target_prec=4))
+    assert len(built) == 2 * (q - 1) + 1 and built[-1][0] == 48
+    characters.shared_system.cache_clear()
+    fresh = shared_system(params)
+    assert fresh is not system and fresh.shell_floors == {}
+    trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
+    assert len(fresh.shell_floors) == 1 and len(built) == 2 * (q - 1) + 1
     characters.shared_system.cache_clear()
 
 
