@@ -352,17 +352,41 @@ def _sweep_digest(report):
     }
 
 
-@pytest.mark.parametrize("p,s,degree", [(2, 1, 64), (2, 2, 128), (3, 1, 128)])
-def test_gauss_sweep_matches_golden(capsys, p, s, degree):
-    # every report of the sweep against values frozen from an earlier
-    # release; wall-clock fields are left out
+def _trace_formula_sweep(capsys, p, s, degree, t_residue=None):
+    """The reports of one ``gauss --sweep`` at N = 16, after checking that
+    every chi of it agrees with the sum over the units at the target 3e."""
     from wittlab.cli import main
 
     argv = ["gauss", "--p", str(p), "--s", str(s), "--deg", str(degree), "--prec", "16"]
+    if t_residue is not None:
+        argv += ["--t-residue", str(t_residue)]
     assert main([*argv, "--sweep"]) == 0
     reports = json.loads(capsys.readouterr().out)["sweep"]
+    q = p**s
+    assert len(reports) == (q - 1) * q
+    for r in reports:
+        assert r["target_prec"] == 3 * p * (p - 1)
+        assert "units" in r["convention"], r["config"]["chi"]
+        assert r["residual_valuation"]["units"] >= r["target_prec"], r["config"]["chi"]
+    return reports
+
+
+@pytest.mark.parametrize(
+    "p,s,degree", [(2, 1, 64), (2, 2, 128), (3, 1, 128), (2, 3, 128), (3, 2, 512)]
+)
+def test_gauss_sweep_matches_golden(capsys, p, s, degree):
+    # every report of the sweep against values frozen from an earlier
+    # release; wall-clock fields are left out
+    reports = _trace_formula_sweep(capsys, p, s, degree)
     golden = json.loads(_SWEEP_GOLDEN.read_text())[f"{p},{s},{degree}"]
     assert [_sweep_digest(r) for r in reports] == golden
+
+
+@pytest.mark.parametrize("p,s,degree", [(2, 3, 128), (3, 2, 512)])
+def test_trace_formula_at_a_second_t(capsys, p, s, degree):
+    # q = 8 and 9 at the second nondegenerate t (index 2; the default is 1)
+    reports = _trace_formula_sweep(capsys, p, s, degree, t_residue=2)
+    assert {r["t_residue_index"] for r in reports} == {2}
 
 
 def test_gauss_brute_golden_values():
