@@ -22,9 +22,11 @@ The mu_{p^l} table depends only on the ring, and is built once per ring
 from one root g.  Its digits are lifted from 1 + pi_{l-1}: the first digit
 1 gives v(g - 1) = 1, so g has exact order p^l.  The lifting goes past the
 pairwise distance p^(l-1) of the roots, so g is nearer one root than any
-other and one Newton polish reaches it.  Entry k is g^k, so an index is a
-discrete log to base g; the table's group check proves the p^l powers
-distinct at precision, so they are all of mu_{p^l}.
+other and one Newton polish reaches it.  Entry k is g^k, and a root has no
+other form: its index is its discrete log to base g, a product of roots
+adds indices mod p^l, and the values of psi_1 are the indices that are
+multiples of p^(l-1).  The table's one group check, g^(p^l) = 1 with no
+two powers equal at precision, proves the p^l entries all of mu_{p^l}.
 """
 
 from __future__ import annotations
@@ -92,57 +94,27 @@ def theta_teich_values(ring, m, s, degree, target):
 
 
 class RootOfUnityTable:
-    """The p^l elements of mu_{p^l} inside a level-(l-1) ring."""
+    """mu_{p^l} in a level-(l-1) ring at pi-precision ``prec``: entry k is
+    g^k.  Refused unless g^(p^l) = 1 and no two entries agree at ``prec``;
+    each pair is compared once, and the largest valuation is the snap bound."""
 
-    def __init__(self, ring, ell, elements):
+    def __init__(self, ring, ell, g, prec):
         self.ring = ring
         self.order = ring.p**ell
-        self.elements = elements
-        # group check first: equal entries would hand max() a None valuation
-        self.gen_index = self._find_generator()
-        self.dlog = self._discrete_logs()
-        self.max_pairwise_val = max(
-            v
-            for i, a in enumerate(elements)
-            for j, b in enumerate(elements)
-            if i != j
-            for v in [(a - b).valuation()]
-        )
+        g, z = RingElem(ring, g.co, prec), RingElem(ring, ring.one().co, prec)
+        self.elements = []
+        for _ in range(self.order):
+            self.elements.append(z)
+            z = z * g
+        if z != ring.one():
+            raise ReportedMismatch(f"g^{self.order} is not 1: the table is not a group")
+        vals = [(a - b).valuation() for a, b in itertools.combinations(self.elements, 2)]
+        if any(v is None or v >= prec for v in vals):
+            raise ReportedMismatch(f"two powers of g agree: g has order below {self.order}")
+        self.max_pairwise_val = max(vals)
 
-    def _find_generator(self):
-        pl1 = self.order // self.ring.p
-        for k, z in enumerate(self.elements):
-            if not (z**pl1 - self.ring.one()).is_zero():
-                return k
-        raise SeedNotConverging("no element of exact order p^l in the table")
-
-    def _discrete_logs(self):
-        """index -> exponent k with element = g^k, matched at precision: the
-        table's one group check (each entry is one g^k, and g^(p^l) = 1)."""
-        g = self.elements[self.gen_index]
-        acc = self.ring.one()
-        logs = {}
-        for k in range(self.order):
-            matches = [i for i, z in enumerate(self.elements) if z == acc]
-            if len(matches) != 1:
-                raise ReportedMismatch(f"g^{k} matches {len(matches)} table entries, not one")
-            logs[matches[0]] = k
-            acc = acc * g
-        if acc != self.ring.one() or not len(logs) == len(self.elements) == self.order:
-            raise ReportedMismatch(f"the table is not the group <g> of order {self.order}")
-        return logs
-
-    @functools.cached_property
-    def powers(self):
-        """The entries by discrete log: entry k is g^k."""
-        out = [None] * self.order
-        for i, k in self.dlog.items():
-            out[k] = self.elements[i]
-        return out
-
-    def snap(self, value, indices=None):
-        """(index, distance valuation) of the unique nearest root, among
-        ``indices`` (default: the whole table)."""
+    def snap(self, value):
+        """(index, distance valuation) of the unique nearest root."""
         if value.prec <= self.max_pairwise_val:
             raise SnapAmbiguous(
                 f"value precision {value.prec} does not resolve roots "
@@ -150,8 +122,7 @@ class RootOfUnityTable:
             )
         best = None
         best_v = -1
-        for k in range(self.order) if indices is None else indices:
-            z = self.elements[k]
+        for k, z in enumerate(self.elements):
             v = (value - z).valuation()
             if v is None:
                 v = min(value.prec, z.prec)
@@ -219,11 +190,7 @@ def mu_ppow_table(ring, ell):
     if any(f(g).co):
         raise SeedNotConverging("Newton polish did not reach a root")
     resolution = ring.cap - ell * ring.e  # a root mod p^N is pinned this far
-    roots, z = [], ring.one()
-    for _ in range(order):
-        roots.append(RingElem(ring, z.co, resolution))
-        z = z * g
-    return RootOfUnityTable(ring, ell, roots)
+    return RootOfUnityTable(ring, ell, g, resolution)
 
 
 def check_int(name, value, least=None):
@@ -494,27 +461,22 @@ class CharacterSystem:
             return factors[0]
         return TruncSeries2.outer(factors[0], factors[1], degree)
 
-    def mu_p_indices(self):
-        """Table indices of the order-p subgroup (the values of psi_1): the
-        roots whose discrete log is a multiple of p^(l-1)."""
-        table = self.mu_table
-        step = table.order // self.params.p
-        return [k for k in range(table.order) if table.dlog[k] % step == 0]
-
     def psi1_scale(self, b, z0):
         """b z_0^(p(q-2)): chi_{m,b}'s psi_1 part at z = (z_0, z_1) is the
         value of psi_1 at this scale times z_1."""
         return b * z0 ** (self.params.p * (self.field.q - 2))
 
     def psi1_log(self, arg):
-        """The discrete log, to the table's base g, of psi_1 at a nonzero
-        ``arg`` of F_q, snapped into the order-p roots and kept per argument:
-        at most q - 1 snaps."""
+        """The table index, a discrete log to base g, of psi_1 at a nonzero
+        ``arg`` of F_q, kept per argument: at most q - 1 snaps.  psi_1 has
+        order p, so a log that is no multiple of p^(l-1) is refused."""
         key = arg.index()
         log = self._psi1.get(key)
         if log is None:
-            index, _ = self.mu_table.snap(self.theta_at(0, self.u * arg), self.mu_p_indices())
-            log = self._psi1[key] = self.mu_table.dlog[index]
+            log, _ = self.mu_table.snap(self.theta_at(0, self.u * arg))
+            if log % (self.mu_table.order // self.params.p):
+                raise ReportedMismatch(f"psi_1 at {arg!r} snaps to g^{log}, not a root of order p")
+            self._psi1[key] = log
         return log
 
     def chi_value(self, m, b, z):
@@ -529,7 +491,7 @@ class CharacterSystem:
         teich_part = self.ring.teichmuller(z0**m)
         if not b or not z1:
             return teich_part
-        return teich_part * self.mu_table.powers[self.psi1_log(self.psi1_scale(b, z0) * z1)]
+        return teich_part * self.mu_table.elements[self.psi1_log(self.psi1_scale(b, z0) * z1)]
 
     def count_E_t_ell(self, t_scalar=None):
         """#roots of unity within |pi| of 1 + t pi_{l-1} (strictly closer)."""
@@ -577,18 +539,13 @@ class CharacterTable:
         return len({r["psi_index"] for r in self.rows})
 
     def verify_homomorphism(self):
-        """psi(y+z) = psi(y) psi(z) for every pair, via discrete logs."""
-        sys = self.system
-        table = sys.mu_table
-        logs = table.dlog
-        vecs = list(sys.domain())
+        """psi(y+z) = psi(y) psi(z) for every pair: indices, as logs, add mod p^l."""
+        order = self.system.mu_table.order
+        vecs = list(self.system.domain())
         for y in vecs:
             for z in vecs:
-                got = self.index_of(witt_add(y, z))
-                want_log = (
-                    logs[self.index_of(y)] + logs[self.index_of(z)]
-                ) % table.order
-                if logs[got] != want_log:
+                want = (self.index_of(y) + self.index_of(z)) % order
+                if self.index_of(witt_add(y, z)) != want:
                     raise ReportedMismatch(
                         f"psi not multiplicative at {y!r}, {z!r}"
                     )

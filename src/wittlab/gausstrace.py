@@ -90,11 +90,11 @@ def gauss_brute(system, chi_m, chi_b):
         counts = [0] * mu.order
         scale = chi_b and system.psi1_scale(chi_b, z0)
         for z1 in nonzero:
-            k = mu.dlog[table.index_of(WittVec(field, [z0, z1]))]
+            k = table.index_of(WittVec(field, [z0, z1]))
             if chi_b:
                 k += system.psi1_log(scale * z1)
             counts[k % mu.order] += 1
-        used = [(n, mu.powers[k]) for k, n in enumerate(counts) if n]
+        used = [(n, mu.elements[k]) for k, n in enumerate(counts) if n]
         co = [sum(n * x.co[i] for n, x in used) % ring.pn for i in range(ring.dim)]
         teich = ring.teichmuller(z0**chi_m)
         units = units + teich * RingElem(ring, tuple(co), min(x.prec for _, x in used))

@@ -307,7 +307,6 @@ class TowerRing:
         self._build_eisenstein()
         self.sigma_pows = self._sigma_pows()
         self._pi_cache = {}
-        self._embed_cache = {}
         self._teich = None
 
     def __repr__(self):
@@ -520,43 +519,12 @@ class TowerRing:
             lift, res = lift * z, res * g
         return table
 
-    # -- headroom / embeddings ---------------------------------------------------------
+    # -- headroom ---------------------------------------------------------------------
 
     def with_precision(self, nprec):
         return make_ring(
             RingSpec(self.p, self.s, self.m, self.lt, nprec)
         )
-
-    def embed_from_lower(self, x):
-        """Ring embedding from a lower level: pi_low -> F^(m - low)(pi_m)."""
-        low = x.ring
-        compatible = (
-            low.p == self.p
-            and low.s == self.s
-            and low.nprec == self.nprec
-            and low.m <= self.m
-            and (low.m == -1 or low.lt == self.lt)
-        )
-        if not compatible:
-            raise RingMismatch("incompatible rings for embedding")
-        key = low.spec
-        pows = self._embed_cache.get(key)
-        if pows is None:
-            if low.m < 0:
-                base = self.one()
-            else:
-                base = self.pi_level(low.m)
-            pows = [self.one()]
-            for _ in range(low.e - 1):
-                pows.append(pows[-1] * base)
-            self._embed_cache[key] = pows
-        acc = self.zero()
-        for i in range(low.e):
-            row = x.co[i * low.s : (i + 1) * low.s]
-            if any(row):
-                acc = acc + pows[i] * self.from_ur(row)
-        scale = self.e // max(low.e, 1)
-        return RingElem(self, acc.co, min(x.prec * scale, self.cap))
 
 
 class SeriesPacking:

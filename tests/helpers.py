@@ -6,10 +6,37 @@ of the package calls them.
 ``matrix_trace`` and ``roots_of_unity_sum_check`` are the plain forms of
 the trace of alpha's matrix and of the character sum over mu_{q-1}, and
 ``gauss_brute_per_term`` the Gauss sum as one ring product per term, the
-oracle of ``gausstrace.gauss_brute``.
+oracle of ``gausstrace.gauss_brute``.  ``embed_from_lower`` embeds a ring
+of the level tower into a higher one.
 """
 
+from wittlab.errors import RingMismatch
+from wittlab.rings import RingElem
 from wittlab.wittvec import WittVec
+
+
+def embed_from_lower(ring, x):
+    """Ring embedding of ``x`` from a lower level into ``ring``:
+    pi_low -> F^(m - low)(pi_m)."""
+    low = x.ring
+    compatible = (
+        low.p == ring.p
+        and low.s == ring.s
+        and low.nprec == ring.nprec
+        and low.m <= ring.m
+        and (low.m == -1 or low.lt == ring.lt)
+    )
+    if not compatible:
+        raise RingMismatch("incompatible rings for embedding")
+    base = ring.one() if low.m < 0 else ring.pi_level(low.m)
+    acc, power = ring.zero(), ring.one()
+    for i in range(low.e):
+        row = x.co[i * low.s : (i + 1) * low.s]
+        if any(row):
+            acc = acc + power * ring.from_ur(row)
+        power = power * base
+    scale = ring.e // max(low.e, 1)
+    return RingElem(ring, acc.co, min(x.prec * scale, ring.cap))
 
 
 def random_integral_unit(ring, rng):

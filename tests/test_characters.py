@@ -68,15 +68,18 @@ def test_mu_table_structure(p, ell, tag):
 
 
 def test_mu_table_closure_and_dlog():
+    # entry k is g^k for g = entry 1, so an index is a discrete log to base g
     sys = system(3, 1, 2, nprec=12, degree=54)
     table = sys.mu_table
-    g = table.elements[table.gen_index]
+    g = table.elements[1]
     acc = sys.ring.one()
     seen = set()
-    for _ in range(9):
+    for k in range(9):
+        assert table.elements[k] == g**k
         seen.add(acc.co)
         acc = acc * g
     assert len(seen) == 9  # generator has exact order p^l
+    assert acc == sys.ring.one()
 
 
 def test_mu_table_is_one_per_ring_from_one_generator():
@@ -89,21 +92,22 @@ def test_mu_table_is_one_per_ring_from_one_generator():
     table = a.mu_table
     assert b.mu_table is table
     assert mu_ppow_table.cache_info().misses == 1
-    assert table.gen_index == 1
-    assert all(table.dlog[k] == k for k in range(table.order))
+    assert all(table.elements[k] == table.elements[1] ** k for k in range(table.order))
     mu_ppow_table.cache_clear()
     rebuilt = mu_ppow_table(a.ring, 2)
     assert rebuilt is not table and mu_ppow_table.cache_info().misses == 1
     assert [z.co for z in rebuilt.elements] == [z.co for z in table.elements]
 
 
-@pytest.mark.parametrize("entries", [(1, 3), (1, -1, 5), (1, 1, 3)])
-def test_root_table_that_is_not_a_group_is_refused(entries):
+@pytest.mark.parametrize("g,prec", [(3, 8), (1, 8), (129, 7)])
+def test_root_table_that_is_not_a_group_is_refused(g, prec):
     # would-be mu_2 tables in Z/2^8: with g = 3, g^2 = 9 is not 1; with
-    # g = -1, the entry 5 is no power of g; and 1 = g^0 is two entries
+    # g = 1, the powers g^0 and g^1 are equal; g = 1 + 2^7 is a root of
+    # order 2, but at precision 7 it equals g^0
     ring = ring_of(2, nprec=8)
+    RootOfUnityTable(ring, 1, ring.from_int(129), 8)
     with pytest.raises(ReportedMismatch):
-        RootOfUnityTable(ring, 1, [ring.from_int(c) for c in entries])
+        RootOfUnityTable(ring, 1, ring.from_int(g), prec)
 
 
 def test_psi_trivial_and_order():
@@ -181,24 +185,22 @@ def test_snap_ambiguous_on_low_precision():
     fuzz = RingElem(sys.ring, sys.ring.one().co, 1)
     with pytest.raises(SnapAmbiguous):
         sys.mu_table.snap(fuzz)
-    with pytest.raises(SnapAmbiguous):
-        sys.mu_table.snap(fuzz, sys.mu_p_indices())
 
 
-def test_snap_against_a_subset():
-    sys = system(3, 1, 2, nprec=14, degree=54)
-    table = sys.mu_table
-    subset = sys.mu_p_indices()
+def test_snap_against_a_subset(monkeypatch):
+    # psi_1's values are the order-p roots, the indices that are multiples
+    # of p^(l-1) = 3: psi_1 at a root outside them is refused, not rounded
+    table = system(3, 1, 2, nprec=14, degree=54).mu_table
     for k in range(table.order):
         index, dist = table.snap(table.elements[k])
         assert index == k and dist > table.max_pairwise_val
-        if k in subset:
-            assert table.snap(table.elements[k], subset)[0] == k
+        sys = system(3, 1, 2, nprec=14, degree=54)
+        monkeypatch.setattr(sys, "theta_at", lambda m, c, z=table.elements[k]: z)
+        if k % 3:
+            with pytest.raises(ReportedMismatch):
+                sys.psi1_log(sys.field.one())
         else:
-            # a root outside the subset is no closer to one member than the
-            # pairwise bound: refused, not rounded
-            with pytest.raises(SnapAmbiguous):
-                table.snap(table.elements[k], subset)
+            assert sys.psi1_log(sys.field.one()) == k
 
 
 @pytest.mark.parametrize("p,ell,expect", [(2, 2, 2), (3, 2, 3), (2, 3, 4)])

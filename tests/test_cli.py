@@ -155,8 +155,7 @@ from wittlab.wittvec import (
 zp, f4 = ring_of(2, nprec=8), finite_field(2, 2)
 z3, zq = ring_of(3, nprec=8), ring_of(2, 2, nprec=8)
 lvl0 = ring_of(2, 1, 0, LubinTateSeries.cyclotomic(2), 8)
-# a table whose generator powers match two entries, and one with a y-coordinate
-twins = SimpleNamespace(elements=[zp.one(), zp.one()], gen_index=0, order=2, ring=zp)
+# a table with a y-coordinate
 y_root = SimpleNamespace(ring=zq, elements=[zq.y_gen()])
 
 
@@ -195,7 +194,7 @@ rows = [
     (InvalidParameter, lambda: CharParams(2, 1, 2, target_prec=2.5)),
     (InvalidParameter, lambda: GaussConfig(CharParams(3, 1, 2), chi_b_index=True)),
     (InvalidParameter, lambda: GaussConfig(CharParams(3, 1, 2), chi_m=0.0)),
-    (ReportedMismatch, lambda: RootOfUnityTable._discrete_logs(twins)),
+    (ReportedMismatch, lambda: RootOfUnityTable(zp, 1, zp.one(), zp.cap)),
     (ReportedMismatch, lambda: _match_root_tables(y_root, y_root)),
     (RingMismatch, lambda: TruncSeries2.outer(Series1(zp, [zp.one()]), Series1(z3, [z3.one()]), 4)),
     (RingMismatch, lambda: (

@@ -932,7 +932,7 @@ def test_chi_value_snaps_into_order_p_roots():
     sys = CharacterSystem(CharParams(3, 1, 2, nprec=14, degree=54))
     f = sys.field
     table = sys.mu_table
-    p_roots = [table.elements[k] for k in sys.mu_p_indices()]
+    p_roots = table.elements[:: sys.params.p]
     assert len(p_roots) == 3
     for b in f.units():
         for z0 in f.units():
