@@ -372,7 +372,8 @@ def _trace_formula_sweep(capsys, p, s, degree, t_residue=None):
 
 
 @pytest.mark.parametrize(
-    "p,s,degree", [(2, 1, 64), (2, 2, 128), (3, 1, 128), (2, 3, 128), (3, 2, 512)]
+    "p,s,degree",
+    [(2, 1, 64), (2, 2, 128), (3, 1, 128), (2, 3, 128), (3, 2, 512), (5, 1, 1536)],
 )
 def test_gauss_sweep_matches_golden(capsys, p, s, degree):
     # every report of the sweep against values frozen from an earlier
@@ -382,9 +383,10 @@ def test_gauss_sweep_matches_golden(capsys, p, s, degree):
     assert [_sweep_digest(r) for r in reports] == golden
 
 
-@pytest.mark.parametrize("p,s,degree", [(2, 3, 128), (3, 2, 512)])
+@pytest.mark.parametrize("p,s,degree", [(2, 3, 128), (3, 2, 512), (5, 1, 1536)])
 def test_trace_formula_at_a_second_t(capsys, p, s, degree):
-    # q = 8 and 9 at the second nondegenerate t (index 2; the default is 1)
+    # q = 8, 9 and 5 (the e = 20 ring) at the second nondegenerate t (index
+    # 2; the default is 1)
     reports = _trace_formula_sweep(capsys, p, s, degree, t_residue=2)
     assert {r["t_residue_index"] for r in reports} == {2}
 
