@@ -11,7 +11,9 @@ both sides of the splitting-function product formula read that one table.
 A system keeps what every Gauss check on it reads: per degree, Omega's
 factors, the running sums of their residue-class products packed for the
 trace's dot product, and the shell floors per chi_m and term valuations;
-per b, Omega_1's substituted terms, packed alike; and the discrete log of
+per b, Omega_1's substituted terms, packed alike, and the brute Gauss
+sum's parts (for each z_0, the units' sum over z_1 without chi's
+Teichmueller part and the z_1 = 0 column's root); and the discrete log of
 each snapped psi_1 value.  psi snaps its product to the root-of-unity table
 of mu_{p^l}.  Snapping is ultrametric: the value
 must be strictly closer to one root than the minimal pairwise distance of
@@ -292,6 +294,8 @@ class CharacterSystem:
         # (precision floor, shell floors) of ``gausstrace.kernel_shells``,
         # keyed by (D, chi_m, Omega_1's term valuations, their precision)
         self.shell_floors = {}
+        # the m-free parts of ``gausstrace.gauss_brute``, keyed by b.index()
+        self.brute_parts = {}
 
     # -- building blocks ---------------------------------------------------------
 

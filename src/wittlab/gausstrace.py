@@ -17,8 +17,10 @@ convolutions of the same factors' valuations (the Newton-polygon bound for
 a product); they depend on chi only through m and Omega_1's valuations,
 the same for every b != 0, so a system builds at most 2 (q - 1) per degree.
 ``gauss_brute`` sums psi chi by discrete-log counts: both characters' p-power
-parts are powers of one root of unity, so a check does two ring products per
-z_0, not one per z.
+parts are powers of one root of unity, and only chi's Teichmueller part
+depends on m.  So each system keeps, per b and z_0, the units' sum over z_1
+as one integer combination of roots and the z_1 = 0 column's root, built on
+b's first check, and a check does two ring products per z_0.
 The full kernel (``kernel_H``) stays schoolbook through ``TruncSeries2``: it
 serves the alpha matrix, and ``diagonal_lattice`` of it, with the actual
 shell minima, is the independent oracle the tests compare the diagonal with.
@@ -75,17 +77,38 @@ def gauss_brute(system, chi_m, chi_b):
     F_q^*, matching the diagonal selection in the trace formula.  One pass
     keeps the z_1 = 0 column apart, the difference of the two.
 
+    chi's Teichmueller part depends on z_0 alone, so for each z_0 the units'
+    terms are Teich(z_0^m) times a sum that depends on b alone, and the
+    column's one term is Teich(z_0^m) psi(z_0, 0).  The system keeps both
+    per b (``brute_parts``, built on b's first check by ``_brute_parts``),
+    so a check is two ring products per z_0 and the two sums.
+    """
+    ring, key = system.ring, chi_b.index()
+    parts = system.brute_parts.get(key)
+    if parts is None:
+        parts = system.brute_parts[key] = _brute_parts(system, chi_b)
+    column = units = ring.zero()
+    for z0, combo, root in parts:
+        teich = ring.teichmuller(z0**chi_m)
+        units = units + teich * combo
+        column = column + teich * root
+    return {"full": -(units + column), "units": -units}
+
+
+def _brute_parts(system, chi_b):
+    """(z_0, units' sum, column's root) for each z_0 of F_q^*, the part of
+    ``gauss_brute`` that depends on b and not on m.
+
     psi(z) and chi's psi_1 part are both powers of the mu_{p^2} table's g,
-    and chi's Teichmueller part depends on z_0 alone.  So for each z_0 the
-    units' terms are Teich(z_0^m) times sum_k n_k g^k, n_k the count of z_1
-    != 0 whose exponents sum to k mod p^2: an integer combination of table
-    entries, at the least precision among those it uses.  The column's one
-    term is Teich(z_0^m) psi(z_0, 0).  Two ring products per z_0.
+    so the sum over z_1 != 0 of psi(z) times the psi_1 part is sum_k n_k
+    g^k, n_k the count of z_1 whose exponents sum to k mod p^2: an integer
+    combination of table entries, at the least precision among those it
+    uses.  The column's root is psi(z_0, 0).
     """
     field, ring, mu = system.field, system.ring, system.mu_table
     table = system.character_table()
-    column = units = ring.zero()
     nonzero = field.units()
+    parts = []
     for z0 in nonzero:
         counts = [0] * mu.order
         scale = chi_b and system.psi1_scale(chi_b, z0)
@@ -95,12 +118,11 @@ def gauss_brute(system, chi_m, chi_b):
                 k += system.psi1_log(scale * z1)
             counts[k % mu.order] += 1
         used = [(n, mu.elements[k]) for k, n in enumerate(counts) if n]
-        co = [sum(n * x.co[i] for n, x in used) % ring.pn for i in range(ring.dim)]
-        teich = ring.teichmuller(z0**chi_m)
-        units = units + teich * RingElem(ring, tuple(co), min(x.prec for _, x in used))
-        z = WittVec(field, [z0, field.zero()])
-        column = column + teich * mu.elements[table.index_of(z)]
-    return {"full": -(units + column), "units": -units}
+        co = tuple(sum(n * x.co[i] for n, x in used) % ring.pn for i in range(ring.dim))
+        combo = RingElem(ring, co, min(x.prec for _, x in used))
+        root = mu.elements[table.index_of(WittVec(field, [z0, field.zero()]))]
+        parts.append((z0, combo, root))
+    return tuple(parts)
 
 
 def _omega1_terms(system, chi_m, chi_b, degree):

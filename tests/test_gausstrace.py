@@ -1,5 +1,6 @@
 """Kernel, Dwork operator, alpha matrix/trace and the trace formula."""
 
+import itertools
 import json
 import pathlib
 import random
@@ -222,20 +223,32 @@ def test_gauss_brute_structural_values_p2():
 
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_gauss_brute_matches_per_term_oracle(p, s):
-    # the sum from discrete-log counts against one RingElem product per z,
-    # coordinates and precision, in both conventions: every chi on both
-    # nondegenerate t at q <= 4, one b != 0 at q = 5
+    # the sum from the parts kept per b against one RingElem product per z,
+    # coordinates and precision, in both conventions: every chi at q <= 4,
+    # every m for b = 0 and for b = 1 at q = 5.  Each chi is checked twice,
+    # building b's parts and then reading them, on each of two
+    # nondegenerate t in turn, so parts shared across systems would fail;
+    # none is built before the first check, and one is kept per b
     q = p**s
-    for sys in nondegenerate_systems(p, s, 14, 64 if q == 5 else 40):
-        chars = [(1, 1)] if q == 5 else [(m, b) for m in range(q - 1) for b in range(q)]
-        for m, b in chars:
-            chi_b = sys.field.from_index(b)
-            got, want = gauss_brute(sys, m, chi_b), gauss_brute_per_term(sys, m, chi_b)
-            assert sorted(got) == sorted(want) == ["full", "units"]
-            for conv in want:
-                assert (got[conv].co, got[conv].prec) == (want[conv].co, want[conv].prec), (m, b, conv)
-        if q == 5:
-            break
+    systems = list(itertools.islice(nondegenerate_systems(p, s, 14, 64 if q == 5 else 40), 2))
+    chi_bs = [0, 1] if q == 5 else list(range(q))
+    for sys in systems:
+        sys.character_table()
+        assert sys.brute_parts == {}
+    for m in range(q - 1):
+        for b in chi_bs:
+            for sys in systems:
+                chi_b = sys.field.from_index(b)
+                want = gauss_brute_per_term(sys, m, chi_b)
+                for _ in range(2):
+                    got = gauss_brute(sys, m, chi_b)
+                    assert sorted(got) == sorted(want) == ["full", "units"]
+                    for conv in want:
+                        assert (got[conv].co, got[conv].prec) == (want[conv].co, want[conv].prec), (
+                            sys.u.index(), m, b, conv
+                        )
+    for sys in systems:
+        assert sorted(sys.brute_parts) == chi_bs
 
 
 def test_config_rejects_out_of_range_indices():

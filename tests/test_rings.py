@@ -520,6 +520,34 @@ def test_batched_reader_worst_case(p, s, m, nprec):
 
 
 @pytest.mark.parametrize(
+    "p,s,m,nprec", _RING_SHAPES + [(2, 1, 1, 16), (5, 1, 1, 16), (3, 2, 1, 16)]
+)
+def test_one_block_read_matches_the_general_read(p, s, m, nprec):
+    # unpack reads a single block slot by slot: it equals the first degree
+    # of the general, strided read of the same int, which the block after
+    # it does not change, for a block with every slot at the packing's slot
+    # bound and for random ones, at one term and at the 129 of the longest
+    # dot product (q = 2, D = 128); the Gauss rings are those of q = 2 to 9
+    ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p) if m >= 0 else None, nprec)
+    rng = random.Random(1000 * p + 100 * s + 10 * m + nprec)
+    for n in (1, 129):
+        packing = SeriesPacking(ring, n)
+        bound = n * ring.e * ring.s * (ring.pn - 1) ** 2
+        slots = packing.block // packing.width
+
+        def packed(values):
+            return sum(c << 8 * packing.width * i for i, c in enumerate(values))
+
+        blocks = [[bound] * slots] + [[rng.randrange(bound + 1) for _ in range(slots)] for _ in range(4)]
+        for values in blocks:
+            after = packed(rng.randrange(bound + 1) for _ in range(slots)) << 8 * packing.block
+            for x in (packed(values), packed(values) + after):
+                want = [col[:1] for col in packing.unpack([(x, 2)])]
+                assert packing.unpack([(x, 1)]) == want
+                assert packing.unpack([(x * x, 0), (x, 1)]) == want
+
+
+@pytest.mark.parametrize(
     "p,s,m,nprec", [(3, 1, -1, 48), (2, 2, 1, 70), (3, 2, 0, 44), (2, 1, -1, 64)]
 )
 def test_multiword_packing_matches_ring_products(p, s, m, nprec):
