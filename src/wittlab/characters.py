@@ -9,16 +9,15 @@ degree mod q' - 1 (exact, since Teich(c)^(q'-1) = 1 exactly mod p^N) and
 evaluates that fold at all of them; psi_{l,s,t}, the psi_1 part of chi and
 both sides of the splitting-function product formula read that one table.
 A system keeps what every Gauss check on it reads: per degree, Omega's
-factors, the running sums of their residue-class products packed for the
-trace's dot product, and the shell floors per chi_m and term valuations;
-per b, Omega_1's substituted terms, packed alike, and the brute Gauss
+factors and the running sums of their residue-class products; per degree,
+chi_m and whether b is 0, the trace total's parts as a polynomial in
+Teich(b) with its shell floors (``trace_parts``); per b, the brute Gauss
 sum's parts (for each z_0, the units' sum over z_1 without chi's
 Teichmueller part and the z_1 = 0 column's root); and the discrete log of
 each snapped psi_1 value.  psi snaps its product to the root-of-unity table
-of mu_{p^l}.  Snapping is ultrametric: the value
-must be strictly closer to one root than the minimal pairwise distance of
-the table, otherwise the computation refuses (SnapAmbiguous) rather than
-guessing.
+of mu_{p^l}.  Snapping is ultrametric: the value must be strictly closer to
+one root than the minimal pairwise distance of the table, otherwise the
+computation refuses (SnapAmbiguous) rather than guessing.
 
 The mu_{p^l} table depends only on the ring, and is built once per ring
 from one root g.  Its digits are lifted from 1 + pi_{l-1}: the first digit
@@ -286,14 +285,11 @@ class CharacterSystem:
         self.t = self.ring.teichmuller(self.u)
         self.nondegenerate, self.trace_t = nondegenerate_trace(self.ring, self.t)
         self._omega_factors = {}
-        self._omega1 = {}
         self._class_products = {}
-        self._dot_packings = {}
         self._psi1 = {}
         self._table = None
-        # (precision floor, shell floors) of ``gausstrace.kernel_shells``,
-        # keyed by (D, chi_m, Omega_1's term valuations, their precision)
-        self.shell_floors = {}
+        # the parts of ``gausstrace.kernel_shells``, keyed by (D, chi_m, b != 0)
+        self.trace_parts = {}
         # the m-free parts of ``gausstrace.gauss_brute``, keyed by b.index()
         self.brute_parts = {}
 
@@ -369,30 +365,20 @@ class CharacterSystem:
             got = self._omega_factors[degree] = tuple(got)
         return got
 
-    def dot_packing(self, degree):
-        """The ``SeriesPacking`` of the trace total's dot product at
-        ``degree``, once per degree: one block per ring element, sized for
-        the longest dot, degree // (p(q-2) + 1) + 1 block products."""
-        got = self._dot_packings.get(degree)
-        if got is None:
-            stride = self.params.p * (self.field.q - 2)
-            got = self._dot_packings[degree] = SeriesPacking(self.ring, degree // (stride + 1) + 1)
-        return got
-
     def omega_class_products(self, degree):
         """Running sums of the products of the residue classes of degree of
         Omega_2's factors A, B = ``omega_factors(degree)``, once per degree.
 
         With c = q - 1, A_r(w) = sum_l a_(r + c l) w^l and B_r likewise.
         Returns (prefixes, floors, prec): entry r c + r' of ``prefixes``
-        lists sum_(i <= l) [w^i] A_r B_r' mod p^N, each packed alone by
-        ``dot_packing(degree)``, and of ``floors`` the product's min-plus
-        valuation sequence, a lower bound on each coefficient's valuation,
-        both at the degrees l <= (D - r - r') // c, which the factors' terms
-        of degree <= D determine.  Each factor coefficient enters the floors
-        at min(valuation, prec), 0 at ``ring.cap``; ``prec`` is the least
-        precision over A and B.  The products are one packing (Kronecker
-        substitution), c^2 big-int products and one ``unpack``.
+        lists the coordinate tuples of sum_(i <= l) [w^i] A_r B_r' mod p^N,
+        and of ``floors`` the product's min-plus valuation sequence, a lower
+        bound on each coefficient's valuation, both at the degrees l <= (D -
+        r - r') // c, which the factors' terms of degree <= D determine.
+        Each factor coefficient enters the floors at min(valuation, prec), 0
+        at ``ring.cap``; ``prec`` is the least precision over A and B.  The
+        products are one packing (Kronecker substitution), c^2 big-int
+        products and one ``unpack``.
         """
         got = self._class_products.get(degree)
         if got is not None:
@@ -407,13 +393,11 @@ class CharacterSystem:
         columns = packing.unpack(
             (packed[i // step] * packed[step + i % step], n) for i, n in enumerate(counts)
         )
-        runs, o, pn = [[] for _ in columns], 0, ring.pn
+        prefixes, o, pn = [], 0, ring.pn
         for n in counts:
-            for run, col in zip(runs, columns):
-                run += [x % pn for x in itertools.accumulate(col[o : o + n])]
+            runs = [[x % pn for x in itertools.accumulate(col[o : o + n])] for col in columns]
+            prefixes.append(list(zip(*runs)))
             o += n
-        sums = iter(self.dot_packing(degree).pack(runs, [1] * o))
-        prefixes = [list(itertools.islice(sums, n)) for n in counts]
         vals = [
             [min(ring.cap if v is None else v, c.prec) for c in cls for v in [c.valuation()]]
             for cls in classes
@@ -431,28 +415,17 @@ class CharacterSystem:
 
     def omega1_substituted(self, b, degree):
         """Omega_1(Teich(b) x1 x0^(p(q-2))) as sparse bivariate terms
-        (k p(q-2), k, c_k) up to total degree ``degree``, built once per b
-        and degree.  Returns (terms, packed, vals, prec): the terms; each
-        c_k packed alone by ``dot_packing(degree)``; the tuple of each
-        term's valuation min(v(c_k), prec), ``ring.cap`` for 0; and the
-        least precision over the c_k.  For b != 0, t Teich(b) is a unit, so
-        the valuations and the precision do not depend on b."""
-        got = self._omega1.get((b, degree))
-        if got is not None:
-            return got
+        (k p(q-2), k, c_k) up to total degree ``degree``: c_k = theta0[k]
+        (t Teich(b))^k, theta0 = theta_{0,s}(1), and the one term 1 at b = 0."""
         ring, stride = self.ring, self.params.p * (self.field.q - 2)
-        terms = [(0, 0, ring.one())]
-        if b:
-            scale, theta0 = self.t * ring.teichmuller(b), self.theta_series(1).coeffs
-            terms, acc = [], ring.one()
-            for k in range(degree // (stride + 1) + 1):
-                terms.append((k * stride, k, theta0[k] * acc if k else theta0[0]))
-                acc = acc * scale
-        coeffs = [c for *_, c in terms]
-        packed = self.dot_packing(degree).pack(list(zip(*(c.co for c in coeffs))), [1] * len(coeffs))
-        vals = tuple(min(ring.cap if v is None else v, c.prec) for c in coeffs for v in [c.valuation()])
-        got = self._omega1[b, degree] = terms, packed, vals, min(c.prec for c in coeffs)
-        return got
+        if not b:
+            return [(0, 0, ring.one())]
+        scale, theta0 = self.t * ring.teichmuller(b), self.theta_series(1).coeffs
+        terms, acc = [], ring.one()
+        for k in range(degree // (stride + 1) + 1):
+            terms.append((k * stride, k, theta0[k] * acc if k else theta0[0]))
+            acc = acc * scale
+        return terms
 
     def omega(self, degree=None):
         """Omega_{l,s,t} as a truncated series (l = 1 or 2)."""

@@ -8,14 +8,15 @@ g = (q-1)^2 Tr(alpha) for one of the two summation conventions.  The sum
 needs two things: the total of that diagonal, and a lower bound on each
 shell's least valuation for the tail certificate.  ``kernel_shells``
 computes both from the univariate factors, forming no single coefficient:
-the total is one dot product of Omega_1's terms with running sums of the
-residue-class products of Omega_2's factors, which each system forms once
-(Kronecker substitution, ``rings.SeriesPacking``); both sides are kept
-packed one element to a block, so the dot product is one big-int
-multiply-add per term and one ``unpack``.  The floors are the min-plus
-convolutions of the same factors' valuations (the Newton-polygon bound for
-a product); they depend on chi only through m and Omega_1's valuations,
-the same for every b != 0, so a system builds at most 2 (q - 1) per degree.
+the total sums Omega_1's terms times running sums of the residue-class
+products of Omega_2's factors, which each system forms once (Kronecker
+substitution, ``rings.SeriesPacking``).  Omega_1's terms are theta0[k] t^k
+Teich(b)^k and Teich(b)^(q-1) = 1 exactly, so the total is a polynomial of
+degree q - 2 in Teich(b) whose parts depend on chi only through m and
+whether b is 0: a system builds at most 2 (q - 1) of them per degree, and
+a check is a Horner sum of q - 2 ring products.  The floors are the
+min-plus convolutions of the same factors' valuations (the Newton-polygon
+bound for a product), kept with the parts, since Teich(b) is a unit.
 ``gauss_brute`` sums psi chi by discrete-log counts: both characters' p-power
 parts are powers of one root of unity, and only chi's Teichmueller part
 depends on m.  So each system keeps, per b and z_0, the units' sum over z_1
@@ -125,14 +126,13 @@ def _brute_parts(system, chi_b):
     return tuple(parts)
 
 
-def _omega1_terms(system, chi_m, chi_b, degree):
-    """``omega1_substituted(chi_b, degree)``, if H's lowest term fits."""
+def _check_fits(system, chi_m, chi_b, degree):
+    """Refuse a degree below H's lowest term (TruncationTooSmall)."""
     stride = system.params.p * (system.field.q - 2)
     if chi_m + (stride + 1 if chi_b else 0) > degree:
         raise TruncationTooSmall(
             f"kernel needs degree > {chi_m + stride + 1}, have {degree}"
         )
-    return system.omega1_substituted(chi_b, degree)
 
 
 def kernel_H(system, chi_m, chi_b, degree):
@@ -142,7 +142,8 @@ def kernel_H(system, chi_m, chi_b, degree):
     reads only the diagonal of ``kernel_shells``, which is computed from the
     same factors.
     """
-    sub = _omega1_terms(system, chi_m, chi_b, degree)[0]
+    _check_fits(system, chi_m, chi_b, degree)
+    sub = system.omega1_substituted(chi_b, degree)
     omega2 = TruncSeries2.outer(*system.omega_factors(degree), degree)
     shifted = omega2.shift_x0(chi_m) if chi_m else omega2
     out = shifted.mul_sparse(sub)
@@ -163,39 +164,56 @@ def kernel_shells(system, chi_m, chi_b, degree):
     k (stride + 1) + r + r') / (q - 1).  Summed over the shells K <= T =
     D // (q - 1), term k contributes -c_k S[T - o], S the running sums of P
     (``CharacterSystem.omega_class_products``, built once per system); T - o
-    is within S since o (q - 1) >= r + r'.  c_k and S[T - o] come packed
-    one block each by ``CharacterSystem.dot_packing``, so the total is one
-    big-int multiply-add per C term with o <= T and one ``unpack``.
+    is within S since o (q - 1) >= r + r'.
+
+    For b != 0, c_k = theta0[k] t^k Teich(b)^k and Teich(b)^(q-1) = 1
+    exactly mod p^N (``TowerRing.teichmuller`` refuses a table without it),
+    so the total is -sum_j Teich(b)^j F_j, F_j the sum of theta0[k] t^k S[T
+    - o] over the terms with k = j mod q - 1 and o <= T.  At b = 0, C is the
+    one term 1 and F_0 its S[T - o].  The parts depend on chi only through
+    m and whether b is 0, so the system keeps them (``trace_parts``, built
+    on the key's first check by ``_trace_parts``), and a check sums them by
+    Horner, q - 2 ring products.
 
     The valuations are floors: shell K is at least v(c_k) + floors_pair[K -
     o] over the C terms, and at most ``ring.cap``.  ``floor`` is the least
-    precision over A, B and C, the one ``kernel_H`` clamps to.  Both depend
-    on chi only through m and C's valuations and precision, which are the
-    same for every b != 0, so the system keeps them (``shell_floors``).
+    precision over A, B and C, the one ``kernel_H`` clamps to.  Teich(b) is
+    a unit at full precision, so for every b != 0 both are those of the
+    terms theta0[k] t^k, and are kept with the parts.
     """
-    sub, packed, term_vals, term_prec = _omega1_terms(system, chi_m, chi_b, degree)
-    ring = system.ring
-    step = system.field.q - 1
+    _check_fits(system, chi_m, chi_b, degree)
+    key = degree, chi_m, bool(chi_b)
+    got = system.trace_parts.get(key)
+    if got is None:
+        got = system.trace_parts[key] = _trace_parts(system, chi_m, chi_b, degree)
+    floor, parts, valuations = got
+    teich, total = system.ring.teichmuller(chi_b), parts[-1]
+    for part in reversed(parts[:-1]):
+        total = total * teich + part
+    return floor, (-total).co, valuations
+
+
+def _trace_parts(system, chi_m, chi_b, degree):
+    """The ``trace_parts`` entry (floor, parts, valuations) of (D, chi_m,
+    b != 0): the parts F_j and the floors from C's terms at b = 1, which are
+    theta0[k] t^k, or from the one term 1 at b = 0."""
+    ring, step = system.ring, system.field.q - 1
     stride = system.params.p * (step - 1)
     top = degree // step
     prefixes, floors, prec = system.omega_class_products(degree)
-    reads = []
-    for i, (_, k, _) in enumerate(sub):
+    terms = system.omega1_substituted(chi_b and system.field.one(), degree)
+    parts = [ring.zero()] * (step if chi_b else 1)
+    valuations = [ring.cap] * (top + 1)
+    for _, k, c in terms:
         r, r2 = (-chi_m - k * stride) % step, -k % step
         o = (chi_m + k * (stride + 1) + r + r2) // step
         if o <= top:
-            reads.append((i, r * step + r2, o))
-    acc = sum(packed[i] * prefixes[pair][top - o] for i, pair, o in reads)
-    total = tuple(-x % ring.pn for (x,) in system.dot_packing(degree).unpack([(acc, 1)]))
-    key = degree, chi_m, term_vals, term_prec
-    got = system.shell_floors.get(key)
-    if got is None:
-        valuations = [ring.cap] * (top + 1)
-        for i, pair, o in reads:
-            valuations[o:] = map(min, valuations[o:], map(term_vals[i].__add__, floors[pair]))
-        got = system.shell_floors[key] = min(prec, term_prec), tuple(valuations)
-    floor, valuations = got
-    return floor, total, valuations
+            pair, v = r * step + r2, c.valuation()
+            parts[k % step] += c * RingElem(ring, prefixes[pair][top - o])
+            v = min(ring.cap if v is None else v, c.prec)
+            valuations[o:] = map(min, valuations[o:], map(v.__add__, floors[pair]))
+    floor = min([prec] + [c.prec for *_, c in terms])
+    return floor, parts, tuple(valuations)
 
 
 def dwork_op(series2, q):

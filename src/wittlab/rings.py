@@ -590,16 +590,11 @@ class SeriesPacking:
         degree read, in order.  Only these prefixes are kept, one
         ``fold_block`` reduces them all as columns, and each folded column is
         read as 64-bit words, joined ``spacing // 8`` to an entry and reduced
-        mod p^N once.  A read of one block (the trace's dot product) folds
-        its slots as ints, one ``int.from_bytes`` each."""
+        mod p^N once."""
         width, block, spacing, ring = self.width, self.block, self.spacing, self.ring
         blocks = bytearray()
         for packed, count in products:
             blocks += self.truncate(packed, count - 1).to_bytes(block * count, "little")
-        if len(blocks) == block:
-            slots = [int.from_bytes(blocks[k : k + width], "little") for k in range(0, block, width)]
-            ring.fold_block(slots)
-            return [[slots[k] % ring.pn] for k in ring.slots]
         size = len(blocks) // block * spacing
         column, columns = bytearray(size), []
         for k in range(0, block, width):

@@ -1,18 +1,15 @@
 """The Gauss kernel's strided diagonal cut after every shell, by the identity
 behind ``gausstrace.kernel_shells``, in ``RingElem`` arithmetic.
 
-With C the terms (k p(q-2), k, c_k) of ``omega1_substituted`` and S the
-running sums of the class products of ``omega_class_products``, read
-back from their packed ints through ``unpack``, the shells K <= T of the
-(q-1)-strided diagonal of H sum to -sum_k c_k S_pair[T - o], over the
-terms with o <= T.  At T = D // (q - 1) that is the total
-``kernel_shells`` returns; the differences of consecutive cuts are the
-single shells.
+With C the terms (k p(q-2), k, c_k) of ``omega1_substituted``, each c_k
+formed for its own b, and S the running sums of the class products of
+``omega_class_products``, the shells K <= T of the (q-1)-strided diagonal
+of H sum to -sum_k c_k S_pair[T - o], over the terms with o <= T.  At T =
+D // (q - 1) that is the total ``kernel_shells`` returns; the differences
+of consecutive cuts are the single shells.
 """
 
 from wittlab.rings import RingElem
-
-from packing_oracle import read_tuples
 
 
 def cut_sums(system, chi_m, chi_b, degree):
@@ -20,9 +17,8 @@ def cut_sums(system, chi_m, chi_b, degree):
     0..T, for every T <= D // (q - 1)."""
     ring, step = system.ring, system.field.q - 1
     stride = system.params.p * (step - 1)
-    packing = system.dot_packing(degree)
     prefixes = system.omega_class_products(degree)[0]
-    terms = system.omega1_substituted(chi_b, degree)[0]
+    terms = system.omega1_substituted(chi_b, degree)
     out = []
     for cut in range(degree // step + 1):
         acc = ring.zero()
@@ -30,7 +26,6 @@ def cut_sums(system, chi_m, chi_b, degree):
             r, r2 = (-chi_m - k * stride) % step, -k % step
             o = (chi_m + k * (stride + 1) + r + r2) // step
             if o <= cut:
-                (co,) = read_tuples(packing, [(prefixes[r * step + r2][cut - o], 1)])
-                acc = acc - c * RingElem(ring, co)
+                acc = acc - c * RingElem(ring, prefixes[r * step + r2][cut - o])
         out.append(acc.co)
     return out

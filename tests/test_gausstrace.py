@@ -4,7 +4,6 @@ import itertools
 import json
 import pathlib
 import random
-import types
 
 import pytest
 
@@ -530,6 +529,18 @@ def test_kernel_shells_match_kernel_H(p, s):
     assert_shells_match_kernel_H(sys, q - 2, sys.field.from_index(1), 128, 3 * sys.ring.e)
 
 
+def test_kernel_shells_match_the_shell_identity_at_q9():
+    # odd p with s = 2: the parts summed in Teich(b) by Horner against each
+    # c_k formed for its own b, for every chi of one nondegenerate t
+    sys = next(nondegenerate_systems(3, 2, 14, 40))
+    q = sys.field.q
+    for chi_m in range(q - 1):
+        for chi_b in sys.field.elements():
+            total = kernel_shells(sys, chi_m, chi_b, 40)[1]
+            assert total == cut_sums(sys, chi_m, chi_b, 40)[-1], (chi_m, chi_b)
+    assert len(sys.trace_parts) == 2 * (q - 1)
+
+
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2)])
 def test_class_products_match_ring_products(p, s):
     # every running sum of a class product A_r B_r' of a system against
@@ -544,7 +555,6 @@ def test_class_products_match_ring_products(p, s):
         if degree == 43:  # one coefficient of B known to less than the rest
             b.coeffs[5] = RingElem(ring, b.coeffs[5].co, min(c.prec for c in a.coeffs) - 1)
         prefixes, floors, prec = sys.omega_class_products(degree)
-        packing = sys.dot_packing(degree)
         assert len(prefixes) == len(floors) == step * step
         assert prec == min(c.prec for c in a.coeffs + b.coeffs)
 
@@ -558,7 +568,7 @@ def test_class_products_match_ring_products(p, s):
                 count = (degree - r - r2) // step + 1
                 assert len(prefix) == len(floor) == count
                 running = ring.zero()
-                for l, co in enumerate(read_tuples(packing, [(x, 1) for x in prefix])):
+                for l, co in enumerate(prefix):
                     pairs = [
                         (a.coeffs[r + step * i], b.coeffs[r2 + step * (l - i)]) for i in range(l + 1)
                     ]
@@ -623,8 +633,8 @@ def test_split_packing_worst_case_slots(p, s, m):
 @pytest.mark.parametrize("p,s,m,nprec", [
     pytest.param(3, 1, 1, 16, id="3-1-1"),
     pytest.param(2, 2, 1, 16, id="2-2-1"),
-    # q = 2: the stride p(q-2) is 0, so all D + 1 C terms land in the one
-    # class pair and the dot product reaches its packing's bound
+    # q = 2: one residue class, so the class product is the whole product
+    # of the two factors, each of D + 1 terms
     pytest.param(2, 1, 1, 16, id="2-1-1"),
     # p^N above 2^64: a coordinate takes two 64-bit words, and a folded
     # entry more than 16 bytes
@@ -635,9 +645,7 @@ def test_split_packing_worst_case_slots(p, s, m):
 def test_class_product_worst_case_slots(p, s, m, nprec):
     # the route at D = 128 with every coordinate at p^N - 1: a class product
     # at the longest classes, packed as ``omega_class_products`` packs it,
-    # and the packed dot product of ``kernel_shells`` on a stand-in system
-    # whose running sums and C terms are all p^N - 1, against RingElem
-    # arithmetic
+    # against RingElem arithmetic
     ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p) if m >= 0 else None, nprec)
     degree, step = 128, p**s - 1
     n = degree // step + 1
@@ -645,40 +653,9 @@ def test_class_product_worst_case_slots(p, s, m, nprec):
     first = SeriesPacking(ring, n)
     a, b = pack_terms(first, full, full)
     assert_worst_case_read(first, a * b, [min(d, 2 * n - 2 - d) + 1 for d in range(2 * n - 1)])
-    stride = p * (step - 1)
-    terms_n = degree // (stride + 1) + 1
     if (m, nprec) == (1, 16):  # the ring of a Gauss system: its longest class product
         sys = next(nondegenerate_systems(p, s, nprec, degree))
         assert len(sys.omega_class_products(degree)[0][0]) == n
-        assert sys.dot_packing(degree).width == SeriesPacking(ring, terms_n).width
-    worst = RingElem(ring, full[0][1], ring.cap - 1)  # the precision floor is C's
-    terms = [(k * stride, k, worst) for k in range(terms_n)]
-    dot = SeriesPacking(ring, terms_n)
-    (packed,) = pack_terms(dot, [(0, worst.co)])
-    stand_in = types.SimpleNamespace(
-        ring=ring,
-        field=types.SimpleNamespace(q=step + 1),
-        params=types.SimpleNamespace(p=p),
-        dot_packing=lambda d: dot,
-        omega_class_products=lambda d: ([[packed] * n] * step**2, [[0] * n] * step**2, ring.cap),
-        omega1_substituted=lambda chi_b, d: (terms, [packed] * terms_n, (0,) * terms_n, ring.cap - 1),
-        shell_floors={},
-    )
-    for chi_m in range(step):
-        floor, total, _ = kernel_shells(stand_in, chi_m, 1, degree)
-        used = sum(
-            (chi_m + k * (stride + 1) + (-chi_m - k * stride) % step + -k % step) // step < n
-            for _, k, _ in terms
-        )
-        assert_worst_case_read(dot, used * packed * packed, [used])
-        if step == 1:  # every term used: the middle slot is the width's bound
-            assert used == terms_n == degree + 1
-            assert used * max(worst_case_block(ring)) == terms_n * ring.e * ring.s * (ring.pn - 1) ** 2
-        want = ring.zero()
-        for _ in range(used):
-            want = want - worst * worst
-        assert used and floor == ring.cap - 1
-        assert total == want.co == cut_sums(stand_in, chi_m, 1, degree)[-1], chi_m
 
 
 def test_checks_on_one_system_build_class_products_once(monkeypatch):
@@ -702,24 +679,24 @@ def test_checks_on_one_system_build_class_products_once(monkeypatch):
     system.character_table()
     assert built == []
     trace_formula_check(GaussConfig(params, 0, 0, target_prec=4))
-    # the dot product's packing, sized for the most C terms, then the class
-    # products', at the longest class
-    assert built == [64 // 5 + 1, 64 // 3 + 1]
+    # the class products' one packing, at the longest class
+    assert built == [64 // 3 + 1]
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
-    assert len(built) == 2
+    assert len(built) == 1
     trace_formula_check(GaussConfig(params, 1, 2, degree=48, target_prec=4))
-    assert built == [13, 22, 10, 17] and sorted(system._class_products) == [48, 64]
+    assert built == [22, 17] and sorted(system._class_products) == [48, 64]
     characters.shared_system.cache_clear()
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
-    assert len(built) == 6
+    assert len(built) == 3
     characters.shared_system.cache_clear()
 
 
-def test_checks_on_one_system_build_omega1_terms_once():
-    # Omega_1's substituted terms depend only on the system, b and D: a
-    # set-up as the benchmark's builds none, the first check at (b, D)
-    # builds them, later checks and kernel_H reuse them, another b or D
-    # builds its own, and cache_clear drops them with the system
+def test_checks_on_one_system_build_trace_parts_per_m_and_b_nonzero():
+    # the trace total's parts, its shell floors and its precision floor
+    # depend only on the system, D, chi_m and whether b is 0: a set-up as
+    # the benchmark's builds none, every chi at one D builds 2 (q - 1), one
+    # for b = 0 and one for every b != 0 per m, later checks reuse them,
+    # another D builds its own, and cache_clear drops them with the system
     params = CharParams(2, 2, 2, nprec=16, degree=64)
     characters.shared_system.cache_clear()
     built = []
@@ -730,75 +707,7 @@ def test_checks_on_one_system_build_omega1_terms_once():
             super().__setitem__(key, value)
 
     system = shared_system(params)
-    system._omega1 = CountedCache()
-    system.theta_series(0)
-    system.theta_series(1)
-    system.character_table()
-    assert built == []
-    b2, b3 = system.field.from_index(2), system.field.from_index(3)
-    trace_formula_check(GaussConfig(params, 0, 2, target_prec=4))
-    trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
-    kernel_H(system, 2, b2, 64)
-    assert built == [(b2, 64)]
-    trace_formula_check(GaussConfig(params, 1, 3, target_prec=4))
-    trace_formula_check(GaussConfig(params, 2, 2, degree=48, target_prec=4))
-    trace_formula_check(GaussConfig(params, 0, 3, target_prec=4))
-    assert built == [(b2, 64), (b3, 64), (b2, 48)]
-    characters.shared_system.cache_clear()
-    fresh = shared_system(params)
-    assert fresh is not system and fresh._omega1 == {}
-    trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
-    assert list(fresh._omega1) == [(b2, 64)] and len(built) == 3
-    characters.shared_system.cache_clear()
-
-
-@pytest.mark.parametrize("p,s", [(3, 1), (2, 2), (5, 1)])
-def test_omega1_valuations_are_one_for_every_nonzero_b(p, s):
-    # what the shell floors cache rests on: t Teich(b) is a unit for every
-    # b != 0, so Omega_1's substituted terms have the same valuations and
-    # the same least precision; b = 0 has the one term 1
-    for sys in nondegenerate_systems(p, s, 16, 64):
-        seen = set()
-        for b in sys.field.units():
-            terms, packed, vals, prec = sys.omega1_substituted(b, 64)
-            assert len(terms) == len(packed) == len(vals) == 64 // (p * (p**s - 2) + 1) + 1
-            assert prec == min(c.prec for *_, c in terms)
-            seen.add((vals, prec))
-        assert len(seen) == 1
-        _, _, vals, prec = sys.omega1_substituted(sys.field.zero(), 64)
-        assert vals == (0,) and (vals, prec) not in seen
-    # one coefficient of theta_{0,s}(1) known to less than the rest, after
-    # Omega_2's factors are built: the terms' least precision follows it,
-    # still one for every b != 0, and kernel_shells' floor is kernel_H's
-    sys = next(nondegenerate_systems(p, s, 16, 64))
-    sys.omega_factors(64)
-    coeffs = list(sys.theta_series(1).coeffs)
-    low = min(c.prec for c in coeffs) - 1
-    coeffs[1] = RingElem(sys.ring, coeffs[1].co, low)
-    sys.theta_series = lambda j: Series1(sys.ring, coeffs) if j == 1 else None
-    assert {sys.omega1_substituted(b, 64)[3] for b in sys.field.units()} == {low}
-    b = sys.field.one()
-    floor = kernel_shells(sys, 0, b, 64)[0]
-    assert floor == low == diagonal_lattice(kernel_H(sys, 0, b, 64), p**s)[0]
-
-
-def test_checks_on_one_system_build_shell_floors_per_m_and_valuations():
-    # the shell floors depend only on the system, D, chi_m and Omega_1's
-    # term valuations and precision: a set-up as the benchmark's builds
-    # none, every chi at one D builds at most 2 (q - 1), one for b = 0 and
-    # one for every b != 0 per m, another D builds its own, and cache_clear
-    # drops them with the system
-    params = CharParams(2, 2, 2, nprec=16, degree=64)
-    characters.shared_system.cache_clear()
-    built = []
-
-    class CountedCache(dict):
-        def __setitem__(self, key, value):
-            built.append(key)
-            super().__setitem__(key, value)
-
-    system = shared_system(params)
-    system.shell_floors = CountedCache()
+    system.trace_parts = CountedCache()
     system.theta_series(0)
     system.theta_series(1)
     system.character_table()
@@ -808,21 +717,54 @@ def test_checks_on_one_system_build_shell_floors_per_m_and_valuations():
         for b in range(q):
             trace_formula_check(GaussConfig(params, m, b, target_prec=4))
     assert len(built) == len(set(built)) == 2 * (q - 1)
-    assert sorted((d, m, len(vals)) for d, m, vals, _ in built) == [
-        (64, m, n) for m in range(q - 1) for n in (1, 64 // 5 + 1)
-    ]
+    assert sorted(built) == [(64, m, nonzero) for m in range(q - 1) for nonzero in (False, True)]
+    for (_, _, nonzero), (_, parts, _) in system.trace_parts.items():
+        assert len(parts) == (q - 1 if nonzero else 1)
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
     kernel_shells(system, 2, system.field.from_index(3), 64)
     assert len(built) == 2 * (q - 1)
     trace_formula_check(GaussConfig(params, 1, 2, degree=48, target_prec=4))
     trace_formula_check(GaussConfig(params, 1, 3, degree=48, target_prec=4))
-    assert len(built) == 2 * (q - 1) + 1 and built[-1][0] == 48
+    assert len(built) == 2 * (q - 1) + 1 and built[-1] == (48, 1, True)
     characters.shared_system.cache_clear()
     fresh = shared_system(params)
-    assert fresh is not system and fresh.shell_floors == {}
+    assert fresh is not system and fresh.trace_parts == {}
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
-    assert len(fresh.shell_floors) == 1 and len(built) == 2 * (q - 1) + 1
+    assert list(fresh.trace_parts) == [(64, 1, True)] and len(built) == 2 * (q - 1) + 1
     characters.shared_system.cache_clear()
+
+
+@pytest.mark.parametrize("p,s", [(3, 1), (2, 2), (5, 1)])
+def test_omega1_valuations_are_one_for_every_nonzero_b(p, s):
+    # what the trace parts' floors rest on: t Teich(b) is a unit for every
+    # b != 0, so each c_k of Omega_1's substituted terms has the valuation
+    # and the precision of theta0[k] t^k (c_0 = theta0[0]); b = 0 has the
+    # one term 1
+    def profile(c):
+        return c.valuation(), c.prec
+
+    for sys in nondegenerate_systems(p, s, 16, 64):
+        theta0, n = sys.theta_series(1).coeffs, 64 // (p * (p**s - 2) + 1) + 1
+        want = [profile(theta0[0])] + [profile(theta0[k] * sys.t**k) for k in range(1, n)]
+        for b in sys.field.units():
+            assert [profile(c) for *_, c in sys.omega1_substituted(b, 64)] == want, b
+        ((d0, d1, one),) = sys.omega1_substituted(sys.field.zero(), 64)
+        assert (d0, d1, one.co, one.prec) == (0, 0, sys.ring.one().co, sys.ring.cap)
+    # one coefficient of theta_{0,s}(1) known to less than the rest, after
+    # Omega_2's factors are built: the terms' least precision follows it,
+    # still one for every b != 0, and kernel_shells' floor at a b other than
+    # the 1 its parts are built at is kernel_H's
+    sys = next(nondegenerate_systems(p, s, 16, 64))
+    sys.omega_factors(64)
+    coeffs = list(sys.theta_series(1).coeffs)
+    low = min(c.prec for c in coeffs) - 1
+    coeffs[1] = RingElem(sys.ring, coeffs[1].co, low)
+    sys.theta_series = lambda j: Series1(sys.ring, coeffs) if j == 1 else None
+    least = {min(c.prec for *_, c in sys.omega1_substituted(b, 64)) for b in sys.field.units()}
+    assert least == {low}
+    b = sys.field.from_index(p**s - 1)
+    floor = kernel_shells(sys, 0, b, 64)[0]
+    assert floor == low == diagonal_lattice(kernel_H(sys, 0, b, 64), p**s)[0]
 
 
 @pytest.mark.parametrize("p,s,m", [(3, 1, 1), (2, 2, 1)])

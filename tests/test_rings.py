@@ -523,11 +523,11 @@ def test_batched_reader_worst_case(p, s, m, nprec):
     "p,s,m,nprec", _RING_SHAPES + [(2, 1, 1, 16), (5, 1, 1, 16), (3, 2, 1, 16)]
 )
 def test_one_block_read_matches_the_general_read(p, s, m, nprec):
-    # unpack reads a single block slot by slot: it equals the first degree
-    # of the general, strided read of the same int, which the block after
-    # it does not change, for a block with every slot at the packing's slot
-    # bound and for random ones, at one term and at the 129 of the longest
-    # dot product (q = 2, D = 128); the Gauss rings are those of q = 2 to 9
+    # a read of count 1 truncates exactly like the first entry of a longer
+    # read: it equals the first degree of a count-2 read of the same int,
+    # which the block after it does not change, for a block with every slot
+    # at the packing's slot bound and for random ones, at the bounds of 1
+    # and 129 block products; the Gauss rings are those of q = 2 to 9
     ring = ring_of(p, s, m, LubinTateSeries.cyclotomic(p) if m >= 0 else None, nprec)
     rng = random.Random(1000 * p + 100 * s + 10 * m + nprec)
     for n in (1, 129):
