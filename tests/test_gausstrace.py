@@ -691,11 +691,52 @@ def test_checks_on_one_system_build_class_products_once(monkeypatch):
     characters.shared_system.cache_clear()
 
 
-def test_checks_on_one_system_build_trace_parts_per_m_and_b_nonzero():
-    # the trace total's parts, its shell floors and its precision floor
-    # depend only on the system, D, chi_m and whether b is 0: a set-up as
-    # the benchmark's builds none, every chi at one D builds 2 (q - 1), one
-    # for b = 0 and one for every b != 0 per m, later checks reuse them,
+def test_checks_on_one_system_build_omega1_terms_once(monkeypatch):
+    # checks build Omega_1's substituted terms only for a trace_parts entry,
+    # once per (D, chi_m, b != 0), at b = 1 for every b != 0 and at b = 0:
+    # a set-up as the benchmark's builds none, later checks of the key
+    # reuse its parts, another m or D builds its own, and cache_clear
+    # drops them with the system
+    params = CharParams(2, 2, 2, nprec=16, degree=64)
+    characters.shared_system.cache_clear()
+    built = []
+    substituted = CharacterSystem.omega1_substituted
+
+    def counted(self, b, degree):
+        built.append((b.index(), degree))
+        return substituted(self, b, degree)
+
+    monkeypatch.setattr(CharacterSystem, "omega1_substituted", counted)
+    system = shared_system(params)
+    system.theta_series(0)
+    system.theta_series(1)
+    system.character_table()
+    assert built == []
+    trace_formula_check(GaussConfig(params, 0, 2, target_prec=4))
+    assert built == [(1, 64)]
+    trace_formula_check(GaussConfig(params, 0, 3, target_prec=4))
+    trace_formula_check(GaussConfig(params, 0, 1, target_prec=4))
+    assert built == [(1, 64)]
+    trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
+    trace_formula_check(GaussConfig(params, 1, 0, target_prec=4))
+    trace_formula_check(GaussConfig(params, 1, 3, degree=48, target_prec=4))
+    trace_formula_check(GaussConfig(params, 1, 1, target_prec=4))
+    assert built == [(1, 64), (1, 64), (0, 64), (1, 48)]
+    assert sorted(system.trace_parts) == [(48, 1, True), (64, 0, True), (64, 1, False), (64, 1, True)]
+    characters.shared_system.cache_clear()
+    fresh = shared_system(params)
+    assert fresh is not system and fresh.trace_parts == {}
+    trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
+    assert built[4:] == [(1, 64)] and list(fresh.trace_parts) == [(64, 1, True)]
+    characters.shared_system.cache_clear()
+
+
+def test_checks_on_one_system_build_shell_floors_per_m_and_valuations():
+    # the shell floors, kept with the trace total's parts and its precision
+    # floor, depend only on the system, D, chi_m and Omega_1's term
+    # valuations, which are one for every b != 0: a set-up as the
+    # benchmark's builds none, every chi at one D builds 2 (q - 1), one for
+    # b = 0 and one for every b != 0 per m, later checks reuse them,
     # another D builds its own, and cache_clear drops them with the system
     params = CharParams(2, 2, 2, nprec=16, degree=64)
     characters.shared_system.cache_clear()
