@@ -207,10 +207,9 @@ class RingElem:
         """Congruent at the minimum of the two declared precisions."""
         if not isinstance(other, RingElem) or other.ring is not self.ring:
             return NotImplemented
-        diff = self - other
-        v = diff.valuation()
-        target = min(self.prec, other.prec)
-        return v is None or v >= target
+        pn = self.ring.pn
+        v = self.ring.val_co([(a - b) % pn for a, b in zip(self.co, other.co)])
+        return v is None or v >= min(self.prec, other.prec)
 
     def __hash__(self):  # pragma: no cover - elements are not dict keys
         raise TypeError("RingElem is unhashable (equality is at precision)")
@@ -235,7 +234,7 @@ class RingElem:
             if c % pk:
                 raise NotDivisible(f"element is not divisible by p^{k} at precision")
         co = tuple(c // pk for c in self.co)
-        return RingElem(ring, co, self.prec - k * ring.e)
+        return RingElem(ring, co, max(0, self.prec - k * ring.e))
 
     def phi(self, k=1):
         """Frobenius absolu: identity on pi, sigma^k on the unramified part."""
@@ -308,6 +307,7 @@ class TowerRing:
         self.sigma_pows = self._sigma_pows()
         self._pi_cache = {}
         self._teich = None
+        self._specs = {}  # nprec -> RingSpec; with_precision keeps no ring
 
     def __repr__(self):
         lt = self.lt.tag() if self.lt else "-"
@@ -427,6 +427,10 @@ class TowerRing:
         v, pn = self.fold_block(convolve(self._spread(a), self._spread(b))), self.pn
         return tuple([v[k] % pn for k in self.slots])
 
+    def pow_co(self, co, n):
+        """co^n for n >= 1: Python's pow on Z/p^N, else ``pow_ladder`` on mul_co."""
+        return (pow(co[0], n, self.pn),) if self.dim == 1 else pow_ladder(co, n, self.mul_co)
+
     def _spread(self, co):
         """Coordinates placed on their ``slots``; the gaps are zero."""
         v = [0] * (self.slots[-1] + 1)
@@ -522,9 +526,9 @@ class TowerRing:
     # -- headroom ---------------------------------------------------------------------
 
     def with_precision(self, nprec):
-        return make_ring(
-            RingSpec(self.p, self.s, self.m, self.lt, nprec)
-        )
+        if nprec not in self._specs:
+            self._specs[nprec] = RingSpec(self.p, self.s, self.m, self.lt, nprec)
+        return make_ring(self._specs[nprec])
 
 
 class SeriesPacking:

@@ -10,14 +10,17 @@ stamped with the least precision among the input components it depends on,
 Over a finite field F_q, which is perfect, (a_0, ..., a_{n-1}) ->
 sum p^i [a_i^(p^-i)] is a ring isomorphism W_n(F_q) = Z_q/p^n onto the
 unramified TowerRing of precision n, so sum, product and negation are one
-ring operation between two table-driven maps, at every length, and Frobenius
-is a_i -> a_i^p.  The universal polynomials of upoly serve no Witt operation.
+operation on coordinates mod p^n between two table maps, at every length:
+the image of a vector sums the rows p^i [c^(p^-i)] of its components c, and
+the way back peels digits r = x mod p, a_i = r^(p^i) read from a table, then
+x <- (x - [r]) / p.  Frobenius reads a_i^p from the same table.  The
+universal polynomials of upoly serve no Witt operation.
 
 The ghost map over a coefficient ring (``ghost_values``) and its one
 inversion (``ghost_peel``) live here: transport, ``ghost_map``, ``delta``
 and the exact recovery ``from_ghosts`` (which builds varpi_m and Delta(c))
 all take them.  Both work on the coordinate tuples of one ring: p-th powers
-by ``TowerRing.mul_co``, the p^i scalings and sums on integers mod p^N, and
+by ``TowerRing.pow_co``, the p^i scalings and sums on integers mod p^N, and
 the peel's division by p^n checked coordinate by coordinate.  No precision
 is tracked inside; a ``RingElem`` is built only for what a caller returns,
 stamped once as above.  A vector refuses a component of another ring when
@@ -183,13 +186,13 @@ def witt_map(fn, a, target_ring=None):
 def ghost_values(ring, comps):
     """The ghost coordinates fant_n(a_0..a_n), n < len(comps), of the vector
     whose components have the coordinate tuples ``comps`` in ``ring``: the
-    p-th powers by ``ring.mul_co``, the p^i scalings and the sums on the
+    p-th powers by ``ring.pow_co``, the p^i scalings and the sums on the
     coordinates mod p^N."""
-    p, pn, mul = ring.p, ring.pn, ring.mul_co
+    p, pn, pow_co = ring.p, ring.pn, ring.pow_co
     scales = [p**i for i in range(len(comps))]
     out, pows = [], []  # pows[i] = a_i^(p^(n-i)) at step n
     for a_n in comps:
-        pows = [pow_ladder(x, p, mul) for x in pows]
+        pows = [pow_co(x, p) for x in pows]
         pows.append(a_n)
         out.append(tuple([sum(map(operator.mul, scales, col)) % pn for col in zip(*pows)]))
     return out
@@ -204,11 +207,11 @@ def ghost_peel(ring, entries):
     by p^n.  Otherwise a_n is known mod p^(N-n), and its coordinates are the
     quotients, below p^(N-n).
     """
-    p, pn, mul = ring.p, ring.pn, ring.mul_co
+    p, pn, pow_co = ring.p, ring.pn, ring.pow_co
     scales = [p**i for i in range(len(entries))]
     comps, pows = [], []  # pows[i] = a_i^(p^(n-i)) at step n
     for n, u in enumerate(entries):
-        pows = [pow_ladder(x, p, mul) for x in pows]
+        pows = [pow_co(x, p) for x in pows]
         if n:
             pk = p**n
             split = [
@@ -250,41 +253,42 @@ def ghost_vshift(u):
 
 @lru_cache(maxsize=None)
 def _zq_table(field, n):
-    """Row i < n: the images p^i [c^(p^-i)] in Z_q/p^n of the elements c of
-    F_q, keyed by c.co; p^-i acts on F_q as p^(-i mod s).  The shorter
-    tables are built first, so one operation at the longest length warms
-    every length."""
-    if n > 1:
-        _zq_table(field, n - 1)
+    """(ring, rows, frobs): row i < n maps c.co, c in F_q, to the coordinates
+    of p^i [c^(p^-i)] in ring = Z_q/p^n; frobs[i] maps c.co to c^(p^i), i < s.
+    The shorter tables are built first (frobs at n = 1), so one operation at
+    the longest length warms every length."""
     p, s = field.p, field.s
+    frobs = _zq_table(field, n - 1)[2] if n > 1 else [{c.co: c for c in field.elements()}]
+    while len(frobs) < s:
+        frobs.append({k: c.frobenius() for k, c in frobs[-1].items()})
     ring = ring_of(p, s, nprec=n)
     lifts = [
-        {c.co: ring.teichmuller(c.frobenius(-i % s)) for c in field.elements()}
-        for i in range(min(n, s))
+        {k: ring.teichmuller(c).co for k, c in frobs[-i % s].items()} for i in range(min(n, s))
     ]
-    return [{k: x.scale_int(p**i) for k, x in lifts[i % s].items()} for i in range(n)]
+    rows = [{k: _scale_co(ring, x, p**i) for k, x in lifts[i % s].items()} for i in range(n)]
+    return ring, rows, frobs
 
 
-def _to_zq(a, length):
-    """The image of a's first ``length`` components in Z_q/p^length."""
-    rows = _zq_table(a.ring, length)
-    first, *rest = _coords(a, length)
-    acc = rows[0][first]
-    for row, co in zip(rows[1:], rest):
-        acc = acc + row[co]
-    return acc
+def _to_zq(table, a):
+    """Coordinates of the image of a's first n components: their rows' sum."""
+    pn, rows = table[0].pn, table[1]
+    return tuple([sum(col) % pn for col in zip(*[row[c.co] for row, c in zip(rows, a.comps)])])
 
 
-def _from_zq(field, x, length):
-    """The Witt vector of x in Z_q/p^length: digit r = x mod p gives
-    a_i = r^(p^i), then x <- (x - [r]) / p."""
-    teich = _zq_table(field, length)[0]
+def _from_zq(field, table, x):
+    """The Witt vector of the element with coordinates x in Z_q/p^n: digit
+    r = x mod p gives a_i = r^(p^i), then x <- (x - [r]) / p."""
+    ring, rows, frobs = table
+    p, pn, s, teich = field.p, ring.pn, field.s, rows[0]
     comps = []
-    for i in range(length):
-        r = x.residue()
-        comps.append(r.frobenius(i % field.s))
-        if i + 1 < length:
-            x = (x - teich[r.co]).exact_div_p()
+    for i in range(len(rows)):
+        r = tuple([c % p for c in x])
+        comps.append(frobs[i % s][r])
+        if i + 1 < len(rows):
+            split = [divmod((c - t) % pn, p) for c, t in zip(x, teich[r])]
+            if any([m for _, m in split]):
+                raise NotDivisible(f"digit {i} differs from its Teichmueller lift mod p")
+            x = tuple([d for d, _ in split])
     return WittVec(field, comps)
 
 
@@ -332,14 +336,15 @@ def _prefix_min(vecs, length):
     return list(accumulate((min(v.comps[i].prec for v in vecs) for i in range(length)), min))
 
 
-def _binary(a, b, field_op, co_op):
-    """field_op on the images in Z_q/p^n over F_q; otherwise co_op(big, x, y)
-    on each pair of ghost coordinate tuples."""
+def _binary(a, b, co_op):
+    """co_op(ring, x, y) on the coordinates of the images in Z_q/p^n over
+    F_q; otherwise co_op(big, x, y) on each pair of ghost coordinate tuples."""
     length = _check_pair(a, b)
     if length == 0:
         return WittVec(a.ring, [])
     if isinstance(a.ring, Fq):
-        return _from_zq(a.ring, field_op(_to_zq(a, length), _to_zq(b, length)), length)
+        table = _zq_table(a.ring, length)
+        return _from_zq(a.ring, table, co_op(table[0], _to_zq(table, a), _to_zq(table, b)))
     big, (ga, gb) = _lifted_ghosts(a.ring, [a, b], length)
     return _recover(
         a.ring, big, [co_op(big, x, y) for x, y in zip(ga, gb)], _prefix_min([a, b], length)
@@ -351,12 +356,17 @@ def _add_co(ring, x, y):
     return tuple([(u + v) % pn for u, v in zip(x, y)])
 
 
+def _scale_co(ring, x, c):
+    pn = ring.pn
+    return tuple([u * c % pn for u in x])
+
+
 def witt_add(a, b):
-    return _binary(a, b, operator.add, _add_co)
+    return _binary(a, b, _add_co)
 
 
 def witt_mul(a, b):
-    return _binary(a, b, operator.mul, TowerRing.mul_co)
+    return _binary(a, b, TowerRing.mul_co)
 
 
 def witt_neg(a):
@@ -364,11 +374,11 @@ def witt_neg(a):
     if length == 0:
         return a
     if isinstance(ring, Fq):
-        return _from_zq(ring, -_to_zq(a, length), length)
+        table = _zq_table(ring, length)
+        return _from_zq(ring, table, _scale_co(table[0], _to_zq(table, a), -1))
     big, (ga,) = _lifted_ghosts(ring, [a], length)
     precs = [c.prec for c in a.comps] if ring.p % 2 else _prefix_min([a], length)
-    pn = big.pn
-    return _recover(ring, big, [tuple([-x % pn for x in g]) for g in ga], precs)
+    return _recover(ring, big, [_scale_co(big, g, -1) for g in ga], precs)
 
 
 def frob(a):
@@ -377,7 +387,8 @@ def frob(a):
     if length < 2:
         raise TooShort("frob needs length >= 2")
     if isinstance(ring, Fq):
-        return WittVec(ring, [c.frobenius() for c in a.comps[:-1]])
+        frobs = _zq_table(ring, 1)[2][1 % ring.s]
+        return WittVec(ring, [frobs[c.co] for c in a.comps[:-1]])
     big, (ga,) = _lifted_ghosts(ring, [a], length)
     return _recover(ring, big, ga[1:], _prefix_min([a], length)[1:])
 
@@ -402,7 +413,7 @@ def witt_div_p(a):
     if length == 0:
         return WittVec(ring, [])
     big, (ga,) = _lifted_ghosts(ring, [a], length)
-    p, prec = ring.p, min(c.prec for c in a.comps) - ring.e
+    p, prec = ring.p, max(0, min(c.prec for c in a.comps) - ring.e)
     refused = NotDivisible("vector is not in p*W(A) at working precision")
     if any(x % p for g in ga for x in g):
         raise refused

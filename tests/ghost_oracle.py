@@ -98,7 +98,7 @@ def witt_div_p(a):
     if length == 0:
         return WittVec(ring, [])
     (ga,) = _lifted_ghosts(ring, [a], length)
-    prec = min(c.prec for c in a.comps) - ring.e
+    prec = max(0, min(c.prec for c in a.comps) - ring.e)
     return _recover(ring, [x.exact_div_p(1) for x in ga], [prec] * length)
 
 

@@ -237,6 +237,91 @@ def test_exact_div_p():
         ring.pi().exact_div_p()
 
 
+def test_exact_div_p_never_declares_a_negative_precision():
+    # from_int(4) at precision 0 over Z/2^8: each division by p would lose
+    # e = 1 more digit; the declared precision stops at 0, as delta's does
+    ring = ring_of(2, nprec=8)
+    x = RingElem(ring, ring.from_int(4).co, 0)
+    assert (x.exact_div_p().co, x.exact_div_p().prec) == ((2,), 0)
+    assert (x.exact_div_p(2).co, x.exact_div_p(2).prec) == ((1,), 0)
+    assert RingElem(ring, x.co, 3).exact_div_p(2).prec == 1
+
+
+@pytest.mark.parametrize("spec", [
+    RingSpec(2, 1, -1, None, 8),
+    RingSpec(3, 1, 1, LubinTateSeries.plain(3), 6),
+    RingSpec(2, 2, 1, LubinTateSeries.cyclotomic(2), 6),
+])
+def test_equality_truth_table_matches_the_valuation_of_the_difference(spec):
+    # RingElem.__eq__ reads the valuation of the coordinate difference; on
+    # random pairs at mixed precisions, some equal and some congruent to
+    # high order, it answers as (x - y).valuation() >= min(precisions) did
+    ring = make_ring(spec)
+    rng = random.Random(2029)
+    answers = set()
+    for _ in range(300):
+        x = ring.random(rng, prec=rng.randrange(ring.cap + 1))
+        shift = ring.from_int(ring.p ** rng.randrange(ring.nprec + 1))
+        y = x + shift * ring.random(rng) if rng.randrange(4) else x
+        y = RingElem(ring, y.co, rng.randrange(ring.cap + 1))
+        v = (x - y).valuation()
+        want = v is None or v >= min(x.prec, y.prec)
+        assert (x == y, y == x) == (want, want)
+        answers.add(want)
+    assert answers == {True, False}
+
+
+def _pow_co_rings():
+    return [ring_of(3, nprec=8), ring_of(2, 2, 1, LubinTateSeries.cyclotomic(2), 8)]
+
+
+@pytest.mark.parametrize("ring", _pow_co_rings(), ids=repr)
+def test_pow_co_matches_the_ladder(ring):
+    from wittlab.fields import pow_ladder
+
+    rng = random.Random(77)
+    for _ in range(5):
+        co = ring.random(rng).co
+        for n in range(1, 13):
+            assert ring.pow_co(co, n) == pow_ladder(co, n, ring.mul_co), n
+
+
+def test_pow_co_multiplies_as_often_as_the_ladder(monkeypatch):
+    # off the one-coordinate ring pow_co is the ladder on mul_co itself
+    from wittlab.fields import pow_ladder
+    from wittlab.rings import TowerRing
+
+    ring = _pow_co_rings()[1]
+    assert ring.e > 1 and ring.s > 1
+    co = ring.random(random.Random(78)).co
+    calls = []
+    mul_co = TowerRing.mul_co
+    monkeypatch.setattr(TowerRing, "mul_co", lambda *a: calls.append(1) or mul_co(*a))
+    for n in range(1, 13):
+        calls.clear()
+        ring.pow_co(co, n)
+        by_pow_co = len(calls)
+        calls.clear()
+        pow_ladder(co, n, ring.mul_co)
+        assert by_pow_co == len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, n
+
+
+def test_with_precision_keeps_the_spec_not_the_ring(monkeypatch):
+    # a cache of our own, so clearing it leaves the package's rings alone
+    import functools
+
+    from wittlab import rings
+
+    monkeypatch.setattr(rings, "make_ring", functools.lru_cache(maxsize=None)(rings.TowerRing))
+    ring = ring_of(3, nprec=8)
+    big = ring.with_precision(11)
+    assert big is ring_of(3, nprec=11)
+    rings.make_ring.cache_clear()
+    again = ring.with_precision(11)
+    assert again is ring_of(3, nprec=11)
+    assert again is not big
+
+
 def test_embed_lower_spec_examples():
     for p, tag in [(2, "cyclotomic"), (3, "plain")]:
         lt = LubinTateSeries.plain(p) if tag == "plain" else LubinTateSeries.cyclotomic(p)

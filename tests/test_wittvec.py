@@ -212,6 +212,30 @@ def test_witt_div_p_rejects_units():
         witt_div_p(one_vec(ring, 3))
 
 
+def test_witt_div_p_never_declares_a_negative_precision():
+    # components at precision 0 over Z/2^8: p * c = a loses e = 1 digit,
+    # and the declared precision stops at 0
+    ring = ring_of(2, nprec=8)
+    four = RingElem(ring, ring.from_int(4).co, 0)
+    got = witt_div_p(WittVec(ring, [four, four]))
+    assert [c.prec for c in got.comps] == [0, 0]
+
+
+def test_transport_op_looks_up_its_guard_ring_once(monkeypatch):
+    from wittlab import rings
+
+    calls = []
+    make_ring = rings.make_ring
+    monkeypatch.setattr(rings, "make_ring", lambda spec: calls.append(spec) or make_ring(spec))
+    ring = ring_of(3, nprec=8)
+    a, b = rand_vec(ring, random.Random(12), 3), rand_vec(ring, random.Random(13), 3)
+    for op in (lambda: witt_add(a, b), lambda: witt_mul(a, b), lambda: witt_neg(a),
+               lambda: frob(a)):
+        calls.clear()
+        op()
+        assert calls == [RingSpec(3, nprec=11)]
+
+
 def test_tau_multiplicative_and_scaling():
     ring = ring_of(2, nprec=10)
     rng = random.Random(5)
@@ -529,7 +553,8 @@ def test_tower_ops_build_no_universal_family(monkeypatch):
 @pytest.mark.parametrize(
     "p,s,n",
     [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 1), (3, 1, 2), (3, 1, 3),
-     (2, 2, 1), (2, 2, 2), (2, 2, 3), (5, 1, 1), (5, 1, 2), (7, 1, 2), (2, 3, 2)],
+     (2, 2, 1), (2, 2, 2), (2, 2, 3), (5, 1, 1), (5, 1, 2), (7, 1, 2), (2, 3, 2),
+     (3, 2, 2)],
 )
 def test_field_ops_agree_with_universal_polynomials(p, s, n):
     # exhaustive over W_n(F_q): every pair for sum and product, every vector
@@ -546,6 +571,18 @@ def test_field_ops_agree_with_universal_polynomials(p, s, n):
         for b in vecs:
             assert witt_add(a, b) == universal("sum", [a, b], n), (a, b)
             assert witt_mul(a, b) == universal("prod", [a, b], n), (a, b)
+
+
+@pytest.mark.parametrize("p,s,n", [(2, 2, 3), (3, 2, 2)])
+def test_zq_tables_round_trip_every_vector(p, s, n):
+    # W_n(F_q) -> Z_q/p^n -> W_n(F_q) is the identity on every vector
+    from wittlab.wittvec import _from_zq, _to_zq, _zq_table
+
+    field = finite_field(p, s)
+    table = _zq_table(field, n)
+    for combo in itertools.product(field.elements(), repeat=n):
+        a = WittVec(field, combo)
+        assert _from_zq(field, table, _to_zq(table, a)) == a, a
 
 
 def test_field_ops_build_no_universal_family(monkeypatch):
