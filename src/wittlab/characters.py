@@ -56,7 +56,7 @@ from .rings import (
 from .series import (
     Series1,
     TruncSeries2,
-    certify_tail,
+    certify_series,
     pulita_theta_ms,
     series_eval_unit,
     series_length,
@@ -82,7 +82,7 @@ def theta_teich_values(ring, m, s, degree, target):
     fold is exact, since Teich(c)^(q'-1) = 1 exactly mod p^N.
     """
     series = theta_one_series(ring, m, s, degree)
-    certify_tail(series.min_valuations(), target, ring.cap)
+    certify_series(series, target)
     values = {0: RingElem(ring, series.coeffs[0].co, target)}
     step, pn = ring.residue_field.q - 1, ring.pn
     fold = [[0] * ring.dim for _ in range(step)]

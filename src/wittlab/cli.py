@@ -1,8 +1,9 @@
 """Command-line entry point: polynomials, character tables, Gauss sums.
 
 Outputs are deterministic for a fixed configuration: JSON is emitted with
-sorted keys, and everything volatile (wall-clock timings, timestamp) lives
-under the single key "run_meta".
+sorted keys. The timestamp lives under the key "run_meta", and the per-stage
+wall-clock timings of every `gauss` and `bench` report under "timing_ms";
+nothing else is volatile.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
-from .characters import CharParams, CharacterSystem, check_splitting, shared_system
+from .characters import CharParams, CharacterSystem, check_splitting
 from .errors import InvalidParameter, WittlabError
 from .fields import finite_field
 from .gausstrace import (
@@ -134,32 +134,17 @@ def cmd_char_table(args):
 
 
 def cmd_gauss(args):
-    if args.jobs < 1:
-        raise InvalidParameter(f"--jobs needs at least 1 worker, have {args.jobs}")
     if args.sweep and (args.format != "json" or args.convention != "both"):
         raise InvalidParameter("--sweep writes JSON with both conventions only")
     params = _params(args, None)
     if args.sweep:
         q = params.p**params.s
-        configs = [GaussConfig(params, m, b, target_prec=args.target_prec)
-                   for m in range(q - 1) for b in range(q)]
-        if args.jobs > 1:
-            # forked workers inherit the shared system the checks use, with
-            # its theta series, mu and psi tables, instead of each building
-            # them from cold
-            system = shared_system(params)
-            system.theta_series(0)
-            system.theta_series(1)
-            system.character_table()
-            try:
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    reports = list(pool.map(trace_formula_check, configs))
-            except (OSError, RuntimeError):
-                reports = [trace_formula_check(cfg) for cfg in configs]
-        else:
-            reports = [trace_formula_check(cfg) for cfg in configs]
-        payload = {"sweep": reports}
-        _emit(args, payload)
+        reports = [
+            trace_formula_check(GaussConfig(params, m, b, target_prec=args.target_prec))
+            for m in range(q - 1)
+            for b in range(q)
+        ]
+        _emit(args, {"sweep": reports})
         return 0
     cfg = GaussConfig(
         params, args.chi_m, args.chi_b, target_prec=args.target_prec
@@ -374,7 +359,6 @@ def main(argv=None):
     ga.add_argument("--chi-b", type=int, default=0, help="index of b in F_q")
     ga.add_argument("--convention", choices=["full", "units", "both"], default="both")
     ga.add_argument("--sweep", action="store_true", help="run all (m, b)")
-    ga.add_argument("--jobs", type=int, default=1)
     ga.set_defaults(func=cmd_gauss)
 
     b = sub.add_parser("bench", help="time brute force against the operator trace")

@@ -126,11 +126,19 @@ def finite_field(p, s):
 
 
 class FqElem:
+    """An element of ``field`` on the power basis; the constructor reduces
+    the s coordinates mod p and refuses any other number of them."""
+
     __slots__ = ("field", "co")
 
     def __init__(self, field, co):
+        if len(co) != field.s:
+            raise InvalidParameter(
+                f"an element of F_{field.q} has {field.s} coordinates, not {len(co)}"
+            )
+        p = field.p
         self.field = field
-        self.co = co
+        self.co = tuple(c % p for c in co)
 
     def _binary(self, other):
         if not isinstance(other, FqElem) or other.field is not self.field:
@@ -139,17 +147,14 @@ class FqElem:
 
     def __add__(self, other):
         other = self._binary(other)
-        p = self.field.p
-        return FqElem(self.field, tuple((a + b) % p for a, b in zip(self.co, other.co)))
+        return FqElem(self.field, tuple(map(int.__add__, self.co, other.co)))
 
     def __sub__(self, other):
         other = self._binary(other)
-        p = self.field.p
-        return FqElem(self.field, tuple((a - b) % p for a, b in zip(self.co, other.co)))
+        return FqElem(self.field, tuple(map(int.__sub__, self.co, other.co)))
 
     def __neg__(self):
-        p = self.field.p
-        return FqElem(self.field, tuple(-a % p for a in self.co))
+        return FqElem(self.field, tuple(-a for a in self.co))
 
     def __mul__(self, other):
         other = self._binary(other)
@@ -174,8 +179,7 @@ class FqElem:
         return f"Fq({self.field.p}^{self.field.s}):{list(self.co)}"
 
     def scale_int(self, c):
-        p = self.field.p
-        return FqElem(self.field, tuple(a * c % p for a in self.co))
+        return FqElem(self.field, tuple(a * c for a in self.co))
 
     def from_int_like(self, c):
         return self.field.from_int(c)
@@ -219,17 +223,13 @@ class Fq:
         return FqElem(self, (0, 1) + (0,) * (self.s - 2))
 
     def from_int(self, c):
-        return FqElem(self, (c % self.p,) + (0,) * (self.s - 1))
+        return FqElem(self, (c,) + (0,) * (self.s - 1))
 
     def from_coeffs(self, co):
-        return FqElem(self, tuple(c % self.p for c in co))
+        return FqElem(self, tuple(co))
 
     def from_index(self, idx):
-        co = []
-        for _ in range(self.s):
-            co.append(idx % self.p)
-            idx //= self.p
-        return FqElem(self, tuple(co))
+        return FqElem(self, tuple(idx // self.p**j for j in range(self.s)))
 
     def elements(self):
         """All elements in index order (deterministic)."""

@@ -225,7 +225,7 @@ class RingElem:
     def residue(self):
         """Image in the residue field F_q (pi -> 0, mod p)."""
         ring = self.ring
-        return ring.residue_field.from_coeffs(tuple(c % ring.p for c in self.co[: ring.s]))
+        return ring.residue_field.from_coeffs(self.co[: ring.s])
 
     def exact_div_p(self, k=1):
         ring = self.ring

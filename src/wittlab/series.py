@@ -24,6 +24,7 @@ from fractions import Fraction
 from .errors import (
     InvalidParameter,
     NonIntegralResult,
+    PrecisionNotReached,
     ReportedMismatch,
     RingMismatch,
     TailNotCertified,
@@ -482,11 +483,20 @@ def certify_tail(valuations, target, cap):
     return {"floor": floor_obs, "slope": slope, "extrapolated": extrapolated}
 
 
+def certify_series(series, target):
+    """Certify the tail of ``series`` (``certify_tail``), then refuse with
+    PrecisionNotReached if a coefficient is known to fewer than ``target``
+    pi-digits: a value stamped at ``target`` must be known that far."""
+    certify_tail(series.min_valuations(), target, series.ring.cap)
+    known = min(c.prec for c in series.coeffs)
+    if known < target:
+        raise PrecisionNotReached(f"coefficients known to {known} pi-digits, target {target}")
+
+
 def series_eval_unit(series, z, target_prec):
     """Certified value of the series at integral z, at target pi-precision."""
     if (z.valuation() or 0) < 0:
         raise InvalidParameter("the evaluation point must be integral")
-    vals = series.min_valuations()
-    certify_tail(vals, target_prec, series.ring.cap)
+    certify_series(series, target_prec)
     value = series.eval_full(z)
     return RingElem(series.ring, value.co, target_prec)

@@ -17,6 +17,7 @@ from wittlab.characters import (
 )
 from wittlab.errors import (
     NotUnit,
+    PrecisionNotReached,
     ReportedMismatch,
     SeedNotConverging,
     SnapAmbiguous,
@@ -342,6 +343,21 @@ def test_check_splitting_refuses_a_perturbed_base_factor(monkeypatch):
     try:
         with pytest.raises(WittlabError):
             check_splitting(CharParams(2, 1, 2, nprec=14, degree=48), 2)
+    finally:
+        theta_teich_values.cache_clear()
+
+
+def test_theta_teich_values_refuse_coefficients_below_the_target(monkeypatch):
+    # the fold restamps every coefficient at the cap, so the precision of
+    # the series itself is checked: 1, then zeros, known to 2 pi-digits
+    ring = ring_of(3, nprec=8)
+    coeffs = [RingElem(ring, ring.one().co, 2)] + [RingElem(ring, ring.zero().co, 2)] * 11
+    monkeypatch.setattr(characters, "theta_one_series", lambda *args: Series1(ring, coeffs))
+    theta_teich_values.cache_clear()
+    try:
+        with pytest.raises(PrecisionNotReached, match="known to 2 pi-digits, target 6"):
+            theta_teich_values(ring, 1, 1, 11, 6)
+        assert theta_teich_values(ring, 1, 1, 11, 2)[1] == ring.one()
     finally:
         theta_teich_values.cache_clear()
 

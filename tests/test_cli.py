@@ -87,8 +87,8 @@ def test_gen_polys_refuses_oversized_family(capsys):
         (["gauss", "--p", "2", "--sweep", "--target-prec", "-4"], "M = -4"),
         (["bench", "--p", "2", "--target-prec", "0"], "M = 0"),
         (["char-table", "--p", "2", "--target-prec", "0"], "M = 0"),
-        (["gauss", "--p", "2", "--sweep", "--jobs", "0"], "--jobs"),
-        (["gauss", "--p", "2", "--sweep", "--jobs", "-3"], "--jobs"),
+        (["gauss", "--p", "3", "--chi-m", "-1"], "chi_m = -1"),
+        (["gauss", "--p", "3", "--chi-b", "-1"], "chi_b index -1"),
         (["gauss", "--p", "2", "--format", "csv"], "gauss writes json or text"),
         (["bench", "--p", "2", "--format", "text"], "bench writes json"),
         (["bench", "--p", "2", "--format", "csv"], "bench writes json"),
@@ -260,26 +260,18 @@ def test_direct_refusals_hold_under_python_O():
     assert not mismatches, "\n".join(mismatches)
 
 
-def test_bench_rejects_jobs(capsys):
-    # bench runs its degrees one after another; it offers no --jobs
+@pytest.mark.parametrize(
+    "argv",
+    [["gauss", "--p", "2", "--sweep"], ["bench", "--p", "2"]],
+    ids=["gauss-sweep", "bench"],
+)
+def test_rejects_jobs(capsys, argv):
+    # a sweep runs its checks, and bench its degrees, one after another in
+    # one process; neither offers --jobs
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--p", "2", "--jobs", "2"])
+        main([*argv, "--jobs", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
-
-
-def test_gauss_sweep_jobs_2_matches_jobs_1(capsys):
-    args = [
-        "gauss", "--p", "2", "--prec", "16", "--deg", "48", "--target-prec", "4", "--sweep",
-    ]
-    reports = []
-    for jobs in ("1", "2"):
-        code, out = run_cli(capsys, *args, "--jobs", jobs)
-        assert code == 0
-        sweep = json.loads(out)["sweep"]
-        reports.append([{k: v for k, v in r.items() if k != "timing_ms"} for r in sweep])
-    assert reports[0] == reports[1]
-    assert len(reports[0]) == 2
 
 
 def test_char_table_json_and_determinism(capsys):

@@ -329,22 +329,6 @@ def test_cli_csv_export(capsys):
         assert capsys.readouterr().out == (data / name).read_text(), name
 
 
-def test_gauss_sweep_with_jobs(capsys):
-    import json as _json
-
-    from wittlab.cli import main
-
-    code = main([
-        "gauss", "--p", "2", "--prec", "16", "--deg", "48",
-        "--target-prec", "4", "--sweep", "--jobs", "2",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    payload = _json.loads(out)
-    assert len(payload["sweep"]) == 2  # (q-1) * q = 2 combos at q = 2
-    assert all("units" in r["convention"] for r in payload["sweep"])
-
-
 _SWEEP_GOLDEN = pathlib.Path(__file__).parent / "data" / "gauss_sweep_golden.json"
 
 

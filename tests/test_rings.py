@@ -6,7 +6,7 @@ import random
 import pytest
 
 from wittlab.errors import InvalidParameter, NonEisenstein, NotDivisible, RingMismatch
-from wittlab.fields import convolve, finite_field, is_prime
+from wittlab.fields import FqElem, convolve, finite_field, is_prime
 from wittlab.rings import (
     LubinTateSeries,
     RingElem,
@@ -20,7 +20,7 @@ from wittlab.rings import (
 )
 from wittlab.series import pulita_theta_ms
 from wittlab.upoly import ghost_poly
-from wittlab.wittvec import one_vec
+from wittlab.wittvec import WittVec, one_vec, witt_add, zero_vec
 
 from helpers import embed_from_lower, random_integral_unit
 from packing_oracle import pack_bytewise, pack_terms, read_tuples
@@ -402,6 +402,20 @@ def test_field_embedding():
     # image is exactly the q-power-fixed subfield
     fixed = [x for x in f16.elements() if x ** 4 == x]
     assert sorted(emb(a).co for a in f4.elements()) == sorted(x.co for x in fixed)
+
+
+def test_field_element_coordinates_are_reduced_and_counted():
+    # (3, 0) is 1 in F_4, so it equals one() and Witt arithmetic reads it by
+    # its reduced coordinates; a tuple of the wrong length is refused
+    f4 = finite_field(2, 2)
+    three = FqElem(f4, (3, 0))
+    assert three == f4.one() and three.co == (1, 0) and hash(three) == hash(f4.one())
+    a = WittVec(f4, [three, f4.gen()])
+    assert witt_add(a, zero_vec(f4, 2)) == WittVec(f4, [f4.one(), f4.gen()])
+    assert FqElem(f4, (-1, 5)) == f4.from_coeffs((1, 1)) == f4.from_index(3)
+    for co in ((1,), (1, 0, 0), ()):
+        with pytest.raises(InvalidParameter, match=f"2 coordinates, not {len(co)}"):
+            FqElem(f4, co)
 
 
 def test_field_elements_of_different_fields_do_not_mix():

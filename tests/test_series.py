@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittlab.errors import NonIntegralResult, TailNotCertified
+from wittlab.errors import NonIntegralResult, PrecisionNotReached, TailNotCertified
 from wittlab.rings import LubinTateSeries, RingElem, RingSpec, make_ring, ring_of
 from wittlab.series import (
     exp_ring_series,
@@ -452,6 +452,17 @@ def test_series_eval_certification():
     flat = Series1(ring, [ring.one() for _ in range(13)])
     with pytest.raises(TailNotCertified):
         series_eval_unit(flat, ring.pi(), 4)
+
+
+def test_series_eval_refuses_coefficients_below_the_target():
+    # 1, then zeros, every coefficient known to 2 pi-digits: the tail
+    # certifies, but a value stamped at 6 would overstate what is known
+    ring = ring_of(3, nprec=8)
+    coeffs = [RingElem(ring, ring.one().co, 2)] + [RingElem(ring, ring.zero().co, 2)] * 11
+    series = Series1(ring, coeffs)
+    with pytest.raises(PrecisionNotReached, match="known to 2 pi-digits, target 6"):
+        series_eval_unit(series, ring.one(), 6)
+    assert series_eval_unit(series, ring.one(), 2).prec == 2
 
 
 def test_artin_hasse_series_reduction():
