@@ -11,9 +11,9 @@ both sides of the splitting-function product formula read that one table.
 A system keeps what every Gauss check on it reads: per degree, Omega's
 factors and the running sums of their residue-class products; per degree,
 chi_m and whether b is 0, the trace total's parts as a polynomial in
-Teich(b) with its shell floors (``trace_parts``); per b, the brute Gauss
-sum's parts (for each z_0, the units' sum over z_1 without chi's
-Teichmueller part and the z_1 = 0 column's root); and the discrete log of
+Teich(b) with its shell floors (``trace_parts``); psi's indices at [x]
+and V[y] (``psi_parts``, 2q - 1 snaps); per b != 0, the x at which the
+Gauss sum is supported (``stationary_points``); and the discrete log of
 each snapped psi_1 value.  psi snaps its product to the root-of-unity table
 of mu_{p^l}.  Snapping is ultrametric: the value must be strictly closer to
 one root than the minimal pairwise distance of the table, otherwise the
@@ -290,8 +290,6 @@ class CharacterSystem:
         self._table = None
         # the parts of ``gausstrace.kernel_shells``, keyed by (D, chi_m, b != 0)
         self.trace_parts = {}
-        # the m-free parts of ``gausstrace.gauss_brute``, keyed by b.index()
-        self.brute_parts = {}
 
     # -- building blocks ---------------------------------------------------------
 
@@ -438,11 +436,6 @@ class CharacterSystem:
             return factors[0]
         return TruncSeries2.outer(factors[0], factors[1], degree)
 
-    def psi1_scale(self, b, z0):
-        """b z_0^(p(q-2)): chi_{m,b}'s psi_1 part at z = (z_0, z_1) is the
-        value of psi_1 at this scale times z_1."""
-        return b * z0 ** (self.params.p * (self.field.q - 2))
-
     def psi1_log(self, arg):
         """The table index, a discrete log to base g, of psi_1 at a nonzero
         ``arg`` of F_q, kept per argument: at most q - 1 snaps.  psi_1 has
@@ -456,10 +449,39 @@ class CharacterSystem:
             self._psi1[key] = log
         return log
 
+    @functools.cached_property
+    def psi_parts(self):
+        """(teich, ver), entry i the table index of psi([x]) and of psi(V[x])
+        at x = ``field.from_index(i)``: on W_2, (z_0, z_1) = [z_0] + V[z_1]
+        has index teich[z_0] + ver[z_1] mod p^2.  2q - 1 snaps, not q^2."""
+        if self.params.ell != 2:
+            raise InvalidParameter(f"psi_parts split W_2, not W_{self.params.ell}")
+        zero = self.field.zero()
+        teich = [self.psi([x, zero]) for x in self.field.elements()]
+        return teich, teich[:1] + [self.psi([zero, y]) for y in self.field.units()]
+
+    @functools.cached_property
+    def stationary_points(self):
+        """{b.index(): x_b} over b != 0, x_b the one x of F_q^* where the index
+        ver[x^p w] + psi1_log(b w) is 0 mod p^2 for w in an F_p-basis, so in
+        F_q, being additive in w (``gausstrace.gauss_brute``); else refused."""
+        field, p, order = self.field, self.params.p, self.mu_table.order
+        ver, basis = self.psi_parts[1], [field.from_index(p**j) for j in range(field.s)]
+        points = {}
+        for b in field.units():
+            found = [
+                x for x in field.units()
+                if not any((ver[(x**p * w).index()] + self.psi1_log(b * w)) % order for w in basis)
+            ]
+            if len(found) != 1:
+                raise ReportedMismatch(f"at b = {b!r} the character is trivial at {len(found)} x")
+            points[b.index()] = found[0]
+        return points
+
     def chi_value(self, m, b, z):
         """chi_{m,b}(z) for z a unit of W_2(F_q): Teich(z_0^m) times the psi_1
-        part, the table's entry g^k, k = ``psi1_log(psi1_scale(b, z_0) z_1)``
-        (1 when b or z_1 is 0)."""
+        part, the table's entry g^k, k = ``psi1_log(b z_0^(p(q-2)) z_1)`` (1
+        when b or z_1 is 0)."""
         if self.params.ell != 2:
             raise InvalidParameter(f"chi is defined on W_2, not W_{self.params.ell}")
         z0, z1 = z[0], z[1]
@@ -468,7 +490,8 @@ class CharacterSystem:
         teich_part = self.ring.teichmuller(z0**m)
         if not b or not z1:
             return teich_part
-        return teich_part * self.mu_table.elements[self.psi1_log(self.psi1_scale(b, z0) * z1)]
+        scale = b * z0 ** (self.params.p * (self.field.q - 2))
+        return teich_part * self.mu_table.elements[self.psi1_log(scale * z1)]
 
     def count_E_t_ell(self, t_scalar=None):
         """#roots of unity within |pi| of 1 + t pi_{l-1} (strictly closer)."""

@@ -17,11 +17,11 @@ whether b is 0: a system builds at most 2 (q - 1) of them per degree, and
 a check is a Horner sum of q - 2 ring products.  The floors are the
 min-plus convolutions of the same factors' valuations (the Newton-polygon
 bound for a product), kept with the parts, since Teich(b) is a unit.
-``gauss_brute`` sums psi chi by discrete-log counts: both characters' p-power
-parts are powers of one root of unity, and only chi's Teichmueller part
-depends on m.  So each system keeps, per b and z_0, the units' sum over z_1
-as one integer combination of roots and the z_1 = 0 column's root, built on
-b's first check, and a check does two ring products per z_0.
+``gauss_brute`` is the Gauss sum in closed form by stationary phase: the
+sum over z_1 is a character sum over F_q, q at one point x_b of F_q^* and 0
+elsewhere, so a check is q - 1 ring products with psi's table indices at
+[x] and at V[y] (``CharacterSystem.psi_parts``, 2q - 1 snaps) and x_b
+(``CharacterSystem.stationary_points``, found once per system).
 The full kernel (``kernel_H``) stays schoolbook through ``TruncSeries2``: it
 serves the alpha matrix, and ``diagonal_lattice`` of it, with the actual
 shell minima, is the independent oracle the tests compare the diagonal with.
@@ -41,7 +41,6 @@ from .characters import check_degree, check_int, check_target, shared_system
 from .errors import InvalidParameter, NoConventionMatches, PrecisionNotReached, TruncationTooSmall
 from .rings import RingElem
 from .series import TruncSeries2, certify_tail
-from .wittvec import WittVec
 
 
 class GaussConfig:
@@ -73,57 +72,32 @@ class GaussConfig:
 
 
 def gauss_brute(system, chi_m, chi_b):
-    """-sum psi(z) chi(z) in both conventions, exact at ring precision via
-    snapped values: 'full' sums z_1 over F_q (the definition), 'units' over
-    F_q^*, matching the diagonal selection in the trace formula.  One pass
-    keeps the z_1 = 0 column apart, the difference of the two.
+    """-sum psi(z) chi(z) over the units z of W_2(F_q), in closed form:
+    'full' sums z_1 over F_q (the definition), 'units' over F_q^*, matching
+    the diagonal selection in the trace formula.
 
-    chi's Teichmueller part depends on z_0 alone, so for each z_0 the units'
-    terms are Teich(z_0^m) times a sum that depends on b alone, and the
-    column's one term is Teich(z_0^m) psi(z_0, 0).  The system keeps both
-    per b (``brute_parts``, built on b's first check by ``_brute_parts``),
-    so a check is two ring products per z_0 and the two sums.
+    x -> x^p is a bijection of F_q, so z = [x] + V[x^p w] for one x in F_q^*
+    and one w in F_q, and chi's psi_1 argument b x^(p(q-2)) x^p w is b w.  So
+    psi(z) chi(z) = psi([x]) Teich(x^m) c_x(w), where c_x(w) = psi(V[x^p w])
+    psi_1(b w) is a character of F_q (V is additive on W_2): its sum over w
+    is q if it is trivial, else 0.  psi(V[y]) = e(Tr(c_1 y)) and psi_1(y) =
+    e(Tr(c_2 y)) with c_1, c_2 != 0 (psi has order p^2, so it is not trivial
+    on V W_1 = p W_2), so c_x is trivial iff c_1 x^p = -c_2 b: at one x_b for
+    b != 0, at none for b = 0.  Hence full = -q Teich(x_b^m) psi([x_b]), 0 at
+    b = 0, and units = full + sum_x Teich(x^m) psi([x]), the column z_1 = 0
+    put back.  psi's indices are ``psi_parts``, x_b is ``stationary_points``
+    (refused unless unique), and both values are at the roots' precision.
     """
-    ring, key = system.ring, chi_b.index()
-    parts = system.brute_parts.get(key)
-    if parts is None:
-        parts = system.brute_parts[key] = _brute_parts(system, chi_b)
-    column = units = ring.zero()
-    for z0, combo, root in parts:
-        teich = ring.teichmuller(z0**chi_m)
-        units = units + teich * combo
-        column = column + teich * root
-    return {"full": -(units + column), "units": -units}
-
-
-def _brute_parts(system, chi_b):
-    """(z_0, units' sum, column's root) for each z_0 of F_q^*, the part of
-    ``gauss_brute`` that depends on b and not on m.
-
-    psi(z) and chi's psi_1 part are both powers of the mu_{p^2} table's g,
-    so the sum over z_1 != 0 of psi(z) times the psi_1 part is sum_k n_k
-    g^k, n_k the count of z_1 whose exponents sum to k mod p^2: an integer
-    combination of table entries, at the least precision among those it
-    uses.  The column's root is psi(z_0, 0).
-    """
-    field, ring, mu = system.field, system.ring, system.mu_table
-    table = system.character_table()
-    nonzero = field.units()
-    parts = []
-    for z0 in nonzero:
-        counts = [0] * mu.order
-        scale = chi_b and system.psi1_scale(chi_b, z0)
-        for z1 in nonzero:
-            k = table.index_of(WittVec(field, [z0, z1]))
-            if chi_b:
-                k += system.psi1_log(scale * z1)
-            counts[k % mu.order] += 1
-        used = [(n, mu.elements[k]) for k, n in enumerate(counts) if n]
-        co = tuple(sum(n * x.co[i] for n, x in used) % ring.pn for i in range(ring.dim))
-        combo = RingElem(ring, co, min(x.prec for _, x in used))
-        root = mu.elements[table.index_of(WittVec(field, [z0, field.zero()]))]
-        parts.append((z0, combo, root))
-    return tuple(parts)
+    ring, roots, logs = system.ring, system.mu_table.elements, system.psi_parts[0]
+    terms = {
+        x.index(): ring.teichmuller(x**chi_m) * roots[logs[x.index()]] for x in system.field.units()
+    }
+    column = sum(terms.values(), ring.zero())
+    if chi_b:
+        full = terms[system.stationary_points[chi_b.index()].index()].scale_int(-system.field.q)
+    else:
+        full = RingElem(ring, ring.zero().co, column.prec)
+    return {"full": full, "units": full + column}
 
 
 def _check_fits(system, chi_m, chi_b, degree):
@@ -348,7 +322,8 @@ def trace_formula_check(config):
         raise NoConventionMatches(
             f"neither convention matches at {target} pi-digits: {residuals}"
         )
-    order_ok = system.character_table().image_size() == system.params.p**2
+    teich_logs, ver_logs = system.psi_parts
+    image = {(a + v) % system.mu_table.order for a in teich_logs for v in ver_logs}
     return {
         "schema": 1,
         "config": config.describe(),
@@ -357,7 +332,7 @@ def trace_formula_check(config):
         "target_prec": target,
         "convention": matching,
         "residual_valuation": residuals,
-        "psi_order_p2": order_ok,
+        "psi_order_p2": len(image) == system.params.p**2,
         "g_brute": {conv: val.to_json_obj() for conv, val in brute.items()},
         "trace_value": scaled.to_json_obj(),
         "certificate": trace_report["certificate"],

@@ -494,9 +494,10 @@ def certify_series(series, target):
 
 
 def series_eval_unit(series, z, target_prec):
-    """Certified value of the series at integral z, at target pi-precision."""
+    """Certified value of the series at integral z, at target pi-precision,
+    or at z's own precision when that is lower."""
     if (z.valuation() or 0) < 0:
         raise InvalidParameter("the evaluation point must be integral")
     certify_series(series, target_prec)
     value = series.eval_full(z)
-    return RingElem(series.ring, value.co, target_prec)
+    return RingElem(series.ring, value.co, min(target_prec, z.prec))

@@ -15,6 +15,7 @@ from wittlab.characters import (
     CharacterSystem,
     check_splitting,
     omega_factorization_check,
+    shared_system,
 )
 from wittlab.errors import FamilyTooLarge, TimeBudgetExceeded
 from wittlab.fields import finite_field
@@ -55,6 +56,8 @@ from wittlab.wittvec import (
     witt_neg,
     zero_vec,
 )
+
+from helpers import gauss_brute_per_term
 
 
 def announce(number, ok, detail):
@@ -401,7 +404,8 @@ def test_criterion_08_counting_remark():
 
 def test_criterion_09_trace_formula():
     """(q-1)^2 Tr(alpha) vs brute force, all chi, >= two nondegenerate t
-    where the field admits them, at >= 3e pi-digits, D = 128."""
+    where the field admits them, at >= 3e pi-digits, D = 128; each report's
+    closed-form Gauss sums against the per-term sum over W_2(F_q)^*."""
     start = time.monotonic()
     conventions = set()
     runs = 0
@@ -423,6 +427,9 @@ def test_criterion_09_trace_formula():
                     report = trace_formula_check(cfg)
                     assert report["psi_order_p2"]
                     assert report["residual_valuation"]["units"] >= target, report
+                    system = shared_system(params)
+                    brute = gauss_brute_per_term(system, chi_m, field.from_index(b_index))
+                    assert report["g_brute"] == {c: v.to_json_obj() for c, v in brute.items()}
                     conventions.update(report["convention"])
                     runs += 1
     elapsed = time.monotonic() - start

@@ -12,6 +12,7 @@ from wittlab.characters import CharParams, CharacterSystem, shared_system
 from wittlab.errors import (
     InvalidParameter,
     PrecisionNotReached,
+    ReportedMismatch,
     TailNotCertified,
     TruncationTooSmall,
 )
@@ -187,14 +188,64 @@ def test_kernel_truncation_guard():
 
 
 def test_gauss_brute_trivial_counting():
-    # with both characters trivial the sum only counts the domain
-    sys = system21()
-    field = sys.field
-    count = 0
-    for z0 in field.units():
-        for z1 in field.elements():
-            count += 1
-    assert count == field.q * (field.q - 1)
+    # chi = (0, 0): the full sum is psi over all of W_2(F_q)^*, which cancels
+    # (z_1 runs over F_q and psi is not trivial on V W_1), and the units'
+    # sum is what the column z_1 = 0 leaves, sum_x psi([x]), read here from
+    # the exhaustive table
+    for p, s in [(2, 1), (3, 1), (2, 2)]:
+        sys = next(nondegenerate_systems(p, s, 14, 40))
+        field, roots = sys.field, sys.mu_table.elements
+        table = sys.character_table()
+        g = gauss_brute(sys, 0, field.zero())
+        assert (g["full"].co, g["full"].prec) == (sys.ring.zero().co, roots[0].prec)
+        want = sys.ring.zero()
+        for x in field.units():
+            want = want + roots[table.index_of(WittVec(field, [x, field.zero()]))]
+        assert (g["units"].co, g["units"].prec) == (want.co, want.prec)
+    # the Gauss path reads psi's indices at [x] and V[y], never the q^2 table
+    params = CharParams(2, 2, 2, nprec=15, degree=100)
+    report = trace_formula_check(GaussConfig(params, 1, 2))
+    assert report["psi_order_p2"] is True
+    assert shared_system(params)._table is None
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (7, 1)])
+def test_gauss_sum_stationary_phase(p, s):
+    # over every w of F_q, not only the F_p-basis the system scans: for each
+    # b != 0 exactly one x of F_q^* makes w -> psi(V[x^p w]) psi_1(b w)
+    # trivial, and it is the system's x_b; at b = 0 none does.  psi's
+    # indices at [x] and at V[y] add to its table index at (x, y), and the
+    # image of those sums is the table's
+    sys = next(nondegenerate_systems(p, s, 14, 64 if p >= 5 else 40))
+    field, order = sys.field, sys.mu_table.order
+    teich, ver = sys.psi_parts
+    table = sys.character_table()
+    for x, y in itertools.product(field.elements(), repeat=2):
+        want = table.index_of(WittVec(field, [x, y]))
+        assert (teich[x.index()] + ver[y.index()]) % order == want, (x, y)
+    image = {(a + v) % order for a in teich for v in ver}
+    assert image == {row["psi_index"] for row in table.rows}
+    assert len(image) == table.image_size() == p**2
+    for b in field.elements():
+        trivial = [
+            x
+            for x in field.units()
+            if all(
+                (ver[(x**p * w).index()] + (sys.psi1_log(b * w) if b and w else 0)) % order == 0
+                for w in field.elements()
+            )
+        ]
+        assert trivial == ([sys.stationary_points[b.index()]] if b else []), b
+
+
+def test_stationary_points_refuse_a_wrong_count():
+    # with psi(V[.]) replaced by the trivial character no x passes for
+    # b != 0: a typed refusal, not a guess, on the Gauss path too
+    sys = next(nondegenerate_systems(3, 1, 14, 40))
+    teich, ver = sys.psi_parts
+    sys.psi_parts = teich, [0] * len(ver)
+    with pytest.raises(ReportedMismatch, match="the character is trivial at 0 x"):
+        gauss_brute(sys, 0, sys.field.one())
 
 
 def test_gauss_brute_structural_values_p2():
@@ -220,20 +271,16 @@ def test_gauss_brute_structural_values_p2():
     assert g_units_b1 == -(psi11 * chi11)
 
 
-@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1)])
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (7, 1)])
 def test_gauss_brute_matches_per_term_oracle(p, s):
-    # the sum from the parts kept per b against one RingElem product per z,
-    # coordinates and precision, in both conventions: every chi at q <= 4,
-    # every m for b = 0 and for b = 1 at q = 5.  Each chi is checked twice,
-    # building b's parts and then reading them, on each of two
-    # nondegenerate t in turn, so parts shared across systems would fail;
-    # none is built before the first check, and one is kept per b
+    # the closed form against one RingElem product per z, coordinates and
+    # precision, in both conventions: every chi at q = 2, 3, 4, 8 and 9,
+    # every m for b = 0 and for b = 1 at q = 5 and 7.  Each chi is checked
+    # twice, on each of two nondegenerate t in turn, so state shared across
+    # systems would fail
     q = p**s
-    systems = list(itertools.islice(nondegenerate_systems(p, s, 14, 64 if q == 5 else 40), 2))
-    chi_bs = [0, 1] if q == 5 else list(range(q))
-    for sys in systems:
-        sys.character_table()
-        assert sys.brute_parts == {}
+    systems = list(itertools.islice(nondegenerate_systems(p, s, 14, 64 if p >= 5 else 40), 2))
+    chi_bs = [0, 1] if p >= 5 else list(range(q))
     for m in range(q - 1):
         for b in chi_bs:
             for sys in systems:
@@ -246,8 +293,6 @@ def test_gauss_brute_matches_per_term_oracle(p, s):
                         assert (got[conv].co, got[conv].prec) == (want[conv].co, want[conv].prec), (
                             sys.u.index(), m, b, conv
                         )
-    for sys in systems:
-        assert sorted(sys.brute_parts) == chi_bs
 
 
 def test_config_rejects_out_of_range_indices():
@@ -382,9 +427,14 @@ def test_gauss_sweep_matches_golden(capsys, p, s, degree):
 @pytest.mark.parametrize("p,s,degree", [(2, 3, 128), (3, 2, 512), (5, 1, 1536)])
 def test_trace_formula_at_a_second_t(capsys, p, s, degree):
     # q = 8, 9 and 5 (the e = 20 ring) at the second nondegenerate t (index
-    # 2; the default is 1)
+    # 2; the default is 1), each brute-force sum against the per-term oracle
     reports = _trace_formula_sweep(capsys, p, s, degree, t_residue=2)
     assert {r["t_residue_index"] for r in reports} == {2}
+    sys = shared_system(CharParams(p, s, 2, u_index=2, nprec=16, degree=degree))
+    for r in reports:
+        chi = r["config"]["chi"]
+        want = gauss_brute_per_term(sys, chi["m"], sys.field.from_index(chi["b"]))
+        assert r["g_brute"] == {conv: v.to_json_obj() for conv, v in want.items()}, chi
 
 
 def test_gauss_brute_golden_values():

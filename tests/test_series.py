@@ -465,6 +465,18 @@ def test_series_eval_refuses_coefficients_below_the_target():
     assert series_eval_unit(series, ring.one(), 2).prec == 2
 
 
+def test_series_eval_keeps_the_point_precision():
+    # 1 + x, then zeros, at z = 1 known to 2 pi-digits: the value 2 is known
+    # to 2 digits however high the target, as ``eval_full`` has it
+    ring = ring_of(3, nprec=8)
+    series = Series1(ring, [ring.one(), ring.one()] + [ring.zero()] * 10)
+    z = RingElem(ring, ring.one().co, 2)
+    got = series_eval_unit(series, z, 6)
+    assert (got.co, got.prec) == (ring.from_int(2).co, 2)
+    assert series.eval_full(z).prec == 2
+    assert series_eval_unit(series, ring.one(), 6).prec == 6
+
+
 def test_artin_hasse_series_reduction():
     ring = ring_of(2, nprec=8)
     s = artin_hasse_series(ring, 10)
