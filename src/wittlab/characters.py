@@ -8,16 +8,17 @@ certifies a series once, folds its coefficients into the q' - 1 classes of
 degree mod q' - 1 (exact, since Teich(c)^(q'-1) = 1 exactly mod p^N) and
 evaluates that fold at all of them; psi_{l,s,t}, the psi_1 part of chi and
 both sides of the splitting-function product formula read that one table.
-A system keeps what every Gauss check on it reads: per degree, Omega's
-factors and the running sums of their residue-class products; per degree,
-chi_m and whether b is 0, the trace total's parts as a polynomial in
-Teich(b) with its shell floors (``trace_parts``); psi's indices at [x]
-and V[y] (``psi_parts``, 2q - 1 snaps); per b != 0, the x at which the
-Gauss sum is supported (``stationary_points``); and the discrete log of
-each snapped psi_1 value.  psi snaps its product to the root-of-unity table
-of mu_{p^l}.  Snapping is ultrametric: the value must be strictly closer to
-one root than the minimal pairwise distance of the table, otherwise the
-computation refuses (SnapAmbiguous) rather than guessing.
+A system has one series degree D, ``CharParams.degree``, and keeps what
+every Gauss check on it reads: Omega's factors truncated at D and the
+running sums of their residue-class products; per chi_m and whether b is
+0, the trace total's parts as a polynomial in Teich(b) with its shell
+floors (``trace_parts``); psi's indices at [x] and V[y] (``psi_parts``,
+2q - 1 snaps); per b != 0, the x at which the Gauss sum is supported
+(``stationary_points``); and the discrete log of each snapped psi_1
+value.  psi snaps its product to the root-of-unity table of mu_{p^l}.
+Snapping is ultrametric: the value must be strictly closer to one root
+than the minimal pairwise distance of the table, otherwise the computation
+refuses (SnapAmbiguous) rather than guessing.
 
 The mu_{p^l} table depends only on the ring, and is built once per ring
 from one root g.  Its digits are lifted from 1 + pi_{l-1}: the first digit
@@ -284,11 +285,9 @@ class CharacterSystem:
             self.u = self.field.from_index(params.u_index)
         self.t = self.ring.teichmuller(self.u)
         self.nondegenerate, self.trace_t = nondegenerate_trace(self.ring, self.t)
-        self._omega_factors = {}
-        self._class_products = {}
         self._psi1 = {}
         self._table = None
-        # the parts of ``gausstrace.kernel_shells``, keyed by (D, chi_m, b != 0)
+        # the parts of ``gausstrace.kernel_shells``, keyed by (chi_m, b != 0)
         self.trace_parts = {}
 
     # -- building blocks ---------------------------------------------------------
@@ -351,21 +350,20 @@ class CharacterSystem:
 
     # -- splitting function and the multiplicative character ---------------------------
 
-    def omega_factors(self, degree):
-        """theta_{l-1-j,s}(1)(t^(p^j) x) truncated at ``degree``, j < l: the
-        factors of Omega_{l,s,t}, built once per degree."""
-        got = self._omega_factors.get(degree)
-        if got is None:
-            got, tpj = [], self.t
-            for j in range(self.params.ell):
-                got.append(self.theta_series(j).truncate(degree).compose_scale(tpj))
-                tpj = tpj ** self.params.p
-            got = self._omega_factors[degree] = tuple(got)
-        return got
+    @functools.cached_property
+    def omega_factors(self):
+        """theta_{l-1-j,s}(1)(t^(p^j) x) at degree D, j < l: the factors of
+        Omega_{l,s,t}."""
+        got, tpj = [], self.t
+        for j in range(self.params.ell):
+            got.append(self.theta_series(j).compose_scale(tpj))
+            tpj = tpj ** self.params.p
+        return tuple(got)
 
-    def omega_class_products(self, degree):
+    @functools.cached_property
+    def omega_class_products(self):
         """Running sums of the products of the residue classes of degree of
-        Omega_2's factors A, B = ``omega_factors(degree)``, once per degree.
+        Omega_2's factors A, B = ``omega_factors``.
 
         With c = q - 1, A_r(w) = sum_l a_(r + c l) w^l and B_r likewise.
         Returns (prefixes, floors, prec): entry r c + r' of ``prefixes``
@@ -378,11 +376,8 @@ class CharacterSystem:
         products are one packing (Kronecker substitution), c^2 big-int
         products and one ``unpack``.
         """
-        got = self._class_products.get(degree)
-        if got is not None:
-            return got
-        ring, step = self.ring, self.field.q - 1
-        classes = [f.coeffs[r::step] for f in self.omega_factors(degree) for r in range(step)]
+        ring, step, degree = self.ring, self.field.q - 1, self.params.degree
+        classes = [f.coeffs[r::step] for f in self.omega_factors for r in range(step)]
         packing = SeriesPacking(ring, len(classes[0]))
         packed = packing.pack(
             list(zip(*(c.co for cls in classes for c in cls))), [len(cls) for cls in classes]
@@ -408,33 +403,28 @@ class CharacterSystem:
                 floor[l:] = map(min, floor[l:], map(va[l].__add__, vb))
             floors.append(floor)
         prec = min(c.prec for cls in classes for c in cls)
-        got = self._class_products[degree] = prefixes, floors, prec
-        return got
+        return prefixes, floors, prec
 
-    def omega1_substituted(self, b, degree):
+    def omega1_substituted(self, b):
         """Omega_1(Teich(b) x1 x0^(p(q-2))) as sparse bivariate terms
-        (k p(q-2), k, c_k) up to total degree ``degree``: c_k = theta0[k]
-        (t Teich(b))^k, theta0 = theta_{0,s}(1), and the one term 1 at b = 0."""
+        (k p(q-2), k, c_k) up to total degree D: c_k = theta0[k] (t
+        Teich(b))^k, theta0 = theta_{0,s}(1), and the one term 1 at b = 0."""
         ring, stride = self.ring, self.params.p * (self.field.q - 2)
         if not b:
             return [(0, 0, ring.one())]
-        scale, theta0 = self.t * ring.teichmuller(b), self.theta_series(1).coeffs
-        terms, acc = [], ring.one()
-        for k in range(degree // (stride + 1) + 1):
-            terms.append((k * stride, k, theta0[k] * acc if k else theta0[0]))
-            acc = acc * scale
-        return terms
+        top = self.params.degree // (stride + 1)
+        scaled = self.theta_series(1).truncate(top).compose_scale(self.t * ring.teichmuller(b))
+        return [(k * stride, k, c) for k, c in enumerate(scaled.coeffs)]
 
-    def omega(self, degree=None):
-        """Omega_{l,s,t} as a truncated series (l = 1 or 2)."""
-        degree = degree if degree is not None else self.params.degree
+    def omega(self):
+        """Omega_{l,s,t} as a series truncated at D (l = 1 or 2)."""
         ell = self.params.ell
         if ell > 2:
             raise InvalidParameter(f"omega is realized for l <= 2, have l = {ell}")
-        factors = self.omega_factors(degree)
+        factors = self.omega_factors
         if ell == 1:
             return factors[0]
-        return TruncSeries2.outer(factors[0], factors[1], degree)
+        return TruncSeries2.outer(factors[0], factors[1], self.params.degree)
 
     def psi1_log(self, arg):
         """The table index, a discrete log to base g, of psi_1 at a nonzero
@@ -493,11 +483,9 @@ class CharacterSystem:
         scale = b * z0 ** (self.params.p * (self.field.q - 2))
         return teich_part * self.mu_table.elements[self.psi1_log(scale * z1)]
 
-    def count_E_t_ell(self, t_scalar=None):
+    def count_E_t_ell(self):
         """#roots of unity within |pi| of 1 + t pi_{l-1} (strictly closer)."""
-        t = self.t if t_scalar is None else t_scalar
-        pi = self.ring.pi()
-        center = self.ring.one() + t * pi
+        center = self.ring.one() + self.t * self.ring.pi()
         count = 0
         for z in self.mu_table.elements:
             v = (center - z).valuation()
@@ -674,7 +662,9 @@ def omega_factorization_check(params, r, degree):
     conversely, multiply them.  A factor with q^i > D is then 1 and is
     skipped.  Each packed product is floored at the least precision of its
     own factors, so each comparison is at no lower precision than the
-    bivariate product, whose floor was the least over both chains.
+    bivariate product, whose floor was the least over both chains.  A and B
+    are the system's ``omega_factors`` truncated to D, which may be below
+    the configuration's degree: D bounds this identity, not a kernel.
     """
     if params.ell != 2:
         raise InvalidParameter(f"the factorization check is over W_2, not W_{params.ell}")
@@ -684,7 +674,8 @@ def omega_factorization_check(params, r, degree):
     ring = base.ring
     one = ring.one().co
     tpj = base.t
-    for j, factor in enumerate(base.omega_factors(degree)):
+    for j, factor in enumerate(base.omega_factors):
+        factor = factor.truncate(degree)
         # theta_{m,sr}(1) over the base ring: it has the same coefficients
         lhs = theta_one_series(ring, 1 - j, params.s * r, degree).compose_scale(tpj)
         tpj = tpj**params.p

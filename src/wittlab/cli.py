@@ -42,12 +42,13 @@ from .wittvec import WittVec, frob, ghost_map, one_vec, witt_add, witt_mul
 LT_CHOICES = {"cyc": LubinTateSeries.cyclotomic, "plain": LubinTateSeries.plain}
 
 
-def _char_flags(parser, formats):
+def _char_flags(parser, formats, deg=True):
     parser.add_argument("--p", type=int, default=2, help="the prime")
     parser.add_argument("--s", type=int, default=1, help="unramified degree, q = p^s")
     parser.add_argument("--ell", type=int, default=2, help="Witt vector length")
     parser.add_argument("--prec", type=int, default=24, help="p-adic precision N")
-    parser.add_argument("--deg", type=int, default=None, help="series degree D")
+    if deg:
+        parser.add_argument("--deg", type=int, default=None, help="series degree D")
     parser.add_argument(
         "--target-prec", type=int, default=None, help="target pi-precision M"
     )
@@ -76,7 +77,8 @@ def _params(args, target_prec):
         u_index=args.t_residue,
         lt=LT_CHOICES[args.lt](args.p),
         nprec=args.prec,
-        degree=args.deg,
+        # bench has no --deg: each of its rows is a configuration at one --D
+        degree=getattr(args, "deg", None),
         target_prec=target_prec,
     )
 
@@ -362,10 +364,10 @@ def main(argv=None):
     ga.set_defaults(func=cmd_gauss)
 
     b = sub.add_parser("bench", help="time brute force against the operator trace")
-    _char_flags(b, ("json",))
+    _char_flags(b, ("json",), deg=False)
     b.add_argument("--chi-m", type=int, default=0)
     b.add_argument("--chi-b", type=int, default=0)
-    b.add_argument("--D", dest="bench_degrees", default="32,64", help="degree list")
+    b.add_argument("--D", dest="bench_degrees", default="32,64", help="series degree per row")
     b.set_defaults(func=cmd_bench)
 
     st = sub.add_parser("selftest", help="run pinned desk-scale property checks")

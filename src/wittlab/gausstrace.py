@@ -10,13 +10,15 @@ shell's least valuation for the tail certificate.  ``kernel_shells``
 computes both from the univariate factors, forming no single coefficient:
 the total sums Omega_1's terms times running sums of the residue-class
 products of Omega_2's factors, which each system forms once (Kronecker
-substitution, ``rings.SeriesPacking``).  Omega_1's terms are theta0[k] t^k
+substitution, ``rings.SeriesPacking``).  Every series is truncated at the
+system's one degree D, ``CharParams.degree``: a check at another D is a
+check on another configuration.  Omega_1's terms are theta0[k] t^k
 Teich(b)^k and Teich(b)^(q-1) = 1 exactly, so the total is a polynomial of
 degree q - 2 in Teich(b) whose parts depend on chi only through m and
-whether b is 0: a system builds at most 2 (q - 1) of them per degree, and
-a check is a Horner sum of q - 2 ring products.  The floors are the
-min-plus convolutions of the same factors' valuations (the Newton-polygon
-bound for a product), kept with the parts, since Teich(b) is a unit.
+whether b is 0: a system builds at most 2 (q - 1) of them, and a check is
+a Horner sum of q - 2 ring products.  The floors are the min-plus
+convolutions of the same factors' valuations (the Newton-polygon bound for
+a product), kept with the parts, since Teich(b) is a unit.
 ``gauss_brute`` is the Gauss sum in closed form by stationary phase: the
 sum over z_1 is a character sum over F_q, q at one point x_b of F_q^* and 0
 elsewhere, so a check is q - 1 ring products with psi's table indices at
@@ -34,19 +36,21 @@ matches; the z_1 = 0 column is exactly their difference.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 
-from .characters import check_degree, check_int, check_target, shared_system
+from .characters import check_int, check_target, shared_system
 from .errors import InvalidParameter, NoConventionMatches, PrecisionNotReached, TruncationTooSmall
 from .rings import RingElem
 from .series import TruncSeries2, certify_tail
 
 
 class GaussConfig:
-    """Character data, kernel truncation and target precision for one run."""
+    """Character data and target precision for one run; the kernel is
+    truncated at the configuration's series degree ``params.degree``."""
 
-    def __init__(self, params, chi_m=0, chi_b_index=0, degree=None, target_prec=None):
+    def __init__(self, params, chi_m=0, chi_b_index=0, target_prec=None):
         q = params.p**params.s
         if params.ell != 2:
             raise InvalidParameter(f"the trace formula is over W_2, not W_{params.ell}")
@@ -56,13 +60,10 @@ class GaussConfig:
         check_int("chi_b index", chi_b_index)
         if not 0 <= chi_b_index < q:
             raise InvalidParameter(f"chi_b index {chi_b_index} outside 0..{q - 1}")
-        if degree is not None:
-            check_degree(degree)
         check_target(target_prec)
         self.params = params
         self.chi_m = chi_m
         self.chi_b_index = chi_b_index
-        self.degree = degree if degree is not None else params.degree
         self.target_prec = target_prec
 
     def describe(self):
@@ -100,31 +101,31 @@ def gauss_brute(system, chi_m, chi_b):
     return {"full": full, "units": full + column}
 
 
-def _check_fits(system, chi_m, chi_b, degree):
-    """Refuse a degree below H's lowest term (TruncationTooSmall)."""
-    stride = system.params.p * (system.field.q - 2)
+def _check_fits(system, chi_m, chi_b):
+    """Refuse a system degree below H's lowest term (TruncationTooSmall)."""
+    stride, degree = system.params.p * (system.field.q - 2), system.params.degree
     if chi_m + (stride + 1 if chi_b else 0) > degree:
         raise TruncationTooSmall(
             f"kernel needs degree > {chi_m + stride + 1}, have {degree}"
         )
 
 
-def kernel_H(system, chi_m, chi_b, degree):
-    """The bivariate kernel, truncated at total degree ``degree``.
+def kernel_H(system, chi_m, chi_b):
+    """The bivariate kernel, truncated at the system's total degree D.
 
     Every coefficient, built through ``TruncSeries2``; the trace formula
     reads only the diagonal of ``kernel_shells``, which is computed from the
     same factors.
     """
-    _check_fits(system, chi_m, chi_b, degree)
-    sub = system.omega1_substituted(chi_b, degree)
-    omega2 = TruncSeries2.outer(*system.omega_factors(degree), degree)
+    _check_fits(system, chi_m, chi_b)
+    sub = system.omega1_substituted(chi_b)
+    omega2 = TruncSeries2.outer(*system.omega_factors, system.params.degree)
     shifted = omega2.shift_x0(chi_m) if chi_m else omega2
     out = shifted.mul_sparse(sub)
     return out.scale(-system.ring.one())
 
 
-def kernel_shells(system, chi_m, chi_b, degree):
+def kernel_shells(system, chi_m, chi_b):
     """The (q-1)-strided diagonal of H straight from its factors: (floor,
     total, valuations) in ``diagonal_lattice``'s form, with lower bounds for
     the shell valuations.
@@ -155,11 +156,11 @@ def kernel_shells(system, chi_m, chi_b, degree):
     a unit at full precision, so for every b != 0 both are those of the
     terms theta0[k] t^k, and are kept with the parts.
     """
-    _check_fits(system, chi_m, chi_b, degree)
-    key = degree, chi_m, bool(chi_b)
+    _check_fits(system, chi_m, chi_b)
+    key = chi_m, bool(chi_b)
     got = system.trace_parts.get(key)
     if got is None:
-        got = system.trace_parts[key] = _trace_parts(system, chi_m, chi_b, degree)
+        got = system.trace_parts[key] = _trace_parts(system, chi_m, chi_b)
     floor, parts, valuations = got
     teich, total = system.ring.teichmuller(chi_b), parts[-1]
     for part in reversed(parts[:-1]):
@@ -167,15 +168,15 @@ def kernel_shells(system, chi_m, chi_b, degree):
     return floor, (-total).co, valuations
 
 
-def _trace_parts(system, chi_m, chi_b, degree):
-    """The ``trace_parts`` entry (floor, parts, valuations) of (D, chi_m,
-    b != 0): the parts F_j and the floors from C's terms at b = 1, which are
+def _trace_parts(system, chi_m, chi_b):
+    """The ``trace_parts`` entry (floor, parts, valuations) of (chi_m, b !=
+    0): the parts F_j and the floors from C's terms at b = 1, which are
     theta0[k] t^k, or from the one term 1 at b = 0."""
     ring, step = system.ring, system.field.q - 1
     stride = system.params.p * (step - 1)
-    top = degree // step
-    prefixes, floors, prec = system.omega_class_products(degree)
-    terms = system.omega1_substituted(chi_b and system.field.one(), degree)
+    top = system.params.degree // step
+    prefixes, floors, prec = system.omega_class_products
+    terms = system.omega1_substituted(chi_b and system.field.one())
     parts = [ring.zero()] * (step if chi_b else 1)
     valuations = [ring.cap] * (top + 1)
     for _, k, c in terms:
@@ -298,7 +299,7 @@ def trace_formula_check(config):
     timings = {}
 
     t0 = time.monotonic()
-    diagonal = kernel_shells(system, config.chi_m, chi_b, config.degree)
+    diagonal = kernel_shells(system, config.chi_m, chi_b)
     timings["kernel_ms"] = round(1000 * (time.monotonic() - t0), 1)
 
     t0 = time.monotonic()
@@ -356,10 +357,13 @@ def diagonal_selection_check(series2, system, target_prec):
 
 
 def bench_report(params, chi_m, chi_b_index, degrees, target_prec=None):
-    """Timing comparison of gauss_brute vs the operator trace across D."""
+    """Timing comparison of gauss_brute vs the operator trace across D: row
+    D is a check on ``params`` at series degree D, its own configuration."""
     rows = []
     for degree in degrees:
-        cfg = GaussConfig(params, chi_m, chi_b_index, degree, target_prec)
+        cfg = GaussConfig(
+            dataclasses.replace(params, degree=degree), chi_m, chi_b_index, target_prec
+        )
         t0 = time.monotonic()
         report = trace_formula_check(cfg)
         total = round(1000 * (time.monotonic() - t0), 1)
@@ -371,4 +375,4 @@ def bench_report(params, chi_m, chi_b_index, degrees, target_prec=None):
                 "timing_ms": dict(report["timing_ms"], total_ms=total),
             }
         )
-    return {"schema": 1, "config": params.describe(), "rows": rows}
+    return {"schema": 1, "config": dict(params.describe(), D=list(degrees)), "rows": rows}

@@ -295,34 +295,26 @@ def family_size_bound(kind, p, n):
     return _count_weighted(block + [p ** (n + 1)], p ** (n + 1))
 
 
-def _refusal(kind, p, length):
-    """The error structural_polys(kind, p, length) must raise, or None."""
+def check_family(kind, p, length):
+    """Raise the error structural_polys would refuse (kind, p, length) with."""
     if kind not in _STRUCTURAL_KINDS:
-        return InvalidParameter(
+        raise InvalidParameter(
             f"unknown kind {kind!r}, expected one of {_STRUCTURAL_KINDS}"
         )
     if length < 1:
-        return InvalidParameter("length must be >= 1")
+        raise InvalidParameter("length must be >= 1")
     if length > MAX_LENGTH or p > MAX_PRIME:
-        return InvalidParameter(
+        raise InvalidParameter(
             f"universal polynomial generation capped at length {MAX_LENGTH}, p <= {MAX_PRIME}"
         )
     if not is_prime(p):
-        return InvalidParameter(f"p = {p} is not prime")
+        raise InvalidParameter(f"p = {p} is not prime")
     bound = family_size_bound(kind, p, length - 1)
     if bound > MAX_FAMILY_MONOMIALS:
-        return FamilyTooLarge(
+        raise FamilyTooLarge(
             f"{kind} family at p = {p}, length {length}: member {length - 1} may "
             f"have up to {bound} terms, above the limit of {MAX_FAMILY_MONOMIALS}"
         )
-    return None
-
-
-def check_family(kind, p, length):
-    """Raise the error structural_polys would refuse (kind, p, length) with."""
-    err = _refusal(kind, p, length)
-    if err is not None:
-        raise err
 
 
 _structural_cache = {}

@@ -12,13 +12,13 @@ of consecutive cuts are the single shells.
 from wittlab.rings import RingElem
 
 
-def cut_sums(system, chi_m, chi_b, degree):
+def cut_sums(system, chi_m, chi_b):
     """Coordinate tuples of the diagonal's partial sums over the shells
-    0..T, for every T <= D // (q - 1)."""
-    ring, step = system.ring, system.field.q - 1
+    0..T, for every T <= D // (q - 1), D the system's degree."""
+    ring, step, degree = system.ring, system.field.q - 1, system.params.degree
     stride = system.params.p * (step - 1)
-    prefixes = system.omega_class_products(degree)[0]
-    terms = system.omega1_substituted(chi_b, degree)
+    prefixes = system.omega_class_products[0]
+    terms = system.omega1_substituted(chi_b)
     out = []
     for cut in range(degree // step + 1):
         acc = ring.zero()

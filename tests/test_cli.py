@@ -355,6 +355,32 @@ def test_bench_monotone_rows(capsys):
     assert [r["D"] for r in payload["rows"]] == [32, 48]
 
 
+def test_bench_row_is_the_gauss_check_at_its_D(capsys):
+    # a row at D = 128 runs on a configuration of degree 128, whatever the
+    # default degree (96 at p = 3), and reports what gauss reports there
+    code, out = run_cli(capsys, "bench", "--p", "3", "--D", "128")
+    assert code == 0
+    bench = json.loads(out)
+    code, out = run_cli(
+        capsys, "gauss", "--p", "3", "--deg", "128", "--chi-m", "0", "--chi-b", "0"
+    )
+    assert code == 0
+    gauss = json.loads(out)
+    (row,) = bench["rows"]
+    assert bench["config"]["D"] == [row["D"]] == [gauss["config"]["D"]] == [128]
+    for key in ("convention", "residual_valuation"):
+        assert row[key] == gauss[key], key
+
+
+def test_bench_has_no_deg(capsys):
+    # bench takes each row's degree from --D; --deg is refused by the parser
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--p", "2", "--deg", "64"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --deg 64" in err and "Traceback" not in err
+
+
 def test_selftest_green(capsys):
     code, out = run_cli(capsys, "selftest")
     assert code == 0

@@ -1,5 +1,6 @@
 """Kernel, Dwork operator, alpha matrix/trace and the trace formula."""
 
+import dataclasses
 import itertools
 import json
 import pathlib
@@ -141,14 +142,14 @@ def test_roots_of_unity_sum():
 
 
 def test_kernel_constant_term_and_specialization():
-    sys = system21()
+    sys = system21(32)
     ring = sys.ring
-    k0 = kernel_H(sys, 0, sys.field.zero(), 32)
+    k0 = kernel_H(sys, 0, sys.field.zero())
     assert k0.coefficient(0, 0) == -ring.one()
-    k1 = kernel_H(sys, 0, sys.field.one(), 32)
+    k1 = kernel_H(sys, 0, sys.field.one())
     assert k1.coefficient(0, 0) == -ring.one()
     # m >= 1 kills the constant term
-    km = kernel_H(sys, 1, sys.field.zero(), 32)
+    km = kernel_H(sys, 1, sys.field.zero())
     assert not any(km.coefficient(0, 0).co)
     # b = 0, m = 0: H(x0, x1) = -Omega_2(x0, x1); check column x1 = 0
     a = sys.theta_series(0).truncate(32).compose_scale(sys.t)
@@ -166,7 +167,7 @@ def test_kernel_matches_characters_termwise():
         table = sys.character_table()
         for chi_m in range(sys.field.q - 1):
             for chi_b in sys.field.elements():
-                kern = kernel_H(sys, chi_m, chi_b, sys.params.degree)
+                kern = kernel_H(sys, chi_m, chi_b)
                 for z0 in sys.field.units():
                     for z1 in sys.field.elements():
                         z = WittVec(sys.field, [z0, z1])
@@ -182,9 +183,9 @@ def test_kernel_matches_characters_termwise():
 
 
 def test_kernel_truncation_guard():
-    sys = system21()
+    sys = system21(32)
     with pytest.raises(TruncationTooSmall):
-        kernel_H(sys, 40, sys.field.zero(), 32)
+        kernel_H(sys, 40, sys.field.zero())
 
 
 def test_gauss_brute_trivial_counting():
@@ -323,6 +324,8 @@ def test_bench_report_shape():
     params = CharParams(2, 1, 2, nprec=16, degree=64)
     rep = bench_report(params, 0, 1, [32, 48], target_prec=4)
     assert len(rep["rows"]) == 2
+    # each row is a configuration at its own D; none ran at params' 64
+    assert rep["config"]["D"] == [r["D"] for r in rep["rows"]] == [32, 48]
     assert all("timing_ms" in r for r in rep["rows"])
 
 
@@ -499,20 +502,20 @@ def certified_outcome(compute):
 CERTIFICATE_DIFFERS = {(2, 1, 40, 0, 1), (2, 1, 41, 0, 1), (2, 1, 43, 0, 1)}
 
 
-def assert_shells_match_kernel_H(sys, chi_m, chi_b, degree, target):
+def assert_shells_match_kernel_H(sys, chi_m, chi_b, target):
     # the total against the sum of kernel_H's shells, coordinate by
     # coordinate; the identity behind it at every cut T against kernel_H's
     # partial sums, so each shell's sum too; the precision floor equal;
     # every valuation floor at most the shell's least valuation; the
     # certified value, and the certificate or the refusal, those of
     # alpha_trace(kernel_H), but for the certificates of CERTIFICATE_DIFFERS
-    q, ring = sys.field.q, sys.ring
-    full = kernel_H(sys, chi_m, chi_b, degree)
-    floor, total, floors = kernel_shells(sys, chi_m, chi_b, degree)
+    q, ring, degree = sys.field.q, sys.ring, sys.params.degree
+    full = kernel_H(sys, chi_m, chi_b)
+    floor, total, floors = kernel_shells(sys, chi_m, chi_b)
     want_floor, want_total, minima = diagonal_lattice(full, q)
     assert floor == want_floor == min(c.prec for _, _, c in full.terms())
     assert len(total) == ring.dim and len(floors) == degree // (q - 1) + 1
-    cuts = cut_sums(sys, chi_m, chi_b, degree)
+    cuts = cut_sums(sys, chi_m, chi_b)
     assert len(cuts) == len(floors)
     partial = [0] * ring.dim
     for k in range(len(floors)):
@@ -545,22 +548,22 @@ def test_kernel_shells_match_kernel_H(p, s):
         degree = 64 if q == 5 else 96
         sys = next(nondegenerate_systems(p, s, 14, degree))
         for chi_m in range(q - 1):
-            assert_shells_match_kernel_H(sys, chi_m, sys.field.from_index(chi_m), degree, 4)
+            assert_shells_match_kernel_H(sys, chi_m, sys.field.from_index(chi_m), 4)
         return
     for sys in nondegenerate_systems(p, s, 14, 40):
         for chi_m in range(sys.field.q - 1):
             for chi_b in sys.field.elements():
-                assert_shells_match_kernel_H(sys, chi_m, chi_b, 40, 4)
+                assert_shells_match_kernel_H(sys, chi_m, chi_b, 4)
     # degrees neither q - 1 nor the stride p(q-2) + 1 of the C terms
     # divides: the cut of each class product falls off the strides
-    sys = next(nondegenerate_systems(p, s, 14, 43))
     for degree in (41, 43):
+        sys = next(nondegenerate_systems(p, s, 14, degree))
         for chi_m in range(sys.field.q - 1):
             for chi_b in sys.field.elements():
-                assert_shells_match_kernel_H(sys, chi_m, chi_b, degree, 4)
+                assert_shells_match_kernel_H(sys, chi_m, chi_b, 4)
     # one b != 0 character at the benchmark's N = 16, D = 128, target 3e
     sys = next(nondegenerate_systems(p, s, 16, 128))
-    assert_shells_match_kernel_H(sys, q - 2, sys.field.from_index(1), 128, 3 * sys.ring.e)
+    assert_shells_match_kernel_H(sys, q - 2, sys.field.from_index(1), 3 * sys.ring.e)
 
 
 def test_kernel_shells_match_the_shell_identity_at_q9():
@@ -570,8 +573,8 @@ def test_kernel_shells_match_the_shell_identity_at_q9():
     q = sys.field.q
     for chi_m in range(q - 1):
         for chi_b in sys.field.elements():
-            total = kernel_shells(sys, chi_m, chi_b, 40)[1]
-            assert total == cut_sums(sys, chi_m, chi_b, 40)[-1], (chi_m, chi_b)
+            total = kernel_shells(sys, chi_m, chi_b)[1]
+            assert total == cut_sums(sys, chi_m, chi_b)[-1], (chi_m, chi_b)
     assert len(sys.trace_parts) == 2 * (q - 1)
 
 
@@ -585,10 +588,10 @@ def test_class_products_match_ring_products(p, s):
     for degree in (40, 43):
         sys = next(nondegenerate_systems(p, s, 14, degree))
         ring, step = sys.ring, sys.field.q - 1
-        a, b = sys.omega_factors(degree)
+        a, b = sys.omega_factors
         if degree == 43:  # one coefficient of B known to less than the rest
             b.coeffs[5] = RingElem(ring, b.coeffs[5].co, min(c.prec for c in a.coeffs) - 1)
-        prefixes, floors, prec = sys.omega_class_products(degree)
+        prefixes, floors, prec = sys.omega_class_products
         assert len(prefixes) == len(floors) == step * step
         assert prec == min(c.prec for c in a.coeffs + b.coeffs)
 
@@ -653,7 +656,7 @@ def test_split_packing_worst_case_slots(p, s, m):
     packing = SeriesPacking(ring, n)
     if m == 1:  # the ring of a Gauss system: its first packing
         sys = next(nondegenerate_systems(p, s, 16, 128))
-        classes = sys.omega_factors(128)[0].coeffs[:: p**s - 1]
+        classes = sys.omega_factors[0].coeffs[:: p**s - 1]
         assert len(classes) == n and SeriesPacking(ring, len(classes)).width == packing.width
     full = RingElem(ring, (ring.pn - 1,) * ring.dim)
     got = packing.product([full.co] * n, [full.co] * n, 2 * n - 1)
@@ -689,14 +692,14 @@ def test_class_product_worst_case_slots(p, s, m, nprec):
     assert_worst_case_read(first, a * b, [min(d, 2 * n - 2 - d) + 1 for d in range(2 * n - 1)])
     if (m, nprec) == (1, 16):  # the ring of a Gauss system: its longest class product
         sys = next(nondegenerate_systems(p, s, nprec, degree))
-        assert len(sys.omega_class_products(degree)[0][0]) == n
+        assert len(sys.omega_class_products[0][0]) == n
 
 
 def test_checks_on_one_system_build_class_products_once(monkeypatch):
-    # the class products depend only on the system and D: a set-up as the
-    # benchmark's builds none, the first check at a degree builds them,
-    # later checks at that degree reuse them, another degree builds its
-    # own, and cache_clear drops them with the system
+    # the class products depend only on the system, and so on its D: a
+    # set-up as the benchmark's builds none, the first check builds them,
+    # later checks reuse them, a configuration at D = 48 is another system,
+    # with its own, and cache_clear drops them with the system
     params = CharParams(2, 2, 2, nprec=16, degree=64)
     characters.shared_system.cache_clear()
     built = []
@@ -717,8 +720,11 @@ def test_checks_on_one_system_build_class_products_once(monkeypatch):
     assert built == [64 // 3 + 1]
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
     assert len(built) == 1
-    trace_formula_check(GaussConfig(params, 1, 2, degree=48, target_prec=4))
-    assert built == [22, 17] and sorted(system._class_products) == [48, 64]
+    params48 = dataclasses.replace(params, degree=48)
+    trace_formula_check(GaussConfig(params48, 1, 2, target_prec=4))
+    other = shared_system(params48)
+    assert built == [22, 17] and other is not system
+    assert all("omega_class_products" in vars(sys) for sys in (system, other))
     characters.shared_system.cache_clear()
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
     assert len(built) == 3
@@ -727,18 +733,19 @@ def test_checks_on_one_system_build_class_products_once(monkeypatch):
 
 def test_checks_on_one_system_build_omega1_terms_once(monkeypatch):
     # checks build Omega_1's substituted terms only for a trace_parts entry,
-    # once per (D, chi_m, b != 0), at b = 1 for every b != 0 and at b = 0:
-    # a set-up as the benchmark's builds none, later checks of the key
-    # reuse its parts, another m or D builds its own, and cache_clear
-    # drops them with the system
+    # once per (chi_m, b != 0), at b = 1 for every b != 0 and at b = 0: a
+    # set-up as the benchmark's builds none, later checks of the key reuse
+    # its parts, another m builds its own, a configuration at D = 48 is
+    # another system, with its own parts, and cache_clear drops them with
+    # the system
     params = CharParams(2, 2, 2, nprec=16, degree=64)
     characters.shared_system.cache_clear()
     built = []
     substituted = CharacterSystem.omega1_substituted
 
-    def counted(self, b, degree):
-        built.append((b.index(), degree))
-        return substituted(self, b, degree)
+    def counted(self, b):
+        built.append((b.index(), self.params.degree))
+        return substituted(self, b)
 
     monkeypatch.setattr(CharacterSystem, "omega1_substituted", counted)
     system = shared_system(params)
@@ -753,25 +760,28 @@ def test_checks_on_one_system_build_omega1_terms_once(monkeypatch):
     assert built == [(1, 64)]
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
     trace_formula_check(GaussConfig(params, 1, 0, target_prec=4))
-    trace_formula_check(GaussConfig(params, 1, 3, degree=48, target_prec=4))
+    params48 = dataclasses.replace(params, degree=48)
+    trace_formula_check(GaussConfig(params48, 1, 3, target_prec=4))
     trace_formula_check(GaussConfig(params, 1, 1, target_prec=4))
     assert built == [(1, 64), (1, 64), (0, 64), (1, 48)]
-    assert sorted(system.trace_parts) == [(48, 1, True), (64, 0, True), (64, 1, False), (64, 1, True)]
+    assert sorted(system.trace_parts) == [(0, True), (1, False), (1, True)]
+    assert list(shared_system(params48).trace_parts) == [(1, True)]
     characters.shared_system.cache_clear()
     fresh = shared_system(params)
     assert fresh is not system and fresh.trace_parts == {}
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
-    assert built[4:] == [(1, 64)] and list(fresh.trace_parts) == [(64, 1, True)]
+    assert built[4:] == [(1, 64)] and list(fresh.trace_parts) == [(1, True)]
     characters.shared_system.cache_clear()
 
 
 def test_checks_on_one_system_build_shell_floors_per_m_and_valuations():
     # the shell floors, kept with the trace total's parts and its precision
-    # floor, depend only on the system, D, chi_m and Omega_1's term
-    # valuations, which are one for every b != 0: a set-up as the
-    # benchmark's builds none, every chi at one D builds 2 (q - 1), one for
-    # b = 0 and one for every b != 0 per m, later checks reuse them,
-    # another D builds its own, and cache_clear drops them with the system
+    # floor, depend only on the system (so on its D), chi_m and Omega_1's
+    # term valuations, which are one for every b != 0: a set-up as the
+    # benchmark's builds none, every chi builds 2 (q - 1), one for b = 0
+    # and one for every b != 0 per m, later checks reuse them, a
+    # configuration at D = 48 is another system, with its own parts, and
+    # cache_clear drops them with the system
     params = CharParams(2, 2, 2, nprec=16, degree=64)
     characters.shared_system.cache_clear()
     built = []
@@ -792,20 +802,24 @@ def test_checks_on_one_system_build_shell_floors_per_m_and_valuations():
         for b in range(q):
             trace_formula_check(GaussConfig(params, m, b, target_prec=4))
     assert len(built) == len(set(built)) == 2 * (q - 1)
-    assert sorted(built) == [(64, m, nonzero) for m in range(q - 1) for nonzero in (False, True)]
-    for (_, _, nonzero), (_, parts, _) in system.trace_parts.items():
+    assert sorted(built) == [(m, nonzero) for m in range(q - 1) for nonzero in (False, True)]
+    for (_, nonzero), (_, parts, _) in system.trace_parts.items():
         assert len(parts) == (q - 1 if nonzero else 1)
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
-    kernel_shells(system, 2, system.field.from_index(3), 64)
+    kernel_shells(system, 2, system.field.from_index(3))
     assert len(built) == 2 * (q - 1)
-    trace_formula_check(GaussConfig(params, 1, 2, degree=48, target_prec=4))
-    trace_formula_check(GaussConfig(params, 1, 3, degree=48, target_prec=4))
-    assert len(built) == 2 * (q - 1) + 1 and built[-1] == (48, 1, True)
+    params48 = dataclasses.replace(params, degree=48)
+    other = shared_system(params48)
+    other.trace_parts = CountedCache()
+    trace_formula_check(GaussConfig(params48, 1, 2, target_prec=4))
+    trace_formula_check(GaussConfig(params48, 1, 3, target_prec=4))
+    assert len(built) == 2 * (q - 1) + 1 and built[-1] == (1, True)
+    assert other is not system and list(other.trace_parts) == [(1, True)]
     characters.shared_system.cache_clear()
     fresh = shared_system(params)
     assert fresh is not system and fresh.trace_parts == {}
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
-    assert list(fresh.trace_parts) == [(64, 1, True)] and len(built) == 2 * (q - 1) + 1
+    assert list(fresh.trace_parts) == [(1, True)] and len(built) == 2 * (q - 1) + 1
     characters.shared_system.cache_clear()
 
 
@@ -822,24 +836,24 @@ def test_omega1_valuations_are_one_for_every_nonzero_b(p, s):
         theta0, n = sys.theta_series(1).coeffs, 64 // (p * (p**s - 2) + 1) + 1
         want = [profile(theta0[0])] + [profile(theta0[k] * sys.t**k) for k in range(1, n)]
         for b in sys.field.units():
-            assert [profile(c) for *_, c in sys.omega1_substituted(b, 64)] == want, b
-        ((d0, d1, one),) = sys.omega1_substituted(sys.field.zero(), 64)
+            assert [profile(c) for *_, c in sys.omega1_substituted(b)] == want, b
+        ((d0, d1, one),) = sys.omega1_substituted(sys.field.zero())
         assert (d0, d1, one.co, one.prec) == (0, 0, sys.ring.one().co, sys.ring.cap)
     # one coefficient of theta_{0,s}(1) known to less than the rest, after
     # Omega_2's factors are built: the terms' least precision follows it,
     # still one for every b != 0, and kernel_shells' floor at a b other than
     # the 1 its parts are built at is kernel_H's
     sys = next(nondegenerate_systems(p, s, 16, 64))
-    sys.omega_factors(64)
+    sys.omega_factors
     coeffs = list(sys.theta_series(1).coeffs)
     low = min(c.prec for c in coeffs) - 1
     coeffs[1] = RingElem(sys.ring, coeffs[1].co, low)
     sys.theta_series = lambda j: Series1(sys.ring, coeffs) if j == 1 else None
-    least = {min(c.prec for *_, c in sys.omega1_substituted(b, 64)) for b in sys.field.units()}
+    least = {min(c.prec for *_, c in sys.omega1_substituted(b)) for b in sys.field.units()}
     assert least == {low}
     b = sys.field.from_index(p**s - 1)
-    floor = kernel_shells(sys, 0, b, 64)[0]
-    assert floor == low == diagonal_lattice(kernel_H(sys, 0, b, 64), p**s)[0]
+    floor = kernel_shells(sys, 0, b)[0]
+    assert floor == low == diagonal_lattice(kernel_H(sys, 0, b), p**s)[0]
 
 
 @pytest.mark.parametrize("p,s,m", [(3, 1, 1), (2, 2, 1)])
@@ -944,8 +958,9 @@ def test_checks_share_one_character_system(monkeypatch):
 
 
 def test_checks_on_one_system_build_omega_factors_once(monkeypatch):
-    # A(t x0) and B(t^p x1) depend only on the system and D: the first check
-    # on a shared system builds them, a second check reuses them
+    # A(t x0) and B(t^p x1) depend only on the system: the first check on a
+    # shared system builds them, a second check reuses them; its one
+    # further scaling is Omega_1's, t Teich(b) x, for its b != 0 trace parts
     params = CharParams(2, 1, 2, nprec=16, degree=64)
     characters.shared_system.cache_clear()
     calls = []
@@ -954,9 +969,10 @@ def test_checks_on_one_system_build_omega_factors_once(monkeypatch):
         Series1, "compose_scale", lambda series, alpha: calls.append(1) or real(series, alpha)
     )
     trace_formula_check(GaussConfig(params, 0, 0, target_prec=6))
-    first = len(calls)
+    first, factors = len(calls), shared_system(params).omega_factors
     trace_formula_check(GaussConfig(params, 0, 1, target_prec=6))
-    assert first == 2 and len(calls) == first
+    assert first == 2 and len(calls) == first + 1
+    assert shared_system(params).omega_factors is factors
     characters.shared_system.cache_clear()
 
 
