@@ -12,8 +12,11 @@ A system has one series degree D, ``CharParams.degree``, and keeps what
 every Gauss check on it reads: Omega's factors truncated at D and the
 running sums of their residue-class products; per chi_m and whether b is
 0, the trace total's parts as a polynomial in Teich(b) with its shell
-floors (``trace_parts``); psi's indices at [x] and V[y] (``psi_parts``,
-2q - 1 snaps); per b != 0, the x at which the Gauss sum is supported
+floors (``trace_parts``) and, per target, their tail certificate
+(``certificates``); per chi_m, the Gauss sum's terms Teich(x^m) psi([x])
+and their sum (``brute_terms``); psi's indices at [x] and V[y]
+(``psi_parts``, 2q - 1 snaps) and whether they make psi of order p^2
+(``psi_order_p2``); per b != 0, the x at which the Gauss sum is supported
 (``stationary_points``); and the discrete log of each snapped psi_1
 value.  psi snaps its product to the root-of-unity table of mu_{p^l}.
 Snapping is ultrametric: the value must be strictly closer to one root
@@ -33,9 +36,9 @@ two powers equal at precision, proves the p^l entries all of mu_{p^l}.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
+from collections import namedtuple
 
 from .errors import (
     InvalidParameter,
@@ -48,6 +51,7 @@ from .errors import (
 from .fields import finite_field, is_prime
 from .rings import (
     LubinTateSeries,
+    Record,
     RingElem,
     RingSpec,
     SeriesPacking,
@@ -216,41 +220,30 @@ def check_target(target_prec):
         check_int("target precision M", target_prec, 1)
 
 
-@dataclasses.dataclass(frozen=True)
-class CharParams:
+class CharParams(Record, namedtuple("CharParams", "p s ell u_index lt nprec degree target_prec")):
     """Configuration for psi_{l,s,t}: prime, unramified degree, length, t."""
 
-    p: int
-    s: int
-    ell: int
-    u_index: int | None = None
-    lt: LubinTateSeries | None = None
-    nprec: int | None = None
-    degree: int | None = None
-    target_prec: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, s, ell = self.p, self.s, self.ell
+    def __new__(cls, p, s, ell, u_index=None, lt=None, nprec=None, degree=None, target_prec=None):
         check_int("p", p)
         if not is_prime(p):
             raise InvalidParameter(f"p = {p} is not prime")
         check_int("s", s, 1)
         check_int("ell", ell, 1)
-        if self.u_index is not None:
-            check_int("t residue index", self.u_index)
-            if not 0 <= self.u_index < p**s:
-                raise InvalidParameter(f"t residue index {self.u_index} outside 0..{p**s - 1}")
-        if self.nprec is not None:
-            check_int("N", self.nprec, 1)
-        if self.degree is not None:
-            check_degree(self.degree)
-        check_target(self.target_prec)
-        if self.lt is None:
-            object.__setattr__(self, "lt", LubinTateSeries.cyclotomic(p))
-        if self.nprec is None:
-            object.__setattr__(self, "nprec", 16)
-        if self.degree is None:
-            object.__setattr__(self, "degree", 128 if p == 2 else 96)
+        if u_index is not None:
+            check_int("t residue index", u_index)
+            if not 0 <= u_index < p**s:
+                raise InvalidParameter(f"t residue index {u_index} outside 0..{p**s - 1}")
+        if nprec is not None:
+            check_int("N", nprec, 1)
+        if degree is not None:
+            check_degree(degree)
+        check_target(target_prec)
+        lt = LubinTateSeries.cyclotomic(p) if lt is None else lt
+        nprec = 16 if nprec is None else nprec
+        degree = (128 if p == 2 else 96) if degree is None else degree
+        return super().__new__(cls, p, s, ell, u_index, lt, nprec, degree, target_prec)
 
     def describe(self):
         return {
@@ -287,8 +280,11 @@ class CharacterSystem:
         self.nondegenerate, self.trace_t = nondegenerate_trace(self.ring, self.t)
         self._psi1 = {}
         self._table = None
-        # the parts of ``gausstrace.kernel_shells``, keyed by (chi_m, b != 0)
+        # what Gauss checks read: ``gausstrace.kernel_shells``' parts by (chi_m, b != 0),
+        # their tail certificates by (chi_m, b != 0, target), ``gauss_brute``'s terms by chi_m
         self.trace_parts = {}
+        self.certificates = {}
+        self.brute_terms = {}
 
     # -- building blocks ---------------------------------------------------------
 
@@ -451,6 +447,13 @@ class CharacterSystem:
         return teich, teich[:1] + [self.psi([zero, y]) for y in self.field.units()]
 
     @functools.cached_property
+    def psi_order_p2(self):
+        """Whether psi has order p^2: its indices at [x] + V[y] (``psi_parts``)
+        take p^2 values."""
+        teich, ver = self.psi_parts
+        return len({(a + v) % self.mu_table.order for a in teich for v in ver}) == self.params.p**2
+
+    @functools.cached_property
     def stationary_points(self):
         """{b.index(): x_b} over b != 0, x_b the one x of F_q^* where the index
         ver[x^p w] + psi1_log(b w) is 0 mod p^2 for w in an F_p-basis, so in
@@ -588,8 +591,7 @@ def check_splitting(params, r):
     base = CharacterSystem(params)
     big_field = finite_field(params.p, params.s * r)
     embed, _ = base.field.embedding_into(big_field)
-    big = CharacterSystem(dataclasses.replace(
-        params,
+    big = CharacterSystem(params.replace(
         s=params.s * r,
         u_index=embed(base.u).index(),  # the same t inside the bigger ring
         target_prec=None,
@@ -664,11 +666,16 @@ def omega_factorization_check(params, r, degree):
     own factors, so each comparison is at no lower precision than the
     bivariate product, whose floor was the least over both chains.  A and B
     are the system's ``omega_factors`` truncated to D, which may be below
-    the configuration's degree: D bounds this identity, not a kernel.
+    the configuration's degree, not above it (InvalidParameter): D bounds
+    this identity, not a kernel.
     """
     if params.ell != 2:
         raise InvalidParameter(f"the factorization check is over W_2, not W_{params.ell}")
     check_degree(degree)
+    if degree > params.degree:
+        raise InvalidParameter(
+            f"factorization check at D = {degree} above the configuration's degree {params.degree}"
+        )
     base = CharacterSystem(params)
     q = base.field.q
     ring = base.ring

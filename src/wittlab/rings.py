@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     InvalidParameter,
@@ -58,23 +58,45 @@ def _vp(n, p):
     return v
 
 
-@dataclass(frozen=True)
-class LubinTateSeries:
-    """F(T) = pT + T^p + p T^2 G(T), given by the coefficients of G."""
+class Record:
+    """A frozen ``namedtuple`` record whose ``__new__`` validates and fills
+    defaults; ``replace``, ``_replace`` and ``_make`` (which a plain one runs
+    without ``__new__``) go through it, so no path skips the validation."""
 
-    p: int
-    g_coeffs: tuple = ()
+    __slots__ = ()
+
+    def replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self), **changes))
+
+    _replace = replace
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(p):
+    """F(T) = (1+T)^p - 1, built once per p: G has the coefficients C(p, k)/p,
+    2 <= k < p."""
+    return LubinTateSeries(p, tuple(math.comb(p, k) // p for k in range(2, p)))
+
+
+class LubinTateSeries(Record, namedtuple("LubinTateSeries", "p g_coeffs")):
+    """F(T) = pT + T^p + p T^2 G(T) over a prime p, given by the coefficients of G."""
+
+    __slots__ = ()
+
+    def __new__(cls, p, g_coeffs=()):
+        if not is_prime(p):
+            raise InvalidParameter(f"p = {p} is not prime")
+        return super().__new__(cls, p, g_coeffs)
 
     @classmethod
     def plain(cls, p):
         return cls(p, ())
 
-    @classmethod
-    def cyclotomic(cls, p):
-        """F(T) = (1+T)^p - 1: G has the coefficients C(p, k)/p, 2 <= k < p."""
-        if not is_prime(p):
-            raise InvalidParameter(f"p = {p} is not prime")
-        return cls(p, tuple(math.comb(p, k) // p for k in range(2, p)))
+    cyclotomic = staticmethod(_cyclotomic)
 
     def f_coeffs(self):
         """Coefficient list of F over Z (index = degree)."""
@@ -90,7 +112,7 @@ class LubinTateSeries:
     def tag(self):
         if not self.g_coeffs:
             return "plain"
-        if self == LubinTateSeries.cyclotomic(self.p):
+        if self == _cyclotomic(self.p):
             return "cyclotomic"
         return "custom" + "_".join(str(g) for g in self.g_coeffs)
 
@@ -120,26 +142,19 @@ def eisenstein_poly(lt, m):
     return _poly_compose(lt.f_coeffs()[1:], lt_iterate_exact(lt, m))
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Record, namedtuple("RingSpec", "p s m lt nprec")):
     """p, unramified degree s, Lubin-Tate level m (-1 = none), series, N."""
 
-    p: int
-    s: int = 1
-    m: int = -1
-    lt: LubinTateSeries | None = None
-    nprec: int = 16
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.s < 1 or self.m < -1 or self.nprec < 1:
+    def __new__(cls, p, s=1, m=-1, lt=None, nprec=16):
+        if s < 1 or m < -1 or nprec < 1:
             raise InvalidParameter(
-                f"need s >= 1, m >= -1 and N >= 1, have s = {self.s}, "
-                f"m = {self.m}, N = {self.nprec}"
+                f"need s >= 1, m >= -1 and N >= 1, have s = {s}, m = {m}, N = {nprec}"
             )
-        if self.m >= 0 and (self.lt is None or self.lt.p != self.p):
-            raise InvalidParameter(
-                f"level m = {self.m} needs a Lubin-Tate series for p = {self.p}"
-            )
+        if m >= 0 and (lt is None or lt.p != p):
+            raise InvalidParameter(f"level m = {m} needs a Lubin-Tate series for p = {p}")
+        return super().__new__(cls, p, s, m, lt, nprec)
 
 
 @functools.lru_cache(maxsize=None)

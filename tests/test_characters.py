@@ -16,6 +16,7 @@ from wittlab.characters import (
     theta_teich_values,
 )
 from wittlab.errors import (
+    InvalidParameter,
     NotUnit,
     PrecisionNotReached,
     ReportedMismatch,
@@ -262,6 +263,13 @@ def test_splitting_function_checks():
 
 def test_omega_factorization_series():
     omega_factorization_check(CharParams(2, 1, 2, nprec=14, degree=48), 2, 24)
+
+
+def test_omega_factorization_refuses_D_above_the_configuration():
+    # the factors are truncated at the configuration's degree (96 by default
+    # at p = 3), so a D above it is refused up front, naming that degree
+    with pytest.raises(InvalidParameter, match="configuration's degree 96$"):
+        omega_factorization_check(CharParams(3, 1, 2, nprec=16), 2, 128)
 
 
 @pytest.mark.parametrize("p,s,deg", [(2, 1, 128), (3, 1, 96), (2, 2, 128)])

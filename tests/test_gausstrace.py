@@ -1,6 +1,5 @@
 """Kernel, Dwork operator, alpha matrix/trace and the trace formula."""
 
-import dataclasses
 import itertools
 import json
 import pathlib
@@ -16,6 +15,7 @@ from wittlab.errors import (
     ReportedMismatch,
     TailNotCertified,
     TruncationTooSmall,
+    WittlabError,
 )
 from wittlab.fields import finite_field
 from wittlab.gausstrace import (
@@ -720,7 +720,7 @@ def test_checks_on_one_system_build_class_products_once(monkeypatch):
     assert built == [64 // 3 + 1]
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
     assert len(built) == 1
-    params48 = dataclasses.replace(params, degree=48)
+    params48 = params.replace(degree=48)
     trace_formula_check(GaussConfig(params48, 1, 2, target_prec=4))
     other = shared_system(params48)
     assert built == [22, 17] and other is not system
@@ -760,7 +760,7 @@ def test_checks_on_one_system_build_omega1_terms_once(monkeypatch):
     assert built == [(1, 64)]
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
     trace_formula_check(GaussConfig(params, 1, 0, target_prec=4))
-    params48 = dataclasses.replace(params, degree=48)
+    params48 = params.replace(degree=48)
     trace_formula_check(GaussConfig(params48, 1, 3, target_prec=4))
     trace_formula_check(GaussConfig(params, 1, 1, target_prec=4))
     assert built == [(1, 64), (1, 64), (0, 64), (1, 48)]
@@ -808,7 +808,7 @@ def test_checks_on_one_system_build_shell_floors_per_m_and_valuations():
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
     kernel_shells(system, 2, system.field.from_index(3))
     assert len(built) == 2 * (q - 1)
-    params48 = dataclasses.replace(params, degree=48)
+    params48 = params.replace(degree=48)
     other = shared_system(params48)
     other.trace_parts = CountedCache()
     trace_formula_check(GaussConfig(params48, 1, 2, target_prec=4))
@@ -820,6 +820,111 @@ def test_checks_on_one_system_build_shell_floors_per_m_and_valuations():
     assert fresh is not system and fresh.trace_parts == {}
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
     assert list(fresh.trace_parts) == [(1, True)] and len(built) == 2 * (q - 1) + 1
+    characters.shared_system.cache_clear()
+
+
+def test_checks_on_one_system_build_brute_terms_and_certificates_once():
+    # gauss_brute's terms and their column sum depend only on the system and
+    # chi_m, and the tail certificate only on the system, chi_m, whether b is
+    # 0 and the target: a set-up as the benchmark's builds none, every chi at
+    # two targets builds q - 1 term sets and 2 (q - 1) certificates per
+    # target, later checks reuse them, each report has a certificate of its
+    # own, and cache_clear drops them with the system
+    params = CharParams(2, 2, 2, nprec=16, degree=64)
+    characters.shared_system.cache_clear()
+    built = []
+
+    class CountedCache(dict):
+        def __setitem__(self, key, value):
+            built.append(key)
+            super().__setitem__(key, value)
+
+    system = shared_system(params)
+    system.brute_terms, system.certificates = CountedCache(), CountedCache()
+    system.theta_series(0)
+    system.theta_series(1)
+    system.character_table()
+    assert built == [] and "psi_order_p2" not in vars(system)
+    q = system.field.q
+    chis = [(m, b) for m in range(q - 1) for b in range(q)]
+    reports = [
+        trace_formula_check(GaussConfig(params, m, b, target_prec=target))
+        for _ in range(2)
+        for target in (4, 6)
+        for m, b in chis
+    ]
+    assert len(built) == len(set(built)) == (q - 1) + 2 * 2 * (q - 1)
+    assert sorted(system.brute_terms) == list(range(q - 1))
+    assert sorted(system.certificates) == [
+        (m, nonzero, target) for m in range(q - 1) for nonzero in (False, True) for target in (4, 6)
+    ]
+    assert "psi_order_p2" in vars(system)
+    certificates = [report["certificate"] for report in reports]
+    assert len({id(c) for c in certificates}) == len(reports)
+    assert not any(c is kept for c in certificates for kept in system.certificates.values())
+    half = len(reports) // 2
+    assert [strip_timing(r) for r in reports[:half]] == [strip_timing(r) for r in reports[half:]]
+    characters.shared_system.cache_clear()
+    fresh = shared_system(params)
+    assert fresh is not system and fresh.brute_terms == {} and fresh.certificates == {}
+    trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
+    assert list(fresh.brute_terms) == [1] and list(fresh.certificates) == [(1, True, 4)]
+    assert len(built) == (q - 1) + 2 * 2 * (q - 1)
+    characters.shared_system.cache_clear()
+
+
+def check_outcome(config):
+    # a report without its timings, or the type and message of its refusal
+    try:
+        return strip_timing(trace_formula_check(config))
+    except WittlabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("p,s,second", [(3, 1, 12), (2, 2, 10)])
+def test_warm_checks_report_what_fresh_systems_report(p, s, second):
+    # every (t, chi) at the default target 3e and at a second one: each check
+    # on a freshly cleared shared_system, then twice over on warm ones (the
+    # first pass builds the caches, the second reads them), gives the same
+    # report, certificate and value, or the same refusal
+    q = p**s
+    configs = [
+        GaussConfig(sys.params, m, b, target_prec=target)
+        for sys in nondegenerate_systems(p, s, 16, 128)
+        for target in (None, second)
+        for m in range(q - 1)
+        for b in range(q)
+    ]
+    fresh = []
+    for config in configs:
+        characters.shared_system.cache_clear()
+        fresh.append(check_outcome(config))
+    characters.shared_system.cache_clear()
+    for _ in range(2):
+        assert [check_outcome(config) for config in configs] == fresh
+    assert all(isinstance(outcome, dict) for outcome in fresh[: q * (q - 1)])
+    characters.shared_system.cache_clear()
+
+
+@pytest.mark.parametrize("target,error", [(30, TailNotCertified), (200, PrecisionNotReached)])
+def test_refused_certificate_is_refused_on_every_check(target, error):
+    # nothing is kept for a key whose diagonal is refused: its next check,
+    # at the same chi or another b != 0, refuses with the same message, and
+    # a target it certifies is then kept as for any key
+    params = CharParams(3, 1, 2, nprec=16, degree=128)
+    characters.shared_system.cache_clear()
+    system = shared_system(params)
+    messages = []
+    for b in (1, 1, 2, 0):
+        with pytest.raises(error) as info:
+            trace_formula_check(GaussConfig(params, 1, b, target_prec=target))
+        messages.append(str(info.value))
+    assert messages[1] == messages[2] == messages[0] and system.certificates == {}
+    trace_formula_check(GaussConfig(params, 1, 2, target_prec=18))
+    assert list(system.certificates) == [(1, True, 18)]
+    with pytest.raises(error) as info:
+        trace_formula_check(GaussConfig(params, 1, 2, target_prec=target))
+    assert str(info.value) == messages[0]
     characters.shared_system.cache_clear()
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wittlab.characters import CharParams
 from wittlab.errors import InvalidParameter, NonEisenstein, NotDivisible, RingMismatch
 from wittlab.fields import FqElem, convolve, finite_field, is_prime
 from wittlab.rings import (
@@ -52,6 +53,44 @@ def test_ring_spec_rejects_invalid_fields(args):
     # typed errors, not asserts: they hold under python -O too
     with pytest.raises(InvalidParameter):
         RingSpec(*args)
+
+
+@pytest.mark.parametrize(
+    "record,changes",
+    [
+        (RingSpec(2, 1, -1, None, 8), {"s": 0}),
+        (RingSpec(2, 1, -1, None, 8), {"m": -2}),
+        (RingSpec(2, 1, -1, None, 8), {"nprec": 0}),
+        (RingSpec(2, 1, -1, None, 8), {"m": 1}),
+        (_LEVEL0, {"lt": LubinTateSeries.cyclotomic(3)}),
+        (LubinTateSeries.plain(2), {"p": 4}),
+        (LubinTateSeries.cyclotomic(3), {"p": 9}),
+        (CharParams(2, 1, 2), {"p": 4}),
+        (CharParams(2, 1, 2), {"s": 1.5}),
+        (CharParams(2, 1, 2), {"ell": 0}),
+        (CharParams(2, 1, 2), {"u_index": 2}),
+        (CharParams(2, 1, 2), {"nprec": 0}),
+        (CharParams(2, 1, 2), {"degree": 0}),
+        (CharParams(3, 1, 2), {"target_prec": 2.5}),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, dict) else type(v).__name__,
+)
+def test_records_validate_on_every_path(record, changes):
+    # replace, _replace and _make build through the constructor, so each
+    # refuses what construction refuses, with the same message
+    fields = dict(record._asdict(), **changes)
+    with pytest.raises(InvalidParameter) as want:
+        type(record)(**fields)
+    for build in (
+        lambda: record.replace(**changes),
+        lambda: record._replace(**changes),
+        lambda: type(record)._make(fields.values()),
+    ):
+        with pytest.raises(InvalidParameter) as got:
+            build()
+        assert str(got.value) == str(want.value)
+    assert record.replace() == record._replace() == record
+    assert type(record.replace()) is type(record)
 
 
 def test_cyclotomic_series_needs_a_prime():

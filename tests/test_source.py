@@ -1,6 +1,8 @@
 """Rules on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import wittlab
@@ -43,3 +45,18 @@ def test_no_unused_imports():
             if name not in read
         ]
     assert not offenders, "imported but never used: " + ", ".join(offenders)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the configuration records are namedtuples: importing dataclasses would
+    # load inspect, ast, dis and tokenize, about 1 MB that nothing else the
+    # package runs needs (-S: no site module, which may import either)
+    src = str(Path(wittlab.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import wittlab; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["[]"]
