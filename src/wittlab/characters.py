@@ -12,9 +12,8 @@ A system has one series degree D, ``CharParams.degree``, and keeps what
 every Gauss check on it reads: Omega's factors truncated at D and the
 running sums of their residue-class products; per chi_m and whether b is
 0, the trace total's parts as a polynomial in Teich(b) with its shell
-floors (``trace_parts``) and, per target, their tail certificate
-(``certificates``); per chi_m, the Gauss sum's terms Teich(x^m) psi([x])
-and their sum (``brute_terms``); psi's indices at [x] and V[y]
+floors (``trace_parts``); per chi_m, the Gauss sum's terms Teich(x^m)
+psi([x]) and their sum (``brute_terms``); psi's indices at [x] and V[y]
 (``psi_parts``, 2q - 1 snaps) and whether they make psi of order p^2
 (``psi_order_p2``); per b != 0, the x at which the Gauss sum is supported
 (``stationary_points``); and the discrete log of each snapped psi_1
@@ -55,6 +54,7 @@ from .rings import (
     RingElem,
     RingSpec,
     SeriesPacking,
+    check_int,
     make_ring,
     nondegenerate_trace,
 )
@@ -199,15 +199,6 @@ def mu_ppow_table(ring, ell):
     return RootOfUnityTable(ring, ell, g, resolution)
 
 
-def check_int(name, value, least=None):
-    """Refuse a parameter that is not an integer (a bool is not one), or is
-    below ``least`` when that is given."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameter(f"{name} = {value!r} is not an integer")
-    if least is not None and value < least:
-        raise InvalidParameter(f"{name} = {value!r} is below {least}")
-
-
 def check_degree(degree):
     """Refuse a series degree D that is not an integer >= 1."""
     check_int("series degree D", degree, 1)
@@ -281,9 +272,8 @@ class CharacterSystem:
         self._psi1 = {}
         self._table = None
         # what Gauss checks read: ``gausstrace.kernel_shells``' parts by (chi_m, b != 0),
-        # their tail certificates by (chi_m, b != 0, target), ``gauss_brute``'s terms by chi_m
+        # ``gauss_brute``'s terms by chi_m
         self.trace_parts = {}
-        self.certificates = {}
         self.brute_terms = {}
 
     # -- building blocks ---------------------------------------------------------

@@ -274,27 +274,20 @@ class Fq:
         if big is self:
             ident = {x.co: x for x in self.elements()}
             return (lambda x: x), (lambda x: ident[x.co])
-        root = None
-        for cand in big.elements():
-            acc = big.from_int(1)
-            val = big.zero()
-            for c in self.modulus:
+
+        def evaluate(coeffs, z):
+            """sum c_i z^i in ``big`` for integers c_0, c_1, ..."""
+            acc, val = big.from_int(1), big.zero()
+            for c in coeffs:
                 val = val + acc.scale_int(c)
-                acc = acc * cand
-            val = val + acc  # monic leading term
-            if not val:
-                root = cand
-                break
+                acc = acc * z
+            return val
+
+        monic = (*self.modulus, 1)
+        root = next((z for z in big.elements() if not evaluate(monic, z)), None)
         if root is None:
             raise RingMismatch(f"the modulus of F_{self.q} has no root in F_{big.q}")
-        fwd = {}
-        for x in self.elements():
-            acc = big.from_int(1)
-            img = big.zero()
-            for c in x.co:
-                img = img + acc.scale_int(c)
-                acc = acc * root
-            fwd[x.co] = img
+        fwd = {x.co: evaluate(x.co, root) for x in self.elements()}
         back = {img.co: self.from_coeffs(co) for co, img in fwd.items()}
 
         def embed(x):

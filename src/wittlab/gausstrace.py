@@ -18,9 +18,7 @@ degree q - 2 in Teich(b) whose parts depend on chi only through m and
 whether b is 0: a system builds at most 2 (q - 1) of them, and a check is
 a Horner sum of q - 2 ring products.  The floors are the min-plus
 convolutions of the same factors' valuations (the Newton-polygon bound for
-a product), kept with the parts, since Teich(b) is a unit.  So the tail
-certificate, read from the floors, is kept per key and target
-(``certificates``) once certified; a refusal keeps nothing.
+a product), kept with the parts, since Teich(b) is a unit.
 ``gauss_brute`` is the Gauss sum in closed form by stationary phase: the
 sum over z_1 is a character sum over F_q, q at one point x_b of F_q^* and 0
 elsewhere.  Its q - 1 terms Teich(x^m) psi([x]), read from psi's table
@@ -44,9 +42,9 @@ from __future__ import annotations
 import math
 import time
 
-from .characters import check_int, check_target, shared_system
+from .characters import check_target, shared_system
 from .errors import InvalidParameter, NoConventionMatches, PrecisionNotReached, TruncationTooSmall
-from .rings import RingElem
+from .rings import RingElem, check_int
 from .series import TruncSeries2, certify_tail
 
 
@@ -228,7 +226,7 @@ def diagonal_lattice(series2, q):
         v = ring.val_co([math.gcd(*col) for col in zip(*(c.co for c in shell))])
         valuations.append(ring.cap if v is None else v)
     total = tuple(sum(col) % ring.pn for col in zip(*(c.co for shell in shells for c in shell)))
-    return floor, total, valuations
+    return floor, total, tuple(valuations)
 
 
 def certified_diagonal_sum(ring, diagonal, target_prec):
@@ -247,7 +245,7 @@ def certified_diagonal_sum(ring, diagonal, target_prec):
     report = certify_tail(valuations, target_prec, ring.cap)
     return RingElem(ring, total, target_prec), {
         "shells": list(valuations),
-        "certificate": report,
+        "certificate": dict(report),
     }
 
 
@@ -313,13 +311,7 @@ def trace_formula_check(config):
     timings["kernel_ms"] = round(1000 * (time.monotonic() - t0), 1)
 
     t0 = time.monotonic()
-    key = config.chi_m, bool(chi_b), target
-    certificate = system.certificates.get(key)
-    if certificate is None:
-        trace_val, trace_report = certified_diagonal_sum(ring, diagonal, target)
-        certificate = system.certificates[key] = trace_report["certificate"]
-    else:
-        trace_val = RingElem(ring, diagonal[1], target)
+    trace_val, trace_report = certified_diagonal_sum(ring, diagonal, target)
     scaled = trace_val.scale_int((q - 1) ** 2)
     timings["trace_ms"] = round(1000 * (time.monotonic() - t0), 1)
 
@@ -350,7 +342,7 @@ def trace_formula_check(config):
         "psi_order_p2": system.psi_order_p2,
         "g_brute": {conv: val.to_json_obj() for conv, val in brute.items()},
         "trace_value": scaled.to_json_obj(),
-        "certificate": dict(certificate),
+        "certificate": trace_report["certificate"],
         "timing_ms": timings,
     }
 

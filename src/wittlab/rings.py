@@ -58,6 +58,15 @@ def _vp(n, p):
     return v
 
 
+def check_int(name, value, least=None):
+    """Refuse a parameter that is not an integer (a bool is not one), or is
+    below ``least`` when that is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameter(f"{name} = {value!r} is not an integer")
+    if least is not None and value < least:
+        raise InvalidParameter(f"{name} = {value!r} is below {least}")
+
+
 class Record:
     """A frozen ``namedtuple`` record whose ``__new__`` validates and fills
     defaults; ``replace``, ``_replace`` and ``_make`` (which a plain one runs
@@ -88,9 +97,14 @@ class LubinTateSeries(Record, namedtuple("LubinTateSeries", "p g_coeffs")):
     __slots__ = ()
 
     def __new__(cls, p, g_coeffs=()):
+        check_int("p", p)
         if not is_prime(p):
             raise InvalidParameter(f"p = {p} is not prime")
-        return super().__new__(cls, p, g_coeffs)
+        if not isinstance(g_coeffs, (tuple, list)):
+            raise InvalidParameter(f"G's coefficients {g_coeffs!r} are not a tuple or list")
+        for g in g_coeffs:
+            check_int("a coefficient of G", g)
+        return super().__new__(cls, p, tuple(g_coeffs))
 
     @classmethod
     def plain(cls, p):
@@ -148,6 +162,8 @@ class RingSpec(Record, namedtuple("RingSpec", "p s m lt nprec")):
     __slots__ = ()
 
     def __new__(cls, p, s=1, m=-1, lt=None, nprec=16):
+        for name, value in (("p", p), ("s", s), ("m", m), ("N", nprec)):
+            check_int(name, value)
         if s < 1 or m < -1 or nprec < 1:
             raise InvalidParameter(
                 f"need s >= 1, m >= -1 and N >= 1, have s = {s}, m = {m}, N = {nprec}"

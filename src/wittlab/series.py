@@ -30,7 +30,7 @@ from .errors import (
     TailNotCertified,
     TruncationTooSmall,
 )
-from .rings import RingElem, SeriesPacking
+from .rings import RingElem, SeriesPacking, check_int
 from .wittvec import (
     WittVec, from_ghosts, versch, witt_add, witt_map, witt_mul, witt_neg, zero_vec,
 )
@@ -215,7 +215,8 @@ def varpi(ring, m, length):
 
 
 def artin_hasse_E(a, degree):
-    """E(a) = prod AH(a_i x^(p^i)) mod x^(degree+1)."""
+    """E(a) = prod AH(a_i x^(p^i)) mod x^(degree+1), degree >= 0."""
+    check_int("series degree", degree, 0)
     ring = a.ring
     p = ring.p
     floor = ring.cap
@@ -424,8 +425,11 @@ class TruncSeries2:
 # -- certified evaluation on the closed unit disk -------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def certify_tail(valuations, target, cap):
-    """Valuation-floor certificate; returns diagnostics dict or raises.
+    """Valuation-floor certificate of a tuple of valuations; returns a
+    diagnostics dict, shared by every call on the same inputs (callers
+    copy it), or raises, so a refusal is never kept.
 
     Coefficient valuations of the exponentials here are saw-toothed: dips
     at p-power degrees, with dip floors rising linearly.  A raw window
@@ -487,7 +491,7 @@ def certify_series(series, target):
     """Certify the tail of ``series`` (``certify_tail``), then refuse with
     PrecisionNotReached if a coefficient is known to fewer than ``target``
     pi-digits: a value stamped at ``target`` must be known that far."""
-    certify_tail(series.min_valuations(), target, series.ring.cap)
+    certify_tail(tuple(series.min_valuations()), target, series.ring.cap)
     known = min(c.prec for c in series.coeffs)
     if known < target:
         raise PrecisionNotReached(f"coefficients known to {known} pi-digits, target {target}")

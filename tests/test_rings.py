@@ -19,7 +19,7 @@ from wittlab.rings import (
     nondegenerate_trace,
     ring_of,
 )
-from wittlab.series import pulita_theta_ms
+from wittlab.series import pulita_theta_ms, robba
 from wittlab.upoly import ghost_poly
 from wittlab.wittvec import WittVec, one_vec, witt_add, zero_vec
 
@@ -91,6 +91,14 @@ def test_records_validate_on_every_path(record, changes):
         assert str(got.value) == str(want.value)
     assert record.replace() == record._replace() == record
     assert type(record.replace()) is type(record)
+
+
+def test_lubin_tate_series_keeps_its_coefficients_as_a_tuple():
+    # G given as a list was kept as one, so make_ring failed on hashing it;
+    # it is kept as a tuple, and the ring is the one built from the tuple
+    lt = LubinTateSeries(2, [1])
+    assert lt.g_coeffs == (1,) and lt == LubinTateSeries(2, (1,)) and lt.tag() == "custom1"
+    assert make_ring(RingSpec(2, 1, 0, lt, 8)) is make_ring(RingSpec(2, 1, 0, lt.replace(), 8))
 
 
 def test_cyclotomic_series_needs_a_prime():
@@ -508,6 +516,17 @@ def test_embed_from_unramified_part():
          "level -1 outside 0..1"),
         (lambda: pulita_theta_ms(make_ring(_LEVEL0), 0, 0, one_vec(make_ring(_LEVEL0), 2), 8),
          "s >= 1, have 0"),
+        # a float N gave a ring with N = 2.5, a float s or p a bare TypeError
+        (lambda: ring_of(2, nprec=2.5), "N = 2.5 is not an integer"),
+        (lambda: ring_of(2, 1.5), "s = 1.5 is not an integer"),
+        (lambda: RingSpec(2, 1, 0.0, LubinTateSeries.plain(2)), "m = 0.0 is not an integer"),
+        (lambda: LubinTateSeries(2.0), "p = 2.0 is not an integer"),
+        (lambda: LubinTateSeries(2, [1.5]), "a coefficient of G = 1.5 is not an integer"),
+        (lambda: LubinTateSeries(2, 5), "G's coefficients 5 are not a tuple or list"),
+        # a negative degree gave a degree-0 series
+        (lambda: robba(make_ring(_LEVEL0), 0, -2), "series degree = -2 is below 0"),
+        (lambda: pulita_theta_ms(make_ring(_LEVEL0), 0, 1, one_vec(make_ring(_LEVEL0), 2), -3),
+         "series degree = -3 is below 0"),
         (lambda: ghost_poly(2, -1), "index must be >= 0, have -1"),
         # a negative power of a universal polynomial is refused, not answered
         # with the zero polynomial or the polynomial itself
