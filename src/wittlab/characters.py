@@ -115,12 +115,14 @@ class RootOfUnityTable:
         if z != ring.one():
             raise ReportedMismatch(f"g^{self.order} is not 1: the table is not a group")
         vals = [(a - b).valuation() for a, b in itertools.combinations(self.elements, 2)]
-        if any(v is None or v >= prec for v in vals):
+        if any(v >= prec for v in vals):
             raise ReportedMismatch(f"two powers of g agree: g has order below {self.order}")
         self.max_pairwise_val = max(vals)
 
     def snap(self, value):
-        """(index, distance valuation) of the unique nearest root."""
+        """(index, distance valuation) of the unique nearest root.  A value
+        equal to a root mod p^N, whose difference reads ``ring.cap``, is at
+        distance min(value.prec, z.prec): the two are known no further."""
         if value.prec <= self.max_pairwise_val:
             raise SnapAmbiguous(
                 f"value precision {value.prec} does not resolve roots "
@@ -130,7 +132,7 @@ class RootOfUnityTable:
         best_v = -1
         for k, z in enumerate(self.elements):
             v = (value - z).valuation()
-            if v is None:
+            if v == self.ring.cap:
                 v = min(value.prec, z.prec)
             if v > best_v:
                 best, best_v = k, v
@@ -154,10 +156,6 @@ def mu_ppow_table(ring, ell):
     def f(z):
         return z**order - ring.one()
 
-    def vof(x):
-        v = x.valuation()
-        return ring.cap if v is None else v
-
     def profile(d):
         """Exact v(f) of a prefix agreeing with a root to depth d:
         d plus sum over nontrivial roots xi of min(d, v(1 - xi)), where
@@ -174,7 +172,7 @@ def mu_ppow_table(ring, ell):
     for k in range(2, depth):
         for c in range(p):
             cand = g + pi_pow.scale_int(c) if c else g
-            if vof(f(cand)) >= profile(k + 1):
+            if f(cand).valuation() >= profile(k + 1):
                 g = cand
                 break
         else:
@@ -357,10 +355,10 @@ class CharacterSystem:
         and of ``floors`` the product's min-plus valuation sequence, a lower
         bound on each coefficient's valuation, both at the degrees l <= (D -
         r - r') // c, which the factors' terms of degree <= D determine.
-        Each factor coefficient enters the floors at min(valuation, prec), 0
-        at ``ring.cap``; ``prec`` is the least precision over A and B.  The
-        products are one packing (Kronecker substitution), c^2 big-int
-        products and one ``unpack``.
+        Each factor coefficient enters the floors at min(valuation, prec), a
+        zero's valuation being ``ring.cap``; ``prec`` is the least precision
+        over A and B.  The products are one packing (Kronecker substitution),
+        c^2 big-int products and one ``unpack``.
         """
         ring, step, degree = self.ring, self.field.q - 1, self.params.degree
         classes = [f.coeffs[r::step] for f in self.omega_factors for r in range(step)]
@@ -377,10 +375,7 @@ class CharacterSystem:
             runs = [[x % pn for x in itertools.accumulate(col[o : o + n])] for col in columns]
             prefixes.append(list(zip(*runs)))
             o += n
-        vals = [
-            [min(ring.cap if v is None else v, c.prec) for c in cls for v in [c.valuation()]]
-            for cls in classes
-        ]
+        vals = [[min(c.valuation(), c.prec) for c in cls] for cls in classes]
         floors = []
         for i, n in enumerate(counts):
             va, vb = vals[i // step], vals[step + i % step]
@@ -481,8 +476,7 @@ class CharacterSystem:
         center = self.ring.one() + self.t * self.ring.pi()
         count = 0
         for z in self.mu_table.elements:
-            v = (center - z).valuation()
-            if v is None or v > 1:
+            if (center - z).valuation() > 1:
                 count += 1
         return count
 

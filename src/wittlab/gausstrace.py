@@ -191,9 +191,8 @@ def _trace_parts(system, chi_m, chi_b):
         r, r2 = (-chi_m - k * stride) % step, -k % step
         o = (chi_m + k * (stride + 1) + r + r2) // step
         if o <= top:
-            pair, v = r * step + r2, c.valuation()
+            pair, v = r * step + r2, min(c.valuation(), c.prec)
             parts[k % step] += c * RingElem(ring, prefixes[pair][top - o])
-            v = min(ring.cap if v is None else v, c.prec)
             valuations[o:] = map(min, valuations[o:], map(v.__add__, floors[pair]))
     floor = min([prec] + [c.prec for *_, c in terms])
     return floor, parts, tuple(valuations)
@@ -213,18 +212,16 @@ def diagonal_lattice(series2, q):
     """The (q-1)-strided diagonal of a series as (floor, total, valuations):
     the least precision over the diagonal's coefficients; the coordinates of
     their sum, shell k holding the coefficients b_{(q-1) n0, (q-1)(k - n0)};
-    and each shell's least valuation, ``val_co`` of one gcd per coordinate
-    (``ring.cap`` if 0)."""
+    and each shell's least valuation, ``val_co`` of one gcd per coordinate."""
     ring, step = series2.ring, q - 1
     shells = [
         [series2.coefficient(step * n0, step * (k - n0)) for n0 in range(k + 1)]
         for k in range(series2.degree // step + 1)
     ]
     floor = min(c.prec for shell in shells for c in shell)
-    valuations = []
-    for shell in shells:
-        v = ring.val_co([math.gcd(*col) for col in zip(*(c.co for c in shell))])
-        valuations.append(ring.cap if v is None else v)
+    valuations = [
+        ring.val_co([math.gcd(*col) for col in zip(*(c.co for c in shell))]) for shell in shells
+    ]
     total = tuple(sum(col) % ring.pn for col in zip(*(c.co for shell in shells for c in shell)))
     return floor, total, tuple(valuations)
 
@@ -322,9 +319,7 @@ def trace_formula_check(config):
     residuals = {}
     matching = []
     for conv, value in brute.items():
-        diff = value - scaled
-        v = diff.valuation()
-        residuals[conv] = ring.cap if v is None else v
+        residuals[conv] = (value - scaled).valuation()
         if residuals[conv] >= target:
             matching.append(conv)
     if not matching:
@@ -357,9 +352,7 @@ def diagonal_selection_check(series2, system, target_prec):
         for x1 in points:
             lhs = lhs + series2.eval_at(x0, x1)
     value, _ = alpha_trace(series2, q, target_prec)
-    diff = lhs - value.scale_int((q - 1) ** 2)
-    v = diff.valuation()
-    return (ring.cap if v is None else v) >= target_prec
+    return (lhs - value.scale_int((q - 1) ** 2)).valuation() >= target_prec
 
 
 def bench_report(params, chi_m, chi_b_index, degrees, target_prec=None):

@@ -168,6 +168,8 @@ class RingSpec(Record, namedtuple("RingSpec", "p s m lt nprec")):
             raise InvalidParameter(
                 f"need s >= 1, m >= -1 and N >= 1, have s = {s}, m = {m}, N = {nprec}"
             )
+        if not (lt is None or isinstance(lt, LubinTateSeries)):
+            raise InvalidParameter(f"lt = {lt!r} is not a LubinTateSeries")
         if m >= 0 and (lt is None or lt.p != p):
             raise InvalidParameter(f"level m = {m} needs a Lubin-Tate series for p = {p}")
         return super().__new__(cls, p, s, m, lt, nprec)
@@ -240,17 +242,16 @@ class RingElem:
             return NotImplemented
         pn = self.ring.pn
         v = self.ring.val_co([(a - b) % pn for a, b in zip(self.co, other.co)])
-        return v is None or v >= min(self.prec, other.prec)
+        return v >= min(self.prec, other.prec)
 
     def __hash__(self):  # pragma: no cover - elements are not dict keys
         raise TypeError("RingElem is unhashable (equality is at precision)")
 
     def is_zero(self):
-        v = self.valuation()
-        return v is None or v >= self.prec
+        return self.valuation() >= self.prec
 
     def valuation(self):
-        """Gauss valuation in pi-units (v(pi)=1, v(p)=e); None when 0."""
+        """Gauss valuation in pi-units (v(pi)=1, v(p)=e); ``ring.cap`` when 0."""
         return self.ring.val_co(self.co)
 
     def residue(self):
@@ -337,7 +338,6 @@ class TowerRing:
         self._build_eisenstein()
         self.sigma_pows = self._sigma_pows()
         self._pi_cache = {}
-        self._teich = None
         self._specs = {}  # nprec -> RingSpec; with_precision keeps no ring
 
     def __repr__(self):
@@ -489,24 +489,25 @@ class TowerRing:
         return v
 
     def val_co(self, co):
+        """Gauss valuation min_i (i + e v_p(c_i)) of coordinates mod p^N, in
+        pi-units.  A nonzero tuple reads below ``cap`` = eN, a zero reads
+        ``cap``: it is known mod pi^cap and no further."""
         p, e, s, n = self.p, self.e, self.s, self.nprec
-        best = None
+        best = self.cap
         for i in range(e):
-            vrow = None
+            vrow = n
             for j in range(s):
                 c = co[i * s + j]
                 if c:
                     v = _vp(c, p)
-                    if vrow is None or v < vrow:
+                    if v < vrow:
                         vrow = v
                         if v == 0:
                             break
-            if vrow is not None:
-                cand = i + e * vrow
-                if best is None or cand < best:
-                    best = cand
-                    if best == 0:
-                        return 0
+            if i + e * vrow < best:
+                best = i + e * vrow
+                if best == 0:
+                    return 0
         return best
 
     def phi_co(self, co):
@@ -529,30 +530,7 @@ class TowerRing:
         """The unique q-power-fixed lift of u in F_q (unramified part)."""
         if u.field is not self.residue_field:
             raise RingMismatch("residue field mismatch for Teichmueller lift")
-        if self._teich is None:
-            self._teich = self._teich_table()
-        return self._teich[u.co]
-
-    def _teich_table(self):
-        """Every Teichmueller lift, keyed by its residue's coordinates: the
-        powers of Teich(g), g a generator of F_q^*, which is the fixed point
-        of x -> x^q from g.  Teich(g)^(q-1) = 1 makes every power q-power-fixed."""
-        fq = self.residue_field
-        g, q = fq.multiplicative_generator(), fq.q
-        z = self.from_ur(g.co)
-        for _ in range(self.nprec + 2):
-            nz = z**q
-            if nz.co == z.co:
-                break
-            z = nz
-        if (z ** (q - 1)).co != self.one().co:
-            raise SeedNotConverging("Teichmueller iteration did not stabilize")
-        table = {fq.zero().co: self.zero()}
-        lift, res = self.one(), fq.one()
-        for _ in range(q - 1):
-            table[res.co] = lift
-            lift, res = lift * z, res * g
-        return table
+        return _teich_table(self)[u.co]
 
     # -- headroom ---------------------------------------------------------------------
 
@@ -560,6 +538,30 @@ class TowerRing:
         if nprec not in self._specs:
             self._specs[nprec] = RingSpec(self.p, self.s, self.m, self.lt, nprec)
         return make_ring(self._specs[nprec])
+
+
+@functools.lru_cache(maxsize=None)
+def _teich_table(ring):
+    """Every Teichmueller lift of ``ring``, keyed by its residue's
+    coordinates, built once per ring: the powers of Teich(g), g a generator
+    of F_q^*, which is the fixed point of x -> x^q from g.  Teich(g)^(q-1) =
+    1 makes every power q-power-fixed."""
+    fq = ring.residue_field
+    g, q = fq.multiplicative_generator(), fq.q
+    z = ring.from_ur(g.co)
+    for _ in range(ring.nprec + 2):
+        nz = z**q
+        if nz.co == z.co:
+            break
+        z = nz
+    if (z ** (q - 1)).co != ring.one().co:
+        raise SeedNotConverging("Teichmueller iteration did not stabilize")
+    table = {fq.zero().co: ring.zero()}
+    lift, res = ring.one(), fq.one()
+    for _ in range(q - 1):
+        table[res.co] = lift
+        lift, res = lift * z, res * g
+    return table
 
 
 class SeriesPacking:

@@ -160,8 +160,7 @@ class Series1:
         return acc
 
     def min_valuations(self):
-        cap = self.ring.cap
-        return [cap if v is None else v for v in (c.valuation() for c in self.coeffs)]
+        return [c.valuation() for c in self.coeffs]
 
 
 def artin_hasse_series(ring, degree):
@@ -500,7 +499,7 @@ def certify_series(series, target):
 def series_eval_unit(series, z, target_prec):
     """Certified value of the series at integral z, at target pi-precision,
     or at z's own precision when that is lower."""
-    if (z.valuation() or 0) < 0:
+    if z.valuation() < 0:
         raise InvalidParameter("the evaluation point must be integral")
     certify_series(series, target_prec)
     value = series.eval_full(z)

@@ -457,6 +457,38 @@ def test_certificate_holds_at_twice_the_degree(p, s, degree):
     characters.shared_system.cache_clear()
 
 
+def _value_in(ring, obj):
+    """A report's value (``to_json_obj``) with its coordinates mod ring's p^N."""
+    return RingElem(ring, tuple(c % ring.pn for row in obj["coords"] for c in row), obj["prec"])
+
+
+def _declared_values(report):
+    return report["trace_value"], report["g_brute"]["full"], report["g_brute"]["units"]
+
+
+# the sweep goldens but q = 5, whose system at N = 20 takes about 10 s
+@pytest.mark.parametrize(
+    "p,s,degree", [(2, 1, 64), (2, 2, 128), (3, 1, 128), (2, 3, 128), (3, 2, 512)]
+)
+def test_report_values_hold_at_four_more_digits(p, s, degree):
+    # rebuild the golden's configuration at N + 4 = 20, at the same D and t:
+    # for every chi, the N = 16 report's trace_value, g_brute.full and
+    # g_brute.units agree with the N = 20 ones at the N = 16 declared
+    # precision, and the N = 20 value declares no less
+    params = CharParams(p, s, 2, nprec=16, degree=degree)
+    ring = shared_system(params).ring
+    for m in range(p**s - 1):
+        for b in range(p**s):
+            low = trace_formula_check(GaussConfig(params, m, b))
+            high = trace_formula_check(GaussConfig(params.replace(nprec=20), m, b))
+            assert low["t_residue_index"] == high["t_residue_index"]
+            for k, (got, want) in enumerate(zip(_declared_values(low), _declared_values(high))):
+                assert want["prec"] >= got["prec"], (m, b, k)
+                moved = _value_in(ring, want) - _value_in(ring, got)
+                assert moved.valuation() >= got["prec"], (m, b, k)
+    characters.shared_system.cache_clear()
+
+
 @pytest.mark.xfail(raises=AssertionError, strict=True, reason="the empirical tail over-claims")
 def test_certificate_over_claims_at_q4_target_12():
     # the empirical certificate certifies the diagonal at q = 4, D = 128,

@@ -143,7 +143,7 @@ def test_plain_zpn_ring():
     assert ring.from_int(3**5).is_zero()
     assert x.valuation() == 0
     assert ring.from_int(9).valuation() == 2
-    assert ring.zero().valuation() is None
+    assert ring.zero().valuation() == ring.cap
 
 
 @pytest.mark.parametrize("p,m", [(2, 0), (2, 1), (3, 0), (3, 1), (2, 2), (3, 2)])
@@ -155,7 +155,45 @@ def test_uniformizer_and_p_valuations(p, m, tag):
     assert ring.e == e
     assert ring.pi().valuation() == 1
     assert ring.from_int(p).valuation() == e
-    assert ring.zero().valuation() is None
+    assert ring.zero().valuation() == ring.cap
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RingSpec(3, nprec=5),
+        RingSpec(2, nprec=8),
+        RingSpec(2, 2, nprec=8),
+        RingSpec(3, 2, nprec=6),
+        _LEVEL0,
+        RingSpec(3, 1, 0, LubinTateSeries.cyclotomic(3), 6),
+        RingSpec(2, 1, 1, LubinTateSeries.cyclotomic(2), 8),
+        RingSpec(3, 1, 1, LubinTateSeries.plain(3), 5),
+        RingSpec(2, 2, 1, LubinTateSeries.cyclotomic(2), 8),
+    ],
+    ids=lambda spec: f"p{spec.p}-s{spec.s}-m{spec.m}-N{spec.nprec}",
+)
+def test_val_co_reads_cap_exactly_at_zero(spec):
+    # snap reads v == ring.cap as "equal mod p^N": the zero tuple reads cap,
+    # and every nonzero tuple mod p^N reads min_i (i + e v_p(c_i)) < cap
+    ring = make_ring(spec)
+    p, e, s, n = ring.p, ring.e, ring.s, ring.nprec
+    assert ring.val_co((0,) * ring.dim) == ring.cap == ring.zero().valuation()
+    # the largest nonzero valuation: p^(N-1) on pi^(e-1) y^(s-1)
+    edge = (0,) * (ring.dim - 1) + (p ** (n - 1),)
+    assert ring.val_co(edge) == ring.cap - 1
+
+    def vp(c):
+        return next(v for v in range(n) if c % p ** (v + 1))
+
+    # seeded nonzero tuples, sparse and of every valuation
+    rng = random.Random(83)
+    for _ in range(200):
+        k = rng.randrange(n)
+        co = tuple(rng.randrange(p ** (n - k)) * p**k * rng.randrange(2) for _ in range(ring.dim))
+        if any(co):
+            want = min(i // s + e * vp(c) for i, c in enumerate(co) if c)
+            assert ring.val_co(co) == want < ring.cap, co
 
 
 def test_tower_compatibility_F_of_pi():
@@ -523,6 +561,10 @@ def test_embed_from_unramified_part():
         (lambda: LubinTateSeries(2.0), "p = 2.0 is not an integer"),
         (lambda: LubinTateSeries(2, [1.5]), "a coefficient of G = 1.5 is not an integer"),
         (lambda: LubinTateSeries(2, 5), "G's coefficients 5 are not a tuple or list"),
+        # an lt that is no LubinTateSeries ended in a bare AttributeError, or
+        # at m = -1 gave a ring whose repr raised one
+        (lambda: RingSpec(2, 1, 0, "cyc", 8), "lt = 'cyc' is not a LubinTateSeries"),
+        (lambda: ring_of(2, 1, -1, "cyc", 8), "lt = 'cyc' is not a LubinTateSeries"),
         # a negative degree gave a degree-0 series
         (lambda: robba(make_ring(_LEVEL0), 0, -2), "series degree = -2 is below 0"),
         (lambda: pulita_theta_ms(make_ring(_LEVEL0), 0, 1, one_vec(make_ring(_LEVEL0), 2), -3),
