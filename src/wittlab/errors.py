@@ -47,7 +47,7 @@ class PrecisionNotReached(WittlabError):
 
 
 class NonIntegralResult(WittlabError):
-    """A rational-lift computation produced non p-integral coefficients."""
+    """A coefficient that must be p-integral is not (an exact division left a remainder)."""
 
 
 class TailNotCertified(WittlabError):

@@ -1,8 +1,9 @@
 """Truncated power series: Artin-Hasse, Robba and Pulita exponentials.
 
-Everything with denominators (exp, the Artin-Hasse series) is computed
-over exact rationals and only then reduced mod p^N; reductions are refused
-when a coefficient is not p-integral.  The Lubin-Tate vector w (ghost
+The Artin-Hasse coefficients come from one integer recurrence mod p^N
+with guard digits (``artin_hasse_ints``), and exp(c x) from exact
+divisions in the coefficient ring; both refuse a coefficient that is not
+p-integral rather than reduce it.  The Lubin-Tate vector w (ghost
 components F^n(T)) specializes at pi_m to the Witt vector varpi_m, which is
 built by ghost transport in the coefficient ring itself.
 
@@ -19,7 +20,6 @@ cross-checked by exhaustive homomorphism tests.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .errors import (
     InvalidParameter,
@@ -30,7 +30,7 @@ from .errors import (
     TailNotCertified,
     TruncationTooSmall,
 )
-from .rings import RingElem, SeriesPacking, check_int
+from .rings import RingElem, SeriesPacking, _vp, check_int
 from .wittvec import (
     WittVec, from_ghosts, versch, witt_add, witt_map, witt_mul, witt_neg, zero_vec,
 )
@@ -44,45 +44,40 @@ def series_length(p, degree):
     return max(length, 1)
 
 
-# -- exact exponentials -----------------------------------------------------------
-
-
-def exp_fractions(f, degree):
-    """exp of a rational series with f(0) = 0, to the given degree."""
-    if f and f[0]:
-        raise InvalidParameter(f"exp needs f(0) = 0, have {f[0]}")
-    g = [Fraction(1)] + [Fraction(0)] * degree
-    fp = [k * (f[k] if k < len(f) else 0) for k in range(degree + 1)]
-    for k in range(1, degree + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            if j < len(fp) and fp[j]:
-                acc += fp[j] * g[k - j]
-        g[k] = acc / k
-    return g
-
-
-@functools.lru_cache(maxsize=None)
-def artin_hasse_fractions(p, degree):
-    """AH(x) = exp(sum x^(p^n)/p^n) as exact rationals."""
-    f = [Fraction(0)] * (degree + 1)
-    n = 0
-    while p**n <= degree:
-        f[p**n] = Fraction(1, p**n)
-        n += 1
-    return tuple(exp_fractions(f, degree))
-
-
-def reduce_fraction(c, p, pn):
-    if c.denominator % p == 0:
-        raise NonIntegralResult(f"coefficient {c} is not {p}-integral")
-    return c.numerator * pow(c.denominator, -1, pn) % pn
+# -- the Artin-Hasse coefficients --------------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
 def artin_hasse_ints(p, degree, nprec):
+    """a_0..a_degree of AH(x) = exp(sum x^(p^i)/p^i) mod p^nprec.
+
+    From AH' = AH sum_i x^(p^i - 1): n a_n = sum_{p^i <= n} a_(n - p^i) and
+    a_0 = 1, worked mod p^(nprec + g), g = v_p(degree!) = (degree -
+    s_p(degree))/(p - 1) (Legendre; s_p is the base-p digit sum).  Each a_n
+    is one exact division by p^(v_p(n)), then one unit inverse.  The guard is
+    enough: the digits of a_n rest on chains of divisions at distinct
+    n > n_1 > ... >= 1, all at most degree, which lose at most sum_k v_p(k) = g
+    digits, so the sum at n is known to nprec + v_p(n) digits.  AH is
+    p-integral (Dwork's lemma), so no division leaves a remainder; one that
+    does is refused (``NonIntegralResult``).  Reduced mod p^nprec, a
+    coefficient does not depend on ``degree``.
+    """
+    check_int("series degree", degree, 0)
+    check_int("N", nprec, 1)
+    guard, rest = 0, degree  # Legendre: g = sum_k degree // p^k
+    while rest:
+        rest //= p
+        guard += rest
+    modulus = p ** (nprec + guard)
+    coeffs = [1]
+    for n in range(1, degree + 1):
+        v = _vp(n, p)
+        total, rem = divmod(sum(coeffs[n - p**i] for i in range(series_length(p, n))), p**v)
+        if rem:
+            raise NonIntegralResult(f"AH coefficient {n} is not {p}-integral")
+        coeffs.append(total * pow(n // p**v, -1, modulus) % modulus)
     pn = p**nprec
-    return tuple(reduce_fraction(c, p, pn) for c in artin_hasse_fractions(p, degree))
+    return tuple(c % pn for c in coeffs)
 
 
 class Series1:
@@ -137,7 +132,8 @@ class Series1:
         return Series1(self.ring, out)
 
     def compose_xpow(self, step):
-        """x -> x^step (tail truncated at the same degree bound)."""
+        """x -> x^step (tail truncated at the same degree bound), step >= 1."""
+        check_int("x-power step", step, 1)
         out = [self.ring.zero() for _ in range(self.degree + 1)]
         for k, c in enumerate(self.coeffs):
             if k * step > self.degree:
@@ -170,19 +166,16 @@ def artin_hasse_series(ring, degree):
 
 
 def exp_ring_series(ring, c, degree):
-    """exp(c x) over the ring; every c^k/k! must be integral (v(c) high
-    enough), enforced by the exact divisions."""
+    """exp(c x) over the ring, degree >= 0; every c^k/k! must be integral
+    (v(c) high enough), enforced by the exact divisions."""
+    check_int("series degree", degree, 0)
     coeffs = [ring.one()]
     for k in range(1, degree + 1):
         term = coeffs[-1] * c
-        v = 0
-        kk = k
-        while kk % ring.p == 0:
-            kk //= ring.p
-            v += 1
+        v = _vp(k, ring.p)
         if v:
             term = term.exact_div_p(v)
-        coeffs.append(term.scale_int(pow(kk, -1, ring.pn)))
+        coeffs.append(term.scale_int(pow(k // ring.p**v, -1, ring.pn)))
     return Series1(ring, coeffs)
 
 
@@ -219,6 +212,8 @@ def artin_hasse_E(a, degree):
     ring = a.ring
     p = ring.p
     floor = ring.cap
+    # a coefficient mod p^N does not depend on the degree of its table
+    ah = artin_hasse_ints(p, degree, ring.nprec)
     acc = [ring.one().co] + [ring.zero().co] * degree
     for i, comp in enumerate(a.comps):
         step = p**i
@@ -228,7 +223,6 @@ def artin_hasse_E(a, degree):
         if not any(comp.co):
             continue
         terms = degree // step + 1
-        ah = artin_hasse_ints(p, terms - 1, ring.nprec)
         factor = [ring.zero().co] * (step * (terms - 1) + 1)
         factor[0] = ring.from_int(ah[0]).co
         apow = ring.one()

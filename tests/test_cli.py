@@ -144,8 +144,8 @@ from wittlab.fields import finite_field
 from wittlab.gausstrace import GaussConfig, alpha_matrix
 from wittlab.rings import LubinTateSeries, ring_of
 from wittlab.series import (
-    Series1, TruncSeries2, exp_fractions, pad_vector, pulita_theta_ms, series_eval_unit,
-    varpi,
+    Series1, TruncSeries2, artin_hasse_ints, artin_hasse_series, exp_ring_series, pad_vector,
+    pulita_theta_ms, series_eval_unit, varpi,
 )
 from wittlab.upoly import UniversalPoly, eval_plan_at, structural_polys
 from wittlab.wittvec import (
@@ -200,7 +200,12 @@ rows = [
     (RingMismatch, lambda: (
         Series1(zp, [zp.from_int(3), zp.from_int(5)]) * Series1(z3, [z3.from_int(7), z3.from_int(2)])
     )),
-    (InvalidParameter, lambda: exp_fractions([1, 1], 4)),
+    (InvalidParameter, lambda: artin_hasse_ints(2, -1, 8)),
+    (InvalidParameter, lambda: artin_hasse_ints(2, 8, -2)),
+    (InvalidParameter, lambda: Series1(z3, [z3.from_int(k) for k in range(1, 6)]).compose_xpow(0)),
+    (InvalidParameter, lambda: Series1(z3, [z3.from_int(k) for k in range(1, 6)]).compose_xpow(-1)),
+    (InvalidParameter, lambda: exp_ring_series(z3, z3.from_int(3), -4)),
+    (InvalidParameter, lambda: artin_hasse_series(z3, -2)),
     (ReportedMismatch, w_with_constant_term),
     (InvalidParameter, lambda: varpi(zp, 0, 2)),
     (RingMismatch, lambda: f4.gen() + finite_field(2, 3).gen()),
@@ -241,7 +246,11 @@ def test_direct_refusals_hold_under_python_O():
     # CharParams and GaussConfig rows took floats and bools, and the
     # factorization check at D = 0 compared constant terms only;
     # eval_plan_at indexed past a short value list, transport read another
-    # ring's coordinates and ghost slices zipped to the shorter; each now
+    # ring's coordinates and ghost slices zipped to the shorter;
+    # compose_xpow at a step below 1 returned its coefficients permuted, and
+    # exp_ring_series and artin_hasse_series at a negative degree returned a
+    # degree-0 series, and artin_hasse_ints at N = -2 raised a TypeError;
+    # each now
     # raises exactly the error class its row names, and the script prints
     # each row that does not
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -78,9 +78,9 @@ def test_dwork_valuation_contraction():
     rng = random.Random(3)
     sys = system21()
     g = rand_series2(sys.ring, 12, rng)
-    mins = [v for _, _, c in g.terms() for v in [c.valuation()] if v is not None]
+    mins = [c.valuation() for _, _, c in g.terms()]
     dw = dwork_op(g, 2)
-    mins_dw = [v for _, _, c in dw.terms() for v in [c.valuation()] if v is not None]
+    mins_dw = [c.valuation() for _, _, c in dw.terms()]
     assert min(mins_dw, default=sys.ring.cap) >= min(mins, default=0)
 
 
@@ -427,11 +427,6 @@ def test_gauss_sweep_matches_golden(capsys, p, s, degree):
     assert [_sweep_digest(r) for r in reports] == golden
 
 
-def _valuation(ring, x):
-    v = x.valuation()
-    return ring.cap if v is None else v
-
-
 # the sweep goldens but q = 5, whose system at 2D = 3072 takes about 14 s
 @pytest.mark.parametrize(
     "p,s,degree", [(2, 1, 64), (2, 2, 128), (3, 1, 128), (2, 3, 128), (3, 2, 512)]
@@ -453,7 +448,7 @@ def test_certificate_holds_at_twice_the_degree(p, s, degree):
             assert len(floors2) == 2 * degree // (q - 1) + 1
             assert min(floors2[top + 1 :]) >= target, (m, chi_b.index())
             moved = RingElem(ring, total2) - RingElem(ring, total)
-            assert _valuation(ring, moved) >= target, (m, chi_b.index())
+            assert moved.valuation() >= target, (m, chi_b.index())
     characters.shared_system.cache_clear()
 
 
@@ -503,7 +498,7 @@ def test_certificate_over_claims_at_q4_target_12():
     try:
         for degree in (256, 512):
             _, total, _ = kernel_shells(shared_system(params.replace(degree=degree)), 0, zero)
-            assert _valuation(system.ring, RingElem(system.ring, total) - value) >= 12, degree
+            assert (RingElem(system.ring, total) - value).valuation() >= 12, degree
     finally:
         characters.shared_system.cache_clear()
 
@@ -554,8 +549,6 @@ def test_gauss_conjugate_valuation_symmetry():
             g = gauss_brute(sys, m, b)["units"]
             g_inv = gauss_brute(sys, m_inv, b_inv)["units"]
             v, v_inv = g.valuation(), g_inv.valuation()
-            v = sys.ring.cap if v is None else v
-            v_inv = sys.ring.cap if v_inv is None else v_inv
             assert min(v, g.prec) == min(v_inv, g_inv.prec), (m, b_index)
 
 
@@ -603,7 +596,7 @@ def assert_shells_match_kernel_H(sys, chi_m, chi_b, target):
         shell = [full.coefficient((q - 1) * n0, (q - 1) * (k - n0)) for n0 in range(k + 1)]
         partial = [x + sum(c.co[i] for c in shell) for i, x in enumerate(partial)]
         assert cuts[k] == tuple(x % ring.pn for x in partial), (chi_m, chi_b, k)
-        least = min([ring.cap] + [v for c in shell for v in [c.valuation()] if v is not None])
+        least = min(c.valuation() for c in shell)
         assert floors[k] <= least == minima[k], (chi_m, chi_b, k)
     for i, x in enumerate(partial):
         assert total[i] == x % ring.pn, (chi_m, chi_b, i)
@@ -677,8 +670,7 @@ def test_class_products_match_ring_products(p, s):
         assert prec == min(c.prec for c in a.coeffs + b.coeffs)
 
         def val(c):
-            v = c.valuation()
-            return min(ring.cap if v is None else v, c.prec)
+            return min(c.valuation(), c.prec)
 
         for r in range(step):
             for r2 in range(step):
@@ -1102,7 +1094,7 @@ def test_certified_sum_shell_valuations_match_per_coefficient_minimum(p, s, m):
                 series.rows[n0][k - n0] = c
         value, report = certified_diagonal_sum(ring, diagonal_lattice(series, 2), 2)
         want_shells = [
-            min([ring.cap] + [v for c in shell for v in [ring.val_co(c.co)] if v is not None])
+            min(ring.val_co(c.co) for c in shell)
             for shell in shells
         ]
         assert report["shells"] == want_shells, trial

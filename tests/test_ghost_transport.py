@@ -182,7 +182,7 @@ def test_delta_declares_the_precision_a_perturbation_shows():
     # n(n+1)/2; and no component is declared below zero
     ring = ring_of(3, nprec=12)
     rng = random.Random(707)
-    least = [None] * 5
+    least = [ring.cap] * 5
     for _ in range(200):
         x = RingElem(ring, (rng.randrange(ring.pn),), 6)
         y = RingElem(ring, ((x.co[0] + 3**6 * rng.randrange(1, 3**6)) % ring.pn,), 6)
@@ -190,9 +190,7 @@ def test_delta_declares_the_precision_a_perturbation_shows():
         assert [c.prec for c in dx.comps] == [6, 5, 4, 3, 2]
         assert dx == dy
         for n in range(5):
-            v = (dx[n] - dy[n]).valuation()
-            if v is not None:
-                least[n] = v if least[n] is None else min(least[n], v)
+            least[n] = min(least[n], (dx[n] - dy[n]).valuation())
     assert least == [6, 5, 4, 3, 2]
     low = delta(RingElem(ring, (5,), 2), 5)
     assert [c.prec for c in low.comps] == [2, 1, 0, 0, 0]

@@ -50,11 +50,14 @@ def test_no_unused_imports():
 def test_import_loads_neither_dataclasses_nor_inspect():
     # the configuration records are namedtuples: importing dataclasses would
     # load inspect, ast, dis and tokenize, about 1 MB that nothing else the
-    # package runs needs (-S: no site module, which may import either)
+    # package runs needs; the Artin-Hasse coefficients are integer
+    # arithmetic, so fractions (which loads decimal and numbers) is not
+    # loaded either (-S: no site module, which may import any of them)
     src = str(Path(wittlab.__file__).parent.parent)
+    names = "{'dataclasses', 'inspect', 'fractions', 'decimal'}"
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import wittlab; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"print(sorted({names} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
