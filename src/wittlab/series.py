@@ -30,14 +30,22 @@ from .errors import (
     TailNotCertified,
     TruncationTooSmall,
 )
+from .fields import is_prime
 from .rings import RingElem, SeriesPacking, _vp, check_int
 from .wittvec import (
     WittVec, from_ghosts, versch, witt_add, witt_map, witt_mul, witt_neg, zero_vec,
 )
 
 
+def _check_prime(p):
+    check_int("p", p)
+    if not is_prime(p):
+        raise InvalidParameter(f"p = {p} is not prime")
+
+
 def series_length(p, degree):
     """Smallest L with p^L > degree (AH factors beyond L are invisible)."""
+    _check_prime(p)
     length = 0
     while p**length <= degree:
         length += 1
@@ -64,6 +72,7 @@ def artin_hasse_ints(p, degree, nprec):
     """
     check_int("series degree", degree, 0)
     check_int("N", nprec, 1)
+    steps = [p**i for i in range(series_length(p, degree))]  # every p^i <= degree
     guard, rest = 0, degree  # Legendre: g = sum_k degree // p^k
     while rest:
         rest //= p
@@ -72,7 +81,7 @@ def artin_hasse_ints(p, degree, nprec):
     coeffs = [1]
     for n in range(1, degree + 1):
         v = _vp(n, p)
-        total, rem = divmod(sum(coeffs[n - p**i] for i in range(series_length(p, n))), p**v)
+        total, rem = divmod(sum(coeffs[n - k] for k in steps if k <= n), p**v)
         if rem:
             raise NonIntegralResult(f"AH coefficient {n} is not {p}-integral")
         coeffs.append(total * pow(n // p**v, -1, modulus) % modulus)

@@ -16,26 +16,36 @@ the way back peels digits r = x mod p, a_i = r^(p^i) read from a table, then
 x <- (x - [r]) / p.  Frobenius reads a_i^p from the same table.  The
 universal polynomials of upoly serve no Witt operation.
 
-The ghost map over a coefficient ring (``ghost_values``) and its one
-inversion (``ghost_peel``) live here: transport, ``ghost_map``, ``delta``
-and the exact recovery ``from_ghosts`` (which builds varpi_m and Delta(c))
-all take them.  Both work on the coordinate tuples of one ring: p-th powers
-by ``TowerRing.pow_co``, the p^i scalings and sums on integers mod p^N, and
-the peel's division by p^n checked coordinate by coordinate.  No precision
-is tracked inside; a ``RingElem`` is built only for what a caller returns,
-stamped once as above.  A vector refuses a component of another ring when
-it is built, so no operation reads coordinates that mean nothing in its ring.
+The ghost map over a coefficient ring and its one inversion live here, one
+loop each (``_ghosts``, ``_peel``) on the ring's values: a value is an int,
+the coordinate itself, on a one-coordinate ring (Z/p^N) and the coordinate
+tuple on any other.  Three per-value primitives, chosen once per ring from
+its shape (``_kit``), do the arithmetic: the p-th power (Python's ``pow``
+mod p^N on an int, else ``TowerRing.pow_co``), the sum of p^i row[i] by
+Horner in p, and the exact division by p^n, which raises NotDivisible.
+Transport takes the loops on values, so a Z/p^N coordinate is one int from
+the lift through the combine to the peel; ``ghost_values`` and
+``ghost_peel`` are the same loops on coordinate tuples, which ``ghost_map``,
+``delta`` and the exact recovery ``from_ghosts`` (which builds varpi_m and
+Delta(c)) take.  No precision is tracked inside; a ``RingElem`` is built
+only for what a caller returns, stamped once as above.  The public
+constructor refuses a component of another ring, so no operation reads
+coordinates that mean nothing in its ring; a vector that wittvec builds
+from components already checked, or made by the ring, skips the check
+(``WittVec._own``).
 """
 
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
-from itertools import accumulate
+from functools import lru_cache, partial
+from itertools import accumulate, repeat
 
 from .errors import InvalidParameter, NotDivisible, NotGaloisStable, RingMismatch, TooShort
 from .fields import Fq, finite_field, pow_ladder
 from .rings import RingElem, TowerRing, ring_of
+
+_CO = operator.attrgetter("co")
 
 
 class WittVec:
@@ -50,6 +60,15 @@ class WittVec:
         home = "field" if isinstance(ring, Fq) else "ring"
         if any(getattr(c, home, None) is not ring for c in self.comps):
             raise RingMismatch(f"a component of a vector over {ring!r} lives in another ring")
+
+    @classmethod
+    def _own(cls, ring, comps):
+        """A vector of components already known to live in ``ring``: the
+        components of a checked vector, or ones the ring made; no check."""
+        vec = object.__new__(cls)
+        vec.ring = ring
+        vec.comps = tuple(comps)
+        return vec
 
     def __len__(self):
         return len(self.comps)
@@ -89,7 +108,7 @@ class WittVec:
     def truncate(self, length):
         if not 0 <= length <= len(self):
             raise InvalidParameter(f"cannot truncate a length-{len(self)} vector to {length}")
-        return WittVec(self.ring, self.comps[:length])
+        return WittVec._own(self.ring, self.comps[:length])
 
     def is_zero(self):
         return all(_is_zero(c) for c in self.comps)
@@ -143,7 +162,7 @@ def _is_zero(c):
 def _check_pair(a, b):
     if a.ring is not b.ring:
         raise RingMismatch("Witt vectors over different rings")
-    return min(len(a), len(b))
+    return min(len(a.comps), len(b.comps))
 
 
 def _check_length(length):
@@ -153,7 +172,7 @@ def _check_length(length):
 
 def zero_vec(ring, length):
     _check_length(length)
-    return WittVec(ring, [ring.zero() for _ in range(length)])
+    return WittVec._own(ring, [ring.zero() for _ in range(length)])
 
 
 def one_vec(ring, length):
@@ -174,7 +193,7 @@ def versch(a, k=1):
         return a
     ring = a.ring
     zeros = [ring.zero() for _ in range(min(k, len(a)))]
-    return WittVec(ring, (zeros + list(a.comps))[: len(a)])
+    return WittVec._own(ring, (zeros + list(a.comps))[: len(a)])
 
 
 def witt_map(fn, a, target_ring=None):
@@ -183,19 +202,93 @@ def witt_map(fn, a, target_ring=None):
     return WittVec(ring, [fn(c) for c in a.comps])
 
 
+@lru_cache(maxsize=None)
+def _kit(ring):
+    """(power, weigh, divide): the per-value primitives of the ghost map and
+    its inversion over ``ring``, chosen once from its shape.  A value is an
+    int, the coordinate itself, on a one-coordinate ring (Z/p^N) and the
+    coordinate tuple on any other.  power(x) = x^p; weigh(row) = sum p^i
+    row[i] mod p^N, by Horner in p (the empty sum is zero); divide(u, h, n) =
+    (u - h) / p^n, or NotDivisible where a coordinate of u - h mod p^N is not
+    divisible by p^n."""
+    p, pn = ring.p, ring.pn
+    if ring.dim == 1:
+
+        def weigh(row):
+            acc = 0
+            for x in reversed(row):
+                acc = acc * p + x
+            return acc % pn
+
+        def divide(u, h, n):
+            q, r = divmod((u - h) % pn, p**n)
+            if r:
+                raise NotDivisible(f"ghost coordinate {n} is not divisible by p^{n} at precision")
+            return q
+
+        return partial(pow, exp=p, mod=pn), weigh, divide
+    zero = (0,) * ring.dim
+
+    def weigh(row):
+        acc = zero
+        for x in reversed(row):
+            acc = [a * p + b for a, b in zip(acc, x)]
+        return tuple([a % pn for a in acc])
+
+    def divide(u, h, n):
+        pk = p**n
+        split = [divmod((a - b) % pn, pk) for a, b in zip(u, h)]
+        if any([r for _, r in split]):
+            raise NotDivisible(f"ghost coordinate {n} is not divisible by p^{n} at precision")
+        return tuple([q for q, _ in split])
+
+    return partial(ring.pow_co, n=p), weigh, divide
+
+
+def _ghosts(ring, values):
+    """The ghost map on values: fant_n(a_0..a_n) for n < len(values)."""
+    power, weigh, _ = _kit(ring)
+    out, pows = [], []  # pows[i] = a_i^(p^(n-i)) at step n
+    for a_n in values:
+        pows = list(map(power, pows))
+        pows.append(a_n)
+        out.append(weigh(pows))
+    return out
+
+
+def _peel(ring, values):
+    """The ghost inversion on values: a_n = (u_n - sum_{i<n} p^i
+    a_i^(p^(n-i))) / p^n, one component at a time."""
+    power, weigh, divide = _kit(ring)
+    comps, pows = [], []  # pows[i] = a_i^(p^(n-i)) at step n
+    for n, u in enumerate(values):
+        if n:
+            pows = list(map(power, pows))
+            u = divide(u, weigh(pows), n)
+        comps.append(u)
+        pows.append(u)
+    return comps
+
+
+def _values(ring, coords):
+    """The values of coordinate tuples of ``ring``."""
+    return [x for (x,) in coords] if ring.dim == 1 else list(coords)
+
+
+def _coords(ring, values):
+    """The coordinate tuples, reduced mod p^N of ``ring``, of values of
+    ``ring`` or of a copy of it at another precision."""
+    pn = ring.pn
+    if ring.dim == 1:
+        return [(x % pn,) for x in values]
+    return [tuple([x % pn for x in c]) for c in values]
+
+
 def ghost_values(ring, comps):
     """The ghost coordinates fant_n(a_0..a_n), n < len(comps), of the vector
     whose components have the coordinate tuples ``comps`` in ``ring``: the
-    p-th powers by ``ring.pow_co``, the p^i scalings and the sums on the
-    coordinates mod p^N."""
-    p, pn, pow_co = ring.p, ring.pn, ring.pow_co
-    scales = [p**i for i in range(len(comps))]
-    out, pows = [], []  # pows[i] = a_i^(p^(n-i)) at step n
-    for a_n in comps:
-        pows = [pow_co(x, p) for x in pows]
-        pows.append(a_n)
-        out.append(tuple([sum(map(operator.mul, scales, col)) % pn for col in zip(*pows)]))
-    return out
+    p-th powers, the p^i scalings and the sums on the coordinates mod p^N."""
+    return _coords(ring, _ghosts(ring, _values(ring, comps)))
 
 
 def ghost_peel(ring, entries):
@@ -207,23 +300,7 @@ def ghost_peel(ring, entries):
     by p^n.  Otherwise a_n is known mod p^(N-n), and its coordinates are the
     quotients, below p^(N-n).
     """
-    p, pn, pow_co = ring.p, ring.pn, ring.pow_co
-    scales = [p**i for i in range(len(entries))]
-    comps, pows = [], []  # pows[i] = a_i^(p^(n-i)) at step n
-    for n, u in enumerate(entries):
-        pows = [pow_co(x, p) for x in pows]
-        if n:
-            pk = p**n
-            split = [
-                divmod((c - sum(map(operator.mul, scales, col))) % pn, pk)
-                for c, col in zip(u, zip(*pows))
-            ]
-            if any([r for _, r in split]):
-                raise NotDivisible(f"ghost coordinate {n} is not divisible by p^{n} at precision")
-            u = tuple([q for q, _ in split])
-        comps.append(u)
-        pows.append(u)
-    return comps
+    return _coords(ring, _peel(ring, _values(ring, entries)))
 
 
 def ghost_map(a):
@@ -232,7 +309,7 @@ def ghost_map(a):
     ring = a.ring
     if not isinstance(ring, TowerRing):
         raise RingMismatch("the ghost map needs a p-regular coefficient ring")
-    ghosts = ghost_values(ring, _coords(a, len(a)))
+    ghosts = ghost_values(ring, [c.co for c in a.comps])
     precs = _prefix_min([a], len(a))
     return GhostSeq(ring, [RingElem(ring, g, prec) for g, prec in zip(ghosts, precs)])
 
@@ -289,30 +366,19 @@ def _from_zq(field, table, x):
             if any([m for _, m in split]):
                 raise NotDivisible(f"digit {i} differs from its Teichmueller lift mod p")
             x = tuple([d for d, _ in split])
-    return WittVec(field, comps)
+    return WittVec._own(field, comps)
 
 
-def _coords(a, length):
-    """The coordinate tuples of a's first ``length`` components."""
-    return [c.co for c in a.comps[:length]]
-
-
-def _lifted_ghosts(ring, vecs, length):
-    """big, a copy of the ring with ``length`` guard digits, so the
-    recovering divisions stay exact, and the ghost coordinates 0..length-1
-    of each vector there."""
+def _transport(ring, vecs, length, combine, precs):
+    """The vector over ``ring`` whose ghost values in big, a copy of the ring
+    with ``length`` guard digits so that the recovering divisions stay
+    exact, are combine(big, ghost values of each of vecs); component n
+    declared at precs[n].  No coordinate tuple is built between the lift
+    and the returned components."""
     big = ring.with_precision(ring.nprec + length)
-    return big, [ghost_values(big, _coords(v, length)) for v in vecs]
-
-
-def _recover(ring, big, entries, precs):
-    """The vector with ghost coordinates ``entries`` in big, reduced to
-    ``ring``; component n declared at precision precs[n]."""
-    pn = ring.pn
-    return WittVec(ring, [
-        RingElem(ring, tuple([x % pn for x in c]), prec)
-        for c, prec in zip(ghost_peel(big, entries), precs)
-    ])
+    ghosts = [_ghosts(big, _values(big, map(_CO, v.comps[:length]))) for v in vecs]
+    comps = _coords(ring, _peel(big, combine(big, *ghosts)))
+    return WittVec._own(ring, map(RingElem, repeat(ring), comps, precs))
 
 
 def from_ghosts(ring, length, ghosts):
@@ -321,34 +387,42 @@ def from_ghosts(ring, length, ghosts):
     component declared at ``ring.cap``.
 
     ``ghosts`` forms the coordinates, exactly, in big, a copy of the ring
-    with L = ``length`` guard digits, where transport's recovery peels them.
+    with L = ``length`` guard digits, where transport peels them.
     If a'_i = a_i mod p^(N+L-i) for i < n, then p^i a'_i^(p^(n-i)) =
     p^i a_i^(p^(n-i)) mod p^(N+L), so the peel returns a_n mod p^(N+L-n),
     which covers p^N for every n < L.
     """
     _check_length(length)
-    big = ring.with_precision(ring.nprec + length)
-    return _recover(ring, big, ghosts(big), [ring.cap] * length)
+    big, pn = ring.with_precision(ring.nprec + length), ring.pn
+    comps = [tuple([x % pn for x in c]) for c in ghost_peel(big, ghosts(big))]
+    return WittVec._own(ring, [RingElem(ring, c) for c in comps])
 
 
 def _prefix_min(vecs, length):
     """Entry n: the least precision among components 0..n of the inputs."""
-    return list(accumulate((min(v.comps[i].prec for v in vecs) for i in range(length)), min))
+    precs = [c.prec for c in vecs[0].comps[:length]]
+    for v in vecs[1:]:
+        precs = list(map(min, precs, [c.prec for c in v.comps[:length]]))
+    return list(accumulate(precs, min))
 
 
-def _binary(a, b, co_op):
+def _pointwise(co_op, int_op):
+    """A transport combine: int_op entry by entry on the ghost ints of a
+    one-coordinate ring, co_op(big, ...) on coordinate tuples otherwise."""
+    return lambda big, *ghosts: list(map(int_op if big.dim == 1 else partial(co_op, big), *ghosts))
+
+
+def _binary(a, b, co_op, int_op):
     """co_op(ring, x, y) on the coordinates of the images in Z_q/p^n over
-    F_q; otherwise co_op(big, x, y) on each pair of ghost coordinate tuples."""
+    F_q; otherwise the same operation on each pair of ghost values."""
     length = _check_pair(a, b)
     if length == 0:
-        return WittVec(a.ring, [])
+        return WittVec._own(a.ring, [])
     if isinstance(a.ring, Fq):
         table = _zq_table(a.ring, length)
         return _from_zq(a.ring, table, co_op(table[0], _to_zq(table, a), _to_zq(table, b)))
-    big, (ga, gb) = _lifted_ghosts(a.ring, [a, b], length)
-    return _recover(
-        a.ring, big, [co_op(big, x, y) for x, y in zip(ga, gb)], _prefix_min([a, b], length)
-    )
+    combine = _pointwise(co_op, int_op)
+    return _transport(a.ring, [a, b], length, combine, _prefix_min([a, b], length))
 
 
 def _add_co(ring, x, y):
@@ -361,12 +435,16 @@ def _scale_co(ring, x, c):
     return tuple([u * c % pn for u in x])
 
 
+def _neg_co(ring, x):
+    return _scale_co(ring, x, -1)
+
+
 def witt_add(a, b):
-    return _binary(a, b, _add_co)
+    return _binary(a, b, _add_co, operator.add)
 
 
 def witt_mul(a, b):
-    return _binary(a, b, TowerRing.mul_co)
+    return _binary(a, b, TowerRing.mul_co, operator.mul)
 
 
 def witt_neg(a):
@@ -375,10 +453,9 @@ def witt_neg(a):
         return a
     if isinstance(ring, Fq):
         table = _zq_table(ring, length)
-        return _from_zq(ring, table, _scale_co(table[0], _to_zq(table, a), -1))
-    big, (ga,) = _lifted_ghosts(ring, [a], length)
+        return _from_zq(ring, table, _neg_co(table[0], _to_zq(table, a)))
     precs = [c.prec for c in a.comps] if ring.p % 2 else _prefix_min([a], length)
-    return _recover(ring, big, [_scale_co(big, g, -1) for g in ga], precs)
+    return _transport(ring, [a], length, _pointwise(_neg_co, operator.neg), precs)
 
 
 def frob(a):
@@ -388,9 +465,8 @@ def frob(a):
         raise TooShort("frob needs length >= 2")
     if isinstance(ring, Fq):
         frobs = _zq_table(ring, 1)[2][1 % ring.s]
-        return WittVec(ring, [frobs[c.co] for c in a.comps[:-1]])
-    big, (ga,) = _lifted_ghosts(ring, [a], length)
-    return _recover(ring, big, ga[1:], _prefix_min([a], length)[1:])
+        return WittVec._own(ring, [frobs[c.co] for c in a.comps[:-1]])
+    return _transport(ring, [a], length, lambda big, g: g[1:], _prefix_min([a], length)[1:])
 
 
 def scalar_nat(a, n):
@@ -412,15 +488,17 @@ def witt_div_p(a):
         raise RingMismatch("witt_div_p needs a p-regular coefficient ring")
     if length == 0:
         return WittVec(ring, [])
-    big, (ga,) = _lifted_ghosts(ring, [a], length)
-    p, prec = ring.p, max(0, min(c.prec for c in a.comps) - ring.e)
-    refused = NotDivisible("vector is not in p*W(A) at working precision")
-    if any(x % p for g in ga for x in g):
-        raise refused
+    prec = max(0, min(c.prec for c in a.comps) - ring.e)
+
+    def divide_by_p(big, ga):
+        _, weigh, divide = _kit(big)
+        zero = weigh(())
+        return [divide(g, zero, 1) for g in ga]
+
     try:
-        return _recover(ring, big, [tuple([x // p for x in g]) for g in ga], [prec] * length)
+        return _transport(ring, [a], length, divide_by_p, [prec] * length)
     except NotDivisible:
-        raise refused from None
+        raise NotDivisible("vector is not in p*W(A) at working precision") from None
 
 
 def delta(x, length):
@@ -435,7 +513,7 @@ def delta(x, length):
         raise RingMismatch(f"delta needs x over Z/p^N, have x in {ring!r}")
     _check_length(length)
     comps = ghost_peel(ring, [x.co] * length)
-    return WittVec(ring, [RingElem(ring, c, max(0, x.prec - n)) for n, c in enumerate(comps)])
+    return WittVec._own(ring, [RingElem(ring, c, max(0, x.prec - n)) for n, c in enumerate(comps)])
 
 
 def te_lift(y, target, length):

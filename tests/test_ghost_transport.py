@@ -38,6 +38,7 @@ RINGS = [
     ring_of(2, nprec=10),
     ring_of(3, nprec=8),
     ring_of(5, nprec=5),
+    ring_of(7, nprec=4),
     ring_of(2, 2, nprec=8),
     make_ring(RingSpec(3, 1, 1, CYC3, 5)),
     make_ring(RingSpec(2, 1, 1, CYC2, 8)),

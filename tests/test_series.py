@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from wittlab.errors import NonIntegralResult, PrecisionNotReached, TailNotCertified
+from wittlab.errors import (
+    InvalidParameter, NonIntegralResult, PrecisionNotReached, TailNotCertified,
+)
 from wittlab.rings import LubinTateSeries, RingElem, RingSpec, make_ring, ring_of
 from wittlab.series import (
     exp_ring_series,
@@ -106,6 +108,16 @@ def test_artin_hasse_recurrence_matches_rationals(p, degree, nprec):
 def test_artin_hasse_integral_to_64(p):
     for c in artin_hasse_fractions(p, 64):
         assert c.denominator % p != 0
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_a_composite_or_unit_p_is_refused(p):
+    # series_length(1, 4) looped forever, and artin_hasse_ints(4, 12, 8)
+    # failed inside the recurrence with a bare ValueError
+    with pytest.raises(InvalidParameter):
+        series_length(p, 4)
+    with pytest.raises(InvalidParameter):
+        artin_hasse_ints(p, 12, 8)
 
 
 def test_artin_hasse_low_terms():
