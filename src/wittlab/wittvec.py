@@ -207,42 +207,31 @@ def _kit(ring):
     """(power, weigh, divide): the per-value primitives of the ghost map and
     its inversion over ``ring``, chosen once from its shape.  A value is an
     int, the coordinate itself, on a one-coordinate ring (Z/p^N) and the
-    coordinate tuple on any other.  power(x) = x^p; weigh(row) = sum p^i
-    row[i] mod p^N, by Horner in p (the empty sum is zero); divide(u, h, n) =
-    (u - h) / p^n, or NotDivisible where a coordinate of u - h mod p^N is not
-    divisible by p^n."""
+    coordinate tuple on any other, where weigh and divide act coordinate by
+    coordinate.  power(x) = x^p; weigh(row) = sum p^i row[i] mod p^N, by
+    Horner in p; divide(u, h, n) = (u - h) / p^n, or NotDivisible where a
+    coordinate of u - h mod p^N is not divisible by p^n."""
     p, pn = ring.p, ring.pn
-    if ring.dim == 1:
-
-        def weigh(row):
-            acc = 0
-            for x in reversed(row):
-                acc = acc * p + x
-            return acc % pn
-
-        def divide(u, h, n):
-            q, r = divmod((u - h) % pn, p**n)
-            if r:
-                raise NotDivisible(f"ghost coordinate {n} is not divisible by p^{n} at precision")
-            return q
-
-        return partial(pow, exp=p, mod=pn), weigh, divide
-    zero = (0,) * ring.dim
 
     def weigh(row):
-        acc = zero
+        acc = 0
         for x in reversed(row):
-            acc = [a * p + b for a, b in zip(acc, x)]
-        return tuple([a % pn for a in acc])
+            acc = acc * p + x
+        return acc % pn
 
     def divide(u, h, n):
-        pk = p**n
-        split = [divmod((a - b) % pn, pk) for a, b in zip(u, h)]
-        if any([r for _, r in split]):
+        q, r = divmod((u - h) % pn, p**n)
+        if r:
             raise NotDivisible(f"ghost coordinate {n} is not divisible by p^{n} at precision")
-        return tuple([q for q, _ in split])
+        return q
 
-    return partial(ring.pow_co, n=p), weigh, divide
+    if ring.dim == 1:
+        return partial(pow, exp=p, mod=pn), weigh, divide
+    return (
+        partial(ring.pow_co, n=p),
+        lambda row: tuple(map(weigh, zip(*row))),
+        lambda u, h, n: tuple(map(divide, u, h, repeat(n))),
+    )
 
 
 def _ghosts(ring, values):
@@ -491,8 +480,7 @@ def witt_div_p(a):
     prec = max(0, min(c.prec for c in a.comps) - ring.e)
 
     def divide_by_p(big, ga):
-        _, weigh, divide = _kit(big)
-        zero = weigh(())
+        divide, (zero,) = _kit(big)[2], _values(big, [big.zero().co])
         return [divide(g, zero, 1) for g in ga]
 
     try:
