@@ -37,15 +37,12 @@ from .wittvec import (
 )
 
 
-def _check_prime(p):
+def series_length(p, degree):
+    """Smallest L with p^L > degree (AH factors beyond L are invisible); a p
+    that is not prime is refused."""
     check_int("p", p)
     if not is_prime(p):
         raise InvalidParameter(f"p = {p} is not prime")
-
-
-def series_length(p, degree):
-    """Smallest L with p^L > degree (AH factors beyond L are invisible)."""
-    _check_prime(p)
     length = 0
     while p**length <= degree:
         length += 1
