@@ -424,10 +424,6 @@ def _scale_co(ring, x, c):
     return tuple([u * c % pn for u in x])
 
 
-def _neg_co(ring, x):
-    return _scale_co(ring, x, -1)
-
-
 def witt_add(a, b):
     return _binary(a, b, _add_co, operator.add)
 
@@ -442,9 +438,10 @@ def witt_neg(a):
         return a
     if isinstance(ring, Fq):
         table = _zq_table(ring, length)
-        return _from_zq(ring, table, _neg_co(table[0], _to_zq(table, a)))
+        return _from_zq(ring, table, _scale_co(table[0], _to_zq(table, a), -1))
     precs = [c.prec for c in a.comps] if ring.p % 2 else _prefix_min([a], length)
-    return _transport(ring, [a], length, _pointwise(_neg_co, operator.neg), precs)
+    negate = _pointwise(partial(_scale_co, c=-1), operator.neg)
+    return _transport(ring, [a], length, negate, precs)
 
 
 def frob(a):
