@@ -2,7 +2,8 @@
 
 Every failure mode that callers are expected to handle gets its own class.
 No check is an ``assert``, which ``python -O`` strips (a tier-1 test walks the
-package for them); any other exception is a plain bug.
+package for them); any other exception is a plain bug.  ``check_int`` is the
+one rule for an integer parameter, here so that every module can take it.
 """
 
 
@@ -84,3 +85,12 @@ class ReportedMismatch(WittlabError):
 
 class TimeBudgetExceeded(WittlabError):
     """A cooperative deadline ran out inside a long computation."""
+
+
+def check_int(name, value, least=None):
+    """Refuse a parameter that is not an integer (a bool is not one), or is
+    below ``least`` when that is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameter(f"{name} = {value!r} is not an integer")
+    if least is not None and value < least:
+        raise InvalidParameter(f"{name} = {value!r} is below {least}")

@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 
-from .errors import InvalidParameter, NotGaloisStable, NotUnit, RingMismatch
+from .errors import InvalidParameter, NotGaloisStable, NotUnit, RingMismatch, check_int
 
 
 def convolve(a, b):
@@ -179,6 +179,7 @@ class FqElem:
         return f"Fq({self.field.p}^{self.field.s}):{list(self.co)}"
 
     def scale_int(self, c):
+        check_int("scale", c)
         return FqElem(self.field, tuple(a * c for a in self.co))
 
     def from_int_like(self, c):
@@ -223,12 +224,17 @@ class Fq:
         return FqElem(self, (0, 1) + (0,) * (self.s - 2))
 
     def from_int(self, c):
+        check_int("c", c)
         return FqElem(self, (c,) + (0,) * (self.s - 1))
 
     def from_coeffs(self, co):
         return FqElem(self, tuple(co))
 
     def from_index(self, idx):
+        """The element of index ``idx`` (see ``FqElem.index``), 0 <= idx < q."""
+        check_int("index", idx)
+        if not 0 <= idx < self.q:
+            raise InvalidParameter(f"index {idx} outside 0..{self.q - 1}")
         return FqElem(self, tuple(idx // self.p**j for j in range(self.s)))
 
     def elements(self):

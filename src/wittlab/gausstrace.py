@@ -16,9 +16,10 @@ check on another configuration.  Omega_1's terms are theta0[k] t^k
 Teich(b)^k and Teich(b)^(q-1) = 1 exactly, so the total is a polynomial of
 degree q - 2 in Teich(b) whose parts depend on chi only through m and
 whether b is 0: a system builds at most 2 (q - 1) of them, and a check is
-a Horner sum of q - 2 ring products.  The floors are the min-plus
-convolutions of the same factors' valuations (the Newton-polygon bound for
-a product), kept with the parts, since Teich(b) is a unit.
+a Horner sum of q - 2 products by Teich(b), each pi-row by pi-row.  The
+floors are the min-plus convolutions of the same factors' valuations (the
+Newton-polygon bound for a product), kept with the parts, since Teich(b)
+is a unit.
 ``gauss_brute`` is the Gauss sum in closed form by stationary phase: the
 sum over z_1 is a character sum over F_q, q at one point x_b of F_q^* and 0
 elsewhere.  Its q - 1 terms Teich(x^m) psi([x]), read from psi's table
@@ -154,9 +155,12 @@ def kernel_shells(system, chi_m, chi_b):
     so the total is -sum_j Teich(b)^j F_j, F_j the sum of theta0[k] t^k S[T
     - o] over the terms with k = j mod q - 1 and o <= T.  At b = 0, C is the
     one term 1 and F_0 its S[T - o].  The parts depend on chi only through
-    m and whether b is 0, so the system keeps them (``trace_parts``, built
-    on the key's first check by ``_trace_parts``), and a check sums them by
-    Horner, q - 2 ring products.
+    m and whether b is 0, so the system keeps them as coordinate tuples
+    (``trace_parts``, built on the key's first check by ``_trace_parts``),
+    and a check sums them by Horner on coordinates: Teich(b) lies in the
+    unramified subring, so each of the q - 2 products is ``TowerRing.mul_ur``,
+    pi-row by pi-row; the sums are left unreduced, and the negation reduces
+    the total mod p^N once.
 
     The valuations are floors: shell K is at least v(c_k) + floors_pair[K -
     o] over the C terms, and at most ``ring.cap``.  ``floor`` is the least
@@ -170,16 +174,18 @@ def kernel_shells(system, chi_m, chi_b):
     if got is None:
         got = system.trace_parts[key] = _trace_parts(system, chi_m, chi_b)
     floor, parts, valuations = got
-    teich, total = system.ring.teichmuller(chi_b), parts[-1]
+    ring, total = system.ring, parts[-1]
+    teich = ring.teichmuller(chi_b).co[: ring.s]
     for part in reversed(parts[:-1]):
-        total = total * teich + part
-    return floor, (-total).co, valuations
+        total = [a + b for a, b in zip(ring.mul_ur(total, teich), part)]
+    pn = ring.pn
+    return floor, tuple([-c % pn for c in total]), valuations
 
 
 def _trace_parts(system, chi_m, chi_b):
     """The ``trace_parts`` entry (floor, parts, valuations) of (chi_m, b !=
-    0): the parts F_j and the floors from C's terms at b = 1, which are
-    theta0[k] t^k, or from the one term 1 at b = 0."""
+    0): the parts F_j as coordinate tuples and the floors from C's terms at
+    b = 1, which are theta0[k] t^k, or from the one term 1 at b = 0."""
     ring, step = system.ring, system.field.q - 1
     stride = system.params.p * (step - 1)
     top = system.params.degree // step
@@ -195,7 +201,7 @@ def _trace_parts(system, chi_m, chi_b):
             parts[k % step] += c * RingElem(ring, prefixes[pair][top - o])
             valuations[o:] = map(min, valuations[o:], map(v.__add__, floors[pair]))
     floor = min([prec] + [c.prec for *_, c in terms])
-    return floor, parts, tuple(valuations)
+    return floor, tuple(part.co for part in parts), tuple(valuations)
 
 
 def dwork_op(series2, q):
@@ -319,7 +325,7 @@ def trace_formula_check(config):
     residuals = {}
     matching = []
     for conv, value in brute.items():
-        residuals[conv] = (value - scaled).valuation()
+        residuals[conv] = ring.val_co([a - b for a, b in zip(value.co, scaled.co)])
         if residuals[conv] >= target:
             matching.append(conv)
     if not matching:

@@ -37,6 +37,7 @@ from .errors import (
     ReportedMismatch,
     RingMismatch,
     SeedNotConverging,
+    check_int,
 )
 from .fields import (
     convolve,
@@ -47,24 +48,6 @@ from .fields import (
     pow_ladder,
     reduction_rows,
 )
-
-
-def _vp(n, p):
-    """p-adic valuation of a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def check_int(name, value, least=None):
-    """Refuse a parameter that is not an integer (a bool is not one), or is
-    below ``least`` when that is given."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParameter(f"{name} = {value!r} is not an integer")
-    if least is not None and value < least:
-        raise InvalidParameter(f"{name} = {value!r} is below {least}")
 
 
 class Record:
@@ -230,6 +213,7 @@ class RingElem:
         return pow_ladder(self, n)
 
     def scale_int(self, c):
+        check_int("scale", c)
         pn = self.ring.pn
         return RingElem(self.ring, tuple(a * c % pn for a in self.co), self.prec)
 
@@ -240,8 +224,7 @@ class RingElem:
         """Congruent at the minimum of the two declared precisions."""
         if not isinstance(other, RingElem) or other.ring is not self.ring:
             return NotImplemented
-        pn = self.ring.pn
-        v = self.ring.val_co([(a - b) % pn for a, b in zip(self.co, other.co)])
+        v = self.ring.val_co([a - b for a, b in zip(self.co, other.co)])
         return v >= min(self.prec, other.prec)
 
     def __hash__(self):  # pragma: no cover - elements are not dict keys
@@ -292,7 +275,7 @@ class RingElem:
 
     def to_json_obj(self):
         ring = self.ring
-        coords = [list(self.co[i * ring.s : (i + 1) * ring.s]) for i in range(ring.e)]
+        coords = [list(row) for row in zip(*[iter(self.co)] * ring.s)]
         return {
             "level": ring.m,
             "s": ring.s,
@@ -330,6 +313,7 @@ class TowerRing:
         self.e = 1 if spec.m < 0 else spec.p**spec.m * (spec.p - 1)
         self.dim = self.e * self.s
         self.cap = self.e * spec.nprec
+        self._logs = {spec.p**k: k for k in range(spec.nprec)}  # val_co's p^v -> v
         rs = 2 * spec.s - 1
         self.slots = tuple(i * rs + j for i in range(self.e) for j in range(spec.s))
         self.residue_field = finite_field(spec.p, spec.s)
@@ -398,6 +382,7 @@ class TowerRing:
         return self.from_int(1)
 
     def from_int(self, c):
+        check_int("c", c)
         co = [0] * self.dim
         co[0] = c % self.pn
         return RingElem(self, tuple(co))
@@ -458,6 +443,21 @@ class TowerRing:
         v, pn = self.fold_block(convolve(self._spread(a), self._spread(b))), self.pn
         return tuple([v[k] % pn for k in self.slots])
 
+    def mul_ur(self, co, u):
+        """co times u, an element of the unramified subring Z_q/p^N given by
+        its s coordinates.  E_m has its coefficients in Z_p, so u acts on
+        each pi-row of co alone: ``mul_mod`` with the y rows, one int
+        product when s = 1.  ``co`` need not be reduced mod p^N; the result
+        is."""
+        pn, s = self.pn, self.s
+        if s == 1:
+            u = u[0]
+            return tuple([c * u % pn for c in co])
+        out, rows = [], self.yred
+        for i in range(0, self.dim, s):
+            out += mul_mod(co[i : i + s], u, rows, pn)
+        return tuple(out)
+
     def pow_co(self, co, n):
         """co^n for n >= 1: Python's pow on Z/p^N, else ``pow_ladder`` on mul_co."""
         return (pow(co[0], n, self.pn),) if self.dim == 1 else pow_ladder(co, n, self.mul_co)
@@ -489,26 +489,21 @@ class TowerRing:
         return v
 
     def val_co(self, co):
-        """Gauss valuation min_i (i + e v_p(c_i)) of coordinates mod p^N, in
-        pi-units.  A nonzero tuple reads below ``cap`` = eN, a zero reads
-        ``cap``: it is known mod pi^cap and no further."""
-        p, e, s, n = self.p, self.e, self.s, self.nprec
-        best = self.cap
-        for i in range(e):
-            vrow = n
-            for j in range(s):
-                c = co[i * s + j]
-                if c:
-                    v = _vp(c, p)
-                    if v < vrow:
-                        vrow = v
-                        if v == 0:
-                            break
-            if i + e * vrow < best:
-                best = i + e * vrow
-                if best == 0:
-                    return 0
-        return best
+        """Gauss valuation min_i (i + e v_p(c_i)) of integer coordinates, v_p
+        capped at N, in pi-units.  A nonzero tuple mod p^N reads below
+        ``cap`` = eN, a zero reads ``cap``: it is known mod pi^cap and no
+        further.  One gcd with p^N gives p^v, v the least v_p of a
+        coordinate, so the valuation is e v plus the first pi-row holding a
+        coordinate that p^(v+1) does not divide.  The coordinates need not be
+        reduced mod p^N: a difference of two tuples reads as its residue."""
+        pn = self.pn
+        g = math.gcd(pn, *co)
+        if g == pn:
+            return self.cap
+        pv = g * self.p
+        for k, c in enumerate(co):
+            if c % pv:
+                return self.e * self._logs[g] + k // self.s
 
     def phi_co(self, co):
         e, s, pn = self.e, self.s, self.pn
@@ -527,7 +522,9 @@ class TowerRing:
     # -- Teichmueller ---------------------------------------------------------------
 
     def teichmuller(self, u):
-        """The unique q-power-fixed lift of u in F_q (unramified part)."""
+        """The unique q-power-fixed lift of u in F_q.  It lies in the
+        unramified subring (``_teich_table`` checks it), so its first s
+        coordinates act on any element by ``mul_ur``."""
         if u.field is not self.residue_field:
             raise RingMismatch("residue field mismatch for Teichmueller lift")
         return _teich_table(self)[u.co]
@@ -545,7 +542,9 @@ def _teich_table(ring):
     """Every Teichmueller lift of ``ring``, keyed by its residue's
     coordinates, built once per ring: the powers of Teich(g), g a generator
     of F_q^*, which is the fixed point of x -> x^q from g.  Teich(g)^(q-1) =
-    1 makes every power q-power-fixed."""
+    1 makes every power q-power-fixed.  Every lift lies in the unramified
+    subring, its coordinates past the first s zero; ReportedMismatch if one
+    does not."""
     fq = ring.residue_field
     g, q = fq.multiplicative_generator(), fq.q
     z = ring.from_ur(g.co)
@@ -561,6 +560,8 @@ def _teich_table(ring):
     for _ in range(q - 1):
         table[res.co] = lift
         lift, res = lift * z, res * g
+    if any(any(lift.co[ring.s :]) for lift in table.values()):
+        raise ReportedMismatch("a Teichmueller lift lies outside the unramified subring")
     return table
 
 

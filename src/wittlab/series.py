@@ -31,10 +31,19 @@ from .errors import (
     TruncationTooSmall,
 )
 from .fields import is_prime
-from .rings import RingElem, SeriesPacking, _vp, check_int
+from .rings import RingElem, SeriesPacking, check_int
 from .wittvec import (
     WittVec, from_ghosts, versch, witt_add, witt_map, witt_mul, witt_neg, zero_vec,
 )
+
+
+def _vp(n, p):
+    """p-adic valuation of a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def series_length(p, degree):

@@ -6,8 +6,10 @@ of the package calls them.
 ``matrix_trace`` and ``roots_of_unity_sum_check`` are the plain forms of
 the trace of alpha's matrix and of the character sum over mu_{q-1}, and
 ``gauss_brute_per_term`` the Gauss sum as one ring product per term, the
-oracle of ``gausstrace.gauss_brute``.  ``embed_from_lower`` embeds a ring
-of the level tower into a higher one.
+oracle of ``gausstrace.gauss_brute``.  ``gauss_valuation`` is the Gauss
+valuation by its definition, a v_p per coordinate, the oracle of
+``TowerRing.val_co``.  ``embed_from_lower`` embeds a ring of the level tower
+into a higher one.
 """
 
 from wittlab.errors import RingMismatch
@@ -37,6 +39,24 @@ def embed_from_lower(ring, x):
         power = power * base
     scale = ring.e // max(low.e, 1)
     return RingElem(ring, acc.co, min(x.prec * scale, ring.cap))
+
+
+def gauss_valuation(ring, co):
+    """min_i (i // s + e v_p(c_i)) over integer coordinates, v_p capped at N
+    (so ``ring.cap`` for a tuple of multiples of p^N), row by row."""
+    p, e, s, n = ring.p, ring.e, ring.s, ring.nprec
+    best = ring.cap
+    for i in range(e):
+        vrow = n
+        for c in co[i * s : (i + 1) * s]:
+            v = 0
+            while c and c % p == 0 and v < n:
+                c //= p
+                v += 1
+            if c and v < vrow:
+                vrow = v
+        best = min(best, i + e * vrow)
+    return best
 
 
 def random_integral_unit(ring, rng):

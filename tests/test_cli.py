@@ -226,6 +226,14 @@ rows = [
     (InvalidParameter, lambda: eval_plan_at(UniversalPoly.monomial(2, 0, 0, [], 5), [])),
     (RingMismatch, lambda: witt_add(WittVec(zp, [ring_of(2, nprec=9).one()]), one_vec(zp, 1))),
     (RingMismatch, lambda: GhostSeq(zp, [zp.one()] * 2) + GhostSeq(zp, [zp.one()])),
+    (InvalidParameter, lambda: f4.from_index(7)),
+    (InvalidParameter, lambda: f4.from_index(-1)),
+    (InvalidParameter, lambda: f4.from_index(1.5)),
+    (InvalidParameter, lambda: f4.from_index(True)),
+    (InvalidParameter, lambda: f4.from_int(0.5)),
+    (InvalidParameter, lambda: f4.one().scale_int(0.5)),
+    (InvalidParameter, lambda: ring_of(3, nprec=4).from_int(1.5)),
+    (InvalidParameter, lambda: ring_of(3, nprec=4).one().scale_int(0.5)),
 ]
 for want, call in rows:
     try:
@@ -250,7 +258,9 @@ def test_direct_refusals_hold_under_python_O():
     # compose_xpow at a step below 1 returned its coefficients permuted, and
     # exp_ring_series and artin_hasse_series at a negative degree returned a
     # degree-0 series, and artin_hasse_ints at N = -2 raised a TypeError;
-    # each now
+    # Fq.from_index wrapped an index outside 0..q-1 onto another element,
+    # and from_index, from_int and scale_int over F_4 and Z/3^4 took floats
+    # into the coordinates; each now
     # raises exactly the error class its row names, and the script prints
     # each row that does not
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -652,6 +652,23 @@ def test_kernel_shells_match_the_shell_identity_at_q9():
     assert len(sys.trace_parts) == 2 * (q - 1)
 
 
+@pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2)])
+def test_kernel_shells_horner_matches_ring_products(p, s):
+    # s > 1: the total's Horner sum in Teich(b), taken pi-row by pi-row on
+    # coordinates, against RingElem products over the same trace_parts, for
+    # every chi of one nondegenerate t
+    sys = next(nondegenerate_systems(p, s, 14, 40))
+    ring = sys.ring
+    for chi_m in range(sys.field.q - 1):
+        for chi_b in sys.field.elements():
+            total = kernel_shells(sys, chi_m, chi_b)[1]
+            parts = [RingElem(ring, part) for part in sys.trace_parts[chi_m, bool(chi_b)][1]]
+            acc, teich = parts[-1], ring.teichmuller(chi_b)
+            for part in reversed(parts[:-1]):
+                acc = acc * teich + part
+            assert total == (-acc).co, (chi_m, chi_b)
+
+
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2)])
 def test_class_products_match_ring_products(p, s):
     # every running sum of a class product A_r B_r' of a system against

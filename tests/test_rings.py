@@ -6,13 +6,16 @@ import random
 import pytest
 
 from wittlab.characters import CharParams
-from wittlab.errors import InvalidParameter, NonEisenstein, NotDivisible, RingMismatch
+from wittlab.errors import (
+    InvalidParameter, NonEisenstein, NotDivisible, ReportedMismatch, RingMismatch,
+)
 from wittlab.fields import FqElem, convolve, finite_field, is_prime
 from wittlab.rings import (
     LubinTateSeries,
     RingElem,
     RingSpec,
     SeriesPacking,
+    TowerRing,
     eisenstein_poly,
     lt_iterate_exact,
     make_ring,
@@ -23,7 +26,7 @@ from wittlab.series import pulita_theta_ms, robba
 from wittlab.upoly import ghost_poly
 from wittlab.wittvec import WittVec, one_vec, witt_add, zero_vec
 
-from helpers import embed_from_lower, random_integral_unit
+from helpers import embed_from_lower, gauss_valuation, random_integral_unit
 from packing_oracle import pack_bytewise, pack_terms, read_tuples
 
 _LEVEL0 = RingSpec(2, 1, 0, LubinTateSeries.cyclotomic(2), 8)
@@ -194,6 +197,89 @@ def test_val_co_reads_cap_exactly_at_zero(spec):
         if any(co):
             want = min(i // s + e * vp(c) for i, c in enumerate(co) if c)
             assert ring.val_co(co) == want < ring.cap, co
+
+
+# the rings of the gauss --sweep goldens (W_2(F_q): level 1, N = 16) and of
+# the witt-laws workload: Z/2^10 and Z/3^8 with ghost transport's headroom,
+# and F_4's Z_4/2^n at the lengths 1-4
+_GOLDEN_SPECS = [
+    RingSpec(p, s, 1, LubinTateSeries.cyclotomic(p), 16)
+    for p, s in [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (5, 1)]
+]
+_WITT_LAWS_SPECS = (
+    [RingSpec(2, nprec=n) for n in range(10, 15)]
+    + [RingSpec(3, nprec=n) for n in range(8, 13)]
+    + [RingSpec(2, 2, nprec=n) for n in range(1, 5)]
+)
+
+
+def _spec_id(spec):
+    return f"p{spec.p}-s{spec.s}-m{spec.m}-N{spec.nprec}"
+
+
+@pytest.mark.parametrize("spec", _GOLDEN_SPECS + _WITT_LAWS_SPECS, ids=_spec_id)
+def test_val_co_matches_the_definition(spec):
+    # one gcd against a v_p per coordinate: seeded tuples scaled by p^k,
+    # each coordinate by a further power, signed, some exact multiples of
+    # p^N (k up to N + 1), and the zero tuple
+    ring = make_ring(spec)
+    p, n, pn, dim = ring.p, ring.nprec, ring.pn, ring.dim
+    rng = random.Random(38)
+    cases = [(0,) * dim, (pn,) * dim, tuple(-k * pn for k in range(dim)), (-1,) + (0,) * (dim - 1)]
+    for _ in range(300):
+        k = rng.randrange(n + 2)
+        cases.append(tuple(
+            rng.randrange(-pn, pn) * p ** rng.randrange(k, n + 2) * rng.randrange(2)
+            for _ in range(dim)
+        ))
+    for co in cases:
+        assert ring.val_co(co) == gauss_valuation(ring, co), co
+        reduced = tuple(c % pn for c in co)
+        assert ring.val_co(co) == ring.val_co(reduced) == RingElem(ring, reduced).valuation()
+
+
+@pytest.mark.parametrize("spec", _GOLDEN_SPECS + _WITT_LAWS_SPECS[::5], ids=_spec_id)
+def test_mul_ur_is_the_product_by_an_unramified_element(spec):
+    # u in Z_q/p^N acts pi-row by pi-row: against mul_co with from_ur(u),
+    # on reduced coordinates and on unreduced signed ones
+    ring = make_ring(spec)
+    rng = random.Random(5)
+    for _ in range(20):
+        x, u = ring.random(rng), ring.random(rng).co[: ring.s]
+        want = (x * ring.from_ur(u)).co
+        assert ring.mul_ur(x.co, u) == want
+        shifted = [c - rng.randrange(3) * ring.pn for c in x.co]
+        assert ring.mul_ur(shifted, u) == want
+
+
+@pytest.mark.parametrize("spec", _GOLDEN_SPECS, ids=_spec_id)
+def test_teichmuller_lifts_lie_in_the_unramified_subring(spec):
+    # every lift's coordinates past the first s are 0, so mul_ur by its
+    # first s coordinates is the ring product by it
+    ring = make_ring(spec)
+    x = ring.random(random.Random(7))
+    for u in ring.residue_field.elements():
+        lift = ring.teichmuller(u)
+        assert not any(lift.co[ring.s :]), u
+        assert ring.mul_ur(x.co, lift.co[: ring.s]) == (x * lift).co
+
+
+def test_teichmuller_table_refuses_a_lift_off_the_unramified_subring(monkeypatch):
+    # the table's only product by 1 is its first lift, 1 * Teich(g): skewed
+    # onto pi, that lift leaves the subring, and the table is refused with a
+    # typed error (it holds under python -O)
+    ring = TowerRing(RingSpec(3, 1, 1, LubinTateSeries.cyclotomic(3), 5))
+    one, real = ring.one().co, RingElem.__mul__
+
+    def skewed(self, other):
+        out = real(self, other)
+        if self.co == one:
+            out = RingElem(ring, out.co[:1] + (1,) + out.co[2:], out.prec)
+        return out
+
+    monkeypatch.setattr(RingElem, "__mul__", skewed)
+    with pytest.raises(ReportedMismatch, match="unramified subring"):
+        ring.teichmuller(ring.residue_field.gen())
 
 
 def test_tower_compatibility_F_of_pi():
