@@ -162,6 +162,7 @@ class FqElem:
         return FqElem(field, mul_mod(self.co, other.co, field.rows, field.p))
 
     def __pow__(self, n):
+        check_int("exponent", n)
         if n < 0:
             return self.inverse() ** (-n)
         return pow_ladder(self, n) if n else self.field.one()
@@ -228,7 +229,10 @@ class Fq:
         return FqElem(self, (c,) + (0,) * (self.s - 1))
 
     def from_coeffs(self, co):
-        return FqElem(self, tuple(co))
+        co = tuple(co)
+        for c in co:
+            check_int("a coordinate", c)
+        return FqElem(self, co)
 
     def from_index(self, idx):
         """The element of index ``idx`` (see ``FqElem.index``), 0 <= idx < q."""

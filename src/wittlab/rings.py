@@ -175,7 +175,8 @@ class RingElem:
     def __init__(self, ring, co, prec=None):
         self.ring = ring
         self.co = co
-        self.prec = ring.cap if prec is None else min(prec, ring.cap)
+        cap = ring.cap
+        self.prec = cap if prec is None or prec > cap else prec
 
     def _binary(self, other):
         if not isinstance(other, RingElem):
@@ -206,6 +207,7 @@ class RingElem:
         return RingElem(self.ring, co, min(self.prec, other.prec))
 
     def __pow__(self, n):
+        check_int("exponent", n)
         if n < 0:
             raise InvalidParameter(f"exponent {n} is negative; use inverse()")
         if n == 0:
@@ -224,6 +226,8 @@ class RingElem:
         """Congruent at the minimum of the two declared precisions."""
         if not isinstance(other, RingElem) or other.ring is not self.ring:
             return NotImplemented
+        if self.co == other.co:  # v = cap >= either precision
+            return True
         v = self.ring.val_co([a - b for a, b in zip(self.co, other.co)])
         return v >= min(self.prec, other.prec)
 
@@ -243,6 +247,7 @@ class RingElem:
         return ring.residue_field.from_coeffs(self.co[: ring.s])
 
     def exact_div_p(self, k=1):
+        check_int("k", k, 0)
         ring = self.ring
         pk = ring.p**k
         for c in self.co:
@@ -253,6 +258,7 @@ class RingElem:
 
     def phi(self, k=1):
         """Frobenius absolu: identity on pi, sigma^k on the unramified part."""
+        check_int("k", k)
         co = self.co
         for _ in range(k % self.ring.s):
             co = self.ring.phi_co(co)
@@ -388,6 +394,8 @@ class TowerRing:
         return RingElem(self, tuple(co))
 
     def from_ur(self, ur_co, prec=None):
+        for c in ur_co:
+            check_int("an unramified coordinate", c)
         co = [0] * self.dim
         co[: self.s] = [c % self.pn for c in ur_co]
         return RingElem(self, tuple(co), prec)

@@ -13,18 +13,20 @@ unramified TowerRing of precision n, so sum, product and negation are one
 operation on coordinates mod p^n between two table maps, at every length:
 the image of a vector sums the rows p^i [c^(p^-i)] of its components c, and
 the way back peels digits r = x mod p, a_i = r^(p^i) read from a table, then
-x <- (x - [r]) / p.  Frobenius reads a_i^p from the same table.  The
-universal polynomials of upoly serve no Witt operation.
+x <- (x - [r]) / p, one list a digit, checked mod p.  Frobenius reads a_i^p
+from the same table.  The universal polynomials of upoly serve no Witt
+operation.
 
 The ghost map over a coefficient ring and its one inversion live here, one
 loop each (``_ghosts``, ``_peel``) on the ring's values: a value is an int,
 the coordinate itself, on a one-coordinate ring (Z/p^N) and the coordinate
-tuple on any other.  Three per-value primitives, chosen once per ring from
-its shape (``_kit``), do the arithmetic: the p-th power (Python's ``pow``
-mod p^N on an int, else ``TowerRing.pow_co``), the sum of p^i row[i] by
-Horner in p, and the exact division by p^n, which raises NotDivisible.
-Transport takes the loops on values, so a Z/p^N coordinate is one int from
-the lift through the combine to the peel; ``ghost_values`` and
+tuple on any other.  Three primitives, closures chosen once per ring from
+its shape (``_kit``), do the arithmetic: the p-th power of every value of a
+list (Python's ``pow`` mod p^N on an int, else ``TowerRing.pow_co``), the
+sum of p^i row[i] by Horner in p, and the exact division by p^n, p^n read
+from a tuple, which raises NotDivisible.  Transport takes the loops on
+values, with combines built once at import, so a Z/p^N coordinate is one
+int from the lift through the combine to the peel; ``ghost_values`` and
 ``ghost_peel`` are the same loops on coordinate tuples, which ``ghost_map``,
 ``delta`` and the exact recovery ``from_ghosts`` (which builds varpi_m and
 Delta(c)) take.  No precision is tracked inside; a ``RingElem`` is built
@@ -38,14 +40,19 @@ from components already checked, or made by the ring, skips the check
 from __future__ import annotations
 
 import operator
-from functools import lru_cache, partial
-from itertools import accumulate, repeat
+from functools import lru_cache
+from itertools import repeat
 
-from .errors import InvalidParameter, NotDivisible, NotGaloisStable, RingMismatch, TooShort
+from .errors import (
+    InvalidParameter,
+    NotDivisible,
+    NotGaloisStable,
+    RingMismatch,
+    TooShort,
+    check_int,
+)
 from .fields import Fq, finite_field, pow_ladder
 from .rings import RingElem, TowerRing, ring_of
-
-_CO = operator.attrgetter("co")
 
 
 class WittVec:
@@ -81,7 +88,7 @@ class WittVec:
             isinstance(other, WittVec)
             and self.ring is other.ring
             and len(self) == len(other)
-            and all(a == b for a, b in zip(self.comps, other.comps))
+            and all(map(operator.eq, self.comps, other.comps))
         )
 
     def __hash__(self):
@@ -100,13 +107,15 @@ class WittVec:
         return witt_mul(self, other)
 
     def __pow__(self, n):
+        check_int("exponent", n)
         return pow_ladder(self, n, witt_mul)
 
     def __repr__(self):
         return f"W({', '.join(repr(c) for c in self.comps)})"
 
     def truncate(self, length):
-        if not 0 <= length <= len(self):
+        _check_length(length)
+        if length > len(self):
             raise InvalidParameter(f"cannot truncate a length-{len(self)} vector to {length}")
         return WittVec._own(self.ring, self.comps[:length])
 
@@ -166,8 +175,7 @@ def _check_pair(a, b):
 
 
 def _check_length(length):
-    if length < 0:
-        raise InvalidParameter(f"a Witt vector needs a length >= 0, have {length}")
+    check_int("a Witt vector's length", length, 0)
 
 
 def zero_vec(ring, length):
@@ -187,8 +195,7 @@ def tau(ring, x, length):
 
 def versch(a, k=1):
     """Shift k zeros in front, keeping the declared length."""
-    if k < 0:
-        raise InvalidParameter(f"versch needs a shift k >= 0, have {k}")
+    check_int("versch's shift k", k, 0)
     if k == 0:
         return a
     ring = a.ring
@@ -204,14 +211,18 @@ def witt_map(fn, a, target_ring=None):
 
 @lru_cache(maxsize=None)
 def _kit(ring):
-    """(power, weigh, divide): the per-value primitives of the ghost map and
-    its inversion over ``ring``, chosen once from its shape.  A value is an
-    int, the coordinate itself, on a one-coordinate ring (Z/p^N) and the
+    """(powers, weigh, divide): the primitives of the ghost map and its
+    inversion over ``ring``, chosen once from its shape.  A value is an int,
+    the coordinate itself, on a one-coordinate ring (Z/p^N) and the
     coordinate tuple on any other, where weigh and divide act coordinate by
-    coordinate.  power(x) = x^p; weigh(row) = sum p^i row[i] mod p^N, by
-    Horner in p; divide(u, h, n) = (u - h) / p^n, or NotDivisible where a
-    coordinate of u - h mod p^N is not divisible by p^n."""
-    p, pn = ring.p, ring.pn
+    coordinate.  powers(xs) = [x^p for x in xs], one call a step of either
+    loop; weigh(row) = sum p^i row[i] mod p^N, by Horner in p; divide(u, h,
+    n) = (u - h) / p^n, or NotDivisible where a coordinate of u - h mod p^N
+    is not divisible by p^n.  p^n is read from a tuple built here, and p^N
+    stands for it past n = N: a value below p^N is divisible by p^n, n >= N,
+    only when it is 0, and its quotient by either is 0."""
+    p, pn, top = ring.p, ring.pn, ring.nprec
+    scales = tuple([p**n for n in range(top)])
 
     def weigh(row):
         acc = 0
@@ -220,26 +231,27 @@ def _kit(ring):
         return acc % pn
 
     def divide(u, h, n):
-        q, r = divmod((u - h) % pn, p**n)
+        q, r = divmod((u - h) % pn, scales[n] if n < top else pn)
         if r:
             raise NotDivisible(f"ghost coordinate {n} is not divisible by p^{n} at precision")
         return q
 
     if ring.dim == 1:
-        return partial(pow, exp=p, mod=pn), weigh, divide
+        return (lambda xs: [pow(x, p, pn) for x in xs]), weigh, divide
+    pow_co = ring.pow_co
     return (
-        partial(ring.pow_co, n=p),
+        lambda xs: [pow_co(x, p) for x in xs],
         lambda row: tuple(map(weigh, zip(*row))),
-        lambda u, h, n: tuple(map(divide, u, h, repeat(n))),
+        lambda u, h, n: tuple([divide(x, y, n) for x, y in zip(u, h)]),
     )
 
 
 def _ghosts(ring, values):
     """The ghost map on values: fant_n(a_0..a_n) for n < len(values)."""
-    power, weigh, _ = _kit(ring)
+    powers, weigh, _ = _kit(ring)
     out, pows = [], []  # pows[i] = a_i^(p^(n-i)) at step n
     for a_n in values:
-        pows = list(map(power, pows))
+        pows = powers(pows)
         pows.append(a_n)
         out.append(weigh(pows))
     return out
@@ -248,11 +260,11 @@ def _ghosts(ring, values):
 def _peel(ring, values):
     """The ghost inversion on values: a_n = (u_n - sum_{i<n} p^i
     a_i^(p^(n-i))) / p^n, one component at a time."""
-    power, weigh, divide = _kit(ring)
+    powers, weigh, divide = _kit(ring)
     comps, pows = [], []  # pows[i] = a_i^(p^(n-i)) at step n
     for n, u in enumerate(values):
         if n:
-            pows = list(map(power, pows))
+            pows = powers(pows)
             u = divide(u, weigh(pows), n)
         comps.append(u)
         pows.append(u)
@@ -262,6 +274,12 @@ def _peel(ring, values):
 def _values(ring, coords):
     """The values of coordinate tuples of ``ring``."""
     return [x for (x,) in coords] if ring.dim == 1 else list(coords)
+
+
+def _elem_values(ring, comps):
+    """The values, in ``ring`` or a copy of it at another precision, of the
+    coordinates of the elements ``comps``."""
+    return [c.co[0] for c in comps] if ring.dim == 1 else [c.co for c in comps]
 
 
 def _coords(ring, values):
@@ -299,7 +317,7 @@ def ghost_map(a):
     if not isinstance(ring, TowerRing):
         raise RingMismatch("the ghost map needs a p-regular coefficient ring")
     ghosts = ghost_values(ring, [c.co for c in a.comps])
-    precs = _prefix_min([a], len(a))
+    precs = _prefix_min(ring, a.comps)
     return GhostSeq(ring, [RingElem(ring, g, prec) for g, prec in zip(ghosts, precs)])
 
 
@@ -336,25 +354,30 @@ def _zq_table(field, n):
 
 
 def _to_zq(table, a):
-    """Coordinates of the image of a's first n components: their rows' sum."""
-    pn, rows = table[0].pn, table[1]
-    return tuple([sum(col) % pn for col in zip(*[row[c.co] for row, c in zip(rows, a.comps)])])
+    """Coordinates of the image of a's first n components: their rows' sum,
+    not reduced mod p^n (every combine reduces its result)."""
+    return tuple(map(sum, zip(*[row[c.co] for row, c in zip(table[1], a.comps)])))
 
 
 def _from_zq(field, table, x):
     """The Witt vector of the element with coordinates x in Z_q/p^n: digit
-    r = x mod p gives a_i = r^(p^i), then x <- (x - [r]) / p."""
-    ring, rows, frobs = table
-    p, pn, s, teich = field.p, ring.pn, field.s, rows[0]
-    comps = []
-    for i in range(len(rows)):
+    r = x mod p gives a_i = r^(p^i), then x <- (x - [r]) / p, one list a
+    digit, each coordinate of x - [r] checked mod p (NotDivisible where one
+    is not divisible).  Only x mod p is read after a division, so x is never
+    reduced mod p^n."""
+    rows, frobs = table[1], table[2]
+    p, s, teich = field.p, field.s, rows[0]
+    comps, last = [], len(rows) - 1
+    for i in range(last + 1):
         r = tuple([c % p for c in x])
         comps.append(frobs[i % s][r])
-        if i + 1 < len(rows):
-            split = [divmod((c - t) % pn, p) for c, t in zip(x, teich[r])]
-            if any([m for _, m in split]):
-                raise NotDivisible(f"digit {i} differs from its Teichmueller lift mod p")
-            x = tuple([d for d, _ in split])
+        if i < last:
+            pairs, x = zip(x, teich[r]), []
+            for c, t in pairs:
+                q, m = divmod(c - t, p)
+                if m:
+                    raise NotDivisible(f"digit {i} differs from its Teichmueller lift mod p")
+                x.append(q)
     return WittVec._own(field, comps)
 
 
@@ -365,7 +388,7 @@ def _transport(ring, vecs, length, combine, precs):
     declared at precs[n].  No coordinate tuple is built between the lift
     and the returned components."""
     big = ring.with_precision(ring.nprec + length)
-    ghosts = [_ghosts(big, _values(big, map(_CO, v.comps[:length]))) for v in vecs]
+    ghosts = [_ghosts(big, _elem_values(big, v.comps[:length])) for v in vecs]
     comps = _coords(ring, _peel(big, combine(big, *ghosts)))
     return WittVec._own(ring, map(RingElem, repeat(ring), comps, precs))
 
@@ -382,36 +405,45 @@ def from_ghosts(ring, length, ghosts):
     which covers p^N for every n < L.
     """
     _check_length(length)
-    big, pn = ring.with_precision(ring.nprec + length), ring.pn
-    comps = [tuple([x % pn for x in c]) for c in ghost_peel(big, ghosts(big))]
+    big = ring.with_precision(ring.nprec + length)
+    comps = _coords(ring, _peel(big, _values(big, ghosts(big))))
     return WittVec._own(ring, [RingElem(ring, c) for c in comps])
 
 
-def _prefix_min(vecs, length):
-    """Entry n: the least precision among components 0..n of the inputs."""
-    precs = [c.prec for c in vecs[0].comps[:length]]
-    for v in vecs[1:]:
-        precs = list(map(min, precs, [c.prec for c in v.comps[:length]]))
-    return list(accumulate(precs, min))
+def _prefix_min(ring, *comps):
+    """Entry n: the least precision among entries 0..n of the component
+    sequences ``comps`` of ``ring``, up to the shortest, in one pass."""
+    out, least = [], ring.cap
+    for cs in zip(*comps):
+        for c in cs:
+            if c.prec < least:
+                least = c.prec
+        out.append(least)
+    return out
 
 
 def _pointwise(co_op, int_op):
     """A transport combine: int_op entry by entry on the ghost ints of a
     one-coordinate ring, co_op(big, ...) on coordinate tuples otherwise."""
-    return lambda big, *ghosts: list(map(int_op if big.dim == 1 else partial(co_op, big), *ghosts))
+
+    def combine(big, *ghosts):
+        if big.dim == 1:
+            return list(map(int_op, *ghosts))
+        return list(map(co_op, repeat(big), *ghosts))
+
+    return combine
 
 
-def _binary(a, b, co_op, int_op):
+def _binary(a, b, co_op, combine):
     """co_op(ring, x, y) on the coordinates of the images in Z_q/p^n over
-    F_q; otherwise the same operation on each pair of ghost values."""
+    F_q; otherwise ``combine``, co_op on each pair of ghost values."""
     length = _check_pair(a, b)
     if length == 0:
         return WittVec._own(a.ring, [])
     if isinstance(a.ring, Fq):
         table = _zq_table(a.ring, length)
         return _from_zq(a.ring, table, co_op(table[0], _to_zq(table, a), _to_zq(table, b)))
-    combine = _pointwise(co_op, int_op)
-    return _transport(a.ring, [a, b], length, combine, _prefix_min([a, b], length))
+    return _transport(a.ring, [a, b], length, combine, _prefix_min(a.ring, a.comps, b.comps))
 
 
 def _add_co(ring, x, y):
@@ -424,12 +456,22 @@ def _scale_co(ring, x, c):
     return tuple([u * c % pn for u in x])
 
 
+def _neg_co(ring, x):
+    return _scale_co(ring, x, -1)
+
+
+# the transport combines, built once
+_ADD = _pointwise(_add_co, operator.add)
+_MUL = _pointwise(TowerRing.mul_co, operator.mul)
+_NEG = _pointwise(_neg_co, operator.neg)
+
+
 def witt_add(a, b):
-    return _binary(a, b, _add_co, operator.add)
+    return _binary(a, b, _add_co, _ADD)
 
 
 def witt_mul(a, b):
-    return _binary(a, b, TowerRing.mul_co, operator.mul)
+    return _binary(a, b, TowerRing.mul_co, _MUL)
 
 
 def witt_neg(a):
@@ -438,10 +480,9 @@ def witt_neg(a):
         return a
     if isinstance(ring, Fq):
         table = _zq_table(ring, length)
-        return _from_zq(ring, table, _scale_co(table[0], _to_zq(table, a), -1))
-    precs = [c.prec for c in a.comps] if ring.p % 2 else _prefix_min([a], length)
-    negate = _pointwise(partial(_scale_co, c=-1), operator.neg)
-    return _transport(ring, [a], length, negate, precs)
+        return _from_zq(ring, table, _neg_co(table[0], _to_zq(table, a)))
+    precs = [c.prec for c in a.comps] if ring.p % 2 else _prefix_min(ring, a.comps)
+    return _transport(ring, [a], length, _NEG, precs)
 
 
 def frob(a):
@@ -452,14 +493,13 @@ def frob(a):
     if isinstance(ring, Fq):
         frobs = _zq_table(ring, 1)[2][1 % ring.s]
         return WittVec._own(ring, [frobs[c.co] for c in a.comps[:-1]])
-    return _transport(ring, [a], length, lambda big, g: g[1:], _prefix_min([a], length)[1:])
+    return _transport(ring, [a], length, lambda big, g: g[1:], _prefix_min(ring, a.comps)[1:])
 
 
 def scalar_nat(a, n):
     """n * a in the Witt ring (n a natural number), by the power ladder on
     witt_add."""
-    if n < 0:
-        raise InvalidParameter(f"scalar_nat needs a natural number, have {n}")
+    check_int("scalar_nat's n", n, 0)
     return pow_ladder(a, n, witt_add) if n else zero_vec(a.ring, len(a))
 
 
@@ -503,6 +543,7 @@ def delta(x, length):
 
 def te_lift(y, target, length):
     """Componentwise Teichmueller lift, zero padded to ``length``."""
+    _check_length(length)
     if length < len(y):
         raise InvalidParameter(f"cannot lift a length-{len(y)} vector to length {length}")
     comps = [target.teichmuller(c) for c in y.comps]

@@ -234,6 +234,19 @@ rows = [
     (InvalidParameter, lambda: f4.one().scale_int(0.5)),
     (InvalidParameter, lambda: ring_of(3, nprec=4).from_int(1.5)),
     (InvalidParameter, lambda: ring_of(3, nprec=4).one().scale_int(0.5)),
+    (InvalidParameter, lambda: f4.from_coeffs((0.5, 0))),
+    (InvalidParameter, lambda: ring_of(3, nprec=4).from_ur((1.5,))),
+    (InvalidParameter, lambda: z3.one() ** 1.5),
+    (InvalidParameter, lambda: f4.gen() ** 1.5),
+    (InvalidParameter, lambda: one_vec(zp, 3) ** 1.5),
+    (InvalidParameter, lambda: scalar_nat(one_vec(zp, 3), 1.5)),
+    (InvalidParameter, lambda: versch(one_vec(zp, 3), 1.5)),
+    (InvalidParameter, lambda: one_vec(zp, 3).truncate(1.5)),
+    (InvalidParameter, lambda: zero_vec(zp, 1.5)),
+    (InvalidParameter, lambda: tau(zp, zp.one(), 2.0)),
+    (InvalidParameter, lambda: te_lift(one_vec(f4, 2), ring_of(2, 2, nprec=8), 2.5)),
+    (InvalidParameter, lambda: zq.one().phi(1.5)),
+    (InvalidParameter, lambda: z3.from_int(9).exact_div_p(0.5)),
 ]
 for want, call in rows:
     try:
@@ -260,7 +273,9 @@ def test_direct_refusals_hold_under_python_O():
     # degree-0 series, and artin_hasse_ints at N = -2 raised a TypeError;
     # Fq.from_index wrapped an index outside 0..q-1 onto another element,
     # and from_index, from_int and scale_int over F_4 and Z/3^4 took floats
-    # into the coordinates; each now
+    # into the coordinates, as from_coeffs and from_ur did; a float exponent,
+    # multiple, shift, length or Frobenius power ended in a bare TypeError,
+    # and exact_div_p(0.5) in NotDivisible; each now
     # raises exactly the error class its row names, and the script prints
     # each row that does not
     src = str(Path(__file__).resolve().parents[1] / "src")

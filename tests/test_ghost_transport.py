@@ -31,6 +31,7 @@ from wittlab.wittvec import (
     witt_mul,
     witt_neg,
 )
+from wittlab.wittvec import _zq_table
 
 CYC2, CYC3 = LubinTateSeries.cyclotomic(2), LubinTateSeries.cyclotomic(3)
 
@@ -104,6 +105,127 @@ def test_chains_match_the_element_oracle(ring):
             if isinstance(x, str) or not len(x):
                 break
     assert {"add", "mul", "neg", "div_p p*", "div_p refused"} <= ops, ops
+
+
+@pytest.mark.parametrize("ring", RINGS[:2], ids=repr)
+def test_long_chains_match_the_element_oracle(ring):
+    # lengths 6-8 over Z/2^10 and Z/3^8: the peel divides by p^n up to
+    # n = 7 in a guard ring of precision N + 8, the largest of the
+    # workload's shapes and past them
+    rng = random.Random(f"long chains {ring!r}")
+    for length in (6, 7, 8):
+        a, b = rand_vec(ring, rng, length), rand_vec(ring, rng, length)
+        for fn, ofn in ((witt_add, oracle.witt_add), (witt_mul, oracle.witt_mul)):
+            assert cells(fn(a, b)) == cells(ofn(a, b)), (ring, length, fn.__name__)
+        assert cells(witt_neg(a)) == cells(oracle.witt_neg(a)), (ring, length)
+        assert cells(frob(a)) == cells(oracle.frob(a)), (ring, length)
+        x = y = a
+        for _ in range(4):
+            kind, x, y = step(rng, x, y)
+            assert cells(x) == cells(y), (ring, length, kind)
+            if isinstance(x, str) or not len(x):
+                break
+
+
+@pytest.mark.parametrize("ring", RINGS[:4], ids=repr)
+def test_peel_past_the_ring_precision_matches_the_element_oracle(ring):
+    # at n >= N the peel divides by p^N in place of p^n: a value mod p^N is
+    # divisible by either only when it is 0, and then the quotient is 0
+    rng = random.Random(f"past N {ring!r}")
+    length = ring.nprec + 3
+    seen = set()
+    for k in range(8):
+        x = ring.random(rng)
+        assert [c.co for c in delta(x, length).comps] == [c.co for c in oracle.delta(x, length)]
+        entries = oracle.ghost_values(ring.p, [ring.random(rng) for _ in range(length)])
+        if k % 2:  # a ghost vector up to N only: the peel refuses at n >= N
+            entries[ring.nprec + k % 3] += ring.one()
+        got = oracle.raises_not_divisible(ghost_peel, ring, [u.co for u in entries])
+        want = oracle.raises_not_divisible(
+            lambda: [c.co for c in oracle.ghost_peel(ring.p, entries)]
+        )
+        assert got == want, ring
+        seen.add(want == "NotDivisible")
+    assert seen == {True, False}
+
+
+def pairs(ring, rng):
+    """Pairs of elements of ``ring``: identical coordinates at declared
+    precisions from 0 to cap, zeros, neighbours p^k apart and unrelated
+    draws."""
+    out = []
+    precs = [0, 1, ring.cap // 2, ring.cap - 1, ring.cap]
+    for _ in range(30):
+        a = ring.random(rng)
+        zero = ring.zero()
+        for pa in precs:
+            pb = rng.choice(precs)
+            out.append((RingElem(ring, a.co, pa), RingElem(ring, a.co, pb)))
+            out.append((RingElem(ring, zero.co, pa), RingElem(ring, zero.co, pb)))
+            out.append((RingElem(ring, zero.co, pa), RingElem(ring, a.co, pb)))
+        k = rng.randrange(ring.nprec + 1)
+        shift = [rng.randrange(ring.p ** (ring.nprec - k)) * ring.p**k for _ in a.co]
+        near = tuple((x + y) % ring.pn for x, y in zip(a.co, shift))
+        for _ in range(3):
+            pa, pb = rng.randrange(ring.cap + 1), rng.randrange(ring.cap + 1)
+            out.append((RingElem(ring, a.co, pa), RingElem(ring, near, pb)))
+            out.append((RingElem(ring, a.co, pa), ring.random(rng, pb)))
+    return out
+
+
+def test_ring_equality_matches_its_definition():
+    # a == b iff val_co(a - b) >= min(prec): on identical coordinates the
+    # short-circuit answers True, which the definition gives as v = cap;
+    # over every ring of RINGS and the rings Z_4/2^n the F_4 path computes in
+    f4 = finite_field(2, 2)
+    rng = random.Random(808)
+    seen = set()
+    for ring in RINGS + [_zq_table(f4, n)[0] for n in range(1, 5)]:
+        for a, b in pairs(ring, rng):
+            want = (a - b).valuation() >= min(a.prec, b.prec)
+            assert (a == b) is want, (a, b)
+            assert (b == a) is want, (a, b)
+            seen.add((a.co == b.co, want))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_vector_equality_matches_its_definition():
+    # WittVec equality is equality of every component, in the same ring and
+    # at the same length, whatever the engine; over F_4 components compare
+    # exactly
+    f4 = finite_field(2, 2)
+    rng = random.Random(909)
+    seen = set()
+    for ring in RINGS + [f4]:
+        for length in range(6):
+            for _ in range(12):
+                if ring is f4:
+                    a = WittVec(f4, [f4.from_index(rng.randrange(4)) for _ in range(length)])
+                    b = WittVec(f4, [
+                        f4.from_index(rng.randrange(4)) if rng.random() < 0.2 else c
+                        for c in a.comps
+                    ])
+                else:
+                    a = rand_vec(ring, rng, length)
+                    b = WittVec(ring, [
+                        ring.random(rng, rng.randrange(ring.cap + 1)) if rng.random() < 0.2
+                        else RingElem(ring, c.co, rng.randrange(ring.cap + 1))
+                        for c in a.comps
+                    ])
+                if ring is f4:
+                    agree = [x.co == y.co for x, y in zip(a.comps, b.comps)]
+                else:
+                    agree = [
+                        (x - y).valuation() >= min(x.prec, y.prec)
+                        for x, y in zip(a.comps, b.comps)
+                    ]
+                assert (a == b) is all(agree), (a, b)
+                assert (b == a) is all(agree), (a, b)
+                assert a == a
+                if length:
+                    assert a != a.truncate(length - 1)
+                seen.add(all(agree))
+    assert seen == {True, False}
 
 
 def test_ghost_map_matches_the_element_oracle():

@@ -584,6 +584,29 @@ def test_zq_tables_round_trip_every_vector(p, s, n):
         assert _from_zq(field, table, _to_zq(table, a)) == a, a
 
 
+def test_digit_peel_refuses_a_lift_off_its_residue(monkeypatch):
+    # the way back from Z_q/p^n divides x - [r] by p, r = x mod p; a table
+    # whose Teichmueller row differs from r mod p leaves a remainder, which
+    # is refused with NotDivisible and never returned as a vector
+    from wittlab import wittvec
+
+    real = wittvec._zq_table
+
+    def skewed(field, n):
+        ring, rows, frobs = real(field, n)
+        teich = {k: (t[0] + 1,) + t[1:] for k, t in rows[0].items()}
+        return ring, [teich, *rows[1:]], frobs
+
+    monkeypatch.setattr(wittvec, "_zq_table", skewed)
+    f4 = finite_field(2, 2)
+    rng = random.Random(6363)
+    for length in (2, 3, 4):
+        a, b = rand_fq_vec(f4, rng, length), rand_fq_vec(f4, rng, length)
+        for call in (lambda: witt_add(a, b), lambda: witt_mul(a, b), lambda: witt_neg(a)):
+            with pytest.raises(NotDivisible):
+                call()
+
+
 def test_field_ops_build_no_universal_family(monkeypatch):
     # over F_q every length takes Z_q/p^n; a dispatch that fell back to the
     # universal polynomials would need S_4 and P_4 at p = 5, and raises here
