@@ -425,13 +425,9 @@ def _prefix_min(ring, *comps):
 def _pointwise(co_op, int_op):
     """A transport combine: int_op entry by entry on the ghost ints of a
     one-coordinate ring, co_op(big, ...) on coordinate tuples otherwise."""
-
-    def combine(big, *ghosts):
-        if big.dim == 1:
-            return list(map(int_op, *ghosts))
-        return list(map(co_op, repeat(big), *ghosts))
-
-    return combine
+    return lambda big, *ghosts: list(
+        map(int_op, *ghosts) if big.dim == 1 else map(co_op, repeat(big), *ghosts)
+    )
 
 
 def _binary(a, b, co_op, combine):
@@ -456,14 +452,10 @@ def _scale_co(ring, x, c):
     return tuple([u * c % pn for u in x])
 
 
-def _neg_co(ring, x):
-    return _scale_co(ring, x, -1)
-
-
 # the transport combines, built once
 _ADD = _pointwise(_add_co, operator.add)
 _MUL = _pointwise(TowerRing.mul_co, operator.mul)
-_NEG = _pointwise(_neg_co, operator.neg)
+_NEG = _pointwise(lambda ring, x: _scale_co(ring, x, -1), operator.neg)
 
 
 def witt_add(a, b):
@@ -480,7 +472,7 @@ def witt_neg(a):
         return a
     if isinstance(ring, Fq):
         table = _zq_table(ring, length)
-        return _from_zq(ring, table, _neg_co(table[0], _to_zq(table, a)))
+        return _from_zq(ring, table, _scale_co(table[0], _to_zq(table, a), -1))
     precs = [c.prec for c in a.comps] if ring.p % 2 else _prefix_min(ring, a.comps)
     return _transport(ring, [a], length, _NEG, precs)
 
