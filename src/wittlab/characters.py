@@ -101,8 +101,10 @@ def theta_teich_values(ring, m, s, degree, target):
 
 class RootOfUnityTable:
     """mu_{p^l} in a level-(l-1) ring at pi-precision ``prec``: entry k is
-    g^k.  Refused unless g^(p^l) = 1 and no two entries agree at ``prec``;
-    each pair is compared once, and the largest valuation is the snap bound."""
+    g^k.  Refused unless g^(p^l) = 1 and no two entries agree at ``prec``.
+    g is a unit, so v(g^a - g^b) = v(g^(a-b) - 1): comparing the p^l - 1
+    powers past the first with 1 covers every pair, and the largest
+    valuation is the snap bound."""
 
     def __init__(self, ring, ell, g, prec):
         self.ring = ring
@@ -114,7 +116,7 @@ class RootOfUnityTable:
             z = z * g
         if z != ring.one():
             raise ReportedMismatch(f"g^{self.order} is not 1: the table is not a group")
-        vals = [(a - b).valuation() for a, b in itertools.combinations(self.elements, 2)]
+        vals = [(z - self.elements[0]).valuation() for z in self.elements[1:]]
         if any(v >= prec for v in vals):
             raise ReportedMismatch(f"two powers of g agree: g has order below {self.order}")
         self.max_pairwise_val = max(vals)
@@ -197,11 +199,6 @@ def mu_ppow_table(ring, ell):
     return RootOfUnityTable(ring, ell, g, resolution)
 
 
-def check_degree(degree):
-    """Refuse a series degree D that is not an integer >= 1."""
-    check_int("series degree D", degree, 1)
-
-
 def check_target(target_prec):
     """Refuse a target pi-precision M that is not an integer >= 1 (None
     keeps the default)."""
@@ -227,7 +224,7 @@ class CharParams(Record, namedtuple("CharParams", "p s ell u_index lt nprec degr
         if nprec is not None:
             check_int("N", nprec, 1)
         if degree is not None:
-            check_degree(degree)
+            check_int("series degree D", degree, 1)
         check_target(target_prec)
         lt = LubinTateSeries.cyclotomic(p) if lt is None else lt
         nprec = 16 if nprec is None else nprec
@@ -620,20 +617,17 @@ def check_splitting(params, r):
 
 
 def _match_root_tables(small, big):
-    """index map small -> big: lift the (y-free) pi-coordinates and snap."""
-    s_small, s_big = small.ring.s, big.ring.s
-    out = {}
-    for k, z in enumerate(small.elements):
-        e = len(z.co) // s_small
-        co = [0] * (e * s_big)
-        for i in range(e):
-            row = z.co[i * s_small : (i + 1) * s_small]
-            if any(row[1:]):
-                raise ReportedMismatch(f"root {k} of mu_(p^l) is not y-free")
-            co[i * s_big] = row[0]
-        lifted = RingElem(big.ring, tuple(co), z.prec)
-        out[k], _ = big.snap(lifted)
-    return out
+    """Index map small -> big.  Lifting y-free coordinates is a ring map and
+    a table index is a discrete log, so one snap settles it: the lift of g,
+    entry 1, snaps to index j, and entry k = g^k maps to j k mod p^l.  Only
+    g is checked y-free; its powers stay in Z_p[pi]."""
+    g, s_small, s_big = small.elements[1], small.ring.s, big.ring.s
+    if any(c for i, c in enumerate(g.co) if i % s_small):
+        raise ReportedMismatch("the generator of mu_(p^l) is not y-free")
+    co = [0] * big.ring.dim
+    co[::s_big] = g.co[::s_small]
+    j, _ = big.snap(RingElem(big.ring, tuple(co), g.prec))
+    return {k: j * k % small.order for k in range(small.order)}
 
 
 def omega_factorization_check(params, r, degree):
@@ -655,7 +649,7 @@ def omega_factorization_check(params, r, degree):
     """
     if params.ell != 2:
         raise InvalidParameter(f"the factorization check is over W_2, not W_{params.ell}")
-    check_degree(degree)
+    check_int("series degree D", degree, 1)
     if degree > params.degree:
         raise InvalidParameter(
             f"factorization check at D = {degree} above the configuration's degree {params.degree}"

@@ -54,9 +54,9 @@ class NonIntegralResult(WittlabError):
 class TailNotCertified(WittlabError):
     """Coefficient valuations do not certify the series tail at the target."""
 
-    def __init__(self, message, diagnostics=None):
+    def __init__(self, message, diagnostics):
         super().__init__(message)
-        self.diagnostics = diagnostics or {}
+        self.diagnostics = diagnostics
 
 
 class SnapAmbiguous(WittlabError):

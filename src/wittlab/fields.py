@@ -127,7 +127,9 @@ def finite_field(p, s):
 
 class FqElem:
     """An element of ``field`` on the power basis; the constructor reduces
-    the s coordinates mod p and refuses any other number of them."""
+    the s coordinates mod p and refuses any other number of them, or one
+    that is not an integer (``check_int``'s rule, read only for a coordinate
+    whose type is not ``int``)."""
 
     __slots__ = ("field", "co")
 
@@ -136,9 +138,12 @@ class FqElem:
             raise InvalidParameter(
                 f"an element of F_{field.q} has {field.s} coordinates, not {len(co)}"
             )
+        for c in co:
+            if type(c) is not int:
+                check_int("a coordinate", c)
         p = field.p
         self.field = field
-        self.co = tuple(c % p for c in co)
+        self.co = tuple([c % p for c in co])
 
     def _binary(self, other):
         if not isinstance(other, FqElem) or other.field is not self.field:
@@ -191,9 +196,9 @@ class FqElem:
             raise NotUnit("zero is not invertible")
         return self ** (self.field.q - 2)
 
-    def frobenius(self, k=1):
-        """x -> x^(p^k)."""
-        return self ** (self.field.p**k)
+    def frobenius(self):
+        """x -> x^p."""
+        return self ** self.field.p
 
     def index(self):
         """Integer index sum c_j p^j; fixes the canonical enumeration order."""
@@ -229,10 +234,7 @@ class Fq:
         return FqElem(self, (c,) + (0,) * (self.s - 1))
 
     def from_coeffs(self, co):
-        co = tuple(co)
-        for c in co:
-            check_int("a coordinate", c)
-        return FqElem(self, co)
+        return FqElem(self, tuple(co))
 
     def from_index(self, idx):
         """The element of index ``idx`` (see ``FqElem.index``), 0 <= idx < q."""

@@ -122,16 +122,15 @@ def _check_fits(system, chi_m, chi_b):
 def kernel_H(system, chi_m, chi_b):
     """The bivariate kernel, truncated at the system's total degree D.
 
-    Every coefficient, built through ``TruncSeries2``; the trace formula
-    reads only the diagonal of ``kernel_shells``, which is computed from the
-    same factors.
+    Every coefficient, built through ``TruncSeries2``: Omega_2 = A(x0) B(x1)
+    times one sparse product by Omega_1's terms (a, b, c), each taken as
+    (a + m, b, -c), which carries the shift by x0^m and the sign.  The trace
+    formula reads only the diagonal of ``kernel_shells``, which is computed
+    from the same factors.
     """
     _check_fits(system, chi_m, chi_b)
-    sub = system.omega1_substituted(chi_b)
     omega2 = TruncSeries2.outer(*system.omega_factors, system.params.degree)
-    shifted = omega2.shift_x0(chi_m) if chi_m else omega2
-    out = shifted.mul_sparse(sub)
-    return out.scale(-system.ring.one())
+    return omega2.mul_sparse([(a + chi_m, b, -c) for a, b, c in system.omega1_substituted(chi_b)])
 
 
 def kernel_shells(system, chi_m, chi_b):

@@ -327,7 +327,6 @@ class TowerRing:
         self.yred = reduction_rows(self.h_coeffs, self.pn)
         self._build_eisenstein()
         self.sigma_pows = self._sigma_pows()
-        self._pi_cache = {}
         self._specs = {}  # nprec -> RingSpec; with_precision keeps no ring
 
     def __repr__(self):
@@ -393,12 +392,12 @@ class TowerRing:
         co[0] = c % self.pn
         return RingElem(self, tuple(co))
 
-    def from_ur(self, ur_co, prec=None):
+    def from_ur(self, ur_co):
         for c in ur_co:
             check_int("an unramified coordinate", c)
         co = [0] * self.dim
         co[: self.s] = [c % self.pn for c in ur_co]
-        return RingElem(self, tuple(co), prec)
+        return RingElem(self, tuple(co))
 
     def y_gen(self):
         if self.s < 2:
@@ -421,13 +420,9 @@ class TowerRing:
         """pi_{m_low} inside this ring: F^(m - m_low) applied to pi_m."""
         if not 0 <= m_low <= self.m:
             raise InvalidParameter(f"level {m_low} outside 0..{self.m}")
-        got = self._pi_cache.get(m_low)
-        if got is None:
-            got = self.pi()
-            f = self.lt.f_coeffs()
-            for _ in range(self.m - m_low):
-                got = self.eval_int_poly(f, got)
-            self._pi_cache[m_low] = got
+        got, f = self.pi(), self.lt.f_coeffs()
+        for _ in range(self.m - m_low):
+            got = self.eval_int_poly(f, got)
         return got
 
     def eval_int_poly(self, coeffs, x):
@@ -438,6 +433,8 @@ class TowerRing:
         return acc
 
     def random(self, rng, prec=None):
+        if prec is not None:
+            check_int("precision", prec, 0)
         co = tuple(rng.randrange(self.pn) for _ in range(self.dim))
         return RingElem(self, co, prec)
 

@@ -324,14 +324,10 @@ class TruncSeries2:
 
     __slots__ = ("ring", "degree", "rows")
 
-    def __init__(self, ring, degree, rows=None):
+    def __init__(self, ring, degree):
         self.ring = ring
         self.degree = degree
-        if rows is None:
-            rows = [
-                [ring.zero() for _ in range(degree + 1 - i)] for i in range(degree + 1)
-            ]
-        self.rows = rows
+        self.rows = [[ring.zero() for _ in range(degree + 1 - i)] for i in range(degree + 1)]
 
     @classmethod
     def constant(cls, ring, degree, value):
@@ -371,20 +367,6 @@ class TruncSeries2:
     def min_prec(self):
         return min(c.prec for row in self.rows for c in row)
 
-    def scale(self, value):
-        out = TruncSeries2(self.ring, self.degree)
-        for i, j, c in self.terms():
-            out.rows[i][j] = c * value
-        return out
-
-    def shift_x0(self, k):
-        """Multiply by x0^k (terms beyond the degree bound are dropped)."""
-        out = TruncSeries2(self.ring, self.degree)
-        for i, j, c in self.terms():
-            if i + k + j <= self.degree:
-                out.rows[i + k][j] = c
-        return out
-
     def mul_sparse(self, sparse_terms):
         """Multiply by sum c x0^a x1^b given as [(a, b, c), ...]."""
         ring = self.ring
@@ -407,17 +389,6 @@ class TruncSeries2:
             for j in range(len(orow)):
                 orow[j] = RingElem(ring, orow[j].co, min(orow[j].prec, floor))
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncSeries2)
-            and self.degree == other.degree
-            and all(
-                self.rows[i][j] == other.rows[i][j]
-                for i in range(self.degree + 1)
-                for j in range(self.degree + 1 - i)
-            )
-        )
 
     def eval_at(self, z0, z1):
         """Plain double-Horner evaluation of all stored terms."""

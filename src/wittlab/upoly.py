@@ -138,9 +138,6 @@ class UniversalPoly:
             and self.ny == other.ny
         )
 
-    def __hash__(self):
-        return hash((self.nx, self.ny, frozenset(self.terms.items())))
-
     def __len__(self):
         return len(self.terms)
 
@@ -177,9 +174,6 @@ class UniversalPoly:
         """"X0^1 Y0^2" for a decoded exponent vector ("" for the constant)."""
         names = self.var_names()
         return " ".join(f"{names[i]}^{e}" for i, e in enumerate(exps) if e)
-
-    def coefficient(self, exps):
-        return self.terms.get(self._key(exps), 0)
 
     def to_text(self):
         lines = []

@@ -545,6 +545,8 @@ def te_lift(y, target, length):
 
 def witt_trace(y, s, r):
     """Trace W_l(F_{q^r}) -> W_l(F_q): sum of the r Frobenius-power twists."""
+    check_int("s", s, 1)
+    check_int("r", r, 1)
     field = y.ring
     if not isinstance(field, Fq) or field.s != s * r:
         raise RingMismatch("witt_trace expects a vector over F_{q^r}")

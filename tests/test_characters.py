@@ -9,6 +9,7 @@ from wittlab.characters import (
     CharParams,
     CharacterSystem,
     RootOfUnityTable,
+    _match_root_tables,
     check_splitting,
     mu_ppow_table,
     omega_factorization_check,
@@ -101,6 +102,43 @@ def test_mu_table_is_one_per_ring_from_one_generator():
     assert [z.co for z in rebuilt.elements] == [z.co for z in table.elements]
 
 
+@pytest.mark.parametrize("p,ell", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_root_table_bound_is_the_largest_pairwise_valuation(p, ell):
+    # the table compares its powers with 1 alone; the bound it keeps is the
+    # largest valuation over all pairs of entries, p^(l-1), reached at the
+    # roots of order p, and no pair agrees at the table's precision
+    ring = make_ring(RingSpec(p, 1, ell - 1, LubinTateSeries.cyclotomic(p), 14))
+    table = mu_ppow_table(ring, ell)
+    vals = [(a - b).valuation() for a, b in itertools.combinations(table.elements, 2)]
+    assert table.max_pairwise_val == max(vals) == p ** (ell - 1)
+    assert max(vals) < table.elements[0].prec
+
+
+def lift_and_snap_every_root(small, big):
+    # the index map small -> big root by root: each root's pi-coordinates,
+    # y-free, lifted into the big ring and snapped
+    s_small, s_big, out = small.ring.s, big.ring.s, {}
+    for k, z in enumerate(small.elements):
+        rows = [z.co[i : i + s_small] for i in range(0, len(z.co), s_small)]
+        assert not any(any(row[1:]) for row in rows), k
+        co = [0] * big.ring.dim
+        co[::s_big] = [row[0] for row in rows]
+        out[k], _ = big.snap(RingElem(big.ring, tuple(co), z.prec))
+    return out
+
+
+@pytest.mark.parametrize("p,s,r", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
+def test_root_tables_match_by_one_snap(p, s, r):
+    # _match_root_tables snaps the lift of g alone and maps g^k to j k:
+    # the same map as a lift and snap of every root, and a bijection
+    lt = LubinTateSeries.cyclotomic(p)
+    small = mu_ppow_table(make_ring(RingSpec(p, s, 1, lt, 14)), 2)
+    big = mu_ppow_table(make_ring(RingSpec(p, s * r, 1, lt, 14)), 2)
+    ident = _match_root_tables(small, big)
+    assert ident == lift_and_snap_every_root(small, big)
+    assert sorted(ident.values()) == list(range(p**2))
+
+
 @pytest.mark.parametrize("g,prec", [(3, 8), (1, 8), (129, 7)])
 def test_root_table_that_is_not_a_group_is_refused(g, prec):
     # would-be mu_2 tables in Z/2^8: with g = 3, g^2 = 9 is not 1; with
@@ -177,6 +215,22 @@ def test_trace_of_t_two_ways():
         sys = system(p, s, 2, nprec=12, degree=54)
         # nondegenerate_trace already compares the phi-sum and the power-sum
         assert sys.trace_t.valuation() == 0
+
+
+def test_a_set_target_precision_reaches_the_system():
+    # CharParams' target_prec replaces the default p^(l-1) + 1: theta's
+    # certified values are stamped at it, and the psi table snaps to the
+    # same indices, each at least as near its root as at the default
+    base = system(2, 1, 2, nprec=14, degree=48)
+    sys = system(2, 1, 2, nprec=14, degree=48, target_prec=6)
+    assert (base.target_prec, sys.target_prec) == (3, 6)
+    for c in sys.field.elements():
+        assert sys.theta_at(0, c).prec == sys.theta_at(1, c).prec == 6
+        assert sys.theta_at(1, c).co == base.theta_at(1, c).co
+    rows, base_rows = sys.character_table().rows, base.character_table().rows
+    assert [r["psi_index"] for r in rows] == [r["psi_index"] for r in base_rows]
+    assert all(r["raw_distance"] >= b["raw_distance"] for r, b in zip(rows, base_rows))
+    assert max(r["raw_distance"] - b["raw_distance"] for r, b in zip(rows, base_rows)) == 3
 
 
 def test_snap_ambiguous_on_low_precision():

@@ -132,6 +132,7 @@ def test_refusals_hold_under_python_O(argv, needle):
 
 
 _DIRECT_REFUSALS = """
+import random
 from types import SimpleNamespace
 
 from wittlab import series
@@ -139,8 +140,10 @@ from wittlab.characters import (
     CharacterSystem, CharParams, RootOfUnityTable, _match_root_tables, mu_ppow_table,
     omega_factorization_check,
 )
-from wittlab.errors import InvalidParameter, ReportedMismatch, RingMismatch, TruncationTooSmall
-from wittlab.fields import finite_field
+from wittlab.errors import (
+    InvalidParameter, NotUnit, ReportedMismatch, RingMismatch, TruncationTooSmall,
+)
+from wittlab.fields import FqElem, finite_field
 from wittlab.gausstrace import GaussConfig, alpha_matrix
 from wittlab.rings import LubinTateSeries, ring_of
 from wittlab.series import (
@@ -149,14 +152,17 @@ from wittlab.series import (
 )
 from wittlab.upoly import UniversalPoly, eval_plan_at, structural_polys
 from wittlab.wittvec import (
-    GhostSeq, WittVec, delta, one_vec, scalar_nat, tau, te_lift, versch, witt_add, zero_vec,
+    GhostSeq, WittVec, delta, ghost_map, one_vec, scalar_nat, tau, te_lift, versch, witt_add,
+    witt_trace, zero_vec,
 )
 
 zp, f4 = ring_of(2, nprec=8), finite_field(2, 2)
 z3, zq = ring_of(3, nprec=8), ring_of(2, 2, nprec=8)
 lvl0 = ring_of(2, 1, 0, LubinTateSeries.cyclotomic(2), 8)
-# a table with a y-coordinate
-y_root = SimpleNamespace(ring=zq, elements=[zq.y_gen()])
+# a table whose generator, entry 1, has a y-coordinate
+y_root = SimpleNamespace(ring=zq, elements=[zq.one(), zq.y_gen()])
+f4_vec = WittVec(f4, [f4.gen(), f4.one()])
+ell3 = CharParams(2, 1, 3, nprec=8, degree=16)
 
 
 def w_with_constant_term():
@@ -247,6 +253,24 @@ rows = [
     (InvalidParameter, lambda: te_lift(one_vec(f4, 2), ring_of(2, 2, nprec=8), 2.5)),
     (InvalidParameter, lambda: zq.one().phi(1.5)),
     (InvalidParameter, lambda: z3.from_int(9).exact_div_p(0.5)),
+    (InvalidParameter, lambda: FqElem(f4, (0.5, 0))),
+    (InvalidParameter, lambda: FqElem(f4, (True, 0))),
+    (InvalidParameter, lambda: witt_trace(f4_vec, 1, 2.0)),
+    (InvalidParameter, lambda: witt_trace(f4_vec, 1.0, 2)),
+    (InvalidParameter, lambda: witt_trace(f4_vec, 2, 0)),
+    (InvalidParameter, lambda: witt_trace(f4_vec, 0, 2)),
+    (InvalidParameter, lambda: zq.random(random.Random(1), 2.5)),
+    (InvalidParameter, lambda: zq.random(random.Random(1), True)),
+    (InvalidParameter, lambda: zq.random(random.Random(1), -1)),
+    (RingMismatch, lambda: zp.one() + f4.one()),
+    (RingMismatch, lambda: zp.one() * z3.one()),
+    (RingMismatch, lambda: zp.one() - ring_of(2, nprec=9).one()),
+    (RingMismatch, lambda: witt_add(one_vec(zp, 2), one_vec(z3, 2))),
+    (RingMismatch, lambda: ghost_map(f4_vec)),
+    (RingMismatch, lambda: zp.teichmuller(f4.one())),
+    (InvalidParameter, lambda: CharacterSystem(ell3).psi_parts),
+    (InvalidParameter, lambda: CharacterSystem(ell3).chi_value(0, f4.zero(), f4_vec)),
+    (NotUnit, lambda: f4.zero().inverse()),
 ]
 for want, call in rows:
     try:
@@ -275,9 +299,13 @@ def test_direct_refusals_hold_under_python_O():
     # and from_index, from_int and scale_int over F_4 and Z/3^4 took floats
     # into the coordinates, as from_coeffs and from_ur did; a float exponent,
     # multiple, shift, length or Frobenius power ended in a bare TypeError,
-    # and exact_div_p(0.5) in NotDivisible; each now
-    # raises exactly the error class its row names, and the script prints
-    # each row that does not
+    # and exact_div_p(0.5) in NotDivisible; the FqElem constructor took a
+    # float or a bool coordinate, witt_trace a float s or r (a bare
+    # TypeError) and TowerRing.random a float precision; the RingMismatch,
+    # psi_parts, chi_value and NotUnit rows at the end held before, and pin
+    # typed refusals no other test reached; each now raises exactly the
+    # error class its row names, and the script prints each row that does
+    # not
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

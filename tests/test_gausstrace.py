@@ -182,6 +182,36 @@ def test_kernel_matches_characters_termwise():
                         assert val == expect, (p, chi_m, chi_b)
 
 
+@pytest.mark.parametrize("p,s,degree", [(2, 1, 10), (3, 1, 12), (2, 2, 14)])
+def test_kernel_H_is_the_product_of_its_factors(p, s, degree):
+    # every coefficient of H = -x0^m A(x0) B(x1) C, C Omega_1's terms
+    # (a, b, c_k), against the sum taken directly: [x0^i x1^j] H = -sum_k
+    # A[i - a - m] B[j - b] c_k, for every chi_m and b; every coefficient,
+    # zero or not, is declared at the least precision over A, B and C (the
+    # factors are exact, so here they are declared below the cap, a
+    # coefficient's precision varying with its degree)
+    sys = CharacterSystem(CharParams(p, s, 2, nprec=8, degree=degree))
+    ring = sys.ring
+    fa, fb = sys.omega_factors = tuple(
+        Series1(ring, [RingElem(ring, c.co, ring.cap - (i + k) % 4) for i, c in enumerate(f.coeffs)])
+        for k, f in enumerate(sys.omega_factors)
+    )
+    for chi_m in range(sys.field.q - 1):
+        for chi_b in sys.field.elements():
+            terms = sys.omega1_substituted(chi_b)
+            floor = min(c.prec for c in fa.coeffs + fb.coeffs + [c for *_, c in terms])
+            kern = kernel_H(sys, chi_m, chi_b)
+            for i in range(degree + 1):
+                for j in range(degree + 1 - i):
+                    want = ring.zero()
+                    for a, b, c in terms:
+                        if i - a - chi_m >= 0 and j - b >= 0:
+                            want = want + fa.coeffs[i - a - chi_m] * fb.coeffs[j - b] * c
+                    got = kern.coefficient(i, j)
+                    assert got.co == (-want).co, (chi_m, chi_b, i, j)
+                    assert got.prec == floor, (chi_m, chi_b, i, j)
+
+
 def test_kernel_truncation_guard():
     sys = system21(32)
     with pytest.raises(TruncationTooSmall):

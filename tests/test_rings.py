@@ -588,6 +588,19 @@ def test_field_element_coordinates_are_reduced_and_counted():
             FqElem(f4, co)
 
 
+def test_field_subtraction_and_negative_powers():
+    # x - y is x + (-y) coordinate by coordinate, and x^(-n) is the inverse
+    # of x^n: x^(-n) x^n = 1 for every unit and every n up to q - 1
+    for f in (finite_field(2, 2), finite_field(3, 2), finite_field(5, 1)):
+        for x in f.elements():
+            for y in f.elements():
+                assert x - y == x + (-y) and (x - y) + y == x
+            if x:
+                for n in range(1, f.q):
+                    assert x**-n * x**n == f.one()
+                    assert x**-n == (x**n).inverse()
+
+
 def test_field_elements_of_different_fields_do_not_mix():
     # zip truncated the longer coefficient tuple, so F_4 + F_8 gave an F_4
     # element; now each binary operation refuses, as RingElem's do

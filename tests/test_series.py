@@ -322,6 +322,24 @@ def test_theta_zero_is_one_and_morphism():
     ) * pulita_theta_ms(ring, m, 1, b, deg)
 
 
+def test_theta_pads_a_short_vector_with_zeros():
+    # a vector shorter than theta's length is padded with zero components
+    # (pad_vector's padding branch): the series, coefficients and declared
+    # precisions, is that of the vector padded by hand
+    p, m, deg = 3, 1, 12
+    ring = make_ring(RingSpec(p, 1, m, LubinTateSeries.cyclotomic(p), 10))
+    length = max(series_length(p, deg), m + 2)
+    rng = random.Random(29)
+    for short in range(1, length):
+        a = WittVec(ring, [ring.random(rng, rng.randrange(ring.cap + 1)) for _ in range(short)])
+        padded = WittVec(ring, list(a.comps) + [ring.zero()] * (length - short))
+        assert [c.co for c in pad_vector(a, length).comps] == [c.co for c in padded.comps]
+        for s in (1, 2):
+            got = pulita_theta_ms(ring, m, s, a, deg)
+            want = pulita_theta_ms(ring, m, s, padded, deg)
+            assert [(c.co, c.prec) for c in got.coeffs] == [(c.co, c.prec) for c in want.coeffs]
+
+
 def test_theta_verschiebung_shift():
     # theta_m(V^k a) = 1 if m < k else theta_{m-k}(a) o x^(p^k)
     p, deg = 2, 16

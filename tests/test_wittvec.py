@@ -7,7 +7,7 @@ import random
 import pytest
 
 from wittlab.errors import FamilyTooLarge, NotDivisible, RingMismatch, TooShort
-from wittlab.fields import finite_field
+from wittlab.fields import Fq, finite_field
 from wittlab.rings import LubinTateSeries, RingElem, RingSpec, make_ring, ring_of
 from wittlab.upoly import UniversalPoly, check_family, eval_plan_at, structural_polys
 from wittlab.wittvec import (
@@ -118,6 +118,35 @@ def test_ring_axioms_random_triples(maker):
         assert witt_add(witt_add(a, b), c) == witt_add(a, witt_add(b, c))
         assert witt_mul(witt_mul(a, b), c) == witt_mul(a, witt_mul(b, c))
         assert witt_mul(a, witt_add(b, c)) == witt_add(witt_mul(a, b), witt_mul(a, c))
+
+
+@pytest.mark.parametrize(
+    "ring", [finite_field(2, 2), ring_of(2, nprec=10), ring_of(3, nprec=8)], ids=str
+)
+def test_vector_operators_are_the_witt_operations(ring):
+    # WittVec's +, - and * are witt_add, witt_add with witt_neg, and
+    # witt_mul, component by component; over Z/p^N the components are
+    # declared at random precisions, which the results must carry alike
+    rng = random.Random(5)
+    for length in range(1, 5):
+        if isinstance(ring, Fq):
+            a, b = rand_fq_vec(ring, rng, length), rand_fq_vec(ring, rng, length)
+        else:
+            a, b = (
+                WittVec(ring, [ring.random(rng, rng.randrange(ring.cap + 1)) for _ in range(length)])
+                for _ in range(2)
+            )
+        for got, want in (
+            (a + b, witt_add(a, b)),
+            (a - b, witt_add(a, witt_neg(b))),
+            (-a, witt_neg(a)),
+            (a * b, witt_mul(a, b)),
+        ):
+            assert got.ring is want.ring
+            assert [c.co for c in got.comps] == [c.co for c in want.comps]
+            assert [getattr(c, "prec", None) for c in got.comps] == [
+                getattr(c, "prec", None) for c in want.comps
+            ]
 
 
 def test_ghost_map_is_morphism():
