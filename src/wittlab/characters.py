@@ -10,14 +10,14 @@ evaluates that fold at all of them; psi_{l,s,t}, the psi_1 part of chi and
 both sides of the splitting-function product formula read that one table.
 A system has one series degree D, ``CharParams.degree``, and keeps what
 every Gauss check on it reads: Omega's factors truncated at D and the
-running sums of their residue-class products; per chi_m and whether b is
-0, the trace total's parts as a polynomial in Teich(b) with its shell
+running sums of their residue-class products; per chi_m and whether b is 0,
+the trace total as an integer matrix on Teich(b)'s powers, with its shell
 floors (``trace_parts``); per chi_m, the Gauss sum's terms Teich(x^m)
 psi([x]) and their sum (``brute_terms``); psi's indices at [x] and V[y]
 (``psi_parts``, 2q - 1 snaps) and whether they make psi of order p^2
 (``psi_order_p2``); per b != 0, the x at which the Gauss sum is supported
-(``stationary_points``); and the discrete log of each snapped psi_1
-value.  psi snaps its product to the root-of-unity table of mu_{p^l}.
+(``stationary_points``); and the discrete log of each snapped psi_1 value.
+psi snaps its product to the root-of-unity table of mu_{p^l}.
 Snapping is ultrametric: the value must be strictly closer to one root
 than the minimal pairwise distance of the table, otherwise the computation
 refuses (SnapAmbiguous) rather than guessing.
@@ -266,7 +266,7 @@ class CharacterSystem:
         self.nondegenerate, self.trace_t = nondegenerate_trace(self.ring, self.t)
         self._psi1 = {}
         self._table = None
-        # what Gauss checks read: ``gausstrace.kernel_shells``' parts by (chi_m, b != 0),
+        # what Gauss checks read: ``gausstrace.kernel_shells``' matrix by (chi_m, b != 0),
         # ``gauss_brute``'s terms by chi_m
         self.trace_parts = {}
         self.brute_terms = {}

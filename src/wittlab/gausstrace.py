@@ -13,12 +13,14 @@ products of Omega_2's factors, which each system forms once (Kronecker
 substitution, ``rings.SeriesPacking``).  Every series is truncated at the
 system's one degree D, ``CharParams.degree``: a check at another D is a
 check on another configuration.  Omega_1's terms are theta0[k] t^k
-Teich(b)^k and Teich(b)^(q-1) = 1 exactly, so the total is a polynomial of
-degree q - 2 in Teich(b) whose parts depend on chi only through m and
-whether b is 0: a system builds at most 2 (q - 1) of them, and a check is
-a Horner sum of q - 2 products by Teich(b), each pi-row by pi-row.  The
-floors are the min-plus convolutions of the same factors' valuations (the
-Newton-polygon bound for a product), kept with the parts, since Teich(b)
+Teich(b)^k and Teich(b)^(q-1) = 1 exactly, so the total is a sum of
+Teich(b^j) F_j, j < q - 1, whose parts depend on chi only through m and
+whether b is 0, and it is linear in the s coordinates of each Teich(b^j):
+a system builds at most 2 (q - 1) integer matrices, column (j, k) the
+coordinates of -F_j y^k, and a check is one dot product per coordinate
+with those of the Teich(b^j) (``TowerRing.teich_powers``).  The floors
+are the min-plus convolutions of the same factors' valuations (the
+Newton-polygon bound for a product), kept with the matrix, since Teich(b)
 is a unit.
 ``gauss_brute`` is the Gauss sum in closed form by stationary phase: the
 sum over z_1 is a character sum over F_q, q at one point x_b of F_q^* and 0
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import math
 import time
+from operator import mul
 
 from .characters import check_target, shared_system
 from .errors import InvalidParameter, NoConventionMatches, PrecisionNotReached, TruncationTooSmall
@@ -151,39 +154,36 @@ def kernel_shells(system, chi_m, chi_b):
 
     For b != 0, c_k = theta0[k] t^k Teich(b)^k and Teich(b)^(q-1) = 1
     exactly mod p^N (``TowerRing.teichmuller`` refuses a table without it),
-    so the total is -sum_j Teich(b)^j F_j, F_j the sum of theta0[k] t^k S[T
+    so the total is -sum_j Teich(b^j) F_j, F_j the sum of theta0[k] t^k S[T
     - o] over the terms with k = j mod q - 1 and o <= T.  At b = 0, C is the
-    one term 1 and F_0 its S[T - o].  The parts depend on chi only through
-    m and whether b is 0, so the system keeps them as coordinate tuples
-    (``trace_parts``, built on the key's first check by ``_trace_parts``),
-    and a check sums them by Horner on coordinates: Teich(b) lies in the
-    unramified subring, so each of the q - 2 products is ``TowerRing.mul_ur``,
-    pi-row by pi-row; the sums are left unreduced, and the negation reduces
-    the total mod p^N once.
+    one term 1 and F_0 its S[T - o].  Teich(b^j) is the sum of its s
+    coordinates u_jk times y^k, so coordinate i of the total is row i of
+    one integer matrix, column (j, k) the coordinates of -F_j y^k, dotted
+    with the u_jk (``TowerRing.teich_powers``; 1 at b = 0).  The F_j depend
+    on chi only through m and whether b is 0, so the system keeps that
+    matrix (``trace_parts``, built on the key's first check by
+    ``_trace_parts``), and each dot product is reduced mod p^N once.
 
     The valuations are floors: shell K is at least v(c_k) + floors_pair[K -
     o] over the C terms, and at most ``ring.cap``.  ``floor`` is the least
     precision over A, B and C, the one ``kernel_H`` clamps to.  Teich(b) is
     a unit at full precision, so for every b != 0 both are those of the
-    terms theta0[k] t^k, and are kept with the parts.
+    terms theta0[k] t^k, and are kept with the matrix.
     """
     _check_fits(system, chi_m, chi_b)
     key = chi_m, bool(chi_b)
     got = system.trace_parts.get(key)
     if got is None:
         got = system.trace_parts[key] = _trace_parts(system, chi_m, chi_b)
-    floor, parts, valuations = got
-    ring, total = system.ring, parts[-1]
-    teich = ring.teichmuller(chi_b).co[: ring.s]
-    for part in reversed(parts[:-1]):
-        total = [a + b for a, b in zip(ring.mul_ur(total, teich), part)]
-    pn = ring.pn
-    return floor, tuple([-c % pn for c in total]), valuations
+    floor, rows, valuations = got
+    weights, pn = system.ring.teich_powers(chi_b), system.ring.pn
+    return floor, tuple([sum(map(mul, row, weights)) % pn for row in rows]), valuations
 
 
 def _trace_parts(system, chi_m, chi_b):
-    """The ``trace_parts`` entry (floor, parts, valuations) of (chi_m, b !=
-    0): the parts F_j as coordinate tuples and the floors from C's terms at
+    """The ``trace_parts`` entry (floor, rows, valuations) of (chi_m, b !=
+    0): the rows of the matrix whose column (j, k) is -F_j y^k mod p^N,
+    each product by the ring's ``mul_co``, and the floors from C's terms at
     b = 1, which are theta0[k] t^k, or from the one term 1 at b = 0."""
     ring, step = system.ring, system.field.q - 1
     stride = system.params.p * (step - 1)
@@ -200,7 +200,9 @@ def _trace_parts(system, chi_m, chi_b):
             parts[k % step] += c * RingElem(ring, prefixes[pair][top - o])
             valuations[o:] = map(min, valuations[o:], map(v.__add__, floors[pair]))
     floor = min([prec] + [c.prec for *_, c in terms])
-    return floor, tuple(part.co for part in parts), tuple(valuations)
+    ypows = [(0,) * k + (1,) + (0,) * (ring.dim - k - 1) for k in range(ring.s)]
+    columns = [ring.mul_co((-part).co, y) for part in parts for y in ypows]
+    return floor, tuple(zip(*columns)), tuple(valuations)
 
 
 def dwork_op(series2, q):
@@ -297,7 +299,8 @@ def trace_formula_check(config):
     """Compare (q-1)^2 Tr(alpha) with both brute-force conventions.
 
     Returns a report dict; NoConventionMatches if neither convention agrees
-    at the target precision.
+    at the target precision, PrecisionNotReached if one agrees but it or
+    the scaled trace is declared to less than the target.
     """
     system = shared_system(config.params)
     ring = system.ring
@@ -326,6 +329,11 @@ def trace_formula_check(config):
     for conv, value in brute.items():
         residuals[conv] = ring.val_co([a - b for a, b in zip(value.co, scaled.co)])
         if residuals[conv] >= target:
+            if min(value.prec, scaled.prec) < target:
+                raise PrecisionNotReached(
+                    f"convention {conv!r} agrees, but g_brute is declared to {value.prec} "
+                    f"pi-digits and the scaled trace to {scaled.prec}, target {target}"
+                )
             matching.append(conv)
     if not matching:
         raise NoConventionMatches(

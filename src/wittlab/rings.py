@@ -448,21 +448,6 @@ class TowerRing:
         v, pn = self.fold_block(convolve(self._spread(a), self._spread(b))), self.pn
         return tuple([v[k] % pn for k in self.slots])
 
-    def mul_ur(self, co, u):
-        """co times u, an element of the unramified subring Z_q/p^N given by
-        its s coordinates.  E_m has its coefficients in Z_p, so u acts on
-        each pi-row of co alone: ``mul_mod`` with the y rows, one int
-        product when s = 1.  ``co`` need not be reduced mod p^N; the result
-        is."""
-        pn, s = self.pn, self.s
-        if s == 1:
-            u = u[0]
-            return tuple([c * u % pn for c in co])
-        out, rows = [], self.yred
-        for i in range(0, self.dim, s):
-            out += mul_mod(co[i : i + s], u, rows, pn)
-        return tuple(out)
-
     def pow_co(self, co, n):
         """co^n for n >= 1: Python's pow on Z/p^N, else ``pow_ladder`` on mul_co."""
         return (pow(co[0], n, self.pn),) if self.dim == 1 else pow_ladder(co, n, self.mul_co)
@@ -528,11 +513,19 @@ class TowerRing:
 
     def teichmuller(self, u):
         """The unique q-power-fixed lift of u in F_q.  It lies in the
-        unramified subring (``_teich_table`` checks it), so its first s
-        coordinates act on any element by ``mul_ur``."""
+        unramified subring (``_teich_table`` checks it): the sum of its first
+        s coordinates times y^k, so a product by it is linear in them."""
+        return _teich_table(self)[self._residue_key(u)]
+
+    def teich_powers(self, u):
+        """The first s coordinates of Teich(u)^j = Teich(u^j), j < q - 1, as
+        one flat tuple (those of 1 at u = 0), from one table per ring."""
+        return _teich_powers(self)[self._residue_key(u)]
+
+    def _residue_key(self, u):
         if u.field is not self.residue_field:
             raise RingMismatch("residue field mismatch for Teichmueller lift")
-        return _teich_table(self)[u.co]
+        return u.co
 
     # -- headroom ---------------------------------------------------------------------
 
@@ -545,11 +538,11 @@ class TowerRing:
 @functools.lru_cache(maxsize=None)
 def _teich_table(ring):
     """Every Teichmueller lift of ``ring``, keyed by its residue's
-    coordinates, built once per ring: the powers of Teich(g), g a generator
-    of F_q^*, which is the fixed point of x -> x^q from g.  Teich(g)^(q-1) =
-    1 makes every power q-power-fixed.  Every lift lies in the unramified
-    subring, its coordinates past the first s zero; ReportedMismatch if one
-    does not."""
+    coordinates, built once per ring: 0, then the powers Teich(g)^i in
+    order, g a generator of F_q^* and Teich(g) the fixed point of x -> x^q
+    from g.  Teich(g)^(q-1) = 1 makes every power q-power-fixed.  Every lift
+    lies in the unramified subring, its coordinates past the first s zero;
+    ReportedMismatch if one does not."""
     fq = ring.residue_field
     g, q = fq.multiplicative_generator(), fq.q
     z = ring.from_ur(g.co)
@@ -567,6 +560,18 @@ def _teich_table(ring):
         lift, res = lift * z, res * g
     if any(any(lift.co[ring.s :]) for lift in table.values()):
         raise ReportedMismatch("a Teichmueller lift lies outside the unramified subring")
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _teich_powers(ring):
+    """``TowerRing.teich_powers``' table, keyed like ``_teich_table``, which
+    holds 0, then Teich(g^i), i < q - 1, in order: Teich(g^i)^j is its entry
+    i j mod q - 1, exactly, since Teich(g)^(q-1) = 1 (checked there)."""
+    keys, lifts = zip(*list(_teich_table(ring).items())[1:])
+    n, cos = len(lifts), [lift.co[: ring.s] for lift in lifts]
+    table = {key: sum((cos[i * j % n] for j in range(n)), ()) for i, key in enumerate(keys)}
+    table[ring.residue_field.zero().co] = ring.one().co[: ring.s]
     return table
 
 

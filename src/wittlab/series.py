@@ -330,12 +330,6 @@ class TruncSeries2:
         self.rows = [[ring.zero() for _ in range(degree + 1 - i)] for i in range(degree + 1)]
 
     @classmethod
-    def constant(cls, ring, degree, value):
-        out = cls(ring, degree)
-        out.rows[0][0] = value
-        return out
-
-    @classmethod
     def outer(cls, a, b, degree):
         """A(x0) * B(x1) from univariate factors."""
         if a.ring is not b.ring:
@@ -356,13 +350,6 @@ class TruncSeries2:
         if i < 0 or j < 0 or i + j > self.degree:
             return self.ring.zero()
         return self.rows[i][j]
-
-    def terms(self):
-        for i in range(self.degree + 1):
-            for j in range(self.degree + 1 - i):
-                c = self.rows[i][j]
-                if any(c.co):
-                    yield i, j, c
 
     def min_prec(self):
         return min(c.prec for row in self.rows for c in row)

@@ -9,12 +9,28 @@ the trace of alpha's matrix and of the character sum over mu_{q-1}, and
 oracle of ``gausstrace.gauss_brute``.  ``gauss_valuation`` is the Gauss
 valuation by its definition, a v_p per coordinate, the oracle of
 ``TowerRing.val_co``.  ``embed_from_lower`` embeds a ring of the level tower
-into a higher one.
+into a higher one.  ``series2_constant`` and ``series2_terms`` build a
+constant ``TruncSeries2`` and list a series' nonzero coefficients.
 """
 
 from wittlab.errors import RingMismatch
 from wittlab.rings import RingElem
+from wittlab.series import TruncSeries2
 from wittlab.wittvec import WittVec
+
+
+def series2_constant(ring, degree, value):
+    out = TruncSeries2(ring, degree)
+    out.rows[0][0] = value
+    return out
+
+
+def series2_terms(series):
+    for i in range(series.degree + 1):
+        for j in range(series.degree + 1 - i):
+            c = series.rows[i][j]
+            if any(c.co):
+                yield i, j, c
 
 
 def embed_from_lower(ring, x):

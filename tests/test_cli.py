@@ -407,6 +407,18 @@ def test_gauss_one_convention(capsys):
         assert units[key] == {"units": both[key]["units"]}
 
 
+def test_gauss_match_below_the_declared_precision_exits_2(capsys):
+    # g_brute at q = 5, N = 4 is declared to 40 digits, below the default
+    # target 60: refused with both precisions named, exit 2, no traceback
+    code = main(["gauss", "--p", "5", "--deg", "1536", "--prec", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "PrecisionNotReached: " in captured.err
+    assert "declared to 40 pi-digits and the scaled trace to 60, target 60" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_bench_monotone_rows(capsys):
     code, out = run_cli(
         capsys, "bench", "--p", "2", "--prec", "16", "--chi-b", "1",

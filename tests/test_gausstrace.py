@@ -13,6 +13,7 @@ from wittlab.errors import (
     InvalidParameter,
     PrecisionNotReached,
     ReportedMismatch,
+    RingMismatch,
     TailNotCertified,
     TruncationTooSmall,
     WittlabError,
@@ -37,9 +38,15 @@ from wittlab.rings import LubinTateSeries, RingElem, SeriesPacking, ring_of
 from wittlab.series import Series1, TruncSeries2, certify_tail
 from wittlab.wittvec import WittVec
 
-from helpers import gauss_brute_per_term, matrix_trace, roots_of_unity_sum_check
+from helpers import (
+    gauss_brute_per_term,
+    matrix_trace,
+    roots_of_unity_sum_check,
+    series2_constant,
+    series2_terms,
+)
 from packing_oracle import pack_terms, read_tuples
-from shell_identity import cut_sums
+from shell_identity import cut_sums, horner_parts
 
 
 def system21(degree=48):
@@ -61,7 +68,7 @@ def rand_series2(ring, degree, rng, val_growth=0):
 def test_dwork_operator_basics():
     sys = system21()
     ring = sys.ring
-    one = TruncSeries2.constant(ring, 8, ring.one())
+    one = series2_constant(ring, 8, ring.one())
     dw = dwork_op(one, 2)
     assert dw.coefficient(0, 0) == ring.one()
     assert all(
@@ -78,9 +85,9 @@ def test_dwork_valuation_contraction():
     rng = random.Random(3)
     sys = system21()
     g = rand_series2(sys.ring, 12, rng)
-    mins = [c.valuation() for _, _, c in g.terms()]
+    mins = [c.valuation() for _, _, c in series2_terms(g)]
     dw = dwork_op(g, 2)
-    mins_dw = [c.valuation() for _, _, c in dw.terms()]
+    mins_dw = [c.valuation() for _, _, c in series2_terms(dw)]
     assert min(mins_dw, default=sys.ring.cap) >= min(mins, default=0)
 
 
@@ -88,7 +95,7 @@ def test_alpha_trace_trivial_cases():
     sys = system21()
     ring = sys.ring
     c = ring.from_int(7)
-    const = TruncSeries2.constant(ring, 10, c)
+    const = series2_constant(ring, 10, c)
     value, _ = alpha_trace(const, 2, 4)
     assert value == c
     mono = TruncSeries2(ring, 10)
@@ -100,7 +107,7 @@ def test_alpha_trace_trivial_cases():
 def test_alpha_matrix_identity_kernel():
     sys = system21()
     ring = sys.ring
-    one = TruncSeries2.constant(ring, 8, ring.one())
+    one = series2_constant(ring, 8, ring.one())
     basis, matrix = alpha_matrix(one, 2, 4)
     # alpha(1) = 1: column of (0,0) has 1 at row (0,0), zero elsewhere
     col0 = [matrix[r][0] for r in range(len(basis))]
@@ -379,7 +386,7 @@ def test_dwork_and_mult_linearity():
             for j in range(7 - i):
                 assert lhs.coefficient(i, j) == ra.coefficient(i, j) + rb.coefficient(i, j) * c
         # mult_H(g + c h) = mult_H(g) + c mult_H(h)
-        kern_terms = list(kern.terms())
+        kern_terms = list(series2_terms(kern))
         lhs = combined.mul_sparse(kern_terms)
         ra, rb = g.mul_sparse(kern_terms), h.mul_sparse(kern_terms)
         for i in range(13):
@@ -617,7 +624,7 @@ def assert_shells_match_kernel_H(sys, chi_m, chi_b, target):
     full = kernel_H(sys, chi_m, chi_b)
     floor, total, floors = kernel_shells(sys, chi_m, chi_b)
     want_floor, want_total, minima = diagonal_lattice(full, q)
-    assert floor == want_floor == min(c.prec for _, _, c in full.terms())
+    assert floor == want_floor == min(c.prec for _, _, c in series2_terms(full))
     assert len(total) == ring.dim and len(floors) == degree // (q - 1) + 1
     cuts = cut_sums(sys, chi_m, chi_b)
     assert len(cuts) == len(floors)
@@ -671,8 +678,9 @@ def test_kernel_shells_match_kernel_H(p, s):
 
 
 def test_kernel_shells_match_the_shell_identity_at_q9():
-    # odd p with s = 2: the parts summed in Teich(b) by Horner against each
-    # c_k formed for its own b, for every chi of one nondegenerate t
+    # odd p with s = 2: the total as one dot product per coordinate with
+    # the coordinates of the powers of Teich(b), against each c_k formed for
+    # its own b, for every chi of one nondegenerate t
     sys = next(nondegenerate_systems(3, 2, 14, 40))
     q = sys.field.q
     for chi_m in range(q - 1):
@@ -684,19 +692,38 @@ def test_kernel_shells_match_the_shell_identity_at_q9():
 
 @pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2)])
 def test_kernel_shells_horner_matches_ring_products(p, s):
-    # s > 1: the total's Horner sum in Teich(b), taken pi-row by pi-row on
-    # coordinates, against RingElem products over the same trace_parts, for
-    # every chi of one nondegenerate t
+    # s > 1: the total's dot products with the coordinates of the powers of
+    # Teich(b) against a RingElem Horner sum in Teich(b) over the parts F_j,
+    # rebuilt from the class products and Omega_1's terms without the
+    # system's matrix, for every chi of one nondegenerate t
     sys = next(nondegenerate_systems(p, s, 14, 40))
     ring = sys.ring
     for chi_m in range(sys.field.q - 1):
         for chi_b in sys.field.elements():
             total = kernel_shells(sys, chi_m, chi_b)[1]
-            parts = [RingElem(ring, part) for part in sys.trace_parts[chi_m, bool(chi_b)][1]]
+            parts = horner_parts(sys, chi_m, bool(chi_b))
             acc, teich = parts[-1], ring.teichmuller(chi_b)
             for part in reversed(parts[:-1]):
                 acc = acc * teich + part
             assert total == (-acc).co, (chi_m, chi_b)
+
+
+@pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2)])
+def test_teich_powers_are_the_ring_powers_of_teich(p, s):
+    # each entry of the table the kernel total is dotted with: the first s
+    # coordinates of the RingElem powers Teich(b)^j, j < q - 1, which lie
+    # in the unramified subring, Teich(b)^(q-1) = 1 exactly, and 1 at b = 0
+    ring = next(nondegenerate_systems(p, s, 14, 40)).ring
+    field = ring.residue_field
+    assert ring.teich_powers(field.zero()) == ring.one().co[:s]
+    for b in field.units():
+        teich = ring.teichmuller(b)
+        powers = [teich**j for j in range(field.q)]
+        assert ring.teich_powers(b) == tuple(c for x in powers[:-1] for c in x.co[:s]), b
+        assert not any(c for x in powers for c in x.co[s:]), b
+        assert powers[-1].co == ring.one().co and powers[-1].prec == ring.cap, b
+    with pytest.raises(RingMismatch):
+        ring.teich_powers(finite_field(p, s + 1).one())
 
 
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2)])
@@ -855,9 +882,9 @@ def test_checks_on_one_system_build_omega1_terms_once(monkeypatch):
     # checks build Omega_1's substituted terms only for a trace_parts entry,
     # once per (chi_m, b != 0), at b = 1 for every b != 0 and at b = 0: a
     # set-up as the benchmark's builds none, later checks of the key reuse
-    # its parts, another m builds its own, a configuration at D = 48 is
-    # another system, with its own parts, and cache_clear drops them with
-    # the system
+    # its matrix, another m builds its own, a configuration at D = 48 is
+    # another system, with its own matrices, and cache_clear drops them
+    # with the system
     params = CharParams(2, 2, 2, nprec=16, degree=64)
     characters.shared_system.cache_clear()
     built = []
@@ -895,13 +922,14 @@ def test_checks_on_one_system_build_omega1_terms_once(monkeypatch):
 
 
 def test_checks_on_one_system_build_shell_floors_per_m_and_valuations():
-    # the shell floors, kept with the trace total's parts and its precision
+    # the shell floors, kept with the trace total's matrix and its precision
     # floor, depend only on the system (so on its D), chi_m and Omega_1's
     # term valuations, which are one for every b != 0: a set-up as the
     # benchmark's builds none, every chi builds 2 (q - 1), one for b = 0
-    # and one for every b != 0 per m, later checks reuse them, a
-    # configuration at D = 48 is another system, with its own parts, and
-    # cache_clear drops them with the system
+    # and one for every b != 0 per m, each with e s rows, (q - 1) s columns
+    # for b != 0 and s for b = 0, later checks reuse them, a configuration
+    # at D = 48 is another system, with its own matrices, and cache_clear
+    # drops them with the system
     params = CharParams(2, 2, 2, nprec=16, degree=64)
     characters.shared_system.cache_clear()
     built = []
@@ -923,8 +951,9 @@ def test_checks_on_one_system_build_shell_floors_per_m_and_valuations():
             trace_formula_check(GaussConfig(params, m, b, target_prec=4))
     assert len(built) == len(set(built)) == 2 * (q - 1)
     assert sorted(built) == [(m, nonzero) for m in range(q - 1) for nonzero in (False, True)]
-    for (_, nonzero), (_, parts, _) in system.trace_parts.items():
-        assert len(parts) == (q - 1 if nonzero else 1)
+    for (_, nonzero), (_, rows, _) in system.trace_parts.items():
+        assert len(rows) == system.ring.dim
+        assert {len(row) for row in rows} == {(q - 1 if nonzero else 1) * system.ring.s}
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
     kernel_shells(system, 2, system.field.from_index(3))
     assert len(built) == 2 * (q - 1)
@@ -1043,6 +1072,24 @@ def test_warm_checks_report_what_fresh_systems_report(p, s, second):
     characters.shared_system.cache_clear()
 
 
+def test_a_match_below_the_declared_precision_is_refused():
+    # at q = 5, N = 4 the default target 3e = 60 is certified for the trace
+    # and 'units' agrees to 80 digits, but g_brute is declared only to 40:
+    # no convention may match at 60, so the check refuses and names both
+    # precisions; at target 40 the same check matches
+    params = CharParams(5, 1, 2, lt=LubinTateSeries.cyclotomic(5), nprec=4, degree=1536)
+    characters.shared_system.cache_clear()
+    with pytest.raises(PrecisionNotReached) as exc:
+        trace_formula_check(GaussConfig(params))
+    assert str(exc.value) == (
+        "convention 'units' agrees, but g_brute is declared to 40 pi-digits "
+        "and the scaled trace to 60, target 60"
+    )
+    report = trace_formula_check(GaussConfig(params, target_prec=40))
+    assert report["convention"] == ["units"] and report["g_brute"]["units"]["prec"] == 40
+    characters.shared_system.cache_clear()
+
+
 @pytest.mark.parametrize("target,error", [(30, TailNotCertified), (200, PrecisionNotReached)])
 def test_refused_certificate_is_refused_on_every_check(target, error):
     # nothing is kept for a refused diagonal: its next check, at the same
@@ -1156,7 +1203,7 @@ def test_certified_sum_shell_valuations_match_per_coefficient_minimum(p, s, m):
 def test_certified_sum_refuses_low_precision_coefficient():
     sys = system21()
     ring = sys.ring
-    series = TruncSeries2.constant(ring, 10, ring.from_int(7))
+    series = series2_constant(ring, 10, ring.from_int(7))
     series.rows[1][1] = RingElem(ring, ring.one().co, 3)  # read by the q = 2 trace
     with pytest.raises(PrecisionNotReached):
         alpha_trace(series, 2, 4)
