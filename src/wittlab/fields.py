@@ -218,6 +218,9 @@ class Fq:
         self.modulus = min_poly_coeffs(p, s)  # (c_0..c_{s-1}), monic implied
         self.rows = reduction_rows(self.modulus, p)
 
+    def __repr__(self):
+        return f"Fq(p={self.p},s={self.s})"
+
     def zero(self):
         return FqElem(self, (0,) * self.s)
 
