@@ -8,15 +8,9 @@ certifies a series once, folds its coefficients into the q' - 1 classes of
 degree mod q' - 1 (exact, since Teich(c)^(q'-1) = 1 exactly mod p^N) and
 evaluates that fold at all of them; psi_{l,s,t}, the psi_1 part of chi and
 both sides of the splitting-function product formula read that one table.
-A system has one series degree D, ``CharParams.degree``, and keeps what
-every Gauss check on it reads: Omega's factors truncated at D and the
-running sums of their residue-class products; per chi_m and whether b is 0,
-the trace total as an integer matrix on Teich(b)'s powers, with its shell
-floors (``trace_parts``); per chi_m, the Gauss sum's terms Teich(x^m)
-psi([x]) and their sum (``brute_terms``); psi's indices at [x] and V[y]
-(``psi_parts``, 2q - 1 snaps) and whether they make psi of order p^2
-(``psi_order_p2``); per b != 0, the x at which the Gauss sum is supported
-(``stationary_points``); and the discrete log of each snapped psi_1 value.
+A system has one series degree D, ``CharParams.degree``, and keeps
+Omega's factors truncated at D and the discrete log of each snapped psi_1
+value; what a Gauss check builds from them ``gausstrace`` keeps, per system.
 psi snaps its product to the root-of-unity table of mu_{p^l}.
 Snapping is ultrametric: the value must be strictly closer to one root
 than the minimal pairwise distance of the table, otherwise the computation
@@ -53,7 +47,6 @@ from .rings import (
     Record,
     RingElem,
     RingSpec,
-    SeriesPacking,
     check_int,
     make_ring,
     nondegenerate_trace,
@@ -266,10 +259,6 @@ class CharacterSystem:
         self.nondegenerate, self.trace_t = nondegenerate_trace(self.ring, self.t)
         self._psi1 = {}
         self._table = None
-        # what Gauss checks read: ``gausstrace.kernel_shells``' matrix by (chi_m, b != 0),
-        # ``gauss_brute``'s terms by chi_m
-        self.trace_parts = {}
-        self.brute_terms = {}
 
     # -- building blocks ---------------------------------------------------------
 
@@ -341,59 +330,6 @@ class CharacterSystem:
             tpj = tpj ** self.params.p
         return tuple(got)
 
-    @functools.cached_property
-    def omega_class_products(self):
-        """Running sums of the products of the residue classes of degree of
-        Omega_2's factors A, B = ``omega_factors``.
-
-        With c = q - 1, A_r(w) = sum_l a_(r + c l) w^l and B_r likewise.
-        Returns (prefixes, floors, prec): entry r c + r' of ``prefixes``
-        lists the coordinate tuples of sum_(i <= l) [w^i] A_r B_r' mod p^N,
-        and of ``floors`` the product's min-plus valuation sequence, a lower
-        bound on each coefficient's valuation, both at the degrees l <= (D -
-        r - r') // c, which the factors' terms of degree <= D determine.
-        Each factor coefficient enters the floors at min(valuation, prec), a
-        zero's valuation being ``ring.cap``; ``prec`` is the least precision
-        over A and B.  The products are one packing (Kronecker substitution),
-        c^2 big-int products and one ``unpack``.
-        """
-        ring, step, degree = self.ring, self.field.q - 1, self.params.degree
-        classes = [f.coeffs[r::step] for f in self.omega_factors for r in range(step)]
-        packing = SeriesPacking(ring, len(classes[0]))
-        packed = packing.pack(
-            list(zip(*(c.co for cls in classes for c in cls))), [len(cls) for cls in classes]
-        )
-        counts = [max(0, (degree - r - r2) // step + 1) for r in range(step) for r2 in range(step)]
-        columns = packing.unpack(
-            (packed[i // step] * packed[step + i % step], n) for i, n in enumerate(counts)
-        )
-        prefixes, o, pn = [], 0, ring.pn
-        for n in counts:
-            runs = [[x % pn for x in itertools.accumulate(col[o : o + n])] for col in columns]
-            prefixes.append(list(zip(*runs)))
-            o += n
-        vals = [[min(c.valuation(), c.prec) for c in cls] for cls in classes]
-        floors = []
-        for i, n in enumerate(counts):
-            va, vb = vals[i // step], vals[step + i % step]
-            floor = [va[0] + v for v in vb[:n]]
-            for l in range(1, n):
-                floor[l:] = map(min, floor[l:], map(va[l].__add__, vb))
-            floors.append(floor)
-        prec = min(c.prec for cls in classes for c in cls)
-        return prefixes, floors, prec
-
-    def omega1_substituted(self, b):
-        """Omega_1(Teich(b) x1 x0^(p(q-2))) as sparse bivariate terms
-        (k p(q-2), k, c_k) up to total degree D: c_k = theta0[k] (t
-        Teich(b))^k, theta0 = theta_{0,s}(1), and the one term 1 at b = 0."""
-        ring, stride = self.ring, self.params.p * (self.field.q - 2)
-        if not b:
-            return [(0, 0, ring.one())]
-        top = self.params.degree // (stride + 1)
-        scaled = self.theta_series(1).truncate(top).compose_scale(self.t * ring.teichmuller(b))
-        return [(k * stride, k, c) for k, c in enumerate(scaled.coeffs)]
-
     def omega(self):
         """Omega_{l,s,t} as a series truncated at D (l = 1 or 2)."""
         ell = self.params.ell
@@ -417,42 +353,6 @@ class CharacterSystem:
             self._psi1[key] = log
         return log
 
-    @functools.cached_property
-    def psi_parts(self):
-        """(teich, ver), entry i the table index of psi([x]) and of psi(V[x])
-        at x = ``field.from_index(i)``: on W_2, (z_0, z_1) = [z_0] + V[z_1]
-        has index teich[z_0] + ver[z_1] mod p^2.  2q - 1 snaps, not q^2."""
-        if self.params.ell != 2:
-            raise InvalidParameter(f"psi_parts split W_2, not W_{self.params.ell}")
-        zero = self.field.zero()
-        teich = [self.psi([x, zero]) for x in self.field.elements()]
-        return teich, teich[:1] + [self.psi([zero, y]) for y in self.field.units()]
-
-    @functools.cached_property
-    def psi_order_p2(self):
-        """Whether psi has order p^2: its indices at [x] + V[y] (``psi_parts``)
-        take p^2 values."""
-        teich, ver = self.psi_parts
-        return len({(a + v) % self.mu_table.order for a in teich for v in ver}) == self.params.p**2
-
-    @functools.cached_property
-    def stationary_points(self):
-        """{b.index(): x_b} over b != 0, x_b the one x of F_q^* where the index
-        ver[x^p w] + psi1_log(b w) is 0 mod p^2 for w in an F_p-basis, so in
-        F_q, being additive in w (``gausstrace.gauss_brute``); else refused."""
-        field, p, order = self.field, self.params.p, self.mu_table.order
-        ver, basis = self.psi_parts[1], [field.from_index(p**j) for j in range(field.s)]
-        points = {}
-        for b in field.units():
-            found = [
-                x for x in field.units()
-                if not any((ver[(x**p * w).index()] + self.psi1_log(b * w)) % order for w in basis)
-            ]
-            if len(found) != 1:
-                raise ReportedMismatch(f"at b = {b!r} the character is trivial at {len(found)} x")
-            points[b.index()] = found[0]
-        return points
-
     def chi_value(self, m, b, z):
         """chi_{m,b}(z) for z a unit of W_2(F_q): Teich(z_0^m) times the psi_1
         part, the table's entry g^k, k = ``psi1_log(b z_0^(p(q-2)) z_1)`` (1
@@ -471,11 +371,7 @@ class CharacterSystem:
     def count_E_t_ell(self):
         """#roots of unity within |pi| of 1 + t pi_{l-1} (strictly closer)."""
         center = self.ring.one() + self.t * self.ring.pi()
-        count = 0
-        for z in self.mu_table.elements:
-            if (center - z).valuation() > 1:
-                count += 1
-        return count
+        return sum((center - z).valuation() > 1 for z in self.mu_table.elements)
 
 
 @functools.lru_cache(maxsize=None)

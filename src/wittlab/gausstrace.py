@@ -12,24 +12,24 @@ the total sums Omega_1's terms times running sums of the residue-class
 products of Omega_2's factors, which each system forms once (Kronecker
 substitution, ``rings.SeriesPacking``).  Every series is truncated at the
 system's one degree D, ``CharParams.degree``: a check at another D is a
-check on another configuration.  Omega_1's terms are theta0[k] t^k
-Teich(b)^k and Teich(b)^(q-1) = 1 exactly, so the total is a sum of
-Teich(b^j) F_j, j < q - 1, whose parts depend on chi only through m and
-whether b is 0, and it is linear in the s coordinates of each Teich(b^j):
-a system builds at most 2 (q - 1) integer matrices, column (j, k) the
-coordinates of -F_j y^k, and a check is one dot product per coordinate
-with those of the Teich(b^j) (``TowerRing.teich_powers``).  The floors
-are the min-plus convolutions of the same factors' valuations (the
-Newton-polygon bound for a product), kept with the matrix, since Teich(b)
-is a unit.
+check on another configuration.  Since Teich(b)^(q-1) = 1 exactly, the
+total is linear in the coordinates of Teich(b)'s powers: a system builds
+at most 2 (q - 1) integer matrices, and a check is one dot product per
+coordinate; the floors are min-plus convolutions of the same factors'
+valuations, the Newton-polygon bound for a product.
 ``gauss_brute`` is the Gauss sum in closed form by stationary phase: the
 sum over z_1 is a character sum over F_q, q at one point x_b of F_q^* and 0
 elsewhere.  Its q - 1 terms Teich(x^m) psi([x]), read from psi's table
-indices at [x] (``CharacterSystem.psi_parts``, 2q - 1 snaps), and their sum
-depend only on chi_m, so a system forms them once per chi_m
-(``brute_terms``), and a check scales the term at x_b
-(``CharacterSystem.stationary_points``, found once per system) and adds
-the sum.
+indices at [x] (``psi_parts``, 2q - 1 snaps), and their sum depend only
+on chi_m, so a system forms them once per chi_m (``brute_terms``), and a
+check scales the term at x_b (``stationary_points``, found once per
+system) and adds the sum.
+What a check builds from a system is kept here, each builder a
+``functools.lru_cache`` on the ``CharacterSystem`` (with chi_m and
+whether b is 0 for ``trace_parts``, with chi_m for ``brute_terms``),
+which holds the system until ``cache_clear``, as ``shared_system`` does.
+``kernel_shells``, ``kernel_H`` and ``gauss_brute`` refuse a chi_m
+outside 0..q - 2 or a b outside the system's F_q before any lookup.
 The full kernel (``kernel_H``) stays schoolbook through ``TruncSeries2``: it
 serves the alpha matrix, and ``diagonal_lattice`` of it, with the actual
 shell minima, is the independent oracle the tests compare the diagonal with.
@@ -42,13 +42,17 @@ matches; the z_1 = 0 column is exactly their difference.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
 from operator import mul
 
 from .characters import check_target, shared_system
-from .errors import InvalidParameter, NoConventionMatches, PrecisionNotReached, TruncationTooSmall
-from .rings import RingElem, check_int
+from .errors import InvalidParameter, NoConventionMatches, PrecisionNotReached, ReportedMismatch
+from .errors import RingMismatch, TruncationTooSmall
+from .fields import FqElem
+from .rings import RingElem, SeriesPacking, check_int
 from .series import TruncSeries2, certify_tail
 
 
@@ -60,9 +64,7 @@ class GaussConfig:
         q = params.p**params.s
         if params.ell != 2:
             raise InvalidParameter(f"the trace formula is over W_2, not W_{params.ell}")
-        check_int("chi_m", chi_m)
-        if not 0 <= chi_m < q - 1:
-            raise InvalidParameter(f"chi_m = {chi_m} outside 0..{q - 2}")
+        check_chi_m(q, chi_m)
         check_int("chi_b index", chi_b_index)
         if not 0 <= chi_b_index < q:
             raise InvalidParameter(f"chi_b index {chi_b_index} outside 0..{q - 1}")
@@ -76,6 +78,73 @@ class GaussConfig:
         out = self.params.describe()
         out.update({"chi": {"m": self.chi_m, "b": self.chi_b_index}})
         return out
+
+
+def check_chi_m(q, chi_m):
+    """Refuse a chi_m that is not an integer in 0..q - 2 (InvalidParameter)."""
+    check_int("chi_m", chi_m)
+    if not 0 <= chi_m < q - 1:
+        raise InvalidParameter(f"chi_m = {chi_m} outside 0..{q - 2}")
+
+
+def _check_character(system, chi_m, chi_b):
+    """The Gauss entry points' refusals, made before any cache is read:
+    ``check_chi_m``, and RingMismatch for a chi_b that is not an element of
+    the system's F_q."""
+    check_chi_m(system.field.q, chi_m)
+    if not isinstance(chi_b, FqElem) or chi_b.field is not system.field:
+        raise RingMismatch(f"chi_b = {chi_b!r} is not an element of F_{system.field.q}")
+
+
+@functools.lru_cache(maxsize=None)
+def psi_parts(system):
+    """(teich, ver), entry i the table index of psi([x]) and of psi(V[x])
+    at x = ``field.from_index(i)``: on W_2, (z_0, z_1) = [z_0] + V[z_1]
+    has index teich[z_0] + ver[z_1] mod p^2.  2q - 1 snaps, not q^2."""
+    if system.params.ell != 2:
+        raise InvalidParameter(f"psi_parts split W_2, not W_{system.params.ell}")
+    field, zero = system.field, system.field.zero()
+    teich = [system.psi([x, zero]) for x in field.elements()]
+    return teich, teich[:1] + [system.psi([zero, y]) for y in field.units()]
+
+
+@functools.lru_cache(maxsize=None)
+def psi_order_p2(system):
+    """Whether psi has order p^2: its indices at [x] + V[y] (``psi_parts``)
+    take p^2 values."""
+    teich, ver = psi_parts(system)
+    return len({(a + v) % system.mu_table.order for a in teich for v in ver}) == system.params.p**2
+
+
+@functools.lru_cache(maxsize=None)
+def stationary_points(system):
+    """{b.index(): x_b} over b != 0, x_b the one x of F_q^* where the index
+    ver[x^p w] + psi1_log(b w) is 0 mod p^2 for w in an F_p-basis, so in
+    F_q, being additive in w (``gauss_brute``); else refused."""
+    field, p, order = system.field, system.params.p, system.mu_table.order
+    ver, basis = psi_parts(system)[1], [field.from_index(p**j) for j in range(field.s)]
+    points = {}
+    for b in field.units():
+        found = [
+            x for x in field.units()
+            if not any((ver[(x**p * w).index()] + system.psi1_log(b * w)) % order for w in basis)
+        ]
+        if len(found) != 1:
+            raise ReportedMismatch(f"at b = {b!r} the character is trivial at {len(found)} x")
+        points[b.index()] = found[0]
+    return points
+
+
+@functools.lru_cache(maxsize=None)
+def brute_terms(system, chi_m):
+    """``gauss_brute``'s terms {x.index(): Teich(x^m) psi([x])} over x in
+    F_q^*, and their sum: q - 1 ring products per system and chi_m."""
+    ring, roots, logs = system.ring, system.mu_table.elements, psi_parts(system)[0]
+    terms = {
+        x.index(): ring.teichmuller(x**chi_m) * roots[logs[x.index()]]
+        for x in system.field.units()
+    }
+    return terms, sum(terms.values(), ring.zero())
 
 
 def gauss_brute(system, chi_m, chi_b):
@@ -97,29 +166,22 @@ def gauss_brute(system, chi_m, chi_b):
     The terms and their sum, q - 1 ring products, are formed once per
     system and chi_m (``brute_terms``); a call is then a scaling and a sum.
     """
-    ring, got = system.ring, system.brute_terms.get(chi_m)
-    if got is None:
-        roots, logs = system.mu_table.elements, system.psi_parts[0]
-        terms = {
-            x.index(): ring.teichmuller(x**chi_m) * roots[logs[x.index()]]
-            for x in system.field.units()
-        }
-        got = system.brute_terms[chi_m] = terms, sum(terms.values(), ring.zero())
-    terms, column = got
+    _check_character(system, chi_m, chi_b)
+    terms, column = brute_terms(system, chi_m)
     if chi_b:
-        full = terms[system.stationary_points[chi_b.index()].index()].scale_int(-system.field.q)
+        full = terms[stationary_points(system)[chi_b.index()].index()].scale_int(-system.field.q)
     else:
-        full = RingElem(ring, ring.zero().co, column.prec)
+        full = RingElem(system.ring, system.ring.zero().co, column.prec)
     return {"full": full, "units": full + column}
 
 
 def _check_fits(system, chi_m, chi_b):
-    """Refuse a system degree below H's lowest term (TruncationTooSmall)."""
+    """``_check_character``, then refuse a system degree below H's lowest
+    term (TruncationTooSmall)."""
+    _check_character(system, chi_m, chi_b)
     stride, degree = system.params.p * (system.field.q - 2), system.params.degree
     if chi_m + (stride + 1 if chi_b else 0) > degree:
-        raise TruncationTooSmall(
-            f"kernel needs degree > {chi_m + stride + 1}, have {degree}"
-        )
+        raise TruncationTooSmall(f"kernel needs degree > {chi_m + stride + 1}, have {degree}")
 
 
 def kernel_H(system, chi_m, chi_b):
@@ -133,7 +195,62 @@ def kernel_H(system, chi_m, chi_b):
     """
     _check_fits(system, chi_m, chi_b)
     omega2 = TruncSeries2.outer(*system.omega_factors, system.params.degree)
-    return omega2.mul_sparse([(a + chi_m, b, -c) for a, b, c in system.omega1_substituted(chi_b)])
+    return omega2.mul_sparse([(a + chi_m, b, -c) for a, b, c in omega1_substituted(system, chi_b)])
+
+
+def omega1_substituted(system, b):
+    """Omega_1(Teich(b) x1 x0^(p(q-2))) as sparse bivariate terms
+    (k p(q-2), k, c_k) up to total degree D: c_k = theta0[k] (t
+    Teich(b))^k, theta0 = theta_{0,s}(1), and the one term 1 at b = 0."""
+    ring, stride = system.ring, system.params.p * (system.field.q - 2)
+    if not b:
+        return [(0, 0, ring.one())]
+    top = system.params.degree // (stride + 1)
+    scaled = system.theta_series(1).truncate(top).compose_scale(system.t * ring.teichmuller(b))
+    return [(k * stride, k, c) for k, c in enumerate(scaled.coeffs)]
+
+
+@functools.lru_cache(maxsize=None)
+def omega_class_products(system):
+    """Running sums of the products of the residue classes of degree of
+    Omega_2's factors A, B = ``system.omega_factors``.
+
+    With c = q - 1, A_r(w) = sum_l a_(r + c l) w^l and B_r likewise.
+    Returns (prefixes, floors, prec): entry r c + r' of ``prefixes``
+    lists the coordinate tuples of sum_(i <= l) [w^i] A_r B_r' mod p^N,
+    and of ``floors`` the product's min-plus valuation sequence, a lower
+    bound on each coefficient's valuation, both at the degrees l <= (D -
+    r - r') // c, which the factors' terms of degree <= D determine.
+    Each factor coefficient enters the floors at min(valuation, prec), a
+    zero's valuation being ``ring.cap``; ``prec`` is the least precision
+    over A and B.  The products are one packing (Kronecker substitution),
+    c^2 big-int products and one ``unpack``.
+    """
+    ring, step, degree = system.ring, system.field.q - 1, system.params.degree
+    classes = [f.coeffs[r::step] for f in system.omega_factors for r in range(step)]
+    packing = SeriesPacking(ring, len(classes[0]))
+    packed = packing.pack(
+        list(zip(*(c.co for cls in classes for c in cls))), [len(cls) for cls in classes]
+    )
+    counts = [max(0, (degree - r - r2) // step + 1) for r in range(step) for r2 in range(step)]
+    columns = packing.unpack(
+        (packed[i // step] * packed[step + i % step], n) for i, n in enumerate(counts)
+    )
+    prefixes, o, pn = [], 0, ring.pn
+    for n in counts:
+        runs = [[x % pn for x in itertools.accumulate(col[o : o + n])] for col in columns]
+        prefixes.append(list(zip(*runs)))
+        o += n
+    vals = [[min(c.valuation(), c.prec) for c in cls] for cls in classes]
+    floors = []
+    for i, n in enumerate(counts):
+        va, vb = vals[i // step], vals[step + i % step]
+        floor = [va[0] + v for v in vb[:n]]
+        for l in range(1, n):
+            floor[l:] = map(min, floor[l:], map(va[l].__add__, vb))
+        floors.append(floor)
+    prec = min(c.prec for cls in classes for c in cls)
+    return prefixes, floors, prec
 
 
 def kernel_shells(system, chi_m, chi_b):
@@ -149,8 +266,8 @@ def kernel_shells(system, chi_m, chi_b):
     w = z^(q-1) and P = A_r B_r' in w, that is -c_k [w^(K - o)] P, o = (m +
     k (stride + 1) + r + r') / (q - 1).  Summed over the shells K <= T =
     D // (q - 1), term k contributes -c_k S[T - o], S the running sums of P
-    (``CharacterSystem.omega_class_products``, built once per system); T - o
-    is within S since o (q - 1) >= r + r'.
+    (``omega_class_products``, built once per system); T - o is within S
+    since o (q - 1) >= r + r'.
 
     For b != 0, c_k = theta0[k] t^k Teich(b)^k and Teich(b)^(q-1) = 1
     exactly mod p^N (``TowerRing.teichmuller`` refuses a table without it),
@@ -160,9 +277,9 @@ def kernel_shells(system, chi_m, chi_b):
     coordinates u_jk times y^k, so coordinate i of the total is row i of
     one integer matrix, column (j, k) the coordinates of -F_j y^k, dotted
     with the u_jk (``TowerRing.teich_powers``; 1 at b = 0).  The F_j depend
-    on chi only through m and whether b is 0, so the system keeps that
-    matrix (``trace_parts``, built on the key's first check by
-    ``_trace_parts``), and each dot product is reduced mod p^N once.
+    on chi only through m and whether b is 0, so that matrix is built once
+    per system, m and whether b is 0 (``trace_parts``), and each dot
+    product is reduced mod p^N once.
 
     The valuations are floors: shell K is at least v(c_k) + floors_pair[K -
     o] over the C terms, and at most ``ring.cap``.  ``floor`` is the least
@@ -171,26 +288,24 @@ def kernel_shells(system, chi_m, chi_b):
     terms theta0[k] t^k, and are kept with the matrix.
     """
     _check_fits(system, chi_m, chi_b)
-    key = chi_m, bool(chi_b)
-    got = system.trace_parts.get(key)
-    if got is None:
-        got = system.trace_parts[key] = _trace_parts(system, chi_m, chi_b)
-    floor, rows, valuations = got
+    floor, rows, valuations = trace_parts(system, chi_m, bool(chi_b))
     weights, pn = system.ring.teich_powers(chi_b), system.ring.pn
     return floor, tuple([sum(map(mul, row, weights)) % pn for row in rows]), valuations
 
 
-def _trace_parts(system, chi_m, chi_b):
-    """The ``trace_parts`` entry (floor, rows, valuations) of (chi_m, b !=
-    0): the rows of the matrix whose column (j, k) is -F_j y^k mod p^N,
-    each product by the ring's ``mul_co``, and the floors from C's terms at
-    b = 1, which are theta0[k] t^k, or from the one term 1 at b = 0."""
-    ring, step = system.ring, system.field.q - 1
+@functools.lru_cache(maxsize=None)
+def trace_parts(system, chi_m, nonzero):
+    """(floor, rows, valuations) of (chi_m, b != 0), for a chi_m that
+    ``kernel_shells`` has checked: the rows of the matrix whose column (j,
+    k) is -F_j y^k mod p^N, each product by the ring's ``mul_co``, and the
+    floors from C's terms at b = 1, which are theta0[k] t^k, or from the one
+    term 1 at b = 0."""
+    ring, field, step = system.ring, system.field, system.field.q - 1
     stride = system.params.p * (step - 1)
     top = system.params.degree // step
-    prefixes, floors, prec = system.omega_class_products
-    terms = system.omega1_substituted(chi_b and system.field.one())
-    parts = [ring.zero()] * (step if chi_b else 1)
+    prefixes, floors, prec = omega_class_products(system)
+    terms = omega1_substituted(system, field.one() if nonzero else field.zero())
+    parts = [ring.zero()] * (step if nonzero else 1)
     valuations = [ring.cap] * (top + 1)
     for _, k, c in terms:
         r, r2 = (-chi_m - k * stride) % step, -k % step
@@ -207,6 +322,7 @@ def _trace_parts(system, chi_m, chi_b):
 
 def dwork_op(series2, q):
     """Coefficient decimation (n0, n1) <- (q n0, q n1)."""
+    check_int("q", q, 2)
     out_degree = series2.degree // q
     out = TruncSeries2(series2.ring, out_degree)
     for i in range(out_degree + 1):
@@ -220,6 +336,7 @@ def diagonal_lattice(series2, q):
     the least precision over the diagonal's coefficients; the coordinates of
     their sum, shell k holding the coefficients b_{(q-1) n0, (q-1)(k - n0)};
     and each shell's least valuation, ``val_co`` of one gcd per coordinate."""
+    check_int("q", q, 2)
     ring, step = series2.ring, q - 1
     shells = [
         [series2.coefficient(step * n0, step * (k - n0)) for n0 in range(k + 1)]
@@ -241,6 +358,7 @@ def certified_diagonal_sum(ring, diagonal, target_prec):
     to less than the target; TailNotCertified if the shell valuations do not
     certify the target by the window-and-slope rule.
     """
+    check_target(target_prec)
     floor, total, valuations = diagonal
     if floor < target_prec:
         raise PrecisionNotReached(
@@ -261,11 +379,7 @@ def alpha_trace(series2, q, target_prec):
 
 
 def graded_monomials(cutoff):
-    out = []
-    for total in range(cutoff + 1):
-        for n0 in range(total, -1, -1):
-            out.append((n0, total - n0))
-    return out
+    return [(n0, total - n0) for total in range(cutoff + 1) for n0 in range(total, -1, -1)]
 
 
 def alpha_matrix(series2, q, cutoff):
@@ -279,20 +393,14 @@ def alpha_matrix(series2, q, cutoff):
             f"have {series2.degree}"
         )
     basis = graded_monomials(cutoff)
-    matrix = []
-    for m0, m1 in basis:
-        row = []
-        for n0, n1 in basis:
-            row.append(series2.coefficient(q * m0 - n0, q * m1 - n1))
-        matrix.append(row)
-    return basis, matrix
+    return basis, [
+        [series2.coefficient(q * m0 - n0, q * m1 - n1) for n0, n1 in basis] for m0, m1 in basis
+    ]
 
 
 def alpha_apply_monomial(series2, q, n0, n1):
     """alpha(x0^n0 x1^n1) computed the other way: Dw_q(H * monomial)."""
-    ring = series2.ring
-    shifted = series2.mul_sparse([(n0, n1, ring.one())])
-    return dwork_op(shifted, q)
+    return dwork_op(series2.mul_sparse([(n0, n1, series2.ring.one())]), q)
 
 
 def trace_formula_check(config):
@@ -303,11 +411,8 @@ def trace_formula_check(config):
     the scaled trace is declared to less than the target.
     """
     system = shared_system(config.params)
-    ring = system.ring
-    q = system.field.q
-    target = (
-        config.target_prec if config.target_prec is not None else 3 * ring.e
-    )
+    ring, q = system.ring, system.field.q
+    target = config.target_prec if config.target_prec is not None else 3 * ring.e
     chi_b = system.field.from_index(config.chi_b_index)
     timings = {}
 
@@ -347,7 +452,7 @@ def trace_formula_check(config):
         "target_prec": target,
         "convention": matching,
         "residual_valuation": residuals,
-        "psi_order_p2": system.psi_order_p2,
+        "psi_order_p2": psi_order_p2(system),
         "g_brute": {conv: val.to_json_obj() for conv, val in brute.items()},
         "trace_value": scaled.to_json_obj(),
         "certificate": trace_report["certificate"],
@@ -357,13 +462,9 @@ def trace_formula_check(config):
 
 def diagonal_selection_check(series2, system, target_prec):
     """sum over mu_{q-1}^2 of H equals (q-1)^2 * certified diagonal sum."""
-    ring = system.ring
-    q = system.field.q
-    points = [system.ring.teichmuller(u) for u in system.field.units()]
-    lhs = ring.zero()
-    for x0 in points:
-        for x1 in points:
-            lhs = lhs + series2.eval_at(x0, x1)
+    ring, q = system.ring, system.field.q
+    points = [ring.teichmuller(u) for u in system.field.units()]
+    lhs = sum((series2.eval_at(x0, x1) for x0 in points for x1 in points), ring.zero())
     value, _ = alpha_trace(series2, q, target_prec)
     return (lhs - value.scale_int((q - 1) ** 2)).valuation() >= target_prec
 

@@ -157,8 +157,7 @@ class Series1:
         return Series1(self.ring, out)
 
     def truncate(self, degree):
-        if degree < 0:
-            raise InvalidParameter(f"a series truncates to a degree >= 0, have {degree}")
+        check_int("truncation degree", degree, 0)
         if degree > self.degree:
             raise TruncationTooSmall(f"cannot truncate a degree-{self.degree} series to {degree}")
         return Series1(self.ring, self.coeffs[: degree + 1])
@@ -325,6 +324,7 @@ class TruncSeries2:
     __slots__ = ("ring", "degree", "rows")
 
     def __init__(self, ring, degree):
+        check_int("series degree", degree, 0)
         self.ring = ring
         self.degree = degree
         self.rows = [[ring.zero() for _ in range(degree + 1 - i)] for i in range(degree + 1)]

@@ -11,6 +11,7 @@ same sum at T by k mod q - 1, with c_k formed at b = 1: the parts F_j of
 the total -sum_j Teich(b)^j F_j.
 """
 
+from wittlab.gausstrace import omega1_substituted, omega_class_products
 from wittlab.rings import RingElem
 
 
@@ -19,8 +20,8 @@ def cut_sums(system, chi_m, chi_b):
     0..T, for every T <= D // (q - 1), D the system's degree."""
     ring, step, degree = system.ring, system.field.q - 1, system.params.degree
     stride = system.params.p * (step - 1)
-    prefixes = system.omega_class_products[0]
-    terms = system.omega1_substituted(chi_b)
+    prefixes = omega_class_products(system)[0]
+    terms = omega1_substituted(system, chi_b)
     out = []
     for cut in range(degree // step + 1):
         acc = ring.zero()
@@ -38,9 +39,9 @@ def horner_parts(system, chi_m, nonzero):
     ring, field, degree = system.ring, system.field, system.params.degree
     step = field.q - 1
     stride, top = system.params.p * (step - 1), degree // step
-    prefixes = system.omega_class_products[0]
+    prefixes = omega_class_products(system)[0]
     parts = [ring.zero()] * (step if nonzero else 1)
-    for _, k, c in system.omega1_substituted(field.one() if nonzero else field.zero()):
+    for _, k, c in omega1_substituted(system, field.one() if nonzero else field.zero()):
         r, r2 = (-chi_m - k * stride) % step, -k % step
         o = (chi_m + k * (stride + 1) + r + r2) // step
         if o <= top:

@@ -144,7 +144,10 @@ from wittlab.errors import (
     InvalidParameter, NotUnit, ReportedMismatch, RingMismatch, TruncationTooSmall,
 )
 from wittlab.fields import FqElem, finite_field
-from wittlab.gausstrace import GaussConfig, alpha_matrix
+from wittlab.gausstrace import (
+    GaussConfig, alpha_matrix, alpha_trace, certified_diagonal_sum, diagonal_lattice, dwork_op,
+    gauss_brute, kernel_H, kernel_shells, psi_parts,
+)
 from wittlab.rings import LubinTateSeries, ring_of
 from wittlab.series import (
     Series1, TruncSeries2, artin_hasse_ints, artin_hasse_series, exp_ring_series, pad_vector,
@@ -163,6 +166,10 @@ lvl0 = ring_of(2, 1, 0, LubinTateSeries.cyclotomic(2), 8)
 y_root = SimpleNamespace(ring=zq, elements=[zq.one(), zq.y_gen()])
 f4_vec = WittVec(f4, [f4.gen(), f4.one()])
 ell3 = CharParams(2, 1, 3, nprec=8, degree=16)
+# a Gauss system at q = 3, N = 16, D = 128: its entry points refuse a chi
+# before anything is built for it
+sys3 = CharacterSystem(CharParams(3, 1, 2, nprec=16, degree=128))
+b3 = sys3.field.one()
 
 
 def w_with_constant_term():
@@ -268,9 +275,25 @@ rows = [
     (RingMismatch, lambda: witt_add(one_vec(zp, 2), one_vec(z3, 2))),
     (RingMismatch, lambda: ghost_map(f4_vec)),
     (RingMismatch, lambda: zp.teichmuller(f4.one())),
-    (InvalidParameter, lambda: CharacterSystem(ell3).psi_parts),
+    (InvalidParameter, lambda: psi_parts(CharacterSystem(ell3))),
     (InvalidParameter, lambda: CharacterSystem(ell3).chi_value(0, f4.zero(), f4_vec)),
     (NotUnit, lambda: f4.zero().inverse()),
+    (InvalidParameter, lambda: kernel_shells(sys3, 2, b3)),
+    (InvalidParameter, lambda: kernel_shells(sys3, -1, b3)),
+    (InvalidParameter, lambda: kernel_shells(sys3, 1.0, b3)),
+    (InvalidParameter, lambda: kernel_H(sys3, 2, b3)),
+    (InvalidParameter, lambda: gauss_brute(sys3, 2, b3)),
+    (RingMismatch, lambda: gauss_brute(sys3, 0, 1)),
+    (RingMismatch, lambda: kernel_shells(sys3, 0, f4.one())),
+    (RingMismatch, lambda: kernel_H(sys3, 0, None)),
+    (InvalidParameter, lambda: certified_diagonal_sum(zp, (zp.cap, (0,), (zp.cap,)), 2.5)),
+    (InvalidParameter, lambda: alpha_trace(TruncSeries2(zp, 8), 2, 2.5)),
+    (InvalidParameter, lambda: Series1(zp, [zp.one()] * 5).truncate(1.5)),
+    (InvalidParameter, lambda: Series1(zp, [zp.one()] * 5).truncate(True)),
+    (InvalidParameter, lambda: TruncSeries2(zp, 2.5)),
+    (InvalidParameter, lambda: TruncSeries2(zp, -1)),
+    (InvalidParameter, lambda: dwork_op(TruncSeries2(zp, 4), 0)),
+    (InvalidParameter, lambda: diagonal_lattice(TruncSeries2(zp, 4), 1)),
 ]
 for want, call in rows:
     try:
@@ -302,10 +325,15 @@ def test_direct_refusals_hold_under_python_O():
     # and exact_div_p(0.5) in NotDivisible; the FqElem constructor took a
     # float or a bool coordinate, witt_trace a float s or r (a bare
     # TypeError) and TowerRing.random a float precision; the RingMismatch,
-    # psi_parts, chi_value and NotUnit rows at the end held before, and pin
-    # typed refusals no other test reached; each now raises exactly the
-    # error class its row names, and the script prints each row that does
-    # not
+    # psi_parts, chi_value and NotUnit rows held before, and pin typed
+    # refusals no other test reached; kernel_shells, kernel_H and
+    # gauss_brute took chi_m = 2 at q = 3 as chi_m = 0 (or raised IndexError
+    # at -1, AttributeError at an int b), certified_diagonal_sum and
+    # alpha_trace stamped a float precision, Series1.truncate took a float
+    # (TypeError) or a bool, TruncSeries2 a float (TypeError) or a negative
+    # degree (an empty series), and dwork_op and diagonal_lattice at q <= 1
+    # raised ZeroDivisionError; each now raises exactly the error class its
+    # row names, and the script prints each row that does not
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from wittlab import characters
+from wittlab import characters, gausstrace
 from wittlab.characters import CharParams, CharacterSystem, shared_system
 from wittlab.errors import (
     InvalidParameter,
@@ -25,6 +25,7 @@ from wittlab.gausstrace import (
     alpha_matrix,
     alpha_trace,
     bench_report,
+    brute_terms,
     certified_diagonal_sum,
     diagonal_lattice,
     diagonal_selection_check,
@@ -32,7 +33,13 @@ from wittlab.gausstrace import (
     gauss_brute,
     kernel_H,
     kernel_shells,
+    omega1_substituted,
+    omega_class_products,
+    psi_order_p2,
+    psi_parts,
+    stationary_points,
     trace_formula_check,
+    trace_parts,
 )
 from wittlab.rings import LubinTateSeries, RingElem, SeriesPacking, ring_of
 from wittlab.series import Series1, TruncSeries2, certify_tail
@@ -155,8 +162,9 @@ def test_kernel_constant_term_and_specialization():
     assert k0.coefficient(0, 0) == -ring.one()
     k1 = kernel_H(sys, 0, sys.field.one())
     assert k1.coefficient(0, 0) == -ring.one()
-    # m >= 1 kills the constant term
-    km = kernel_H(sys, 1, sys.field.zero())
+    # m >= 1 kills the constant term (m = 1 is a character at q = 3, not 2)
+    sys3 = CharacterSystem(CharParams(3, 1, 2, nprec=14, degree=32))
+    km = kernel_H(sys3, 1, sys3.field.zero())
     assert not any(km.coefficient(0, 0).co)
     # b = 0, m = 0: H(x0, x1) = -Omega_2(x0, x1); check column x1 = 0
     a = sys.theta_series(0).truncate(32).compose_scale(sys.t)
@@ -205,7 +213,7 @@ def test_kernel_H_is_the_product_of_its_factors(p, s, degree):
     )
     for chi_m in range(sys.field.q - 1):
         for chi_b in sys.field.elements():
-            terms = sys.omega1_substituted(chi_b)
+            terms = omega1_substituted(sys, chi_b)
             floor = min(c.prec for c in fa.coeffs + fb.coeffs + [c for *_, c in terms])
             kern = kernel_H(sys, chi_m, chi_b)
             for i in range(degree + 1):
@@ -220,9 +228,10 @@ def test_kernel_H_is_the_product_of_its_factors(p, s, degree):
 
 
 def test_kernel_truncation_guard():
-    sys = system21(32)
+    # q = 3 at D = 4: H's lowest term at chi = (1, b != 0) is x0^(1 + p(q-2) + 1)
+    sys = CharacterSystem(CharParams(3, 1, 2, nprec=14, degree=4))
     with pytest.raises(TruncationTooSmall):
-        kernel_H(sys, 40, sys.field.zero())
+        kernel_H(sys, 1, sys.field.one())
 
 
 def test_gauss_brute_trivial_counting():
@@ -256,7 +265,7 @@ def test_gauss_sum_stationary_phase(p, s):
     # image of those sums is the table's
     sys = next(nondegenerate_systems(p, s, 14, 64 if p >= 5 else 40))
     field, order = sys.field, sys.mu_table.order
-    teich, ver = sys.psi_parts
+    teich, ver = psi_parts(sys)
     table = sys.character_table()
     for x, y in itertools.product(field.elements(), repeat=2):
         want = table.index_of(WittVec(field, [x, y]))
@@ -273,17 +282,20 @@ def test_gauss_sum_stationary_phase(p, s):
                 for w in field.elements()
             )
         ]
-        assert trivial == ([sys.stationary_points[b.index()]] if b else []), b
+        assert trivial == ([stationary_points(sys)[b.index()]] if b else []), b
 
 
-def test_stationary_points_refuse_a_wrong_count():
+def test_stationary_points_refuse_a_wrong_count(monkeypatch):
     # with psi(V[.]) replaced by the trivial character no x passes for
-    # b != 0: a typed refusal, not a guess, on the Gauss path too
+    # b != 0: a typed refusal, not a guess, on the Gauss path too, and
+    # nothing is kept for the system
     sys = next(nondegenerate_systems(3, 1, 14, 40))
-    teich, ver = sys.psi_parts
-    sys.psi_parts = teich, [0] * len(ver)
+    teich, ver = psi_parts(sys)
+    monkeypatch.setattr(gausstrace, "psi_parts", lambda system: (teich, [0] * len(ver)))
+    before = stationary_points.cache_info()
     with pytest.raises(ReportedMismatch, match="the character is trivial at 0 x"):
         gauss_brute(sys, 0, sys.field.one())
+    assert stationary_points.cache_info().currsize == before.currsize
 
 
 def test_gauss_brute_structural_values_p2():
@@ -682,12 +694,12 @@ def test_kernel_shells_match_the_shell_identity_at_q9():
     # the coordinates of the powers of Teich(b), against each c_k formed for
     # its own b, for every chi of one nondegenerate t
     sys = next(nondegenerate_systems(3, 2, 14, 40))
-    q = sys.field.q
+    q, before = sys.field.q, trace_parts.cache_info()
     for chi_m in range(q - 1):
         for chi_b in sys.field.elements():
             total = kernel_shells(sys, chi_m, chi_b)[1]
             assert total == cut_sums(sys, chi_m, chi_b)[-1], (chi_m, chi_b)
-    assert len(sys.trace_parts) == 2 * (q - 1)
+    assert trace_parts.cache_info().currsize - before.currsize == 2 * (q - 1)
 
 
 @pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2)])
@@ -739,7 +751,7 @@ def test_class_products_match_ring_products(p, s):
         a, b = sys.omega_factors
         if degree == 43:  # one coefficient of B known to less than the rest
             b.coeffs[5] = RingElem(ring, b.coeffs[5].co, min(c.prec for c in a.coeffs) - 1)
-        prefixes, floors, prec = sys.omega_class_products
+        prefixes, floors, prec = omega_class_products(sys)
         assert len(prefixes) == len(floors) == step * step
         assert prec == min(c.prec for c in a.coeffs + b.coeffs)
 
@@ -839,14 +851,21 @@ def test_class_product_worst_case_slots(p, s, m, nprec):
     assert_worst_case_read(first, a * b, [min(d, 2 * n - 2 - d) + 1 for d in range(2 * n - 1)])
     if (m, nprec) == (1, 16):  # the ring of a Gauss system: its longest class product
         sys = next(nondegenerate_systems(p, s, nprec, degree))
-        assert len(sys.omega_class_products[0][0]) == n
+        assert len(omega_class_products(sys)[0][0]) == n
+
+
+def cache_counts(cache, since):
+    # (hits, misses, entries) a functools cache gained since its cache_info ``since``
+    now = cache.cache_info()
+    return now.hits - since.hits, now.misses - since.misses, now.currsize - since.currsize
 
 
 def test_checks_on_one_system_build_class_products_once(monkeypatch):
     # the class products depend only on the system, and so on its D: a
     # set-up as the benchmark's builds none, the first check builds them,
     # later checks reuse them, a configuration at D = 48 is another system,
-    # with its own, and cache_clear drops them with the system
+    # with its own, and after cache_clear the fresh shared system builds
+    # its own
     params = CharParams(2, 2, 2, nprec=16, degree=64)
     characters.shared_system.cache_clear()
     built = []
@@ -856,7 +875,7 @@ def test_checks_on_one_system_build_class_products_once(monkeypatch):
             built.append(n)
             super().__init__(ring, n)
 
-    monkeypatch.setattr(characters, "SeriesPacking", CountedPacking)
+    monkeypatch.setattr(gausstrace, "SeriesPacking", CountedPacking)
     system = shared_system(params)
     system.theta_series(0)
     system.theta_series(1)
@@ -871,7 +890,10 @@ def test_checks_on_one_system_build_class_products_once(monkeypatch):
     trace_formula_check(GaussConfig(params48, 1, 2, target_prec=4))
     other = shared_system(params48)
     assert built == [22, 17] and other is not system
-    assert all("omega_class_products" in vars(sys) for sys in (system, other))
+    # each system keeps its own: reading them again is a hit and packs nothing
+    before = omega_class_products.cache_info()
+    assert omega_class_products(system) is not omega_class_products(other)
+    assert cache_counts(omega_class_products, before) == (2, 0, 0) and len(built) == 2
     characters.shared_system.cache_clear()
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
     assert len(built) == 3
@@ -883,23 +905,24 @@ def test_checks_on_one_system_build_omega1_terms_once(monkeypatch):
     # once per (chi_m, b != 0), at b = 1 for every b != 0 and at b = 0: a
     # set-up as the benchmark's builds none, later checks of the key reuse
     # its matrix, another m builds its own, a configuration at D = 48 is
-    # another system, with its own matrices, and cache_clear drops them
-    # with the system
+    # another system, with its own matrices, and after cache_clear the
+    # fresh shared system builds its own
     params = CharParams(2, 2, 2, nprec=16, degree=64)
     characters.shared_system.cache_clear()
     built = []
-    substituted = CharacterSystem.omega1_substituted
+    substituted = gausstrace.omega1_substituted
 
-    def counted(self, b):
-        built.append((b.index(), self.params.degree))
-        return substituted(self, b)
+    def counted(system, b):
+        built.append((b.index(), system.params.degree))
+        return substituted(system, b)
 
-    monkeypatch.setattr(CharacterSystem, "omega1_substituted", counted)
+    monkeypatch.setattr(gausstrace, "omega1_substituted", counted)
     system = shared_system(params)
     system.theta_series(0)
     system.theta_series(1)
     system.character_table()
     assert built == []
+    start = trace_parts.cache_info()
     trace_formula_check(GaussConfig(params, 0, 2, target_prec=4))
     assert built == [(1, 64)]
     trace_formula_check(GaussConfig(params, 0, 3, target_prec=4))
@@ -911,13 +934,20 @@ def test_checks_on_one_system_build_omega1_terms_once(monkeypatch):
     trace_formula_check(GaussConfig(params48, 1, 3, target_prec=4))
     trace_formula_check(GaussConfig(params, 1, 1, target_prec=4))
     assert built == [(1, 64), (1, 64), (0, 64), (1, 48)]
-    assert sorted(system.trace_parts) == [(0, True), (1, False), (1, True)]
-    assert list(shared_system(params48).trace_parts) == [(1, True)]
+    # four entries were made: the system's three keys and the D = 48
+    # system's one, each now a hit
+    assert cache_counts(trace_parts, start)[1:] == (4, 4)
+    before = trace_parts.cache_info()
+    for key in [(0, True), (1, False), (1, True)]:
+        trace_parts(system, *key)
+    trace_parts(shared_system(params48), 1, True)
+    assert cache_counts(trace_parts, before) == (4, 0, 0)
     characters.shared_system.cache_clear()
     fresh = shared_system(params)
-    assert fresh is not system and fresh.trace_parts == {}
+    before = trace_parts.cache_info()
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
-    assert built[4:] == [(1, 64)] and list(fresh.trace_parts) == [(1, True)]
+    assert fresh is not system and cache_counts(trace_parts, before) == (0, 1, 1)
+    assert built[4:] == [(1, 64)]
     characters.shared_system.cache_clear()
 
 
@@ -928,47 +958,46 @@ def test_checks_on_one_system_build_shell_floors_per_m_and_valuations():
     # benchmark's builds none, every chi builds 2 (q - 1), one for b = 0
     # and one for every b != 0 per m, each with e s rows, (q - 1) s columns
     # for b != 0 and s for b = 0, later checks reuse them, a configuration
-    # at D = 48 is another system, with its own matrices, and cache_clear
-    # drops them with the system
+    # at D = 48 is another system, with its own matrices, and after
+    # cache_clear the fresh shared system builds its own
     params = CharParams(2, 2, 2, nprec=16, degree=64)
     characters.shared_system.cache_clear()
-    built = []
-
-    class CountedCache(dict):
-        def __setitem__(self, key, value):
-            built.append(key)
-            super().__setitem__(key, value)
-
     system = shared_system(params)
-    system.trace_parts = CountedCache()
+    start = trace_parts.cache_info()
     system.theta_series(0)
     system.theta_series(1)
     system.character_table()
-    assert built == []
+    assert cache_counts(trace_parts, start) == (0, 0, 0)
     q = system.field.q
     for m in range(q - 1):
         for b in range(q):
             trace_formula_check(GaussConfig(params, m, b, target_prec=4))
-    assert len(built) == len(set(built)) == 2 * (q - 1)
-    assert sorted(built) == [(m, nonzero) for m in range(q - 1) for nonzero in (False, True)]
-    for (_, nonzero), (_, rows, _) in system.trace_parts.items():
-        assert len(rows) == system.ring.dim
-        assert {len(row) for row in rows} == {(q - 1 if nonzero else 1) * system.ring.s}
+    assert cache_counts(trace_parts, start)[1:] == (2 * (q - 1), 2 * (q - 1))
+    # the entries are the 2 (q - 1) keys (m, b != 0): reading each is a hit
+    before = trace_parts.cache_info()
+    for m in range(q - 1):
+        for nonzero in (False, True):
+            _, rows, _ = trace_parts(system, m, nonzero)
+            assert len(rows) == system.ring.dim
+            assert {len(row) for row in rows} == {(q - 1 if nonzero else 1) * system.ring.s}
+    assert cache_counts(trace_parts, before) == (2 * (q - 1), 0, 0)
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
     kernel_shells(system, 2, system.field.from_index(3))
-    assert len(built) == 2 * (q - 1)
+    assert cache_counts(trace_parts, start)[1] == 2 * (q - 1)
     params48 = params.replace(degree=48)
     other = shared_system(params48)
-    other.trace_parts = CountedCache()
+    before = trace_parts.cache_info()
     trace_formula_check(GaussConfig(params48, 1, 2, target_prec=4))
     trace_formula_check(GaussConfig(params48, 1, 3, target_prec=4))
-    assert len(built) == 2 * (q - 1) + 1 and built[-1] == (1, True)
-    assert other is not system and list(other.trace_parts) == [(1, True)]
+    assert cache_counts(trace_parts, before) == (1, 1, 1)
+    assert other is not system and trace_parts(other, 1, True)
+    assert cache_counts(trace_parts, before) == (2, 1, 1)
     characters.shared_system.cache_clear()
     fresh = shared_system(params)
-    assert fresh is not system and fresh.trace_parts == {}
+    before = trace_parts.cache_info()
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
-    assert list(fresh.trace_parts) == [(1, True)] and len(built) == 2 * (q - 1) + 1
+    assert fresh is not system and cache_counts(trace_parts, before) == (0, 1, 1)
+    assert trace_parts(fresh, 1, True) and cache_counts(trace_parts, before) == (1, 1, 1)
     characters.shared_system.cache_clear()
 
 
@@ -978,24 +1007,17 @@ def test_checks_on_one_system_build_brute_terms_and_certificates_once():
     # and the cap: a set-up as the benchmark's builds no term set, every chi
     # at two targets builds q - 1 term sets and one certificate per distinct
     # (floors, target), later checks reuse them, each report has a
-    # certificate of its own, and cache_clear drops the term sets with the
-    # system while a fresh system's checks hit the certificates again
+    # certificate of its own, and after cache_clear the fresh shared system
+    # builds its own term sets while its checks hit the certificates again
     params = CharParams(2, 2, 2, nprec=16, degree=64)
     characters.shared_system.cache_clear()
     certify_tail.cache_clear()
-    built = []
-
-    class CountedCache(dict):
-        def __setitem__(self, key, value):
-            built.append(key)
-            super().__setitem__(key, value)
-
     system = shared_system(params)
-    system.brute_terms = CountedCache()
+    start, order_start = brute_terms.cache_info(), psi_order_p2.cache_info()
     system.theta_series(0)
     system.theta_series(1)
     system.character_table()
-    assert built == [] and "psi_order_p2" not in vars(system)
+    assert cache_counts(brute_terms, start) == cache_counts(psi_order_p2, order_start) == (0, 0, 0)
     q, cap = system.field.q, system.ring.cap
     chis = [(m, b) for m in range(q - 1) for b in range(q)]
     inputs = {
@@ -1011,12 +1033,16 @@ def test_checks_on_one_system_build_brute_terms_and_certificates_once():
         for m, b in chis
     ]
     after = certify_tail.cache_info()
-    assert len(built) == len(set(built)) == q - 1
-    assert sorted(system.brute_terms) == list(range(q - 1))
+    assert cache_counts(brute_terms, start)[1:] == (q - 1, q - 1)
+    # the entries are the system's q - 1 values of chi_m: reading each is a hit
+    probe = brute_terms.cache_info()
+    for m in range(q - 1):
+        brute_terms(system, m)
+    assert cache_counts(brute_terms, probe) == (q - 1, 0, 0)
     assert after.misses - before.misses == len(inputs) <= 2 * 2 * (q - 1)
     assert after.currsize - before.currsize == len(inputs)
     assert after.hits - before.hits == len(reports) - len(inputs)
-    assert "psi_order_p2" in vars(system)
+    assert cache_counts(psi_order_p2, order_start) == (len(reports) - 1, 1, 1)
     certificates = [report["certificate"] for report in reports]
     assert len({id(c) for c in certificates}) == len(reports)
     kept = [certify_tail(floors, target, cap) for floors, target in inputs]
@@ -1030,13 +1056,66 @@ def test_checks_on_one_system_build_brute_terms_and_certificates_once():
     assert [strip_timing(r) for r in reports[:half]] == [strip_timing(r) for r in reports[half:]]
     characters.shared_system.cache_clear()
     fresh = shared_system(params)
-    assert fresh is not system and fresh.brute_terms == {}
-    before = certify_tail.cache_info()
+    before, probe = certify_tail.cache_info(), brute_terms.cache_info()
     trace_formula_check(GaussConfig(params, 1, 2, target_prec=4))
     after = certify_tail.cache_info()
-    assert list(fresh.brute_terms) == [1] and len(built) == q - 1
+    assert fresh is not system and cache_counts(brute_terms, probe) == (0, 1, 1)
+    assert brute_terms(fresh, 1) and cache_counts(brute_terms, probe) == (1, 1, 1)
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
     characters.shared_system.cache_clear()
+
+
+def test_two_systems_of_one_configuration_keep_their_own_entries():
+    # the caches are keyed on the system, not on its configuration: two
+    # systems of one CharParams each build their own class products, psi
+    # parts, stationary points, trace matrices and brute terms, and read
+    # equal values from them
+    params = CharParams(3, 1, 2, nprec=14, degree=54)
+    one, two = CharacterSystem(params), CharacterSystem(params)
+    caches = [
+        omega_class_products, psi_parts, psi_order_p2, stationary_points, trace_parts, brute_terms
+    ]
+    before = [cache.cache_info() for cache in caches]
+    got = []
+    for sys in (one, two):
+        b = sys.field.one()
+        brute = gauss_brute(sys, 1, b)
+        got.append((
+            kernel_shells(sys, 1, b),
+            {conv: (v.co, v.prec) for conv, v in brute.items()},
+            psi_order_p2(sys),
+        ))
+    assert got[0] == got[1]
+    assert [cache_counts(c, since)[1:] for c, since in zip(caches, before)] == [(2, 2)] * 6
+    assert omega_class_products(one) == omega_class_products(two)
+    assert omega_class_products(one) is not omega_class_products(two)
+    assert stationary_points(one) == stationary_points(two)
+    assert trace_parts(one, 1, True) == trace_parts(two, 1, True)
+    assert trace_parts(one, 1, True) is not trace_parts(two, 1, True)
+
+
+def test_gauss_entry_points_refuse_an_out_of_range_character():
+    # kernel_shells, kernel_H and gauss_brute apply GaussConfig's chi_m rule
+    # and take chi_b only from the system's F_q, before any cache entry is
+    # made: chi_m = 2 at q = 3 gave chi_m = 0's total and brute value, a
+    # float chi_m read the int's entry, chi_m = -1 raised IndexError and an
+    # int chi_b AttributeError
+    sys = CharacterSystem(CharParams(3, 1, 2, nprec=16, degree=128))
+    b = sys.field.one()
+    caches = [
+        omega_class_products, psi_parts, psi_order_p2, stationary_points, trace_parts, brute_terms
+    ]
+    before = [cache.cache_info() for cache in caches]
+    for call in (kernel_shells, kernel_H, gauss_brute):
+        for chi_m in (2, -1, 1.0, True):
+            with pytest.raises(InvalidParameter, match="chi_m"):
+                call(sys, chi_m, b)
+        for chi_b in (1, None, finite_field(3, 2).one(), finite_field(2, 1).one()):
+            with pytest.raises(RingMismatch):
+                call(sys, 0, chi_b)
+    assert [cache.cache_info() for cache in caches] == before
+    with pytest.raises(InvalidParameter, match="chi_m"):
+        GaussConfig(sys.params, 2, 1)
 
 
 def check_outcome(config):
@@ -1137,8 +1216,8 @@ def test_omega1_valuations_are_one_for_every_nonzero_b(p, s):
         theta0, n = sys.theta_series(1).coeffs, 64 // (p * (p**s - 2) + 1) + 1
         want = [profile(theta0[0])] + [profile(theta0[k] * sys.t**k) for k in range(1, n)]
         for b in sys.field.units():
-            assert [profile(c) for *_, c in sys.omega1_substituted(b)] == want, b
-        ((d0, d1, one),) = sys.omega1_substituted(sys.field.zero())
+            assert [profile(c) for *_, c in omega1_substituted(sys, b)] == want, b
+        ((d0, d1, one),) = omega1_substituted(sys, sys.field.zero())
         assert (d0, d1, one.co, one.prec) == (0, 0, sys.ring.one().co, sys.ring.cap)
     # one coefficient of theta_{0,s}(1) known to less than the rest, after
     # Omega_2's factors are built: the terms' least precision follows it,
@@ -1150,7 +1229,7 @@ def test_omega1_valuations_are_one_for_every_nonzero_b(p, s):
     low = min(c.prec for c in coeffs) - 1
     coeffs[1] = RingElem(sys.ring, coeffs[1].co, low)
     sys.theta_series = lambda j: Series1(sys.ring, coeffs) if j == 1 else None
-    least = {min(c.prec for *_, c in sys.omega1_substituted(b)) for b in sys.field.units()}
+    least = {min(c.prec for *_, c in omega1_substituted(sys, b)) for b in sys.field.units()}
     assert least == {low}
     b = sys.field.from_index(p**s - 1)
     floor = kernel_shells(sys, 0, b)[0]
@@ -1198,6 +1277,24 @@ def test_certified_sum_shell_valuations_match_per_coefficient_minimum(p, s, m):
             for c in shell:
                 acc = acc + c
         assert value.co == acc.co and value.prec == 2
+
+
+def test_decimation_and_certified_sums_refuse_a_bad_q_or_target():
+    # dwork_op at q = 0 and diagonal_lattice at q = 1 divided by zero, and
+    # a float target was stamped on the certified value as its precision
+    ring = system21().ring
+    series = series2_constant(ring, 8, ring.one())
+    for q in (0, 1, 2.0, True):
+        with pytest.raises(InvalidParameter, match="q = "):
+            dwork_op(series, q)
+        with pytest.raises(InvalidParameter, match="q = "):
+            diagonal_lattice(series, q)
+    for target in (2.5, 0, True):
+        with pytest.raises(InvalidParameter, match="target precision"):
+            alpha_trace(series, 2, target)
+        with pytest.raises(InvalidParameter, match="target precision"):
+            certified_diagonal_sum(ring, diagonal_lattice(series, 2), target)
+    assert alpha_trace(series, 2, 3)[0].prec == 3
 
 
 def test_certified_sum_refuses_low_precision_coefficient():

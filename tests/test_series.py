@@ -12,6 +12,7 @@ from wittlab.rings import LubinTateSeries, RingElem, RingSpec, make_ring, ring_o
 from wittlab.series import (
     exp_ring_series,
     Series1,
+    TruncSeries2,
     artin_hasse_E,
     artin_hasse_ints,
     artin_hasse_series,
@@ -501,6 +502,21 @@ def test_series_eval_refuses_coefficients_below_the_target():
     with pytest.raises(PrecisionNotReached, match="known to 2 pi-digits, target 6"):
         series_eval_unit(series, ring.one(), 6)
     assert series_eval_unit(series, ring.one(), 2).prec == 2
+
+
+def test_truncation_degrees_are_integers_at_least_0():
+    # Series1.truncate(1.5) and TruncSeries2(ring, 2.5) ended in a bare
+    # TypeError, truncate(True) returned a degree-1 series and
+    # TruncSeries2(ring, -1) an empty one
+    ring = ring_of(3, nprec=8)
+    series = Series1(ring, [ring.one()] * 5)
+    for degree in (1.5, True, -1):
+        with pytest.raises(InvalidParameter):
+            series.truncate(degree)
+    for degree in (2.5, False, -1):
+        with pytest.raises(InvalidParameter):
+            TruncSeries2(ring, degree)
+    assert series.truncate(0).degree == 0 and TruncSeries2(ring, 0).rows == [[ring.zero()]]
 
 
 def test_series_eval_keeps_the_point_precision():
