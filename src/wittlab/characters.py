@@ -41,7 +41,7 @@ from .errors import (
     SeedNotConverging,
     SnapAmbiguous,
 )
-from .fields import finite_field, is_prime
+from .fields import check_prime, finite_field
 from .rings import (
     LubinTateSeries,
     Record,
@@ -52,7 +52,6 @@ from .rings import (
     nondegenerate_trace,
 )
 from .series import (
-    Series1,
     TruncSeries2,
     certify_series,
     pulita_theta_ms,
@@ -76,19 +75,20 @@ def theta_teich_values(ring, m, s, degree, target):
     Maps c.index() to the value at Teich(c), at pi-precision ``target``, for
     each c of the residue field: at Teich(0) = 0 (reached only when t = 0)
     the constant term; at the units, the coefficients folded into q' - 1
-    classes of degree mod z^(q'-1) - 1, evaluated by ``eval_full``.  The
-    fold is exact, since Teich(c)^(q'-1) = 1 exactly mod p^N.
+    classes of degree mod z^(q'-1) - 1, evaluated by the ring's one
+    evaluator of a fold (``TowerRing.fold_matrix``, ``fold_at_teich``).
+    The fold is exact, since Teich(c)^(q'-1) = 1 exactly mod p^N.
     """
     series = theta_one_series(ring, m, s, degree)
     certify_series(series, target)
     values = {0: RingElem(ring, series.coeffs[0].co, target)}
-    step, pn = ring.residue_field.q - 1, ring.pn
+    step = ring.residue_field.q - 1
     fold = [[0] * ring.dim for _ in range(step)]
     for k, c in enumerate(series.coeffs):
         fold[k % step] = list(map(int.__add__, fold[k % step], c.co))
-    folded = Series1(ring, [RingElem(ring, tuple(x % pn for x in co)) for co in fold])
+    rows = ring.fold_matrix(fold)
     for c in ring.residue_field.units():
-        values[c.index()] = RingElem(ring, folded.eval_full(ring.teichmuller(c)).co, target)
+        values[c.index()] = RingElem(ring, ring.fold_at_teich(rows, c), target)
     return values
 
 
@@ -205,9 +205,7 @@ class CharParams(Record, namedtuple("CharParams", "p s ell u_index lt nprec degr
     __slots__ = ()
 
     def __new__(cls, p, s, ell, u_index=None, lt=None, nprec=None, degree=None, target_prec=None):
-        check_int("p", p)
-        if not is_prime(p):
-            raise InvalidParameter(f"p = {p} is not prime")
+        check_prime(p)
         check_int("s", s, 1)
         check_int("ell", ell, 1)
         if u_index is not None:

@@ -91,6 +91,13 @@ def is_prime(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def check_prime(p):
+    """The one rule for a prime parameter: ``check_int``, then primality."""
+    check_int("p", p)
+    if not is_prime(p):
+        raise InvalidParameter(f"p = {p} is not prime")
+
+
 def pow_ladder(x, n, mul=operator.mul):
     """x^n for n >= 1 by square-and-multiply from the low bit: n.bit_length() - 1
     squarings and one multiply per further set bit, none by one."""
@@ -120,7 +127,7 @@ def min_poly_coeffs(p, s):
     raise InvalidParameter(f"no monic irreducible of degree {s} mod {p}: is p prime?")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # so 2.0 or True misses 2 or 1 and is refused
 def finite_field(p, s):
     return Fq(p, s)
 
@@ -210,8 +217,8 @@ class Fq:
     """The field with p^s elements."""
 
     def __init__(self, p, s):
-        if not is_prime(p) or s < 1:
-            raise InvalidParameter(f"F_(p^s) needs a prime p and s >= 1, have p = {p}, s = {s}")
+        check_prime(p)
+        check_int("s", s, 1)
         self.p = p
         self.s = s
         self.q = p**s

@@ -20,7 +20,7 @@ valuations, the Newton-polygon bound for a product.
 ``gauss_brute`` is the Gauss sum in closed form by stationary phase: the
 sum over z_1 is a character sum over F_q, q at one point x_b of F_q^* and 0
 elsewhere.  Its q - 1 terms Teich(x^m) psi([x]), read from psi's table
-indices at [x] (``psi_parts``, 2q - 1 snaps), and their sum depend only
+indices at [x] (``psi_parts``, q snaps), and their sum depend only
 on chi_m, so a system forms them once per chi_m (``brute_terms``), and a
 check scales the term at x_b (``stationary_points``, found once per
 system) and adds the sum.
@@ -46,7 +46,6 @@ import functools
 import itertools
 import math
 import time
-from operator import mul
 
 from .characters import check_target, shared_system
 from .errors import InvalidParameter, NoConventionMatches, PrecisionNotReached, ReportedMismatch
@@ -100,12 +99,14 @@ def _check_character(system, chi_m, chi_b):
 def psi_parts(system):
     """(teich, ver), entry i the table index of psi([x]) and of psi(V[x])
     at x = ``field.from_index(i)``: on W_2, (z_0, z_1) = [z_0] + V[z_1]
-    has index teich[z_0] + ver[z_1] mod p^2.  2q - 1 snaps, not q^2."""
+    has index teich[z_0] + ver[z_1] mod p^2.  psi(V[y]) is theta_0 at
+    Teich(u^p y), which is psi_1 at u^(p-1) y: ver reads ``psi1_log``, so
+    a system snaps q values here, not q^2."""
     if system.params.ell != 2:
         raise InvalidParameter(f"psi_parts split W_2, not W_{system.params.ell}")
-    field, zero = system.field, system.field.zero()
-    teich = [system.psi([x, zero]) for x in field.elements()]
-    return teich, teich[:1] + [system.psi([zero, y]) for y in field.units()]
+    field, shift = system.field, system.u ** (system.params.p - 1)
+    teich = [system.psi([x, field.zero()]) for x in field.elements()]
+    return teich, teich[:1] + [system.psi1_log(shift * y) for y in field.units()]
 
 
 @functools.lru_cache(maxsize=None)
@@ -273,13 +274,12 @@ def kernel_shells(system, chi_m, chi_b):
     exactly mod p^N (``TowerRing.teichmuller`` refuses a table without it),
     so the total is -sum_j Teich(b^j) F_j, F_j the sum of theta0[k] t^k S[T
     - o] over the terms with k = j mod q - 1 and o <= T.  At b = 0, C is the
-    one term 1 and F_0 its S[T - o].  Teich(b^j) is the sum of its s
-    coordinates u_jk times y^k, so coordinate i of the total is row i of
-    one integer matrix, column (j, k) the coordinates of -F_j y^k, dotted
-    with the u_jk (``TowerRing.teich_powers``; 1 at b = 0).  The F_j depend
-    on chi only through m and whether b is 0, so that matrix is built once
-    per system, m and whether b is 0 (``trace_parts``), and each dot
-    product is reduced mod p^N once.
+    one term 1 and F_0 its S[T - o].  So the total is the series folded into
+    the parts -F_j at Teich(b), the ring's one evaluator of such a fold
+    (``TowerRing.fold_matrix`` and ``fold_at_teich``: one integer matrix, one
+    dot product per coordinate).  The F_j depend on chi only through m and
+    whether b is 0, so that matrix is built once per system, m and whether
+    b is 0 (``trace_parts``).
 
     The valuations are floors: shell K is at least v(c_k) + floors_pair[K -
     o] over the C terms, and at most ``ring.cap``.  ``floor`` is the least
@@ -289,17 +289,15 @@ def kernel_shells(system, chi_m, chi_b):
     """
     _check_fits(system, chi_m, chi_b)
     floor, rows, valuations = trace_parts(system, chi_m, bool(chi_b))
-    weights, pn = system.ring.teich_powers(chi_b), system.ring.pn
-    return floor, tuple([sum(map(mul, row, weights)) % pn for row in rows]), valuations
+    return floor, system.ring.fold_at_teich(rows, chi_b), valuations
 
 
 @functools.lru_cache(maxsize=None)
 def trace_parts(system, chi_m, nonzero):
     """(floor, rows, valuations) of (chi_m, b != 0), for a chi_m that
-    ``kernel_shells`` has checked: the rows of the matrix whose column (j,
-    k) is -F_j y^k mod p^N, each product by the ring's ``mul_co``, and the
-    floors from C's terms at b = 1, which are theta0[k] t^k, or from the one
-    term 1 at b = 0."""
+    ``kernel_shells`` has checked: the ``TowerRing.fold_matrix`` rows of the
+    parts -F_j, and the floors from C's terms at b = 1, which are theta0[k]
+    t^k, or from the one term 1 at b = 0."""
     ring, field, step = system.ring, system.field, system.field.q - 1
     stride = system.params.p * (step - 1)
     top = system.params.degree // step
@@ -315,9 +313,7 @@ def trace_parts(system, chi_m, nonzero):
             parts[k % step] += c * RingElem(ring, prefixes[pair][top - o])
             valuations[o:] = map(min, valuations[o:], map(v.__add__, floors[pair]))
     floor = min([prec] + [c.prec for *_, c in terms])
-    ypows = [(0,) * k + (1,) + (0,) * (ring.dim - k - 1) for k in range(ring.s)]
-    columns = [ring.mul_co((-part).co, y) for part in parts for y in ypows]
-    return floor, tuple(zip(*columns)), tuple(valuations)
+    return floor, ring.fold_matrix([(-part).co for part in parts]), tuple(valuations)
 
 
 def dwork_op(series2, q):
@@ -354,11 +350,12 @@ def certified_diagonal_sum(ring, diagonal, target_prec):
     """Certified sum of strided coefficients given as (floor, total,
     valuations), the form of ``kernel_shells`` and ``diagonal_lattice``.
 
-    Returns (value, report).  PrecisionNotReached if a coefficient is known
-    to less than the target; TailNotCertified if the shell valuations do not
-    certify the target by the window-and-slope rule.
+    Returns (value, report).  InvalidParameter if the target is not an
+    integer >= 1 (there is no default here); PrecisionNotReached if a
+    coefficient is known to less than the target; TailNotCertified if the
+    shell valuations do not certify the target by the window-and-slope rule.
     """
-    check_target(target_prec)
+    check_int("target precision M", target_prec, 1)
     floor, total, valuations = diagonal
     if floor < target_prec:
         raise PrecisionNotReached(

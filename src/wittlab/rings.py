@@ -28,6 +28,7 @@ import functools
 import math
 import struct
 from collections import namedtuple
+from operator import mul
 
 from .errors import (
     InvalidParameter,
@@ -40,9 +41,9 @@ from .errors import (
     check_int,
 )
 from .fields import (
+    check_prime,
     convolve,
     finite_field,
-    is_prime,
     min_poly_coeffs,
     mul_mod,
     pow_ladder,
@@ -80,9 +81,7 @@ class LubinTateSeries(Record, namedtuple("LubinTateSeries", "p g_coeffs")):
     __slots__ = ()
 
     def __new__(cls, p, g_coeffs=()):
-        check_int("p", p)
-        if not is_prime(p):
-            raise InvalidParameter(f"p = {p} is not prime")
+        check_prime(p)
         if not isinstance(g_coeffs, (tuple, list)):
             raise InvalidParameter(f"G's coefficients {g_coeffs!r} are not a tuple or list")
         for g in g_coeffs:
@@ -230,9 +229,6 @@ class RingElem:
             return True
         v = self.ring.val_co([a - b for a, b in zip(self.co, other.co)])
         return v >= min(self.prec, other.prec)
-
-    def __hash__(self):  # pragma: no cover - elements are not dict keys
-        raise TypeError("RingElem is unhashable (equality is at precision)")
 
     def is_zero(self):
         return self.valuation() >= self.prec
@@ -515,17 +511,30 @@ class TowerRing:
         """The unique q-power-fixed lift of u in F_q.  It lies in the
         unramified subring (``_teich_table`` checks it): the sum of its first
         s coordinates times y^k, so a product by it is linear in them."""
-        return _teich_table(self)[self._residue_key(u)]
+        return _teich_table(self)[self._residue_key(u)][0]
 
     def teich_powers(self, u):
         """The first s coordinates of Teich(u)^j = Teich(u^j), j < q - 1, as
-        one flat tuple (those of 1 at u = 0), from one table per ring."""
-        return _teich_powers(self)[self._residue_key(u)]
+        one flat tuple (those of 1 at u = 0), from the same table."""
+        return _teich_table(self)[self._residue_key(u)][1]
 
     def _residue_key(self, u):
         if u.field is not self.residue_field:
             raise RingMismatch("residue field mismatch for Teichmueller lift")
         return u.co
+
+    def fold_matrix(self, parts):
+        """Rows of the integer matrix whose column (j, k) holds the coordinates
+        of parts[j] y^k, part j the class of degree j of a series folded mod
+        z^(q-1) - 1; ``fold_at_teich`` evaluates the fold."""
+        ypows = [(0,) * k + (1,) + (0,) * (self.dim - k - 1) for k in range(self.s)]
+        return tuple(zip(*[self.mul_co(part, y) for part in parts for y in ypows]))
+
+    def fold_at_teich(self, rows, u):
+        """The fold of ``fold_matrix``'s rows at Teich(u), sum_j part j
+        Teich(u^j): each row dotted with ``teich_powers(u)``, mod p^N once."""
+        weights, pn = self.teich_powers(u), self.pn
+        return tuple([sum(map(mul, row, weights)) % pn for row in rows])
 
     # -- headroom ---------------------------------------------------------------------
 
@@ -537,12 +546,13 @@ class TowerRing:
 
 @functools.lru_cache(maxsize=None)
 def _teich_table(ring):
-    """Every Teichmueller lift of ``ring``, keyed by its residue's
-    coordinates, built once per ring: 0, then the powers Teich(g)^i in
-    order, g a generator of F_q^* and Teich(g) the fixed point of x -> x^q
-    from g.  Teich(g)^(q-1) = 1 makes every power q-power-fixed.  Every lift
-    lies in the unramified subring, its coordinates past the first s zero;
-    ReportedMismatch if one does not."""
+    """Every Teichmueller lift of ``ring`` with its power coordinates
+    (``TowerRing.teich_powers``), keyed by its residue's coordinates, built
+    once per ring: 0, then the powers Teich(g)^i in order, g a generator of
+    F_q^* and Teich(g) the fixed point of x -> x^q from g.  Teich(g)^(q-1) =
+    1 makes every power q-power-fixed, and Teich(g^i)^j the entry i j mod
+    q - 1, exactly.  Every lift lies in the unramified subring, its
+    coordinates past the first s zero; ReportedMismatch if one does not."""
     fq = ring.residue_field
     g, q = fq.multiplicative_generator(), fq.q
     z = ring.from_ur(g.co)
@@ -553,25 +563,15 @@ def _teich_table(ring):
         z = nz
     if (z ** (q - 1)).co != ring.one().co:
         raise SeedNotConverging("Teichmueller iteration did not stabilize")
-    table = {fq.zero().co: ring.zero()}
-    lift, res = ring.one(), fq.one()
-    for _ in range(q - 1):
-        table[res.co] = lift
-        lift, res = lift * z, res * g
-    if any(any(lift.co[ring.s :]) for lift in table.values()):
+    lifts = [ring.one()]
+    for _ in range(q - 2):
+        lifts.append(lifts[-1] * z)
+    if any(any(lift.co[ring.s :]) for lift in lifts):
         raise ReportedMismatch("a Teichmueller lift lies outside the unramified subring")
-    return table
-
-
-@functools.lru_cache(maxsize=None)
-def _teich_powers(ring):
-    """``TowerRing.teich_powers``' table, keyed like ``_teich_table``, which
-    holds 0, then Teich(g^i), i < q - 1, in order: Teich(g^i)^j is its entry
-    i j mod q - 1, exactly, since Teich(g)^(q-1) = 1 (checked there)."""
-    keys, lifts = zip(*list(_teich_table(ring).items())[1:])
-    n, cos = len(lifts), [lift.co[: ring.s] for lift in lifts]
-    table = {key: sum((cos[i * j % n] for j in range(n)), ()) for i, key in enumerate(keys)}
-    table[ring.residue_field.zero().co] = ring.one().co[: ring.s]
+    n, cos = q - 1, [lift.co[: ring.s] for lift in lifts]
+    table = {fq.zero().co: (ring.zero(), cos[0])}
+    for i, lift in enumerate(lifts):
+        table[(g**i).co] = (lift, sum((cos[i * j % n] for j in range(n)), ()))
     return table
 
 

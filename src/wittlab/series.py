@@ -30,7 +30,7 @@ from .errors import (
     TailNotCertified,
     TruncationTooSmall,
 )
-from .fields import is_prime
+from .fields import check_prime
 from .rings import RingElem, SeriesPacking, check_int
 from .wittvec import (
     WittVec, from_ghosts, versch, witt_add, witt_map, witt_mul, witt_neg, zero_vec,
@@ -49,9 +49,7 @@ def _vp(n, p):
 def series_length(p, degree):
     """Smallest L with p^L > degree (AH factors beyond L are invisible); a p
     that is not prime is refused."""
-    check_int("p", p)
-    if not is_prime(p):
-        raise InvalidParameter(f"p = {p} is not prime")
+    check_prime(p)
     length = 0
     while p**length <= degree:
         length += 1
@@ -196,7 +194,6 @@ def exp_ring_series(ring, c, degree):
 # -- the Lubin-Tate vector w and its specializations varpi_m ------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def varpi(ring, m, length):
     """varpi_m = w(pi_m) inside ``ring`` (level >= m), by ghost transport.
 

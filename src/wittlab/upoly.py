@@ -17,8 +17,10 @@ import math
 import time
 from functools import lru_cache, partial
 
-from .errors import FamilyTooLarge, IntegralityFailure, InvalidParameter, TimeBudgetExceeded
-from .fields import is_prime, pow_ladder
+from .errors import (
+    FamilyTooLarge, IntegralityFailure, InvalidParameter, TimeBudgetExceeded, check_int,
+)
+from .fields import check_prime, pow_ladder
 
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
@@ -247,6 +249,7 @@ def eval_plan_at(poly, values):
 
 def ghost_poly(p, n):
     """fant_n(X_0..X_n) = X_0^(p^n) + p X_1^(p^(n-1)) + ... + p^n X_n."""
+    check_int("ghost polynomial index", n)
     if n < 0:
         raise InvalidParameter(f"ghost polynomial index must be >= 0, have {n}")
     return _ghost_in(p, n, n + 1, 0, 0)
@@ -295,14 +298,14 @@ def check_family(kind, p, length):
         raise InvalidParameter(
             f"unknown kind {kind!r}, expected one of {_STRUCTURAL_KINDS}"
         )
+    check_int("length", length)
     if length < 1:
         raise InvalidParameter("length must be >= 1")
+    check_prime(p)
     if length > MAX_LENGTH or p > MAX_PRIME:
         raise InvalidParameter(
             f"universal polynomial generation capped at length {MAX_LENGTH}, p <= {MAX_PRIME}"
         )
-    if not is_prime(p):
-        raise InvalidParameter(f"p = {p} is not prime")
     bound = family_size_bound(kind, p, length - 1)
     if bound > MAX_FAMILY_MONOMIALS:
         raise FamilyTooLarge(

@@ -91,9 +91,6 @@ class WittVec:
             and all(map(operator.eq, self.comps, other.comps))
         )
 
-    def __hash__(self):
-        raise TypeError("WittVec is unhashable")
-
     def __add__(self, other):
         return witt_add(self, other)
 
@@ -402,12 +399,11 @@ def from_ghosts(ring, length, ghosts):
     with L = ``length`` guard digits, where transport peels them.
     If a'_i = a_i mod p^(N+L-i) for i < n, then p^i a'_i^(p^(n-i)) =
     p^i a_i^(p^(n-i)) mod p^(N+L), so the peel returns a_n mod p^(N+L-n),
-    which covers p^N for every n < L.
+    which covers p^N for every n < L.  It is ``_transport`` with no input
+    vectors.
     """
     _check_length(length)
-    big = ring.with_precision(ring.nprec + length)
-    comps = _coords(ring, _peel(big, _values(big, ghosts(big))))
-    return WittVec._own(ring, [RingElem(ring, c) for c in comps])
+    return _transport(ring, [], length, lambda big: _values(big, ghosts(big)), [ring.cap] * length)
 
 
 def _prefix_min(ring, *comps):

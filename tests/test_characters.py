@@ -26,7 +26,7 @@ from wittlab.errors import (
     WittlabError,
 )
 from wittlab.fields import finite_field
-from wittlab.rings import LubinTateSeries, RingElem, RingSpec, make_ring, ring_of
+from wittlab.rings import LubinTateSeries, RingElem, RingSpec, TowerRing, make_ring, ring_of
 from wittlab.series import Series1
 from wittlab.wittvec import WittVec, one_vec, scalar_nat, witt_add, witt_mul, zero_vec
 
@@ -346,6 +346,30 @@ def test_theta_tables_match_eval_full(p, s, deg):
                 assert entry.co == want.co and entry.prec == sys.target_prec, (j, c)
 
 
+# q = 2, 3, 4, 5, 8 and 9, each at a degree whose theta tables certify
+_FOLD_CONFIGS = [(2, 1, 64), (3, 1, 54), (2, 2, 64), (5, 1, 150), (2, 3, 64), (3, 2, 54)]
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("p,s,deg", _FOLD_CONFIGS)
+def test_theta_tables_are_the_horner_sum_of_the_fold(p, s, deg, m):
+    # the oracle is the Horner sum (Series1.eval_full) of the series folded
+    # mod z^(q-1) - 1, at Teich(c) for every unit c: the ring's evaluator of
+    # a fold gives the same coordinates, every value at the target, and at
+    # Teich(0) the constant term
+    sys = system(p, s, 2, nprec=16, degree=deg)
+    ring, step, target = sys.ring, sys.field.q - 1, sys.target_prec
+    series = theta_one_series(ring, m, s, deg)
+    fold = [ring.zero()] * step
+    for k, c in enumerate(series.coeffs):
+        fold[k % step] = fold[k % step] + c
+    table = theta_teich_values(ring, m, s, deg, target)
+    assert table[0].co == series.coeffs[0].co and table[0].prec == target
+    for c in sys.field.units():
+        want = Series1(ring, fold).eval_full(ring.teichmuller(c))
+        assert table[c.index()].co == want.co and table[c.index()].prec == target, c
+
+
 def test_degenerate_t_zero_reads_the_constant_term():
     # t = Teich(0) = 0: every table read is at the point 0, so psi and the
     # psi_1 part of chi are trivial
@@ -357,10 +381,13 @@ def test_degenerate_t_zero_reads_the_constant_term():
 
 def test_check_splitting_evaluates_each_point_once(monkeypatch):
     # cold tables: two over the base ring at q - 1 points each, and four over
-    # the r = 2 ring (the big system's and the base-s factors) at q^2 - 1
+    # the r = 2 ring (the big system's and the base-s factors) at q^2 - 1,
+    # each point one evaluation of the table's fold
     calls = []
-    real = Series1.eval_full
-    monkeypatch.setattr(Series1, "eval_full", lambda f, z: calls.append(1) or real(f, z))
+    real = TowerRing.fold_at_teich
+    monkeypatch.setattr(
+        TowerRing, "fold_at_teich", lambda ring, rows, u: calls.append(1) or real(ring, rows, u)
+    )
     theta_teich_values.cache_clear()
     check_splitting(CharParams(2, 1, 2, nprec=14, degree=48), 2)
     q = 2

@@ -153,7 +153,7 @@ from wittlab.series import (
     Series1, TruncSeries2, artin_hasse_ints, artin_hasse_series, exp_ring_series, pad_vector,
     pulita_theta_ms, series_eval_unit, varpi,
 )
-from wittlab.upoly import UniversalPoly, eval_plan_at, structural_polys
+from wittlab.upoly import UniversalPoly, eval_plan_at, ghost_poly, structural_polys
 from wittlab.wittvec import (
     GhostSeq, WittVec, delta, ghost_map, one_vec, scalar_nat, tau, te_lift, versch, witt_add,
     witt_trace, zero_vec,
@@ -294,6 +294,15 @@ rows = [
     (InvalidParameter, lambda: TruncSeries2(zp, -1)),
     (InvalidParameter, lambda: dwork_op(TruncSeries2(zp, 4), 0)),
     (InvalidParameter, lambda: diagonal_lattice(TruncSeries2(zp, 4), 1)),
+    (InvalidParameter, lambda: finite_field(2.0, 2)),
+    (InvalidParameter, lambda: finite_field(2, 1.5)),
+    (InvalidParameter, lambda: finite_field(2, 2.0)),
+    (InvalidParameter, lambda: finite_field(3, True)),
+    (InvalidParameter, lambda: structural_polys("sum", 2.0, 2)),
+    (InvalidParameter, lambda: structural_polys("sum", 2, 2.0)),
+    (InvalidParameter, lambda: ghost_poly(2, 1.5)),
+    (InvalidParameter, lambda: certified_diagonal_sum(zp, (zp.cap, (0,), (zp.cap,)), None)),
+    (InvalidParameter, lambda: alpha_trace(TruncSeries2(zp, 8), 2, None)),
 ]
 for want, call in rows:
     try:
@@ -332,8 +341,13 @@ def test_direct_refusals_hold_under_python_O():
     # alpha_trace stamped a float precision, Series1.truncate took a float
     # (TypeError) or a bool, TruncSeries2 a float (TypeError) or a negative
     # degree (an empty series), and dwork_op and diagonal_lattice at q <= 1
-    # raised ZeroDivisionError; each now raises exactly the error class its
-    # row names, and the script prints each row that does not
+    # raised ZeroDivisionError; finite_field with a float or bool p or s
+    # returned the cached field of the int (uncached, a bare TypeError or a
+    # field with s = True), structural_polys and ghost_poly with a float p,
+    # length or index ended in a bare TypeError, and the certified sums at
+    # target None in a TypeError from the comparison;
+    # each now raises exactly the error class its row names, and the script
+    # prints each row that does not
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

@@ -285,6 +285,34 @@ def test_gauss_sum_stationary_phase(p, s):
         assert trivial == ([stationary_points(sys)[b.index()]] if b else []), b
 
 
+@pytest.mark.parametrize(
+    "p,s,deg", [(2, 1, 64), (3, 1, 54), (2, 2, 64), (5, 1, 150), (2, 3, 64), (3, 2, 54)]
+)
+def test_psi_parts_are_psi_at_teich_and_at_V(p, s, deg):
+    # ver reads psi1_log at u^(p-1) y, the same theta_0 value under the same
+    # snap as psi(V[y]); the oracle is psi itself at [x] and at V[y]
+    sys = CharacterSystem(CharParams(p, s, 2, nprec=16, degree=deg))
+    field, zero = sys.field, sys.field.zero()
+    teich, ver = psi_parts(sys)
+    assert teich == [sys.psi([x, zero]) for x in field.elements()]
+    assert ver == [sys.psi([zero, y]) for y in field.elements()]
+
+
+def test_a_gauss_sweep_snaps_2q_minus_1_values_per_system(monkeypatch):
+    # psi at [x] for every x of F_q, and psi_1 at each unit once: psi(V[y])
+    # and the stationary points read the same psi1_log entries.  At q = 4
+    # that is 7 snaps, where snapping psi(V[y]) on its own made 10
+    real, snaps = characters.RootOfUnityTable.snap, []
+    monkeypatch.setattr(
+        characters.RootOfUnityTable, "snap", lambda table, v: snaps.append(1) or real(table, v)
+    )
+    sys = CharacterSystem(CharParams(2, 2, 2, nprec=16, degree=64))
+    for m, b in itertools.product(range(3), sys.field.elements()):
+        gauss_brute(sys, m, b)
+    psi_order_p2(sys)
+    assert len(snaps) == 7
+
+
 def test_stationary_points_refuse_a_wrong_count(monkeypatch):
     # with psi(V[.]) replaced by the trivial character no x passes for
     # b != 0: a typed refusal, not a guess, on the Gauss path too, and
